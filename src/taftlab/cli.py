@@ -63,7 +63,7 @@ def cmd_hopf_check(args) -> int:
     _emit(doc, args.out)
     if not report.ok:
         _diag("axiom-failure", "Hopf axiom battery failed; see report")
-        return 1
+        return 2
     return 0
 
 

@@ -1,24 +1,32 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
 A CycNum is the reduced residue of a rational polynomial in zeta_m modulo
-the m-th cyclotomic polynomial Phi_m, stored as a tuple of Fractions of
-length deg Phi_m = phi(m).  The representation is canonical, so two values
-are equal iff their coefficient tuples are equal; CycNum therefore works as
-a dict key and keeps every assertion in the test suite exact.  No floating
-point anywhere.
+the m-th cyclotomic polynomial Phi_m, stored as phi(m) = deg Phi_m integer
+numerators over one positive denominator:
+
+    (num[0] + num[1]*zeta + ... + num[phi(m)-1]*zeta^(phi(m)-1)) / den.
+
+The representation is canonical -- gcd(den, *num) = 1, and zero is
+(0, ..., 0)/1 -- so two values are equal iff their (num, den) pairs are
+equal; CycNum therefore works as a dict key and keeps every assertion in the
+test suite exact.  No floating point anywhere.  Phi_m is monic with integer
+coefficients, so a product is an integer convolution folded through an
+integral table of x^j mod Phi_m, and every result is normalised by a single
+gcd pass.  The per-coefficient Fraction view is available as ``coeffs``.
 
 Arithmetic is ordinary field arithmetic through operators (+, -, *, /, **
 with negative exponents allowed).  ints and Fractions are promoted to
 constants of the same conductor; mixing two different conductors raises
 InputError rather than silently embedding one field in the other.
-Division inverts via the extended Euclidean algorithm against Phi_m, which
-is irreducible over Q, so every nonzero element is invertible.
+Division inverts via the extended Euclidean algorithm over Q against Phi_m,
+which is irreducible over Q, so every nonzero element is invertible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -79,89 +87,94 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _field(m: int):
-    """(degree, Phi_m coeffs, table of x^j mod Phi_m for j < 2*degree - 1)."""
+    """(degree, Phi_m coeffs, table, fold) for Q(zeta_m).
+
+    table[j] is x^j mod Phi_m as an int tuple for j < max(m, 2*degree - 1),
+    which covers every residue of an exponent mod m and every exponent of a
+    product of two residues; fold lists the nonzero (i, c) of table[j] for
+    degree <= j < 2*degree - 1, the rows a product reduces through.
+    """
     if m < 2:
         raise InputError("cyclotomic field needs m >= 2, got %r" % (m,))
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    xdeg = tuple(Fraction(-phi[i]) for i in range(deg))  # x^deg reduced, Phi monic
-    table = []
-    for j in range(deg):
-        table.append(tuple(_ONE if i == j else _ZERO for i in range(deg)))
-    for j in range(deg, max(deg, 2 * deg - 1)):
-        prev = table[j - 1]
-        top = prev[deg - 1]
-        shifted = [_ZERO] + list(prev[:-1])
+    xdeg = tuple(-c for c in phi[:deg])  # x^deg reduced, Phi monic
+    table = [tuple(1 if i == j else 0 for i in range(deg)) for j in range(deg)]
+    for _ in range(deg, max(m, 2 * deg - 1)):
+        prev = table[-1]
+        top = prev[-1]
+        shifted = (0,) + prev[:-1]
         if top:
-            shifted = [shifted[i] + top * xdeg[i] for i in range(deg)]
-        table.append(tuple(shifted))
-    return deg, phi, tuple(table)
+            shifted = tuple(s + top * x for s, x in zip(shifted, xdeg))
+        table.append(shifted)
+    fold = tuple(tuple((i, c) for i, c in enumerate(table[j]) if c)
+                 for j in range(deg, 2 * deg - 1))
+    return deg, phi, tuple(table), fold
 
 
-def _reduce_poly(m, coeffs):
-    """Reduce an arbitrary-length coefficient list mod Phi_m to canonical form."""
-    deg, _, table = _field(m)
-    acc = [_ZERO] * deg
-    work = list(coeffs)
-    # long coefficients beyond the multiplication table go through zeta^m = product
-    # of lower powers; cheapest is to fold exponents mod m first, since x^m = 1 in
-    # the quotient only up to Phi_m | x^m - 1 -- and that it does divide exactly.
-    folded = [_ZERO] * m if len(work) > len(table) else None
-    if folded is not None:
-        for e, c in enumerate(work):
-            if c:
-                folded[e % m] += Fraction(c)
-        work = folded
-    for e, c in enumerate(work):
-        if not c:
-            continue
-        c = Fraction(c)
-        if e < deg:
-            acc[e] += c
-        else:
-            row = table[e] if e < len(table) else None
-            if row is None:
-                # e in [deg, m): extend the table on the fly via x^(e mod m)
-                row = _power_row(m, e)
-            for i in range(deg):
-                if row[i]:
-                    acc[i] += c * row[i]
-    return tuple(acc)
+def _reduce_poly(m, coeffs) -> list:
+    """Reduce an integer coefficient list of any length mod Phi_m."""
+    deg, _, table, _ = _field(m)
+    if len(coeffs) > len(table):
+        # x^m = 1 in the quotient, since Phi_m divides x^m - 1
+        folded = [0] * m
+        for e, c in enumerate(coeffs):
+            folded[e % m] += c
+        coeffs = folded
+    acc = list(coeffs[:deg]) + [0] * (deg - len(coeffs))
+    for e in range(deg, len(coeffs)):
+        c = coeffs[e]
+        if c:
+            for i, r in enumerate(table[e]):
+                if r:
+                    acc[i] += c * r
+    return acc
+
+
+def _canon(m: int, num, den: int) -> "CycNum":
+    """The CycNum num/den (den > 0), divided through by gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _cyc(m, tuple(c // g for c in num), den // g)
+    return _cyc(m, tuple(num), den)
+
+
+def _from_fractions(m: int, coeffs) -> "CycNum":
+    """The CycNum sum(coeffs[j] * zeta^j) for int/Fraction coeffs of any length."""
+    den = lcm(*(c.denominator for c in coeffs))
+    num = [c.numerator * (den // c.denominator) for c in coeffs]
+    return _canon(m, _reduce_poly(m, num), den)
 
 
 @lru_cache(maxsize=None)
-def _power_row(m: int, e: int):
-    """x^e mod Phi_m as a coefficient tuple, for any e >= 0 (folded mod m)."""
-    deg, _, table = _field(m)
-    e = e % m
-    if e < len(table):
-        return table[e]
-    row = table[len(table) - 1]
-    for _ in range(len(table) - 1, e):
-        top = row[deg - 1]
-        shifted = [_ZERO] + list(row[:-1])
-        if top:
-            xdeg = table[deg] if deg < len(table) else None
-            if xdeg is None:  # deg == 1, x^1 reduces directly
-                phi = cyclotomic_polynomial(m)
-                xdeg = (Fraction(-phi[0]),)
-            shifted = [shifted[i] + top * xdeg[i] for i in range(deg)]
-        row = tuple(shifted)
-    return row
+def _constants(m: int) -> tuple:
+    """The shared (zero, one) of Q(zeta_m)."""
+    if m < 2:
+        raise InputError("conductor must be >= 2, got %r" % (m,))
+    pad = (0,) * (_field(m)[0] - 1)
+    return _cyc(m, (0,) + pad, 1), _cyc(m, (1,) + pad, 1)
 
 
 class CycNum:
     """An element of Q(zeta_m), canonical residue mod Phi_m."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, coeffs: tuple):
-        # trusted constructor: coeffs must already be canonical
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, m: int, num: tuple, den: int):
+        # trusted constructor: (num, den) must already be canonical
+        _set_m(self, m)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of 1, zeta, ..., zeta^(phi(m)-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
@@ -170,34 +183,37 @@ class CycNum:
         """Value sum(coeffs[j] * zeta^j); coeffs of any length, ints/Fractions."""
         if m < 2:
             raise InputError("conductor must be >= 2, got %r" % (m,))
-        return CycNum(m, _reduce_poly(m, list(coeffs)))
+        return _from_fractions(
+            m, [c if type(c) is int else Fraction(c) for c in coeffs])
 
     @staticmethod
     def rational(m: int, value) -> "CycNum":
         if m < 2:
             raise InputError("conductor must be >= 2, got %r" % (m,))
-        deg, _, _ = _field(m)
+        pad = (0,) * (_field(m)[0] - 1)
+        if type(value) is int:
+            return _cyc(m, (value,) + pad, 1)
         v = Fraction(value)
-        return CycNum(m, tuple(v if i == 0 else _ZERO for i in range(deg)))
+        return _cyc(m, (v.numerator,) + pad, v.denominator)
 
     @staticmethod
     def zero(m: int) -> "CycNum":
-        return CycNum.rational(m, 0)
+        return _constants(m)[0]
 
     @staticmethod
     def one(m: int) -> "CycNum":
-        return CycNum.rational(m, 1)
+        return _constants(m)[1]
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def as_rational(self):
         """The Fraction value if the element is rational, else None."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -212,18 +228,32 @@ class CycNum:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is CycNum and other.m == self.m \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _canon(self.m, [a + b for a, b in zip(self.num, o.num)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _canon(self.m, [a * fa + b * fb for a, b in zip(self.num, o.num)],
+                      da * fa)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is CycNum and other.m == self.m \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _canon(self.m, [a - b for a, b in zip(self.num, o.num)], da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _canon(self.m, [a * fa - b * fb for a, b in zip(self.num, o.num)],
+                      da * fa)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -232,41 +262,46 @@ class CycNum:
         return o - self
 
     def __neg__(self):
-        return CycNum(self.m, tuple(-a for a in self.coeffs))
+        return _cyc(self.m, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is CycNum and other.m == self.m \
+            else self._coerce(other)
         if o is None:
             return NotImplemented
-        r = o.as_rational()
-        if r is not None:
-            if r == 0:
-                return CycNum.zero(self.m)
-            return CycNum(self.m, tuple(a * r for a in self.coeffs))
-        deg, _, table = _field(self.m)
-        conv = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        acc = list(conv[:deg])
-        for e in range(deg, 2 * deg - 1):
+        m, a, b = self.m, self.num, o.num
+        den = self.den * o.den
+        if len(a) == 1:
+            # phi(m) = 1 (m = 2): the field is Q
+            n = a[0] * b[0]
+            if den != 1:
+                g = gcd(n, den)
+                if g != 1:
+                    return _cyc(m, (n // g,), den // g)
+            return _cyc(m, (n,), den)
+        deg, _, _, fold = _field(m)
+        nzb = [(j, y) for j, y in enumerate(b) if y]
+        conv = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nzb:
+                    conv[i + j] += x * y
+        for e, row in enumerate(fold, deg):
             c = conv[e]
             if c:
-                row = table[e]
-                for i in range(deg):
-                    if row[i]:
-                        acc[i] += c * row[i]
-        return CycNum(self.m, tuple(acc))
+                for i, r in row:
+                    conv[i] += c * r
+        del conv[deg:]
+        return _canon(m, conv, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if self.is_zero():
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.m)
-        deg, phi, _ = _field(self.m)
-        a = _poly_trim(list(self.coeffs))
+        _, phi, _, _ = _field(self.m)
+        # self = N(zeta)/den, so its inverse is den * N(zeta)^-1
+        a = _poly_trim([Fraction(c) for c in self.num])
         b = [Fraction(c) for c in phi]
         # extended Euclid: s*a + t*phi = gcd; gcd is a nonzero constant
         r0, r1 = a, b
@@ -283,9 +318,8 @@ class CycNum:
             s0, s1 = s1, _poly_trim(ns)
         if len(r0) != 1:
             raise RuntimeError("Phi_m not coprime to a nonzero residue")
-        g = r0[0]
-        inv = [c / g for c in s0]
-        return CycNum(self.m, _reduce_poly(self.m, inv))
+        scale = self.den / r0[0]
+        return _from_fractions(self.m, [c * scale for c in s0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -319,14 +353,14 @@ class CycNum:
         o = self._coerce(other) if isinstance(other, (CycNum, int, Fraction)) else None
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
         # note: hashes only collide with other CycNum keys, not with ints
-        return hash((self.m,) + self.coeffs)
+        return hash((self.m, self.den, self.num))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def _pretty(self) -> str:
         parts = []
@@ -359,7 +393,8 @@ class CycNum:
     # -- JSON ---------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
+        coeffs = self.num if self.den == 1 else self.coeffs
+        return {"m": self.m, "coeffs": [str(c) for c in coeffs]}
 
     @staticmethod
     def from_json(obj) -> "CycNum":
@@ -368,7 +403,7 @@ class CycNum:
         m = obj["m"]
         if not isinstance(m, int) or m < 2:
             raise InputError("CycNum conductor must be an int >= 2, got %r" % (m,))
-        deg, _, _ = _field(m)
+        deg = _field(m)[0]
         raw = obj["coeffs"]
         if not isinstance(raw, list) or len(raw) != deg:
             raise InputError(
@@ -380,6 +415,21 @@ class CycNum:
         return CycNum.make(m, coeffs)
 
 
+_new = object.__new__
+_set_m = CycNum.m.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
+
+
+def _cyc(m: int, num: tuple, den: int) -> CycNum:
+    """Trusted constructor without the __init__ call: (num, den) canonical."""
+    x = _new(CycNum)
+    _set_m(x, m)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
 def zeta(m: int) -> CycNum:
     """The canonical primitive m-th root of unity."""
     return CycNum.make(m, [0, 1])
@@ -389,9 +439,4 @@ def zeta_power(m: int, e: int) -> CycNum:
     """zeta_m ** e for any integer e (negative exponents fold mod m)."""
     if m < 2:
         raise InputError("conductor must be >= 2, got %r" % (m,))
-    return CycNum(m, _power_row(m, e % m))
-
-
-def cyc_make(m: int, coeffs) -> CycNum:
-    """Reduce an arbitrary polynomial-in-zeta coefficient list to a CycNum."""
-    return CycNum.make(m, coeffs)
+    return _cyc(m, _field(m)[2][e % m], 1)

@@ -264,10 +264,6 @@ def is_h_simple(mod: HModuleAlgebra, *, rng_seed: int = 0,
     dim, method = operator_span_dim(mod, exact_max_dim=exact_max_dim)
     if dim == n * n:
         return CertifiedSimple(operator_algebra_dim=dim, method=method)
-    if method.endswith("exact"):
-        # exact spin fell short: the operator algebra is genuinely proper, so
-        # some proper invariant subspace exists; tier 2 should find an ideal
-        pass
 
     # tier 2: witness search
     ident = Matrix.identity(mod.m, n)

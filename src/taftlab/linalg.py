@@ -113,7 +113,8 @@ class Matrix:
     def __mul__(self, scalar):
         if isinstance(scalar, Matrix):
             return NotImplemented
-        return Matrix(self.m, tuple(vec_scale_any(self.m, scalar, r) for r in self.rows))
+        c = scalar if isinstance(scalar, CycNum) else CycNum.rational(self.m, scalar)
+        return Matrix(self.m, tuple(vec_scale(c, r) for r in self.rows))
 
     __rmul__ = __mul__
 
@@ -249,11 +250,6 @@ class Matrix:
                 if self.rows[i][j] != want:
                     return None
         return c
-
-
-def vec_scale_any(m, scalar, row):
-    c = scalar if isinstance(scalar, CycNum) else CycNum.rational(m, scalar)
-    return tuple(c * x for x in row)
 
 
 class EchelonBasis:
@@ -430,14 +426,6 @@ class Subspace:
     def __repr__(self):
         return "Subspace(dim=%d, ambient=%d)" % (self.dim, self.ambient)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        eb = other._eb()
-        return all(eb.contains(v) for v in self.basis)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return Subspace.from_vectors(a.m, a.ambient, list(a.basis) + list(b.basis))
-
 
 def subspaces_independent(parts) -> bool:
     """True if the given subspaces intersect pairwise trivially and sum directly."""
@@ -448,11 +436,6 @@ def subspaces_independent(parts) -> bool:
     joined = Subspace.from_vectors(parts[0].m, parts[0].ambient,
                                    [v for p in parts for v in p.basis])
     return joined.dim == total
-
-
-def image(matrix: Matrix, space: Subspace) -> Subspace:
-    return Subspace.from_vectors(matrix.m, matrix.nrows,
-                                 [matrix.apply(v) for v in space.basis])
 
 
 def intertwiner_space(m: int, n_out: int, n_in: int, constraints) -> list:
@@ -538,16 +521,17 @@ class ModReductionError(ArithmeticError):
 
 def cyc_to_modp(x: CycNum, p: int, zeta_mod: int) -> int:
     """Image of x under the reduction Q(zeta_m) -> F_p, zeta -> zeta_mod."""
+    den = x.den % p
+    if den == 0:
+        raise ModReductionError("denominator divisible by %d" % p)
     acc = 0
     zpow = 1
-    for c in x.coeffs:
+    for c in x.num:
         if c:
-            den = c.denominator % p
-            if den == 0:
-                raise ModReductionError("denominator divisible by %d" % p)
-            acc = (acc + (c.numerator % p) * pow(den, p - 2, p) % p * zpow) % p
-        zpow = (zpow * zeta_mod) % p
-    return acc
+            acc += c * zpow
+        zpow = zpow * zeta_mod % p
+    acc %= p
+    return acc if den == 1 else acc * pow(den, p - 2, p) % p
 
 
 def matrix_to_modp(mat: Matrix, p: int, zeta_mod: int) -> np.ndarray:

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from taftlab import cli
 from taftlab.cli import main
 from taftlab.fixtures import ss_specs, sweedler_two_dim, trivial_action
 from taftlab.serialize import dumps_canonical, hma_to_json, ss_spec_to_json
+from taftlab.taft_hopf import AxiomReport
 
 
 def run(capsys, *argv):
@@ -28,6 +30,20 @@ def test_hopf_check(capsys):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["ok"] is True and doc["m"] == 3
+
+
+def test_hopf_check_failure_exits_2(capsys, monkeypatch):
+    # a failed axiom battery is a failed verification: exit 2, one diagnostic
+    def broken(H):
+        return AxiomReport(m=H.m, antipode=False, failures=["antipode: forced"])
+
+    monkeypatch.setattr(cli, "hopf_verify_axioms", broken)
+    code, out, err = run(capsys, "hopf-check", "--m", "3")
+    assert code == 2
+    assert json.loads(out)["ok"] is False
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "axiom-failure"
 
 
 def test_qbinom_vanishing(capsys):

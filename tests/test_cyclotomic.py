@@ -1,17 +1,193 @@
-"""Field arithmetic in Q(zeta_m): canonical residues, exact inverses."""
+"""Field arithmetic in Q(zeta_m): canonical residues, exact inverses.
+
+CycNum stores integer numerators over one denominator.  RefCyc below is the
+earlier representation -- one Fraction per coefficient -- kept here
+as the oracle the integer form is cross-checked against.
+"""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftlab.cyclotomic import CycNum, cyclotomic_polynomial, zeta_power
+from taftlab.cyclotomic import (CycNum, _poly_divmod, _poly_mul, _poly_trim,
+                                cyclotomic_polynomial, zeta_power)
 from taftlab.errors import InputError
+from taftlab.linalg import ModReductionError, cyc_to_modp
 
 MS = [2, 3, 4, 5, 6, 8, 12]
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+# ---------------------------------------------------------------- the oracle
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _ref_field(m):
+    """(degree, Phi_m, Fraction table of x^j mod Phi_m for j < 2*degree - 1)."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    xdeg = tuple(Fraction(-phi[i]) for i in range(deg))
+    table = [tuple(_ONE if i == j else _ZERO for i in range(deg))
+             for j in range(deg)]
+    for j in range(deg, max(deg, 2 * deg - 1)):
+        prev = table[j - 1]
+        top = prev[deg - 1]
+        shifted = [_ZERO] + list(prev[:-1])
+        if top:
+            shifted = [shifted[i] + top * xdeg[i] for i in range(deg)]
+        table.append(tuple(shifted))
+    return deg, phi, tuple(table)
+
+
+def _ref_power_row(m, e):
+    deg, _, table = _ref_field(m)
+    e = e % m
+    if e < len(table):
+        return table[e]
+    row = table[len(table) - 1]
+    for _ in range(len(table) - 1, e):
+        top = row[deg - 1]
+        shifted = [_ZERO] + list(row[:-1])
+        if top:
+            if deg < len(table):
+                xdeg = table[deg]
+            else:  # deg == 1, x^1 reduces directly
+                xdeg = (Fraction(-cyclotomic_polynomial(m)[0]),)
+            shifted = [shifted[i] + top * xdeg[i] for i in range(deg)]
+        row = tuple(shifted)
+    return row
+
+
+def _ref_reduce(m, coeffs):
+    deg, _, table = _ref_field(m)
+    acc = [_ZERO] * deg
+    work = list(coeffs)
+    if len(work) > len(table):
+        folded = [_ZERO] * m
+        for e, c in enumerate(work):
+            folded[e % m] += Fraction(c)
+        work = folded
+    for e, c in enumerate(work):
+        if not c:
+            continue
+        c = Fraction(c)
+        if e < deg:
+            acc[e] += c
+        else:
+            row = table[e] if e < len(table) else _ref_power_row(m, e)
+            for i in range(deg):
+                if row[i]:
+                    acc[i] += c * row[i]
+    return tuple(acc)
+
+
+class RefCyc:
+    """Q(zeta_m) as a canonical tuple of phi(m) Fractions."""
+
+    def __init__(self, m, coeffs):
+        self.m, self.coeffs = m, coeffs
+
+    @staticmethod
+    def make(m, coeffs):
+        return RefCyc(m, _ref_reduce(m, coeffs))
+
+    def __add__(self, o):
+        return RefCyc(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+
+    def __sub__(self, o):
+        return RefCyc(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+
+    def __mul__(self, o):
+        deg, _, table = _ref_field(self.m)
+        conv = [_ZERO] * (2 * deg - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                conv[i + j] += a * b
+        acc = list(conv[:deg])
+        for e in range(deg, 2 * deg - 1):
+            for i in range(deg):
+                acc[i] += conv[e] * table[e][i]
+        return RefCyc(self.m, tuple(acc))
+
+    def inverse(self):
+        if not any(self.coeffs):
+            raise ZeroDivisionError
+        r0 = _poly_trim(list(self.coeffs))
+        r1 = [Fraction(c) for c in cyclotomic_polynomial(self.m)]
+        s0, s1 = [_ONE], []
+        while _poly_trim(list(r1)):
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            qs = _poly_mul(q, s1) if s1 else []
+            ns = [_ZERO] * max(len(s0), len(qs))
+            for i, c in enumerate(s0):
+                ns[i] += c
+            for i, c in enumerate(qs):
+                ns[i] -= c
+            s0, s1 = s1, _poly_trim(ns)
+        return RefCyc(self.m, _ref_reduce(self.m, [c / r0[0] for c in s0]))
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = RefCyc.make(self.m, [1])
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def to_json(self):
+        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
+
+
+def ref_cyc_to_modp(x, p, zeta_mod):
+    """The reduction mod p coefficient by coefficient, one inverse each."""
+    acc = 0
+    zpow = 1
+    for c in x.coeffs:
+        if c:
+            den = c.denominator % p
+            if den == 0:
+                raise ModReductionError("denominator divisible by %d" % p)
+            acc = (acc + (c.numerator % p) * pow(den, p - 2, p) % p * zpow) % p
+        zpow = (zpow * zeta_mod) % p
+    return acc
+
+
+# raw coefficient lists of any length, with small and with large denominators
+wide_rationals = st.one_of(
+    rationals,
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6),
+    st.integers(-50, 50))
+
+
+def raw_coeffs(m):
+    return st.lists(wide_rationals, min_size=0, max_size=2 * m + 2)
+
+
+def pair(m, raw):
+    return CycNum.make(m, raw), RefCyc.make(m, raw)
+
+
+def assert_canonical(x):
+    deg = len(cyclotomic_polynomial(x.m)) - 1
+    assert len(x.num) == deg
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+def assert_same(x, ref):
+    assert_canonical(x)
+    assert x.m == ref.m
+    assert x.coeffs == ref.coeffs
+    assert x.to_json() == ref.to_json()
 
 
 def cyc_elements(m):
@@ -95,3 +271,102 @@ def test_rational_embedding():
 def test_conductor_mismatch_rejected():
     with pytest.raises(InputError):
         zeta_power(3, 1) + zeta_power(4, 1)
+
+
+# ------------------------------------------------- cross-checks against RefCyc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MS), st.data())
+def test_arithmetic_matches_fraction_oracle(m, data):
+    x, rx = pair(m, data.draw(raw_coeffs(m)))
+    y, ry = pair(m, data.draw(raw_coeffs(m)))
+    assert_same(x, rx)
+    assert_same(y, ry)
+    assert_same(x + y, rx + ry)
+    assert_same(x - y, rx - ry)
+    assert_same(-x, RefCyc.make(m, []) - rx)
+    assert_same(x * y, rx * ry)
+    assert_same(x * x, rx * rx)
+    r = data.draw(wide_rationals)
+    rr = RefCyc.make(m, [r])
+    assert_same(x + r, rx + rr)
+    assert_same(r - x, rr - rx)
+    assert_same(x * r, rx * rr)
+    if rx.coeffs[1:] == (0,) * (len(rx.coeffs) - 1):
+        assert x.as_rational() == rx.coeffs[0]
+    else:
+        assert x.as_rational() is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MS), st.data())
+def test_inverse_and_powers_match_fraction_oracle(m, data):
+    x, rx = pair(m, data.draw(raw_coeffs(m)))
+    e = data.draw(st.integers(-3, 5))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        if e >= 0:
+            assert_same(x ** e, rx ** e)
+        return
+    assert_same(x.inverse(), rx.inverse())
+    assert_same(x ** e, rx ** e)
+    y, ry = pair(m, data.draw(raw_coeffs(m)))
+    assert_same(y / x, ry * rx.inverse())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MS), st.data())
+def test_equality_and_hash_match_fraction_oracle(m, data):
+    x, rx = pair(m, data.draw(raw_coeffs(m)))
+    y, ry = pair(m, data.draw(raw_coeffs(m)))
+    assert (x == y) == (rx.coeffs == ry.coeffs)
+    # the same value reached by another route is the same key
+    z = (x + y) - y
+    assert z == x and hash(z) == hash(x)
+    assert len({x, y, z}) == len({rx.coeffs, ry.coeffs})
+    assert str(x) == str(CycNum.make(m, rx.coeffs))
+
+
+def test_zero_and_one_are_shared_and_canonical():
+    for m in MS:
+        assert CycNum.zero(m) is CycNum.zero(m)
+        assert CycNum.one(m) is CycNum.one(m)
+        assert_canonical(CycNum.zero(m))
+        assert CycNum.zero(m).den == 1 and not any(CycNum.zero(m).num)
+        x = CycNum.make(m, [Fraction(1, 3), Fraction(2, 7)])
+        assert_canonical(x - x)
+        assert x - x == CycNum.zero(m)
+
+
+# p = 1 (mod m), small enough that random denominators hit multiples of p
+SMALL_P = {2: 3, 3: 7, 4: 5, 5: 11, 6: 7, 8: 17, 12: 13}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MS), st.data())
+def test_cyc_to_modp_matches_per_coefficient_formula(m, data):
+    p = SMALL_P[m]
+    raw = data.draw(st.lists(
+        st.fractions(min_value=-30, max_value=30, max_denominator=3 * p),
+        min_size=0, max_size=m + 1))
+    x, rx = pair(m, raw)
+    zeta_mod = data.draw(st.integers(0, p - 1))
+    try:
+        want = ref_cyc_to_modp(rx, p, zeta_mod)
+    except ModReductionError:
+        with pytest.raises(ModReductionError):
+            cyc_to_modp(x, p, zeta_mod)
+    else:
+        assert cyc_to_modp(x, p, zeta_mod) == want
+
+
+def test_cyc_to_modp_rejects_denominator_divisible_by_p():
+    x = CycNum.make(3, [1, Fraction(1, 7)])
+    with pytest.raises(ModReductionError):
+        cyc_to_modp(x, 7, 2)
+    with pytest.raises(ModReductionError):
+        ref_cyc_to_modp(RefCyc.make(3, [1, Fraction(1, 7)]), 7, 2)
+    assert cyc_to_modp(x, 13, 3) == ref_cyc_to_modp(
+        RefCyc.make(3, [1, Fraction(1, 7)]), 13, 3)
