@@ -305,9 +305,7 @@ def quotient_algebra(a: FinDimAlgebra, ideal: Subspace):
 
 def subalgebra_on(a: FinDimAlgebra, s: Subspace) -> FinDimAlgebra:
     """The algebra structure on a multiplication-closed subspace, in its basis."""
-    eb = EchelonBasis(a.m, a.dim)
-    for v in s.basis:
-        eb.insert(v)
+    eb = EchelonBasis.from_reduced(a.m, a.dim, s.basis)
     table = []
     for x in s.basis:
         row = []
@@ -372,9 +370,8 @@ class GradingDecomposition:
         for i, ci in enumerate(self.components):
             for k, ck in enumerate(self.components):
                 target = self.components[(i + k) % self.m]
-                eb = EchelonBasis(self.m, self.ambient)
-                for v in target.basis:
-                    eb.insert(v)
+                eb = EchelonBasis.from_reduced(self.m, self.ambient,
+                                               target.basis)
                 for x in ci.basis:
                     for y in ck.basis:
                         if not eb.contains(a.multiply(x, y)):

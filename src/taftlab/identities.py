@@ -4,15 +4,31 @@ A degree-n basis monomial is x^{h_1}_{sigma(1)} ... x^{h_n}_{sigma(n)}:
 position j in the product carries a Hopf basis label h_j = c^i v^k and the
 variable index sigma(j).  The span of all such monomials has dimension
 n! * (m^2)^n.  Evaluating every basis monomial on every basis tuple of a
-module algebra A gives a matrix whose rank is the n-th codimension of A:
-the dimension of the multilinear component modulo the identities of A.
+module algebra A gives the evaluation matrix, whose rank is the n-th
+codimension of A: the dimension of the multilinear component modulo the
+identities of A.  Evaluating on basis tuples suffices: the monomials are
+multilinear, so a matrix row determines the evaluation everywhere.  Columns
+are (argument tuple, output coordinate) with argument tuples in mixed radix
+over the algebra basis, first argument most significant.
 
-Orderings are fixed so matrices and ranks are bit-reproducible: rows run
-over permutations in lexicographic order, then over the n Hopf labels in
-mixed radix with b = i*m + k, first position most significant; columns are
-(argument tuple, output coordinate) with argument tuples in mixed radix
-over the algebra basis.  Evaluating on basis tuples suffices: the monomials
-are multilinear, so a matrix row determines the evaluation everywhere.
+The evaluation matrix is never written out.  Its rows for sigma = id span
+the ordered space W_n of the maps t -> (h_1 e_{t_1}) ... (h_n e_{t_n}), and
+W_n is built by recursion: W_1 holds the images h_b(e_t), and W_j is spanned
+by t -> f(t_1..t_{j-1}) * h_b(e_{t_j}) for f in the canonical basis of
+W_{j-1} and each of the m^2 labels b, each level echelonized exactly and
+read only until it fills its dim^{j+1} columns.  The row of (sigma, h) is
+the identity-order row of h with its argument columns permuted,
+row_sigma[t] = row[t o sigma] with (t o sigma)_j = t_{sigma(j)}, so the row
+space is the sum of the n! permuted copies P_sigma(W_n).  The rank is taken
+over the n! permuted blocks of the canonical basis of W_n, exact duplicates
+dropped: at most n! * dim^{n+1} rows, and far fewer where the copies
+coincide, instead of n! * m^{2n}.  ``CodimResult.matrix_shape`` and the
+``rows`` field of the ``codim`` output still give the nominal evaluation
+matrix (n! * m^{2n}, dim^{n+1}), and the row budget caps that nominal count.
+
+Orderings are fixed so bases and ranks are bit-reproducible: permutations
+in lexicographic order, labels b = i*m + k in increasing order, every span
+kept in canonical reduced echelon form.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ import numpy as np
 from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra
-from .linalg import (EchelonBasis, ModReductionError, cyc_to_modp,
+from .linalg import (EchelonBasis, ModReductionError, cyc_to_modp, echelon,
                      modular_prime, rank_mod_p, root_of_unity_mod, vec_add,
                      vec_scale, vec_zero)
 
@@ -206,51 +222,77 @@ def _basis_images(mod: HModuleAlgebra):
     return app
 
 
-def _rows_for_sigma(mod: HModuleAlgebra, sigma, app, arg_tuples):
-    """All rows for one permutation, Hopf labels in mixed-radix order.
+def _products(basis, right, dim: int, zero: CycNum):
+    """The maps t -> f(t_1..t_{j-1}) * h_b(e_{t_j}), f over basis, b inner.
 
-    Depth-first over label positions so prefix products are shared among
-    label tuples that agree on an initial segment; the prefix value only
-    depends on the argument coordinates at the positions seen so far.
+    Column (prefix, t_j, o) of the product is prefix*dim^2 + t_j*dim + o, and
+    right[b][s] lists the nonzero (t*dim + o, coefficient) of e_s * h_b(e_t),
+    so each nonzero entry f[(prefix, s)] scatters one short list.
     """
-    m2 = mod.m * mod.m
-    n = len(sigma)
-    multiply = mod.algebra.multiply
-    dim = mod.algebra.dim
-    rows = []
-
-    def rec(j, pref):
-        if j == n:
-            row = []
-            for t in arg_tuples:
-                key = tuple(t[s - 1] for s in sigma)
-                row.extend(pref[key])
-            rows.append(tuple(row))
-            return
-        for b in range(m2):
-            nxt = {}
-            for key, vec in pref.items():
-                for tv in range(dim):
-                    factor = app[b][tv]
-                    nxt[key + (tv,)] = (factor if vec is None
-                                        else multiply(vec, factor))
-            rec(j + 1, nxt)
-
-    rec(0, {(): None})
-    return rows
+    for f in basis:
+        entries = [(divmod(q, dim), x) for q, x in enumerate(f)
+                   if not x.is_zero()]
+        for right_b in right:
+            acc = [zero] * (len(f) * dim)
+            for (prefix, s), x in entries:
+                base = prefix * dim * dim
+                for off, y in right_b[s]:
+                    acc[base + off] = acc[base + off] + x * y
+            yield tuple(acc)
 
 
-def _modp_rank(mat_rows, m: int, attempts: int = 3):
-    """Rank of the rows over a prime field, or None if reduction fails."""
+def _ordered_span(mod: HModuleAlgebra, n: int) -> tuple:
+    """Canonical basis of W_n, the span of t -> (h_1 e_{t_1}) ... (h_n e_{t_n}).
+
+    Rows are flattened over (argument tuple, output coordinate) like the
+    columns of the evaluation matrix.  W_1 holds the images h_b(e_t); W_j is
+    spanned by the products of a basis of W_{j-1} with each label.
+    """
+    m, dim = mod.m, mod.algebra.dim
+    alg = mod.algebra
+    app = _basis_images(mod)
+    right = [[[(t * dim + o, x)
+               for t in range(dim)
+               for o, x in enumerate(alg.multiply(alg.basis_vector(s),
+                                                  images[t]))
+               if not x.is_zero()]
+              for s in range(dim)]
+             for images in app]
+    span = echelon(m, dim * dim,
+                   [tuple(x for img in images for x in img) for images in app])
+    for _ in range(n - 1):
+        span = echelon(m, span.ncols * dim,
+                       _products(span.rows(), right, dim, CycNum.zero(m)))
+    return span.rows()
+
+
+def _argument_permutations(dim: int, n: int):
+    """For each sigma in lexicographic order, the column map of P_sigma.
+
+    Column (t, o) of the permuted row reads column (t o sigma, o) of the
+    ordered row, where (t o sigma)_j = t_{sigma(j)}.
+    """
+    digits = np.array(list(itertools.product(range(dim), repeat=n)),
+                      dtype=np.intp).reshape(-1, n)
+    place = dim ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    out = np.arange(dim, dtype=np.intp)
+    for sigma in itertools.permutations(range(n)):
+        source = digits[:, list(sigma)] @ place
+        yield (source[:, None] * dim + out).ravel()
+
+
+def _modp_rank(codes, values, m: int, attempts: int = 3):
+    """Rank over a prime field of the rows values[codes], or None if
+    reduction fails."""
     for attempt in range(attempts):
         p = modular_prime(m, skip=attempt)
         zmod = root_of_unity_mod(m, p)
         try:
-            arr = np.array([[cyc_to_modp(x, p, zmod) for x in row]
-                            for row in mat_rows], dtype=np.int64)
+            image = np.array([cyc_to_modp(x, p, zmod) for x in values],
+                             dtype=np.int64)
         except ModReductionError:
             continue
-        return rank_mod_p(arr, p), p
+        return rank_mod_p(image[codes], p), p
     return None
 
 
@@ -258,6 +300,14 @@ def codimension(mod: HModuleAlgebra, n: int, *,
                 budget_rows: int = 10 ** 6,
                 backend: str = "auto") -> CodimResult:
     """Exact rank of the degree-n evaluation matrix of the module algebra.
+
+    The matrix itself is never formed.  Its identity-order rows span W_n,
+    which is built by recursion (see the module docstring); the row of a
+    permutation sigma is an identity-order row with its argument columns
+    permuted, so the rank is that of the n! permuted copies of the
+    canonical basis of W_n, with exact duplicates dropped.
+    ``matrix_shape`` still reports the nominal (n! * m^{2n}, dim^{n+1})
+    matrix, and ``budget_rows`` caps that nominal row count.
 
     backend "auto" first takes the rank over a prime field; that is a lower
     bound on the exact rank, so when it already reaches min(rows, cols) the
@@ -279,34 +329,33 @@ def codimension(mod: HModuleAlgebra, n: int, *,
     cols = dim ** (n + 1)
     started = time.perf_counter()
 
-    app = _basis_images(mod)
-    arg_tuples = list(itertools.product(range(dim), repeat=n))
-    seen = set()
-    distinct = []
-    generated = 0
-    zero_row = tuple(vec_zero(m, cols))
-    for sigma in itertools.permutations(range(1, n + 1)):
-        for row in _rows_for_sigma(mod, sigma, app, arg_tuples):
-            generated += 1
-            if row == zero_row or row in seen:
-                continue
-            seen.add(row)
-            distinct.append(row)
-    assert generated == rows_total
+    basis = _ordered_span(mod, n)
+    # entries as small ints: equal codes are equal CycNums, so permuting and
+    # deduplicating rows is integer work
+    index = {}
+    coded = np.array([[index.setdefault((x.num, x.den), len(index)) for x in f]
+                      for f in basis], dtype=np.intp).reshape(len(basis), cols)
+    values = [CycNum(m, num, den) for num, den in index]
+    blocks = dict.fromkeys(row.tobytes()
+                           for perm in _argument_permutations(dim, n)
+                           for row in coded[:, perm])
+    distinct = np.frombuffer(b"".join(blocks),
+                             dtype=np.intp).reshape(len(blocks), cols)
 
     bound = min(len(distinct), cols)
     method = None
     value = None
-    if backend == "auto" and distinct:
-        got = _modp_rank(distinct, m)
+    if backend == "auto" and len(distinct):
+        got = _modp_rank(distinct, values, m)
         if got is not None and got[0] == bound:
             value, method = got[0], "modp-pinned(p=%d)" % got[1]
     if value is None:
-        eb = EchelonBasis(m, cols)
-        for row in distinct:
-            eb.insert(row)
+        # the identity block leads and is already canonical
+        eb = EchelonBasis.from_reduced(m, cols, basis)
+        for codes in distinct[len(basis):].tolist():
             if eb.dim == cols:
                 break
+            eb.insert(tuple(map(values.__getitem__, codes)))
         value, method = eb.dim, "exact-echelon"
 
     wall_ms = (time.perf_counter() - started) * 1000.0

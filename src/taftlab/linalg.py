@@ -41,6 +41,13 @@ def vec_is_zero(a) -> bool:
     return all(x.is_zero() for x in a)
 
 
+def _support(a) -> list:
+    """Ascending indices of the nonzero entries of a."""
+    # any(x.num) is CycNum.is_zero inlined: this scan runs once per
+    # echelon insert over the full width
+    return [j for j, x in enumerate(a) if any(x.num)]
+
+
 class Matrix:
     """Immutable exact matrix over Q(zeta_m)."""
 
@@ -257,7 +264,8 @@ class EchelonBasis:
 
     Rows are mutually reduced with unit pivots and kept sorted by pivot
     column, so .rows() is the canonical basis of the span after any
-    sequence of inserts.
+    sequence of inserts.  Each row carries its support, the ascending list
+    of its nonzero columns, so reductions touch only those entries.
     """
 
     def __init__(self, m: int, ncols: int):
@@ -265,6 +273,22 @@ class EchelonBasis:
         self.ncols = ncols
         self._rows = []
         self._pivots = []
+        self._supports = []
+
+    @staticmethod
+    def from_reduced(m: int, ncols: int, rows) -> "EchelonBasis":
+        """Adopt rows that are already the canonical basis of their span.
+
+        Nothing is eliminated: each pivot is the row's first nonzero
+        column, which is what ``rows()`` of any EchelonBasis satisfies.
+        """
+        eb = EchelonBasis(m, ncols)
+        for row in rows:
+            supp = _support(row)
+            eb._rows.append(row)
+            eb._pivots.append(supp[0])
+            eb._supports.append(supp)
+        return eb
 
     def __len__(self):
         return len(self._rows)
@@ -283,12 +307,12 @@ class EchelonBasis:
         """Residual of vec against the span; optionally the combination used."""
         v = list(vec)
         coords = [CycNum.zero(self.m)] * len(self._rows) if want_coords else None
-        for idx, (p, row) in enumerate(zip(self._pivots, self._rows)):
+        for idx, (p, row, supp) in enumerate(zip(self._pivots, self._rows,
+                                                 self._supports)):
             c = v[p]
-            if not c.is_zero():
-                for j in range(p, self.ncols):
-                    if not row[j].is_zero():
-                        v[j] = v[j] - c * row[j]
+            if any(c.num):
+                for j in supp:
+                    v[j] = v[j] - c * row[j]
                 if want_coords:
                     coords[idx] = c
         return (tuple(v), coords) if want_coords else tuple(v)
@@ -306,31 +330,42 @@ class EchelonBasis:
     def insert(self, vec) -> bool:
         """Add vec to the span; True if the dimension grew."""
         res = self.reduce(vec)
-        piv = None
-        for j, x in enumerate(res):
-            if not x.is_zero():
-                piv = j
-                break
-        if piv is None:
+        supp = _support(res)
+        if not supp:
             return False
+        piv = supp[0]
         inv = res[piv].inverse()
-        new = tuple(inv * x for x in res)
-        # clear the new pivot column from the existing rows
+        new = list(res)
+        for j in supp:
+            new[j] = inv * new[j]
+        new = tuple(new)
+        # clear the new pivot column from the existing rows; only the
+        # columns in the new row's support change
         for i, row in enumerate(self._rows):
             c = row[piv]
-            if not c.is_zero():
-                self._rows[i] = tuple(a - c * b for a, b in zip(row, new))
+            if any(c.num):
+                cleared = list(row)
+                for j in supp:
+                    cleared[j] = cleared[j] - c * new[j]
+                self._rows[i] = tuple(cleared)
+                self._supports[i] = [j for j in sorted(set(self._supports[i])
+                                                       .union(supp))
+                                     if any(cleared[j].num)]
         pos = 0
         while pos < len(self._pivots) and self._pivots[pos] < piv:
             pos += 1
         self._rows.insert(pos, new)
         self._pivots.insert(pos, piv)
+        self._supports.insert(pos, supp)
         return True
 
 
 def echelon(m: int, ncols: int, vectors) -> EchelonBasis:
+    """Echelon basis of the span of vectors, read until the span is full."""
     eb = EchelonBasis(m, ncols)
     for v in vectors:
+        if eb.dim == ncols:
+            break
         eb.insert(v)
     return eb
 
@@ -410,10 +445,7 @@ class Subspace:
         return self._eb().coords(vec)
 
     def _eb(self) -> EchelonBasis:
-        eb = EchelonBasis(self.m, self.ambient)
-        for v in self.basis:
-            eb.insert(v)
-        return eb
+        return EchelonBasis.from_reduced(self.m, self.ambient, self.basis)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -1,16 +1,20 @@
 """Multilinear polynomials with Hopf labels: evaluation, alternation,
 codimension ranks."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from taftlab.algebra_core import field_algebra, matrix_algebra
+from taftlab.algebra_core import FinDimAlgebra, field_algebra, matrix_algebra
+from taftlab.constructions import build_semisimple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import BudgetExceeded, InputError
-from taftlab.fixtures import sweedler_two_dim, trivial_action
+from taftlab.fixtures import (negative_modules, positive_modules, ss_specs,
+                              sweedler_two_dim, trivial_action)
+from taftlab.hmodule import HModuleAlgebra
 from taftlab.identities import (
     CodimResult,
     HMonomial,
@@ -21,6 +25,7 @@ from taftlab.identities import (
     evaluate,
     perm_sign,
 )
+from taftlab.linalg import Matrix, echelon
 
 
 def test_perm_sign_basics():
@@ -189,3 +194,124 @@ def test_growth_report_rows():
     assert all(r.bound_ok for r in rows)
     # c_n = 2^{n+1} - 1, so the n-th roots decrease toward dim A = 2
     assert rows[0].nth_root > rows[1].nth_root > rows[2].nth_root > 2.0
+
+
+# ---------------------------------------------------------------------------
+# the full evaluation matrix, kept as the oracle for the ordered-span engine
+
+
+def _label_products(mod, n, app):
+    """For each label tuple (h_1..h_n) in mixed-radix order, the map
+    key -> (h_1 e_{key_1}) ... (h_n e_{key_n}) over all basis tuples key.
+
+    Depth-first over label positions so prefix products are shared among
+    label tuples that agree on an initial segment; none of this depends on
+    the permutation, so every permutation reuses it.
+    """
+    m2 = mod.m * mod.m
+    multiply = mod.algebra.multiply
+    dim = mod.algebra.dim
+    out = []
+
+    def rec(j, pref):
+        if j == n:
+            out.append(pref)
+            return
+        for b in range(m2):
+            nxt = {}
+            for key, vec in pref.items():
+                for tv in range(dim):
+                    factor = app[b][tv]
+                    nxt[key + (tv,)] = (factor if vec is None
+                                        else multiply(vec, factor))
+            rec(j + 1, nxt)
+
+    rec(0, {(): None})
+    return out
+
+
+def _rows_for_sigma(sigma, products, arg_tuples):
+    """All rows for one permutation, Hopf labels in mixed-radix order."""
+    rows = []
+    for pref in products:
+        row = []
+        for t in arg_tuples:
+            row.extend(pref[tuple(t[s - 1] for s in sigma)])
+        rows.append(tuple(row))
+    return rows
+
+
+def _oracle_codimension(mod, n):
+    """Exact rank of all n! * m^{2n} evaluation rows (sigma, h_1..h_n)."""
+    m, dim = mod.m, mod.algebra.dim
+    # app[b][t] = (c^i v^k)(e_t) with b = i*m + k
+    app = [[mod.monomial_operator(i, k).apply(mod.algebra.basis_vector(t))
+            for t in range(dim)] for i in range(m) for k in range(m)]
+    products = _label_products(mod, n, app)
+    arg_tuples = list(itertools.product(range(dim), repeat=n))
+    rows = {}
+    for sigma in itertools.permutations(range(1, n + 1)):
+        rows.update(dict.fromkeys(_rows_for_sigma(sigma, products, arg_tuples)))
+    return echelon(m, dim ** (n + 1), rows).dim
+
+
+CORPUS = {**positive_modules(), **negative_modules()}
+SMALL_CORPUS = sorted(name for name, mod in CORPUS.items()
+                      if mod.algebra.dim <= 4)
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_ordered_span_matches_full_matrix(name):
+    mod = CORPUS[name]
+    for n in (1, 2, 3):
+        assert codimension(mod, n).value == _oracle_codimension(mod, n), n
+
+
+@pytest.mark.parametrize("name", ["sweedler2dim", "ss_pair_alpha_1",
+                                  "ss_pair_alpha_neg1"])
+def test_ordered_span_matches_full_matrix_degree_4(name):
+    mod = CORPUS[name]
+    for backend in ("auto", "exact"):
+        assert codimension(mod, 4, backend=backend).value == \
+            _oracle_codimension(mod, 4)
+
+
+def _change_basis(mod, t):
+    """The same module algebra written in the basis given by the columns of t."""
+    m, dim = mod.m, mod.algebra.dim
+    t_inv = t.inverse()
+    cols = [t.col(i) for i in range(dim)]
+    mult = tuple(tuple(t_inv.apply(mod.algebra.multiply(x, y)) for y in cols)
+                 for x in cols)
+    unit = t_inv.apply(mod.algebra.unit)
+    algebra = FinDimAlgebra(m, mult, unit=unit)
+    return HModuleAlgebra(hopf=mod.hopf, algebra=algebra,
+                          c_op=t_inv @ mod.c_op @ t,
+                          v_op=t_inv @ mod.v_op @ t)
+
+
+@given(st.sampled_from(["sweedler2dim", "pair_alpha_1"]),
+       st.lists(st.integers(min_value=-2, max_value=2), min_size=4,
+                max_size=4),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=12, deadline=None)
+def test_ordered_span_matches_full_matrix_after_basis_change(name, entries, n):
+    base = (sweedler_two_dim() if name == "sweedler2dim"
+            else build_semisimple(ss_specs()[name]))
+    t = Matrix.from_rows(2, [entries[:2], entries[2:]])
+    assume(not t.det().is_zero())
+    mod = _change_basis(base, t)
+    got = codimension(mod, n)
+    assert got.value == _oracle_codimension(mod, n)
+    assert got.value == codimension(base, n).value
+
+
+def test_codimension_beyond_the_full_matrix():
+    # Procesi: c_n(M_2) = C_{n+1} - binom(n, 3) + 1 - 2^n; with the trivial
+    # action H-codimensions are the ordinary ones
+    mat2 = build_semisimple(ss_specs()["mat2_trivial"])
+    assert codimension(mat2, 4).value == 42 - 4 + 1 - 16 == 23
+    # c_n = 2^{n+1} - 1 for the 2-dimensional algebra
+    res = codimension(sweedler_two_dim(), 5, budget_rows=10 ** 7)
+    assert res.value == 63
+    assert res.matrix_shape == (math.factorial(5) * 4 ** 5, 2 ** 6)
