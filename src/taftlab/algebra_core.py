@@ -14,7 +14,6 @@ checkable properties rather than part of the algorithm.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum, zeta_power
@@ -27,12 +26,10 @@ from .linalg import (EchelonBasis, Matrix, Subspace, echelon, kernel,
 class FinDimAlgebra:
     """Associative algebra by structure constants; optionally unital."""
 
-    __slots__ = ("m", "dim", "mult", "unit")
+    __slots__ = ("m", "dim", "mult", "unit", "_nz")
 
     def __init__(self, m: int, mult: tuple, unit=None, *,
-                 validate: bool = True, assoc_exhaustive_max_dim: int = 12,
-                 assoc_samples: int = 200, rng_seed: int = 0,
-                 autodetect_unit: bool = True):
+                 validate: bool = True, autodetect_unit: bool = True):
         dim = len(mult)
         norm = []
         for row in mult:
@@ -49,6 +46,7 @@ class FinDimAlgebra:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "mult", tuple(norm))
+        object.__setattr__(self, "_nz", None)
         if unit is not None:
             unit = tuple(x if isinstance(x, CycNum) else CycNum.rational(m, x)
                          for x in unit)
@@ -56,7 +54,7 @@ class FinDimAlgebra:
                 raise InputError("unit vector must have length dim")
         object.__setattr__(self, "unit", unit)
         if validate:
-            self._check_associative(assoc_exhaustive_max_dim, assoc_samples, rng_seed)
+            self._check_associative()
         if unit is not None:
             self._check_unit(unit)
         elif autodetect_unit and dim:
@@ -73,20 +71,29 @@ class FinDimAlgebra:
         return tuple(CycNum.one(self.m) if j == i else CycNum.zero(self.m)
                      for j in range(self.dim))
 
+    def _nonzero(self) -> tuple:
+        """nz[i][j]: the (a, c) with c = mult[i][j][a] nonzero, ascending in a."""
+        nz = self._nz
+        if nz is None:
+            nz = tuple(tuple(tuple((a, c) for a, c in enumerate(cell) if any(c.num))
+                             for cell in row) for row in self.mult)
+            object.__setattr__(self, "_nz", nz)
+        return nz
+
     def multiply(self, x, y) -> tuple:
+        nz = self._nonzero()
+        ys = [(j, yj) for j, yj in enumerate(y) if any(yj.num)]
         acc = list(vec_zero(self.m, self.dim))
         for i, xi in enumerate(x):
-            if xi.is_zero():
+            if not any(xi.num):
                 continue
-            row = self.mult[i]
-            for j, yj in enumerate(y):
-                if yj.is_zero():
-                    continue
-                coeff = xi * yj
+            row = nz[i]
+            for j, yj in ys:
                 cell = row[j]
-                for a in range(self.dim):
-                    if not cell[a].is_zero():
-                        acc[a] = acc[a] + coeff * cell[a]
+                if cell:
+                    coeff = xi * yj
+                    for a, c in cell:
+                        acc[a] = acc[a] + coeff * c
         return tuple(acc)
 
     def left_mult(self, x) -> Matrix:
@@ -126,22 +133,42 @@ class FinDimAlgebra:
             if self.multiply(unit, e) != e or self.multiply(e, unit) != e:
                 raise InputError("claimed unit fails at basis index %d" % j)
 
-    def _check_associative(self, exhaustive_max, samples, seed):
-        if self.dim <= exhaustive_max:
-            triples = ((i, j, k) for i in range(self.dim)
-                       for j in range(self.dim) for k in range(self.dim))
-        else:
-            rng = random.Random(seed)
-            triples = [(rng.randrange(self.dim), rng.randrange(self.dim),
-                        rng.randrange(self.dim)) for _ in range(samples)]
-        for i, j, k in triples:
-            ei, ej, ek = (self.basis_vector(i), self.basis_vector(j),
-                          self.basis_vector(k))
-            if self.multiply(self.multiply(ei, ej), ek) != \
-               self.multiply(ei, self.multiply(ej, ek)):
-                raise InputError(
-                    "structure constants are not associative at basis triple "
-                    "(%d, %d, %d)" % (i, j, k))
+    def _check_associative(self):
+        """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple.
+
+        For each (i, j), the differences for all k at once are summed from
+        the nonzero structure constants only, so the cost is dim^2 plus the
+        products that exist.  The first failing triple in lexicographic
+        order is reported.
+        """
+        dim = self.dim
+        nz = self._nonzero()
+        # by_row[a]: the (k, nonzero entries of e_a e_k), skipping zero products
+        by_row = [[(k, cell) for k, cell in enumerate(row) if cell] for row in nz]
+        for i in range(dim):
+            row_i = nz[i]
+            for j in range(dim):
+                # diff[k * dim + c]: e_c-coefficient of (e_i e_j) e_k - e_i (e_j e_k)
+                diff = {}
+                for a, cij in row_i[j]:
+                    for k, cell in by_row[a]:
+                        base = k * dim
+                        for c, x in cell:
+                            p = cij * x
+                            key = base + c
+                            diff[key] = diff[key] + p if key in diff else p
+                for k, cell in by_row[j]:
+                    base = k * dim
+                    for b, cjk in cell:
+                        for c, x in row_i[b]:
+                            p = cjk * x
+                            key = base + c
+                            diff[key] = diff[key] - p if key in diff else -p
+                bad = [key for key, v in diff.items() if any(v.num)]
+                if bad:
+                    raise InputError(
+                        "structure constants are not associative at basis triple "
+                        "(%d, %d, %d)" % (i, j, min(bad) // dim))
 
     def square_is_zero(self) -> bool:
         return all(vec_is_zero(self.mult[i][j])

@@ -162,8 +162,7 @@ def semisimple_operators(m: int, k: int, t: int, P: Matrix, Q: Matrix):
     for s in range(t):
         for i in range(k):
             unit[s * k * k + i * k + i] = CycNum.one(m)
-    algebra = FinDimAlgebra(m, tuple(tuple(r) for r in mult), unit=tuple(unit),
-                            assoc_exhaustive_max_dim=0, assoc_samples=50)
+    algebra = FinDimAlgebra(m, tuple(tuple(r) for r in mult), unit=tuple(unit))
 
     def op_columns(block_fn):
         cols = []
@@ -559,8 +558,7 @@ def build_nilpotent_extension(spec: NilpotentExtensionSpec,
     unit = [zero] * n
     for w in range(d):
         unit[w] = unit_b[w]
-    algebra = FinDimAlgebra(m, tuple(mult), unit=tuple(unit),
-                            assoc_exhaustive_max_dim=0, assoc_samples=60)
+    algebra = FinDimAlgebra(m, tuple(mult), unit=tuple(unit))
 
     c_rows = [[zero] * n for _ in range(n)]
     v_rows = [[zero] * n for _ in range(n)]

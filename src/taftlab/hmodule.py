@@ -126,17 +126,19 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
 
     c_mult_ok, c_wit = True, None
     v_leibniz_ok, v_wit = True, None
+    basis = [A.basis_vector(j) for j in range(n)]
+    # the images of the basis vectors are the operators' columns
+    c_cols = [mod.c_op.col(j) for j in range(n)]
+    v_cols = [mod.v_op.col(j) for j in range(n)]
     for i in range(n):
-        ei = A.basis_vector(i)
-        cei = mod.c_op.apply(ei)
-        vei = mod.v_op.apply(ei)
+        cei, vei = c_cols[i], v_cols[i]
         for j in range(n):
-            ej = A.basis_vector(j)
+            ej = basis[j]
             prod = A.mult[i][j]
-            if mod.c_op.apply(prod) != A.multiply(cei, mod.c_op.apply(ej)):
+            if mod.c_op.apply(prod) != A.multiply(cei, c_cols[j]):
                 c_mult_ok, c_wit = False, (i, j)
             lhs = mod.v_op.apply(prod)
-            rhs_vec = A.multiply(cei, mod.v_op.apply(ej))
+            rhs_vec = A.multiply(cei, v_cols[j])
             rhs_vec = tuple(a + b for a, b in
                             zip(rhs_vec, A.multiply(vei, ej)))
             if lhs != rhs_vec:

@@ -164,12 +164,14 @@ class Matrix:
         """Matrix times column vector (vec as a tuple)."""
         if len(vec) != self.ncols:
             raise InputError("apply shape mismatch")
+        support = [(j, x) for j, x in enumerate(vec) if any(x.num)]
         zero = CycNum.zero(self.m)
         out = []
         for r in self.rows:
             acc = zero
-            for c, x in zip(r, vec):
-                if not (c.is_zero() or x.is_zero()):
+            for j, x in support:
+                c = r[j]
+                if any(c.num):
                     acc = acc + c * x
             out.append(acc)
         return tuple(out)

@@ -7,18 +7,23 @@ matrices are row-major nested lists of those.  ``dumps_canonical`` emits
 sorted-key two-space-indented JSON so parse -> emit -> parse is the
 identity on canonical files.
 
-Decoders validate against a JSON schema first — violations raise
-InputError with the offending path — then rebuild the domain object, whose
-own constructor re-checks the semantic invariants (associativity, Hopf
-relations, grading compatibility, and so on).
+Decoders validate against a JSON schema first, then rebuild the domain
+object, whose own constructor re-checks the semantic invariants
+(associativity, Hopf relations, grading compatibility, and so on).  Each
+schema is compiled once into a plain-Python predicate with the Draft 2020-12
+verdict for the keywords these schemas use; ``jsonschema`` is imported and
+run only when that predicate rejects a document, to word the InputError with
+the offending path.  Field elements are parsed through a bounded cache, since
+a table repeats a handful of distinct values thousands of times.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from fractions import Fraction
-
-import jsonschema
+from functools import lru_cache
 
 from .algebra_core import FinDimAlgebra, GradingDecomposition, grading_from_c
 from .constructions import NilpotentExtensionSpec, SemisimpleSpec
@@ -109,6 +114,121 @@ HOPF_SCHEMA = _doc(["m", "terms"], {
 })
 
 
+_KEYWORDS = frozenset(("type", "const", "minimum", "pattern", "required",
+                       "properties", "additionalProperties", "items", "anyOf"))
+
+
+def _is_integer(x) -> bool:
+    # bool subclasses int but is no JSON integer; an integral float is one
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "integer": _is_integer,
+}
+
+
+def _both(first, rest):
+    return lambda x: first(x) and rest(x)
+
+
+def compile_schema(schema):
+    """A predicate giving the Draft 2020-12 verdict of ``schema`` on a document.
+
+    Covers exactly the keywords the schemas above use; any other keyword, or
+    a form of one not used here, raises ValueError rather than being
+    ignored.  As in the specification, each keyword but ``type`` passes
+    instances of the types it does not apply to.
+    """
+    if not (isinstance(schema, dict) and _KEYWORDS.issuperset(schema)
+            and schema.get("type", "object") in _TYPES):
+        raise ValueError("no compiled check for schema %r" % (schema,))
+    kind = schema.get("type")
+    tests = []
+    # a keyword test for the schema's own type also checks that type, which
+    # then needs no test of its own (kind = None)
+    if "const" in schema:
+        const = schema["const"]
+        if not isinstance(const, str):
+            raise ValueError("only string constants are compiled")
+        tests.append(lambda x: x == const)
+    if "minimum" in schema:
+        low = schema["minimum"]
+        if kind == "integer":
+            tests.append(lambda x: _is_integer(x) and not x < low)
+            kind = None
+        else:
+            tests.append(lambda x: not (_is_number(x) and x < low))
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search
+        if kind == "string":
+            tests.append(lambda x: isinstance(x, str) and search(x) is not None)
+            kind = None
+        else:
+            tests.append(lambda x: not isinstance(x, str) or search(x) is not None)
+    if "items" in schema:
+        item = compile_schema(schema["items"])
+        if kind == "array":
+            tests.append(lambda x: isinstance(x, list) and all(map(item, x)))
+            kind = None
+        else:
+            tests.append(lambda x: not isinstance(x, list) or all(map(item, x)))
+    if not {"required", "properties", "additionalProperties"}.isdisjoint(schema):
+        tests.append(_object_test(schema, kind == "object"))
+        if kind == "object":
+            kind = None
+    if "anyOf" in schema:
+        options = tuple(compile_schema(s) for s in schema["anyOf"])
+        tests.append(lambda x: any(f(x) for f in options))
+    if kind is not None:
+        tests.insert(0, _TYPES[kind])
+    if not tests:
+        raise ValueError("empty schema")
+    check = tests.pop()
+    while tests:
+        check = _both(tests.pop(), check)
+    return check
+
+
+def _object_test(schema, strict):
+    required = tuple(schema.get("required", ()))
+    props = schema.get("properties", {})
+    fields = tuple((k, compile_schema(s)) for k, s in props.items())
+    closed = schema.get("additionalProperties", True)
+    if closed is not True and closed is not False:
+        raise ValueError("only boolean additionalProperties are compiled")
+    names = frozenset(props)
+
+    def test(x):
+        if not isinstance(x, dict):
+            return not strict
+        for k in required:
+            if k not in x:
+                return False
+        if not closed and not names.issuperset(x):
+            return False
+        for k, f in fields:
+            if k in x and not f(x[k]):
+                return False
+        return True
+    return test
+
+
+_CHECKS = {id(s): compile_schema(s) for s in (
+    ALGEBRA_SCHEMA, HMA_SCHEMA, SS_SPEC_SCHEMA, NILEXT_SCHEMA, MATRIX_SCHEMA,
+    HOPF_SCHEMA)}
+
+
 def dumps_canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -122,6 +242,10 @@ def loads(text: str):
 
 def validate(doc, schema, what: str) -> None:
     """Schema check with the failing path in the error message."""
+    check = _CHECKS.get(id(schema)) or compile_schema(schema)
+    if check(doc):
+        return
+    import jsonschema  # only to word the rejection
     errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(doc),
                     key=lambda e: list(e.absolute_path))
     if errors:
@@ -140,11 +264,17 @@ def json_to_cyc(obj, m: int | None = None) -> CycNum:
     if m is not None and obj["m"] != m:
         raise InputError("field element has conductor %d; expected %d"
                          % (obj["m"], m))
+    return _parse_cyc(obj["m"], tuple(obj["coeffs"]))
+
+
+# typed: m = 2.0 must not share the entries of m = 2
+@lru_cache(maxsize=4096, typed=True)
+def _parse_cyc(m, coeffs: tuple) -> CycNum:
     try:
-        coeffs = [Fraction(s) for s in obj["coeffs"]]
+        fracs = [Fraction(s) for s in coeffs]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad rational coefficient: %s" % exc)
-    return CycNum.make(obj["m"], coeffs)
+    return CycNum.make(m, fracs)
 
 
 def matrix_to_json(mat: Matrix) -> list:

@@ -1,6 +1,8 @@
 """Structure theory on explicit multiplication tables: radicals, quotients,
 gradings, invariant closures."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,15 @@ from taftlab.algebra_core import (
     trivial_grading,
     unital_hull,
 )
+from taftlab.cli import main
+from taftlab.constructions import build_nilpotent_extension, build_semisimple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
+from taftlab.fixtures import (nilext_specs, ss_specs, sweedler_two_dim,
+                              trivial_action)
 from taftlab.linalg import Matrix, Subspace
+from taftlab.serialize import (algebra_to_json, dumps_canonical, hma_to_json,
+                               json_to_algebra)
 
 
 def jet_algebra(m, d):
@@ -255,3 +263,132 @@ def test_jet_products_commute(i, j):
     a = jet_algebra(2, 3)
     x, y = a.basis_vector(i), a.basis_vector(j)
     assert a.multiply(x, y) == a.multiply(y, x)
+
+
+# -- exhaustive associativity against the old triple loop ---------------------
+
+
+def _old_multiply(alg, x, y):
+    """FinDimAlgebra.multiply before it kept the nonzero entries of cells."""
+    acc = [CycNum.zero(alg.m)] * alg.dim
+    for i, xi in enumerate(x):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y):
+            if yj.is_zero():
+                continue
+            cell = alg.mult[i][j]
+            for a in range(alg.dim):
+                if not cell[a].is_zero():
+                    acc[a] = acc[a] + xi * yj * cell[a]
+    return tuple(acc)
+
+
+def _old_first_failure(alg):
+    """The triple loop the old check ran up to dim 12: the first (i, j, k)
+    with (e_i e_j) e_k != e_i (e_j e_k), or None."""
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                ei, ej, ek = (alg.basis_vector(i), alg.basis_vector(j),
+                              alg.basis_vector(k))
+                if _old_multiply(alg, _old_multiply(alg, ei, ej), ek) != \
+                   _old_multiply(alg, ei, _old_multiply(alg, ej, ek)):
+                    return (i, j, k)
+    return None
+
+
+def _check_against_old_loop(m, table):
+    loose = FinDimAlgebra(m, table, validate=False, autodetect_unit=False)
+    expect = _old_first_failure(loose)
+    if expect is None:
+        FinDimAlgebra(m, table, autodetect_unit=False)
+    else:
+        with pytest.raises(InputError) as err:
+            FinDimAlgebra(m, table, autodetect_unit=False)
+        assert str(err.value) == ("structure constants are not associative "
+                                  "at basis triple (%d, %d, %d)" % expect)
+    return loose, expect
+
+
+@st.composite
+def _random_tables(draw):
+    m = draw(st.sampled_from([2, 3, 4]))
+    dim = draw(st.integers(1, 5))
+    # mostly zeros, so that some tables are associative
+    entry = st.sampled_from([0, 0, 0, 0, 0, 1, -1]).map(
+        lambda v: CycNum.rational(m, v))
+    cell = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    row = st.lists(cell, min_size=dim, max_size=dim).map(tuple)
+    return m, draw(st.lists(row, min_size=dim, max_size=dim).map(tuple))
+
+
+@given(_random_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_associativity_check_matches_old_triple_loop(drawn, data):
+    m, table = drawn
+    loose, _ = _check_against_old_loop(m, table)
+    # multiply over the nonzero entries agrees with the old loop too
+    vec = st.lists(st.integers(-2, 2).map(lambda v: CycNum.rational(m, v)),
+                   min_size=loose.dim, max_size=loose.dim).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    assert loose.multiply(x, y) == _old_multiply(loose, x, y)
+
+
+def _corpus_algebras():
+    specs = ss_specs()
+    out = [sweedler_two_dim().algebra, jet_algebra(3, 3), matrix_algebra(3, 2)]
+    out += [build_semisimple(specs[name]).algebra
+            for name in ("pair_alpha_1", "sweedler_p_gamma3", "grid_m3_k1_t3",
+                         "grid_m4_k1_t4", "pair2_diag_1")]
+    out += [build_nilpotent_extension(spec).module.algebra
+            for spec in nilext_specs().values()]
+    return out
+
+
+CORPUS_ALGEBRAS = _corpus_algebras()
+
+
+@given(st.sampled_from(range(len(CORPUS_ALGEBRAS))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_associativity_check_matches_old_loop_on_perturbed_corpus(index, data):
+    alg = CORPUS_ALGEBRAS[index]
+    m, dim = alg.m, alg.dim
+    table = [list(map(list, row)) for row in alg.mult]
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j, a = (data.draw(st.integers(0, dim - 1)) for _ in range(3))
+        delta = data.draw(st.sampled_from([1, -1, 2])) * \
+            zeta_power(m, data.draw(st.integers(0, m - 1)))
+        table[i][j][a] = table[i][j][a] + delta
+    _check_against_old_loop(m, tuple(tuple(map(tuple, row)) for row in table))
+
+
+def _diagonal_with_one_left_unit(m, dim, left, right):
+    """e_i e_i = e_i for every i, plus e_left e_right = e_right."""
+    zero, one = CycNum.zero(m), CycNum.one(m)
+
+    def e(a):
+        return tuple(one if b == a else zero for b in range(dim))
+    table = [[e(i) if i == j else (zero,) * dim for j in range(dim)]
+             for i in range(dim)]
+    table[left][right] = e(right)
+    return tuple(tuple(row) for row in table)
+
+
+def test_sampling_hole_is_closed(capsys, tmp_path):
+    # (e12 e11) e12 = 0 but e12 (e11 e12) = e12: 1 failing triple in 2197,
+    # which the old 200-sample check above dim 12 missed
+    table = _diagonal_with_one_left_unit(2, 13, 10, 11)
+    message = "not associative at basis triple (11, 10, 11)"
+    with pytest.raises(InputError, match=r"\(11, 10, 11\)"):
+        FinDimAlgebra(2, table)
+    loose = FinDimAlgebra(2, table, validate=False)
+    with pytest.raises(InputError, match=r"\(11, 10, 11\)"):
+        json_to_algebra(algebra_to_json(loose))
+    path = tmp_path / "hole.json"
+    path.write_text(dumps_canonical(hma_to_json(trivial_action(loose))))
+    code = main(["verify", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "invalid-input" and message in diag["message"]

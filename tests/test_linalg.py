@@ -1,10 +1,11 @@
-"""Exact echelon bases: row supports and adopting a canonical basis."""
+"""Exact echelon bases: row supports and adopting a canonical basis;
+matrix-vector products over the support."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taftlab.cyclotomic import CycNum
-from taftlab.linalg import EchelonBasis, Subspace, echelon
+from taftlab.linalg import EchelonBasis, Matrix, Subspace, echelon
 
 M = 3
 WIDTH = 6
@@ -72,3 +73,24 @@ def test_from_reduced_keeps_inserting():
     assert eb.insert((zero, one, one))
     assert eb.rows() == echelon(M, 3, [(one, one, zero),
                                        (zero, one, one)]).rows()
+
+
+# about half zeros, so that supports of every size occur
+half_zero = st.lists(
+    st.one_of(st.just((0, 0)), st.tuples(st.integers(-3, 3), st.integers(1, 3)))
+    .map(lambda pair: CycNum.make(M, pair)),
+    min_size=WIDTH, max_size=WIDTH).map(tuple)
+
+
+@given(st.lists(half_zero, min_size=1, max_size=5), half_zero)
+@settings(max_examples=60, deadline=None)
+def test_apply_over_the_support_matches_the_full_sum(rows, vec):
+    mat = Matrix(M, tuple(rows))
+    zero = CycNum.zero(M)
+    expect = []
+    for r in rows:
+        acc = zero
+        for c, x in zip(r, vec):
+            acc = acc + c * x
+        expect.append(acc)
+    assert mat.apply(vec) == tuple(expect)
