@@ -15,8 +15,9 @@ checkable properties rather than part of the algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .cyclotomic import CycNum, zeta_power
+from .cyclotomic import CycNum, add_products, raw_sums, vanishes, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, Subspace, echelon, kernel,
                      solve, subspaces_independent, vec_add, vec_is_zero,
@@ -26,7 +27,7 @@ from .linalg import (EchelonBasis, Matrix, Subspace, echelon, kernel,
 class FinDimAlgebra:
     """Associative algebra by structure constants; optionally unital."""
 
-    __slots__ = ("m", "dim", "mult", "unit", "_nz")
+    __slots__ = ("m", "dim", "mult", "unit", "_nz", "_iv")
 
     def __init__(self, m: int, mult: tuple, unit=None, *,
                  validate: bool = True, autodetect_unit: bool = True):
@@ -47,6 +48,7 @@ class FinDimAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "mult", tuple(norm))
         object.__setattr__(self, "_nz", None)
+        object.__setattr__(self, "_iv", None)
         if unit is not None:
             unit = tuple(x if isinstance(x, CycNum) else CycNum.rational(m, x)
                          for x in unit)
@@ -79,6 +81,21 @@ class FinDimAlgebra:
                              for cell in row) for row in self.mult)
             object.__setattr__(self, "_nz", nz)
         return nz
+
+    def _integer_view(self) -> tuple:
+        """(D, cells): D the common denominator of the nonzero structure
+        constants, cells[i][j] the (a, numerators) of each nonzero
+        mult[i][j][a] = numerators / D, ascending in a, with numerators the
+        nonzero (slot, int) pairs of the zeta-power coefficients."""
+        iv = self._iv
+        if iv is None:
+            nz = self._nonzero()
+            den = lcm(1, *(c.den for row in nz for cell in row for _, c in cell))
+            iv = den, tuple(tuple(tuple(
+                (a, tuple((s, u * (den // c.den)) for s, u in enumerate(c.num) if u))
+                for a, c in cell) for cell in row) for row in nz)
+            object.__setattr__(self, "_iv", iv)
+        return iv
 
     def multiply(self, x, y) -> tuple:
         nz = self._nonzero()
@@ -136,35 +153,34 @@ class FinDimAlgebra:
     def _check_associative(self):
         """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple.
 
-        For each (i, j), the differences for all k at once are summed from
-        the nonzero structure constants only, so the cost is dim^2 plus the
-        products that exist.  The first failing triple in lexicographic
-        order is reported.
+        Both sides are sums of products of two structure constants, so over
+        the table's common denominator D both carry D^2 and the check is an
+        integer identity: the raw numerator convolutions are summed and each
+        nonzero sum is reduced mod Phi_m once.  For each (i, j), the
+        differences for all k at once are summed from the nonzero structure
+        constants only, so the cost is dim^2 plus the products that exist.
+        The first failing triple in lexicographic order is reported.
         """
-        dim = self.dim
-        nz = self._nonzero()
-        # by_row[a]: the (k, nonzero entries of e_a e_k), skipping zero products
-        by_row = [[(k, cell) for k, cell in enumerate(row) if cell] for row in nz]
+        m, dim = self.m, self.dim
+        _, cells = self._integer_view()
+        # rows[a]: the (k * dim + c, numerators of the e_c-coefficient of
+        # e_a e_k), one entry per nonzero structure constant in row a
+        rows = [[(k * dim + c, y) for k, cell in enumerate(row) for c, y in cell]
+                for row in cells]
+        # minus[j]: (k * dim, the (b, -numerators) of e_j e_k) per nonzero cell
+        minus = [[(k * dim, [(b, tuple((s, -u) for s, u in y)) for b, y in cell])
+                  for k, cell in enumerate(row) if cell] for row in cells]
         for i in range(dim):
-            row_i = nz[i]
+            row_i = cells[i]
             for j in range(dim):
                 # diff[k * dim + c]: e_c-coefficient of (e_i e_j) e_k - e_i (e_j e_k)
-                diff = {}
-                for a, cij in row_i[j]:
-                    for k, cell in by_row[a]:
-                        base = k * dim
-                        for c, x in cell:
-                            p = cij * x
-                            key = base + c
-                            diff[key] = diff[key] + p if key in diff else p
-                for k, cell in by_row[j]:
-                    base = k * dim
-                    for b, cjk in cell:
-                        for c, x in row_i[b]:
-                            p = cjk * x
-                            key = base + c
-                            diff[key] = diff[key] - p if key in diff else -p
-                bad = [key for key, v in diff.items() if any(v.num)]
+                diff = raw_sums(m)
+                for a, x in row_i[j]:
+                    add_products(diff, x, rows[a])
+                for base, cell in minus[j]:
+                    for b, y in cell:
+                        add_products(diff, y, row_i[b], base)
+                bad = [key for key, raw in diff.items() if not vanishes(m, raw)]
                 if bad:
                     raise InputError(
                         "structure constants are not associative at basis triple "

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .algebra_core import grading_from_c, jacobson_radical
 from .constructions import (build_nilpotent_extension, build_semisimple,
@@ -315,8 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args reads the parser and never changes
+    # it, and the cmd_* functions look their helpers up when they run
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

@@ -5,7 +5,14 @@ operator matrices c_op and v_op.  Checking the module-algebra law on the
 generators c and v is enough: c and v generate H as an algebra, and the law
 h(ab) = sum (h_1 a)(h_2 b) is multiplicative in h (if it holds for g and h
 it holds for gh, because Delta is an algebra map).  hma_verify spells the
-generator checks out and records that derivation in its report.
+generator checks out and records that derivation in its report.  The two
+laws c(ab) = c(a)c(b) and v(ab) = c(a)v(b) + v(a)b are checked exactly on
+every basis pair, in integers: the structure constants and both operators
+are written over one common denominator, each side becomes a sum of raw
+integer convolutions of their numerators, and a sum is reduced mod Phi_m
+only at its zero test.  The left multiplications by c(e_i) and v(e_i) are
+built once per i, so a dense table costs O(dim^4) numerator products
+instead of O(dim^5) field products per law.
 
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
 density): spin the unital operator algebra generated by all left/right
@@ -25,10 +32,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycNum, zeta_power
+from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
+                         zeta_power)
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
                      Subspace, cyc_to_modp, intertwiner_space, kernel,
@@ -124,32 +133,95 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
     rep.add("v_nilpotent", (mod.v_op ** m).is_zero())
     rep.add("vc_commutation", mod.v_op @ mod.c_op == (mod.c_op @ mod.v_op) * z)
 
-    c_mult_ok, c_wit = True, None
-    v_leibniz_ok, v_wit = True, None
-    basis = [A.basis_vector(j) for j in range(n)]
-    # the images of the basis vectors are the operators' columns
-    c_cols = [mod.c_op.col(j) for j in range(n)]
-    v_cols = [mod.v_op.col(j) for j in range(n)]
-    for i in range(n):
-        cei, vei = c_cols[i], v_cols[i]
-        for j in range(n):
-            ej = basis[j]
-            prod = A.mult[i][j]
-            if mod.c_op.apply(prod) != A.multiply(cei, c_cols[j]):
-                c_mult_ok, c_wit = False, (i, j)
-            lhs = mod.v_op.apply(prod)
-            rhs_vec = A.multiply(cei, v_cols[j])
-            rhs_vec = tuple(a + b for a, b in
-                            zip(rhs_vec, A.multiply(vei, ej)))
-            if lhs != rhs_vec:
-                v_leibniz_ok, v_wit = False, (i, j)
-    rep.add("c_multiplicative", c_mult_ok, c_wit)
-    rep.add("v_skew_derivation", v_leibniz_ok, v_wit)
+    c_wit, v_wit = _module_law_witnesses(mod)
+    rep.add("c_multiplicative", c_wit is None, c_wit)
+    rep.add("v_skew_derivation", v_wit is None, v_wit)
 
     if A.unit is not None:
         rep.add("c_fixes_unit", mod.c_op.apply(A.unit) == tuple(A.unit))
         rep.add("v_kills_unit", vec_is_zero(mod.v_op.apply(A.unit)))
     return rep
+
+
+def _module_law_witnesses(mod: HModuleAlgebra) -> tuple:
+    """The last basis pair (i, j) in row-major order where
+    c(e_i e_j) = c(e_i) c(e_j) fails, and the last where
+    v(e_i e_j) = c(e_i) v(e_j) + v(e_i) e_j fails; None where a law holds.
+
+    Over the common denominator E of the table and both operators, c(e_i e_j)
+    and v(e_i) e_j carry E^2 and c(e_i) c(e_j) and c(e_i) v(e_j) carry E^3
+    (c(e_i) e_q is folded first, as the left multiplication by c(e_i)), so
+    the E^2 terms are scaled by E and each difference is a sum of raw
+    numerator convolutions (cyclotomic.add_products).
+    """
+    A, m, n = mod.algebra, mod.m, mod.algebra.dim
+    den, cells = A._integer_view()
+    big = lcm(den, *(x.den for op in (mod.c_op, mod.v_op)
+                     for row in op.rows for x in row))
+
+    def scaled(factor):
+        return [[[(a, tuple((s, u * factor) for s, u in y)) for a, y in cell]
+                 for cell in row] for row in cells]
+
+    def columns(op, sign):
+        # cols[a]: the (b, sign * numerators of op[b][a] over E), nonzero only
+        return [[(b, tuple((s, sign * u * (big // row[a].den))
+                           for s, u in enumerate(row[a].num) if u))
+                 for b, row in enumerate(op.rows) if any(row[a].num)]
+                for a in range(n)]
+
+    table = scaled(big // den)
+    table_e = scaled(big // den * big)
+    c_cols, v_cols = columns(mod.c_op, 1), columns(mod.v_op, 1)
+    c_neg, v_neg = columns(mod.c_op, -1), columns(mod.v_op, -1)
+    minus_e = ((0, -big),)
+
+    def left_mult(col):
+        # out[q]: the (b, numerators over E^2) of x e_q, x the vector col
+        acc = raw_sums(m)
+        for p, x in col:
+            for q, cell in enumerate(table[p]):
+                add_products(acc, x, cell, q * n)
+        out = [[] for _ in range(n)]
+        for key, raw in acc.items():
+            y = tuple((s, u) for s, u in enumerate(fold(m, raw)) if u)
+            if y:
+                q, b = divmod(key, n)
+                out[q].append((b, y))
+        return out
+
+    def holds(acc):
+        return all(vanishes(m, raw) for raw in acc.values())
+
+    c_wit = v_wit = None
+    # backwards, so the first failure found is the last in row-major order
+    for i in reversed(range(n)):
+        lc = left_mult(c_cols[i])
+        lv = left_mult(v_cols[i])
+        for j in reversed(range(n)):
+            prod = table_e[i][j]
+            if c_wit is None:
+                # E c(e_i e_j) - c(e_i) c(e_j)
+                acc = raw_sums(m)
+                for a, x in prod:
+                    add_products(acc, x, c_cols[a])
+                for q, x in c_neg[j]:
+                    add_products(acc, x, lc[q])
+                if not holds(acc):
+                    c_wit = (i, j)
+            if v_wit is None:
+                # E v(e_i e_j) - c(e_i) v(e_j) - E v(e_i) e_j
+                acc = raw_sums(m)
+                for a, x in prod:
+                    add_products(acc, x, v_cols[a])
+                for q, x in v_neg[j]:
+                    add_products(acc, x, lc[q])
+                add_products(acc, minus_e, lv[j])
+                if not holds(acc):
+                    v_wit = (i, j)
+            if c_wit is not None and v_wit is not None:
+                return c_wit, v_wit
+    return c_wit, v_wit
 
 
 # -- simplicity ---------------------------------------------------------------

@@ -133,16 +133,16 @@ class Matrix:
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         cols = other.ncols
         zero = CycNum.zero(self.m)
+        # the nonzero (j, y) of each row of other, collected once
+        support = [[(j, y) for j, y in enumerate(r) if any(y.num)]
+                   for r in other.rows]
         out = []
         for r in self.rows:
             acc = [zero] * cols
             for k, c in enumerate(r):
-                if c.is_zero():
-                    continue
-                orow = other.rows[k]
-                for j in range(cols):
-                    if not orow[j].is_zero():
-                        acc[j] = acc[j] + c * orow[j]
+                if any(c.num):
+                    for j, y in support[k]:
+                        acc[j] = acc[j] + c * y
             out.append(tuple(acc))
         return Matrix(self.m, tuple(out))
 

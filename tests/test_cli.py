@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -274,3 +275,45 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["n"] == 3 and doc["k"] == 1
+
+
+def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
+    # main() keeps one parser per process; a sequence of calls, a usage
+    # error among them, must behave exactly as with a fresh parser each time
+    mod = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
+    other = write_doc(tmp_path, "other.json", hma_to_json(
+        trivial_action(sweedler_two_dim().algebra)))
+    calls = [
+        ("iso", "--a", mod, "--b", other, "--budget", "3"),
+        ("qbinom", "4", "2", "4", "1"),
+        ("verify",),  # usage error: --in is required
+        ("iso", "--a", mod, "--b", other),  # the default budget again
+        ("codim", "--in", mod, "--n", "2", "--backend", "exact"),
+        ("codim", "--in", mod, "--n", "2"),
+        ("hopf-check", "--m", "2"),
+        ("construct", "nilext"),  # usage error in a nested subcommand
+        ("verify", "--in", mod),
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out = re.sub(r'"wall_ms": [0-9.e-]+', '"wall_ms": 0', captured.out)
+            seen.append((code, out, captured.err))
+        return seen
+
+    cached = outcomes()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == outcomes()
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    assert "required: --in" in cached[2][2]
+    assert json.loads(cached[0][1])["budget"] == 3
+    assert json.loads(cached[3][1])["budget"] == 64
+    assert json.loads(cached[4][1])["method"] == "exact-echelon"
+    assert json.loads(cached[5][1])["method"].startswith("modp-pinned")

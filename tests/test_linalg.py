@@ -1,5 +1,5 @@
 """Exact echelon bases: row supports and adopting a canonical basis;
-matrix-vector products over the support."""
+matrix-vector and matrix-matrix products over the supports."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,3 +94,21 @@ def test_apply_over_the_support_matches_the_full_sum(rows, vec):
             acc = acc + c * x
         expect.append(acc)
     assert mat.apply(vec) == tuple(expect)
+
+
+@given(st.lists(half_zero, min_size=1, max_size=4),
+       st.lists(half_zero, min_size=WIDTH, max_size=WIDTH))
+@settings(max_examples=60, deadline=None)
+def test_matmul_over_the_supports_matches_the_triple_sum(left, right):
+    a, b = Matrix(M, tuple(left)), Matrix(M, tuple(right))
+    zero = CycNum.zero(M)
+    expect = []
+    for r in left:
+        row = []
+        for j in range(WIDTH):
+            acc = zero
+            for k in range(WIDTH):
+                acc = acc + r[k] * right[k][j]
+            row.append(acc)
+        expect.append(tuple(row))
+    assert (a @ b).rows == tuple(expect)
