@@ -19,9 +19,8 @@ from math import lcm
 
 from .cyclotomic import CycNum, add_products, raw_sums, vanishes, zeta_power
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, Subspace, echelon, kernel,
-                     solve, subspaces_independent, vec_add, vec_is_zero,
-                     vec_scale, vec_zero)
+from .linalg import (EchelonBasis, Matrix, Subspace, kernel, solve,
+                     subspaces_independent, vec_is_zero, vec_zero)
 
 
 class FinDimAlgebra:
@@ -145,13 +144,41 @@ class FinDimAlgebra:
         return solve(Matrix(self.m, tuple(rows)), tuple(rhs))
 
     def _check_unit(self, unit):
-        for j in range(self.dim):
-            e = self.basis_vector(j)
-            if self.multiply(unit, e) != e or self.multiply(e, unit) != e:
-                raise InputError("claimed unit fails at basis index %d" % j)
+        j = self._unit_witness(unit)
+        if j is not None:
+            raise InputError("claimed unit fails at basis index %d" % j)
+
+    def _unit_witness(self, unit):
+        """The first basis index j with u e_j != e_j or e_j u != e_j, or None.
+
+        Over the common denominator U of u and D of the table both products
+        carry U D, so e_j is scaled by U D and each difference (keys a for
+        u e_j, dim + a for e_j u) is a sum of raw numerator convolutions.
+        """
+        m, dim = self.m, self.dim
+        den, cells = self._integer_view()
+        uden = lcm(1, *(x.den for x in unit))
+        us = [(i, tuple((s, u * (uden // x.den)) for s, u in enumerate(x.num) if u))
+              for i, x in enumerate(unit) if any(x.num)]
+        for j in range(dim):
+            acc = raw_sums(m)
+            acc[j][0] = acc[dim + j][0] = -uden * den
+            for i, x in us:
+                add_products(acc, x, cells[i][j])
+                add_products(acc, x, cells[j][i], dim)
+            if not all(vanishes(m, raw) for raw in acc.values()):
+                return j
+        return None
 
     def _check_associative(self):
-        """(e_i e_j) e_k = e_i (e_j e_k) for every basis triple.
+        triple = self._associativity_witness()
+        if triple is not None:
+            raise InputError("structure constants are not associative at basis "
+                             "triple (%d, %d, %d)" % triple)
+
+    def _associativity_witness(self):
+        """The first basis triple (i, j, k) in lexicographic order with
+        (e_i e_j) e_k != e_i (e_j e_k), or None.
 
         Both sides are sums of products of two structure constants, so over
         the table's common denominator D both carry D^2 and the check is an
@@ -159,7 +186,6 @@ class FinDimAlgebra:
         nonzero sum is reduced mod Phi_m once.  For each (i, j), the
         differences for all k at once are summed from the nonzero structure
         constants only, so the cost is dim^2 plus the products that exist.
-        The first failing triple in lexicographic order is reported.
         """
         m, dim = self.m, self.dim
         _, cells = self._integer_view()
@@ -182,9 +208,8 @@ class FinDimAlgebra:
                         add_products(diff, y, row_i[b], base)
                 bad = [key for key, raw in diff.items() if not vanishes(m, raw)]
                 if bad:
-                    raise InputError(
-                        "structure constants are not associative at basis triple "
-                        "(%d, %d, %d)" % (i, j, min(bad) // dim))
+                    return i, j, min(bad) // dim
+        return None
 
     def square_is_zero(self) -> bool:
         return all(vec_is_zero(self.mult[i][j])

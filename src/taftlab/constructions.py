@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, Subspace, intertwiner_space,
-                     kernel, subspaces_independent, vec_is_zero)
+from .linalg import EchelonBasis, Matrix, Subspace, intertwiner_space, kernel
 from .algebra_core import (FinDimAlgebra, GradingDecomposition,
                            grading_from_c, jacobson_radical,
                            ideal_generated_by, subalgebra_on,
                            subspace_product)
-from .hmodule import (CertifiedSimple, HModuleAlgebra, hma_verify,
-                      is_h_simple, operator_span_dim)
+from .hmodule import (CertifiedSimple, HModuleAlgebra, _verify_module_iso,
+                      hma_verify, is_h_simple, operator_span_dim)
 from .qcombinatorics import QBinomTable
 from .taft_hopf import TaftAlgebra
 
@@ -605,14 +603,15 @@ def _columns_matrix(m: int, cols) -> Matrix:
                            for i in range(n)))
 
 
-def recover_structure(mod: HModuleAlgebra, *, certify: bool = True) -> RecoveredStructure:
+def recover_structure(mod: HModuleAlgebra) -> RecoveredStructure:
     """Invert build_nilpotent_extension on a certified H-simple algebra.
 
     Walks the radical down to its last nonzero power, closes the first
     basis vector of that power into a graded ideal, fans the ideal out
     through powers of v into m independent layers, reads the shift map phi
-    off the layer basis, and checks the q-binomial product law before
-    rebuilding the spec from ker v and handing back a verified isomorphism.
+    off the layer basis, rebuilds the spec from ker v and hands back a
+    verified isomorphism from the rebuilt extension.  That the isomorphism
+    is multiplicative is the q-binomial product law on the recovered layers.
     Every structural deviation raises with a pointed diagnostic, since each
     one certifies the input was not of the advertised shape.
     """
@@ -624,10 +623,9 @@ def recover_structure(mod: HModuleAlgebra, *, certify: bool = True) -> Recovered
                          "there is no nilpotent structure to recover")
     if A.unit is None:
         raise InputError("input algebra has no unit")
-    if certify:
-        verdict = is_h_simple(mod)
-        if not isinstance(verdict, CertifiedSimple):
-            raise InputError("input is not certified H-simple: %r" % (verdict,))
+    verdict = is_h_simple(mod)
+    if not isinstance(verdict, CertifiedSimple):
+        raise InputError("input is not certified H-simple: %r" % (verdict,))
 
     chain = [radical]
     while chain[-1].dim > 0:
@@ -711,42 +709,18 @@ def recover_structure(mod: HModuleAlgebra, *, certify: bool = True) -> Recovered
     c_b = _columns_matrix(m, c_cols)
     b_grading = grading_from_c(b_algebra, c_b)
 
-    # q-binomial product law on the recovered structure, all layer pairs
-    qtable = QBinomTable.build(zeta_power(m, 1), bound=2 * m)
-    hom = b_grading.degree_of_basis()
-    b_vecs_in_a = []
-    for deg, coords in hom:
-        vec = tuple(sum((coords[j] * b_space.basis[j][i] for j in range(d)),
-                        CycNum.zero(m)) for i in range(n))
-        b_vecs_in_a.append((deg, vec))
-    phi_pows = [Matrix.identity(m, n)]
-    for _ in range(m):
-        phi_pows.append(phi @ phi_pows[-1])
-    for p in range(m):
-        for l in range(m):
-            for deg_a, avec in b_vecs_in_a:
-                pa = phi_pows[p].apply(avec)
-                for _, bvec in b_vecs_in_a:
-                    lhs = A.multiply(pa, phi_pows[l].apply(bvec))
-                    if p + l >= m:
-                        rhs = zero_vec
-                    else:
-                        coeff = qtable.value(p + l, p) * zeta_power(m, l * deg_a)
-                        rhs = tuple(coeff * x for x in
-                                    phi_pows[p + l].apply(A.multiply(avec, bvec)))
-                    if lhs != rhs:
-                        raise InputError(
-                            "q-binomial product law fails at layers "
-                            "(%d, %d)" % (p, l))
-
     spec = NilpotentExtensionSpec(m=m, B=b_algebra, grading=b_grading)
     rebuilt = build_nilpotent_extension(spec, hopf=mod.hopf)
 
-    # explicit isomorphism: rebuilt basis (i, s) -> phi^i(b_s)
+    # explicit isomorphism: rebuilt basis (i, s) -> phi^i(b_s), with b_s the
+    # homogeneous basis of B written in A
+    layer = [tuple(sum((coords[j] * b_space.basis[j][i] for j in range(d)),
+                       CycNum.zero(m)) for i in range(n))
+             for _, coords in b_grading.degree_of_basis()]
     iso_cols = []
-    for i in range(m):
-        for _, hvec in b_vecs_in_a:
-            iso_cols.append(phi_pows[i].apply(hvec))
+    for _ in range(m):
+        iso_cols.extend(layer)
+        layer = [phi.apply(x) for x in layer]
     iso = _columns_matrix(m, iso_cols)
     _verify_module_iso(rebuilt.module, mod, iso)
 
@@ -755,28 +729,6 @@ def recover_structure(mod: HModuleAlgebra, *, certify: bool = True) -> Recovered
                               b_space=b_space, b_algebra=b_algebra,
                               b_grading=b_grading, spec=spec,
                               rebuilt=rebuilt, iso=iso)
-
-
-def _verify_module_iso(src: HModuleAlgebra, dst: HModuleAlgebra, T: Matrix):
-    """Exact check that T is an H-module-algebra isomorphism src -> dst."""
-    try:
-        T.inverse()
-    except InputError:
-        raise InputError("candidate isomorphism is singular")
-    if T @ src.c_op != dst.c_op @ T:
-        raise InputError("candidate isomorphism does not intertwine c")
-    if T @ src.v_op != dst.v_op @ T:
-        raise InputError("candidate isomorphism does not intertwine v")
-    a1, a2 = src.algebra, dst.algebra
-    for i in range(a1.dim):
-        ti = T.apply(a1.basis_vector(i))
-        for j in range(a1.dim):
-            if T.apply(a1.mult[i][j]) != a2.multiply(ti, T.apply(a1.basis_vector(j))):
-                raise InputError("candidate isomorphism is not multiplicative "
-                                 "at basis pair (%d, %d)" % (i, j))
-    if a1.unit is not None and a2.unit is not None:
-        if T.apply(a1.unit) != tuple(a2.unit):
-            raise InputError("candidate isomorphism does not preserve the unit")
 
 
 # -- canonical corpus helpers ---------------------------------------------------

@@ -14,6 +14,10 @@ only at its zero test.  The left multiplications by c(e_i) and v(e_i) are
 built once per i, so a dense table costs O(dim^4) numerator products
 instead of O(dim^5) field products per law.
 
+Whether a linear map T: A -> B is multiplicative is decided by the same
+integer check in one routine, _multiplicative_witness, which
+_verify_module_iso and the generic isomorphism search call.
+
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
 density): spin the unital operator algebra generated by all left/right
 multiplications together with c_op and v_op; if it has dimension (dim A)^2
@@ -22,10 +26,11 @@ with A*A != 0 that certifies simplicity.  The spin runs over a prime field
 F_p (p = 1 mod m, zeta sent to an order-m element), which can only
 underestimate the true span; reaching (dim A)^2 mod p is therefore a sound
 certificate, and a shortfall falls back to exact spinning on small
-algebras.  Tier 2 hunts for a witness: invariant-ideal closures seeded from
-eigenvectors, basis vectors, kernels, and a few seeded random vectors; any
-proper nonzero closed subspace is returned as a verified witness.  If both
-tiers come back empty the result is Inconclusive, never a guess.
+algebras (dim A <= 10).  Tier 2 hunts for a witness: invariant-ideal
+closures seeded from eigenvectors, basis vectors, kernels, and five fixed
+pseudo-random vectors (seed 0); any proper nonzero closed subspace is
+returned as a verified witness.  If both tiers come back empty the result
+is Inconclusive, never a guess.
 """
 
 from __future__ import annotations
@@ -40,9 +45,8 @@ from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
                          zeta_power)
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
-                     Subspace, cyc_to_modp, intertwiner_space, kernel,
-                     matrix_to_modp, modular_prime, root_of_unity_mod,
-                     solve, vec_is_zero)
+                     Subspace, intertwiner_space, kernel, matrix_to_modp,
+                     modular_prime, root_of_unity_mod, vec_is_zero)
 from .algebra_core import FinDimAlgebra, ideal_generated_by
 from .taft_hopf import HopfElement, TaftAlgebra
 
@@ -143,6 +147,42 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
     return rep
 
 
+def _scaled(cells, factor: int) -> list:
+    """An integer view's cells with every numerator multiplied by factor."""
+    return [[[(a, tuple((s, u * factor) for s, u in y)) for a, y in cell]
+             for cell in row] for row in cells]
+
+
+def _columns(op: Matrix, sign: int, big: int) -> list:
+    """cols[a]: the (b, sign * numerators of op[b][a] over big), nonzero only;
+    big must be a multiple of every entry's denominator."""
+    return [[(b, tuple((s, sign * u * (big // row[a].den))
+                       for s, u in enumerate(row[a].num) if u))
+             for b, row in enumerate(op.rows) if any(row[a].num)]
+            for a in range(op.ncols)]
+
+
+def _left_mult(m: int, table, col) -> list:
+    """out[q]: the (b, numerators over E^2) of x e_q, for x the vector col
+    over E and table the cells over E."""
+    n = len(table)
+    acc = raw_sums(m)
+    for p, x in col:
+        for q, cell in enumerate(table[p]):
+            add_products(acc, x, cell, q * n)
+    out = [[] for _ in range(n)]
+    for key, raw in acc.items():
+        y = tuple((s, u) for s, u in enumerate(fold(m, raw)) if u)
+        if y:
+            q, b = divmod(key, n)
+            out[q].append((b, y))
+    return out
+
+
+def _holds(m: int, acc) -> bool:
+    return all(vanishes(m, raw) for raw in acc.values())
+
+
 def _module_law_witnesses(mod: HModuleAlgebra) -> tuple:
     """The last basis pair (i, j) in row-major order where
     c(e_i e_j) = c(e_i) c(e_j) fails, and the last where
@@ -158,46 +198,17 @@ def _module_law_witnesses(mod: HModuleAlgebra) -> tuple:
     den, cells = A._integer_view()
     big = lcm(den, *(x.den for op in (mod.c_op, mod.v_op)
                      for row in op.rows for x in row))
-
-    def scaled(factor):
-        return [[[(a, tuple((s, u * factor) for s, u in y)) for a, y in cell]
-                 for cell in row] for row in cells]
-
-    def columns(op, sign):
-        # cols[a]: the (b, sign * numerators of op[b][a] over E), nonzero only
-        return [[(b, tuple((s, sign * u * (big // row[a].den))
-                           for s, u in enumerate(row[a].num) if u))
-                 for b, row in enumerate(op.rows) if any(row[a].num)]
-                for a in range(n)]
-
-    table = scaled(big // den)
-    table_e = scaled(big // den * big)
-    c_cols, v_cols = columns(mod.c_op, 1), columns(mod.v_op, 1)
-    c_neg, v_neg = columns(mod.c_op, -1), columns(mod.v_op, -1)
+    table = _scaled(cells, big // den)
+    table_e = _scaled(cells, big // den * big)
+    c_cols, v_cols = _columns(mod.c_op, 1, big), _columns(mod.v_op, 1, big)
+    c_neg, v_neg = _columns(mod.c_op, -1, big), _columns(mod.v_op, -1, big)
     minus_e = ((0, -big),)
-
-    def left_mult(col):
-        # out[q]: the (b, numerators over E^2) of x e_q, x the vector col
-        acc = raw_sums(m)
-        for p, x in col:
-            for q, cell in enumerate(table[p]):
-                add_products(acc, x, cell, q * n)
-        out = [[] for _ in range(n)]
-        for key, raw in acc.items():
-            y = tuple((s, u) for s, u in enumerate(fold(m, raw)) if u)
-            if y:
-                q, b = divmod(key, n)
-                out[q].append((b, y))
-        return out
-
-    def holds(acc):
-        return all(vanishes(m, raw) for raw in acc.values())
 
     c_wit = v_wit = None
     # backwards, so the first failure found is the last in row-major order
     for i in reversed(range(n)):
-        lc = left_mult(c_cols[i])
-        lv = left_mult(v_cols[i])
+        lc = _left_mult(m, table, c_cols[i])
+        lv = _left_mult(m, table, v_cols[i])
         for j in reversed(range(n)):
             prod = table_e[i][j]
             if c_wit is None:
@@ -207,7 +218,7 @@ def _module_law_witnesses(mod: HModuleAlgebra) -> tuple:
                     add_products(acc, x, c_cols[a])
                 for q, x in c_neg[j]:
                     add_products(acc, x, lc[q])
-                if not holds(acc):
+                if not _holds(m, acc):
                     c_wit = (i, j)
             if v_wit is None:
                 # E v(e_i e_j) - c(e_i) v(e_j) - E v(e_i) e_j
@@ -217,11 +228,59 @@ def _module_law_witnesses(mod: HModuleAlgebra) -> tuple:
                 for q, x in v_neg[j]:
                     add_products(acc, x, lc[q])
                 add_products(acc, minus_e, lv[j])
-                if not holds(acc):
+                if not _holds(m, acc):
                     v_wit = (i, j)
             if c_wit is not None and v_wit is not None:
                 return c_wit, v_wit
     return c_wit, v_wit
+
+
+def _multiplicative_witness(src: FinDimAlgebra, dst: FinDimAlgebra,
+                            T: Matrix):
+    """The first basis pair (i, j) in row-major order with
+    T(e_i e_j) != T(e_i) T(e_j), or None: the c law of _module_law_witnesses
+    for a map T: src -> dst, over the common denominator of both tables and
+    T, with the left multiplication by T(e_i) in dst built once per i.
+    """
+    m = src.m
+    den1, cells1 = src._integer_view()
+    den2, cells2 = dst._integer_view()
+    big = lcm(den1, den2, *(x.den for row in T.rows for x in row))
+    target = _scaled(cells2, big // den2)
+    source_e = _scaled(cells1, big // den1 * big)
+    cols, neg = _columns(T, 1, big), _columns(T, -1, big)
+    for i in range(src.dim):
+        lt = _left_mult(m, target, cols[i])
+        for j in range(src.dim):
+            # E T(e_i e_j) - T(e_i) T(e_j)
+            acc = raw_sums(m)
+            for a, x in source_e[i][j]:
+                add_products(acc, x, cols[a])
+            for q, x in neg[j]:
+                add_products(acc, x, lt[q])
+            if not _holds(m, acc):
+                return i, j
+    return None
+
+
+def _verify_module_iso(src: HModuleAlgebra, dst: HModuleAlgebra, T: Matrix):
+    """Exact check that T is an H-module-algebra isomorphism src -> dst."""
+    try:
+        T.inverse()
+    except InputError:
+        raise InputError("candidate isomorphism is singular")
+    if T @ src.c_op != dst.c_op @ T:
+        raise InputError("candidate isomorphism does not intertwine c")
+    if T @ src.v_op != dst.v_op @ T:
+        raise InputError("candidate isomorphism does not intertwine v")
+    a1, a2 = src.algebra, dst.algebra
+    bad = _multiplicative_witness(a1, a2, T)
+    if bad is not None:
+        raise InputError("candidate isomorphism is not multiplicative "
+                         "at basis pair (%d, %d)" % bad)
+    if a1.unit is not None and a2.unit is not None:
+        if T.apply(a1.unit) != tuple(a2.unit):
+            raise InputError("candidate isomorphism does not preserve the unit")
 
 
 # -- simplicity ---------------------------------------------------------------
@@ -292,7 +351,7 @@ def _spin_dim_exact(gens, n: int, m: int) -> int:
 
 
 def operator_span_dim(mod_or_gens, n: int | None = None, *, m: int | None = None,
-                      p_retries: int = 3, exact_max_dim: int = 10):
+                      exact_max_dim: int = 10):
     """(dim, method) for the unital operator algebra generated by the inputs.
 
     Tries prime-field spinning first (sound upper certificate when the span
@@ -309,7 +368,8 @@ def operator_span_dim(mod_or_gens, n: int | None = None, *, m: int | None = None
         if n is None or m is None:
             raise InputError("operator_span_dim needs n and m with a raw generator list")
     last = None
-    for skip in range(p_retries):
+    # up to three primes: the first that reduces all the generators is used
+    for skip in range(3):
         p = modular_prime(m, skip)
         try:
             d = _spin_dim_modp(gens, n, m, p)
@@ -327,15 +387,14 @@ def operator_span_dim(mod_or_gens, n: int | None = None, *, m: int | None = None
     return (0, "no usable reduction prime")
 
 
-def is_h_simple(mod: HModuleAlgebra, *, rng_seed: int = 0,
-                n_random_candidates: int = 5, exact_max_dim: int = 10):
+def is_h_simple(mod: HModuleAlgebra):
     """Decide H-simplicity: CertifiedSimple / NotSimple(witness) / Inconclusive."""
     A = mod.algebra
     n = A.dim
     if n == 0 or A.square_is_zero():
         return NotSimple(witness=None, reason="A * A = 0")
 
-    dim, method = operator_span_dim(mod, exact_max_dim=exact_max_dim)
+    dim, method = operator_span_dim(mod)
     if dim == n * n:
         return CertifiedSimple(operator_algebra_dim=dim, method=method)
 
@@ -349,8 +408,8 @@ def is_h_simple(mod: HModuleAlgebra, *, rng_seed: int = 0,
     candidates.extend(kernel(mod.v_op))
     for i in range(n):
         candidates.extend(kernel(A.left_mult_basis(i))[:2])
-    rng = random.Random(rng_seed)
-    for _ in range(n_random_candidates):
+    rng = random.Random(0)
+    for _ in range(5):
         candidates.append(tuple(CycNum.rational(mod.m, rng.randint(-3, 3))
                                 for _ in range(n)))
     seen = set()
@@ -411,14 +470,15 @@ def _scale_to_unit(mod1, mod2, T: Matrix):
 
 
 def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
-                           budget: int = 64, rng_seed: int = 0):
+                           budget: int = 64):
     """Search for an H-module algebra isomorphism; None = none found in budget.
 
     The intertwiner conditions T c1 = c2 T and T v1 = v2 T are linear, so the
     candidate space is solved exactly; multiplicativity is not linear, so
     candidates are sampled from that space (basis elements, prefix sums, then
-    seeded random combinations), rescaled to send unit to unit when possible,
-    and checked exactly.  A None answer is a budget statement, not a proof.
+    pseudo-random combinations from seed 0), rescaled to send unit to unit
+    when possible, and checked exactly (_multiplicative_witness).  A None
+    answer is a budget statement, not a proof.
     """
     if mod1.m != mod2.m:
         raise InputError("conductor mismatch")
@@ -446,7 +506,7 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
         for b in space:
             acc = b if acc is None else acc + b
             yield acc
-        rng = random.Random(rng_seed)
+        rng = random.Random(0)
         for _ in range(budget):
             coeffs = [rng.randint(-3, 3) for _ in space]
             if not any(coeffs):
@@ -471,16 +531,6 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
             T.inverse()
         except InputError:
             continue
-        ok = True
-        for i in range(n):
-            ti = T.apply(A1.basis_vector(i))
-            for j in range(n):
-                if T.apply(A1.mult[i][j]) != \
-                   A2.multiply(ti, T.apply(A1.basis_vector(j))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _multiplicative_witness(A1, A2, T) is None:
             return T
     return None

@@ -241,7 +241,7 @@ def test_shape_mismatch_gives_none_conductor_mismatch_raises():
 
 
 def test_witness_expands_to_module_isomorphism():
-    from taftlab.constructions import _verify_module_iso
+    from taftlab.hmodule import _verify_module_iso
 
     specs = ss_specs()
     s1, s2 = specs["pair2_diag_1"], specs["pair2_diag_neg1"]
@@ -296,7 +296,7 @@ def test_aut_module_map_is_a_homomorphism_of_the_group():
     Mg, Mh = aut_module_map(spec, g), aut_module_map(spec, h)
     assert aut_module_map(spec, aut_compose(spec, g, h)) == Mg @ Mh
     # and each map is an actual automorphism of the module algebra
-    from taftlab.constructions import _verify_module_iso
+    from taftlab.hmodule import _verify_module_iso
     mod = build_semisimple(spec)
     _verify_module_iso(mod, mod, Mg)
     _verify_module_iso(mod, mod, Mh)

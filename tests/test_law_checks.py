@@ -1,6 +1,8 @@
 """The exact law checks on integer numerators against their CycNum oracles:
-associativity (FinDimAlgebra._check_associative) and the module-algebra law
-on generators (hma_verify)."""
+associativity and the unit (FinDimAlgebra._check_associative and
+_check_unit), the module-algebra law on generators (hma_verify), the Taft
+product (hopf_verify_axioms) and algebra maps (_verify_module_iso,
+hma_isomorphic_generic and the q-binomial product law of recover_structure)."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -11,15 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taftlab import algebra_core, hmodule
-from taftlab.algebra_core import FinDimAlgebra
-from taftlab.constructions import build_semisimple, grid_spec
+from taftlab.algebra_core import FinDimAlgebra, subalgebra_on
+from taftlab.constructions import (NilpotentExtensionSpec, aut_compose,
+                                   aut_module_map, aut_pair,
+                                   build_nilpotent_extension, build_semisimple,
+                                   grid_spec, iso_block_map, iso_semisimple,
+                                   recover_structure)
 from taftlab.cyclotomic import (CycNum, add_products, fold, raw_sums,
                                 vanishes, zeta_power)
 from taftlab.errors import InputError
-from taftlab.fixtures import negative_modules, positive_modules
-from taftlab.hmodule import HmaReport, HModuleAlgebra, hma_verify
+from taftlab.fixtures import (negative_modules, nilext_specs, positive_modules,
+                              ss_specs)
+from taftlab.hmodule import (HmaReport, HModuleAlgebra, hma_isomorphic_generic,
+                             hma_verify)
 from taftlab.linalg import Matrix, vec_is_zero
-from taftlab.taft_hopf import TaftAlgebra
+from taftlab.qcombinatorics import QBinomTable
+from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
 
 
 # -- the oracles: the CycNum loops the integer checks replaced ---------------
@@ -365,3 +374,408 @@ def test_valid_module_whose_raw_sums_vanish_only_after_folding(monkeypatch):
         _without_fold(patch, algebra_core)
         with pytest.raises(InputError, match="not associative"):
             FinDimAlgebra(4, mod.algebra.mult)
+
+
+# -- the unit check -------------------------------------------------------------
+
+
+def _cycnum_unit_failure(alg, unit):
+    """The first basis index j with u e_j != e_j or e_j u != e_j, or None:
+    the multiply loop FinDimAlgebra._check_unit ran before the integer view."""
+    for j in range(alg.dim):
+        e = alg.basis_vector(j)
+        if alg.multiply(unit, e) != e or alg.multiply(e, unit) != e:
+            return j
+    return None
+
+
+def _assert_unit_matches(m, table, unit):
+    loose = FinDimAlgebra(m, table, validate=False, autodetect_unit=False)
+    expect = _cycnum_unit_failure(loose, unit)
+    assert loose._unit_witness(unit) == expect
+    if expect is None:
+        FinDimAlgebra(m, table, unit=unit, validate=False)
+    else:
+        with pytest.raises(InputError) as err:
+            FinDimAlgebra(m, table, unit=unit, validate=False)
+        assert str(err.value) == "claimed unit fails at basis index %d" % expect
+    return expect
+
+
+UNITAL = [("corpus", name) for name in sorted(_corpus())
+          if _corpus()[name].algebra.unit is not None] + \
+         [("dense", pair) for pair in DENSE_COPIES
+          if _dense_copy(*pair).algebra.unit is not None]
+
+
+@pytest.mark.parametrize("source", UNITAL)
+def test_units_of_the_corpus_and_dense_copies_match_the_oracle(source):
+    alg = _source(*source).algebra
+    assert _assert_unit_matches(alg.m, alg.mult, alg.unit) is None
+
+
+@given(st.sampled_from(UNITAL), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_perturbed_unit_entry_matches_the_oracle(source, data):
+    alg = _source(*source).algebra
+    m = alg.m
+    unit = list(alg.unit)
+    a = data.draw(st.integers(0, alg.dim - 1))
+    unit[a] = unit[a] + data.draw(st.sampled_from(
+        [1, -1, CycNum.rational(m, "1/2")])) * \
+        zeta_power(m, data.draw(st.integers(0, m - 1)))
+    assert _assert_unit_matches(m, alg.mult, tuple(unit)) is not None
+
+
+@given(_random_modules(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_tables_and_units_match_the_oracle(drawn, data):
+    m, table = drawn[0], drawn[1]
+    unit = tuple(data.draw(_entries(m)) for _ in range(len(table)))
+    _assert_unit_matches(m, table, unit)
+
+
+# -- the Taft product: associativity and unit -------------------------------------
+
+
+def _hopf_element_failures(H):
+    """The associativity failures hopf_verify_axioms reported from its
+    HopfElement loops: the first basis triple with (xy)z != x(yz) and the
+    first basis monomial x with 1x != x or x1 != x, as witness strings."""
+    keys = H.basis_keys()
+    out = []
+    for a in keys:
+        x = H.monomial(*a)
+        for b in keys:
+            y = H.monomial(*b)
+            xy = x * y
+            for c in keys:
+                z = H.monomial(*c)
+                if xy * z != x * (y * z):
+                    out.append("associativity: keys %r %r %r" % (a, b, c))
+                    break
+            if out:
+                break
+        if out:
+            break
+    one = H.one()
+    for key in keys:
+        x = H.monomial(*key)
+        if not (one * x == x and x * one == x):
+            out.append("associativity: unit fails at %r" % (key,))
+            break
+    return out
+
+
+def _corrupted(H, pair, kind):
+    """H with key_product changed at one pair of basis keys."""
+    m, right = H.m, H.key_product
+
+    def key_product(a, b):
+        hit = right(a, b)
+        if (a, b) != pair:
+            return hit
+        if kind == "zero":
+            return None
+        if hit is None:
+            # a product past the top layer made nonzero
+            return (a[0], a[1]), CycNum.one(m)
+        key, factor = hit
+        if kind == "factor":
+            return key, factor * 2
+        if kind == "drop_zeta":
+            return key, CycNum.one(m)
+        return ((key[0] + 1) % m, key[1]), factor  # kind == "key"
+
+    H.key_product = key_product
+    return H
+
+
+def _associativity_failures(report):
+    return [f for f in report.failures if f.startswith("associativity")]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_taft_product_matches_the_hopf_element_loops(m):
+    H = TaftAlgebra(m)
+    report = hopf_verify_axioms(H)
+    assert report.associativity and _associativity_failures(report) == []
+    assert _hopf_element_failures(H) == []
+
+
+@given(st.sampled_from([2, 3, 4]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_corrupted_taft_product_matches_the_hopf_element_loops(m, data):
+    keys = TaftAlgebra(m).basis_keys()
+    pair = (data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(keys)))
+    kind = data.draw(st.sampled_from(["zero", "factor", "drop_zeta", "key"]))
+    expect = _hopf_element_failures(_corrupted(TaftAlgebra(m), pair, kind))
+    report = hopf_verify_axioms(_corrupted(TaftAlgebra(m), pair, kind))
+    assert _associativity_failures(report) == expect
+    assert report.associativity == (not expect)
+
+
+def test_hopf_check_catches_a_product_that_sampling_missed():
+    # v c = zeta c v written as v c = c v at m = 6: none of the 200 triples
+    # the seeded sample used to draw evaluates this product
+    v, c = (0, 1), (1, 0)
+    report = hopf_verify_axioms(_corrupted(TaftAlgebra(6), (v, c), "drop_zeta"))
+    assert report.associativity is False
+    # (v v) c = zeta^2 c v^2, but v (v c) now gives zeta c v^2
+    assert _associativity_failures(report) == ["associativity: keys %r %r %r"
+                                               % (v, v, c)]
+
+
+# -- algebra maps: T(e_i e_j) = T(e_i) T(e_j) --------------------------------------
+
+
+def _cycnum_first_nonmultiplicative(a1, a2, T):
+    """The first basis pair (i, j) in row-major order with
+    T(e_i e_j) != T(e_i) T(e_j), or None: the CycNum pair loop that
+    _verify_module_iso and hma_isomorphic_generic each ran."""
+    for i in range(a1.dim):
+        ti = T.apply(a1.basis_vector(i))
+        for j in range(a1.dim):
+            if T.apply(a1.mult[i][j]) != a2.multiply(ti, T.apply(a1.basis_vector(j))):
+                return i, j
+    return None
+
+
+def _cycnum_verify_module_iso(src, dst, T):
+    """_verify_module_iso with the CycNum pair loop; the message or None."""
+    try:
+        T.inverse()
+    except InputError:
+        return "candidate isomorphism is singular"
+    if T @ src.c_op != dst.c_op @ T:
+        return "candidate isomorphism does not intertwine c"
+    if T @ src.v_op != dst.v_op @ T:
+        return "candidate isomorphism does not intertwine v"
+    bad = _cycnum_first_nonmultiplicative(src.algebra, dst.algebra, T)
+    if bad is not None:
+        return ("candidate isomorphism is not multiplicative at basis pair "
+                "(%d, %d)" % bad)
+    a1, a2 = src.algebra, dst.algebra
+    if a1.unit is not None and a2.unit is not None:
+        if T.apply(a1.unit) != tuple(a2.unit):
+            return "candidate isomorphism does not preserve the unit"
+    return None
+
+
+def _verify_module_iso_message(src, dst, T):
+    try:
+        hmodule._verify_module_iso(src, dst, T)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+def _assert_map_matches(src, dst, T):
+    expect = _cycnum_first_nonmultiplicative(src.algebra, dst.algebra, T)
+    assert hmodule._multiplicative_witness(src.algebra, dst.algebra, T) == expect
+    assert _verify_module_iso_message(src, dst, T) == \
+        _cycnum_verify_module_iso(src, dst, T)
+    return expect
+
+
+@cache
+def _maps():
+    """(label, src, dst, T) with T an H-module-algebra isomorphism src -> dst."""
+    specs = ss_specs()
+    out = []
+    for name, mod in sorted(_corpus().items()):
+        if mod.algebra.dim <= 9:
+            out.append(("identity " + name, mod, mod,
+                        Matrix.identity(mod.m, mod.algebra.dim)))
+    spec = specs["pair2_diag_1"]
+    one, zero = CycNum.one(2), CycNum.zero(2)
+    g = aut_pair(spec, Matrix(2, ((zero, one), (one, zero))), 1)
+    h = aut_pair(spec, Matrix(2, ((one, zero), (zero, one + one))), 0)
+    mod = build_semisimple(spec)
+    for label, pair in (("g", g), ("h", h), ("gh", aut_compose(spec, g, h))):
+        out.append(("aut %s pair2_diag_1" % label, mod, mod,
+                    aut_module_map(spec, pair)))
+    pairs = [(name, name) for name in sorted(specs)] + [
+        ("pair_alpha_1", "pair_alpha_neg1"), ("pair2_diag_1", "pair2_diag_neg1")]
+    for a, b in pairs:
+        w = iso_semisimple(specs[a], specs[b])
+        out.append(("iso_block_map %s %s" % (a, b), build_semisimple(specs[a]),
+                    build_semisimple(specs[b]),
+                    iso_block_map(specs[a], w.T, w.r)))
+    for name, kind in DENSE_COPIES:
+        mod, copy = _corpus()[name], _dense_copy(name, kind)
+        t = _dense_basis(mod.m, mod.algebra.dim, kind)
+        out.append(("dense %s %s" % (name, kind), copy, mod, t))
+        out.append(("dense inverse %s %s" % (name, kind), mod, copy, t.inverse()))
+    return out
+
+
+MAP_LABELS = [label for label, _, _, _ in _maps()]
+
+
+def _map(label):
+    return next(x[1:] for x in _maps() if x[0] == label)
+
+
+@pytest.mark.parametrize("label", MAP_LABELS)
+def test_isomorphisms_match_the_pair_loop(label):
+    src, dst, T = _map(label)
+    assert _assert_map_matches(src, dst, T) is None
+    assert _verify_module_iso_message(src, dst, T) is None
+
+
+@given(st.sampled_from(MAP_LABELS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_one_perturbed_map_entry_matches_the_pair_loop(label, data):
+    src, dst, T = _map(label)
+    m, n = src.m, src.algebra.dim
+    rows = [list(r) for r in T.rows]
+    b, a = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[b][a] = rows[b][a] + data.draw(st.sampled_from(
+        [1, -1, CycNum.rational(m, "1/3")])) * \
+        zeta_power(m, data.draw(st.integers(0, m - 1)))
+    _assert_map_matches(src, dst, Matrix(m, tuple(map(tuple, rows))))
+
+
+@given(_random_modules(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_tables_and_maps_match_the_pair_loop(drawn, data):
+    m, table, T = drawn[0], drawn[1], drawn[2]
+
+    def rows(strategy):
+        n = len(table)
+        return st.lists(strategy, min_size=n, max_size=n).map(tuple)
+
+    # the target table is the source's or a second random one
+    other = data.draw(st.one_of(st.just(table), rows(rows(rows(_entries(m))))))
+    a1 = FinDimAlgebra(m, table, validate=False, autodetect_unit=False)
+    a2 = FinDimAlgebra(m, other, validate=False, autodetect_unit=False)
+    assert hmodule._multiplicative_witness(a1, a2, T) == \
+        _cycnum_first_nonmultiplicative(a1, a2, T)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("ss_pair_alpha_1", "ss_pair_alpha_neg1"),
+    ("ss_pair_alpha_1", "ss_pair_alpha_2"),
+    ("ss_pair2_diag_1", "ss_pair2_diag_neg1"),
+    ("sweedler2dim", "sweedler2dim"),
+    ("ss_mat2_trivial", ("ss_mat2_trivial", "rational")),
+    ("sweedler2dim", ("sweedler2dim", "rational")),
+])
+def test_generic_isomorphism_search_matches_the_pair_loop(monkeypatch, a, b):
+    mod1 = _corpus()[a]
+    mod2 = _dense_copy(*b) if isinstance(b, tuple) else _corpus()[b]
+    got = hma_isomorphic_generic(mod1, mod2)
+    if got is not None:
+        assert _cycnum_verify_module_iso(mod1, mod2, got) is None
+    monkeypatch.setattr(hmodule, "_multiplicative_witness",
+                        _cycnum_first_nonmultiplicative)
+    assert got == hma_isomorphic_generic(mod1, mod2)
+
+
+# -- recover: the q-binomial product law -----------------------------------------
+
+
+def _qbinom_law_failures(A, phi, hom):
+    """Every layer pair (p, l) where phi^p(a) phi^l(b) =
+    binom(p+l, p)_zeta zeta^(l deg a) phi^(p+l)(ab) fails for homogeneous
+    basis vectors a, b of ker v, as recover_structure checked it before it
+    verified the rebuilt isomorphism instead."""
+    m, n = phi.m, A.dim
+    qtable = QBinomTable.build(zeta_power(m, 1), bound=2 * m)
+    zero_vec = tuple(CycNum.zero(m) for _ in range(n))
+    phi_pows = [Matrix.identity(m, n)]
+    for _ in range(m):
+        phi_pows.append(phi @ phi_pows[-1])
+    out = []
+    for p in range(m):
+        for l in range(m):
+            ok = True
+            for deg_a, avec in hom:
+                pa = phi_pows[p].apply(avec)
+                for _, bvec in hom:
+                    lhs = A.multiply(pa, phi_pows[l].apply(bvec))
+                    if p + l >= m:
+                        rhs = zero_vec
+                    else:
+                        coeff = qtable.value(p + l, p) * zeta_power(m, l * deg_a)
+                        rhs = tuple(coeff * x for x in
+                                    phi_pows[p + l].apply(A.multiply(avec, bvec)))
+                    ok = ok and lhs == rhs
+            if not ok:
+                out.append((p, l))
+    return out
+
+
+@cache
+def _recovered():
+    out = {}
+    for name, spec in sorted(nilext_specs().items()):
+        mod = build_nilpotent_extension(spec).module
+        rec = recover_structure(mod)
+        m, n, d = mod.m, mod.algebra.dim, rec.b_space.dim
+        hom = [(deg, tuple(sum((coords[j] * rec.b_space.basis[j][i]
+                                for j in range(d)), CycNum.zero(m))
+                           for i in range(n)))
+               for deg, coords in rec.b_grading.degree_of_basis()]
+        out[name] = (mod, rec, hom)
+    return out
+
+
+def _iso_from(phi, hom):
+    m, n = phi.m, phi.nrows
+    cols, power = [], Matrix.identity(m, n)
+    for _ in range(m):
+        cols.extend(power.apply(vec) for _, vec in hom)
+        power = phi @ power
+    return Matrix(m, tuple(tuple(col[i] for col in cols) for i in range(n)))
+
+
+def _assert_qbinom_matches(rebuilt, A, phi, hom):
+    expect = _qbinom_law_failures(A, phi, hom)
+    got = hmodule._multiplicative_witness(rebuilt, A, _iso_from(phi, hom))
+    assert (got is None) == (not expect)
+    if got is not None:
+        d = len(hom)
+        # the first failing pair lies in a failing layer pair with the
+        # smallest first layer
+        assert (got[0] // d, got[1] // d) in expect
+        assert got[0] // d == expect[0][0]
+
+
+@pytest.mark.parametrize("name", sorted(nilext_specs()))
+def test_recovered_isomorphism_matches_the_qbinom_loop(name):
+    mod, rec, hom = _recovered()[name]
+    assert _iso_from(rec.phi, hom) == rec.iso
+    _assert_qbinom_matches(rec.rebuilt.module.algebra, mod.algebra, rec.phi, hom)
+
+
+@given(st.sampled_from(sorted(nilext_specs())), st.data())
+@settings(max_examples=60, deadline=None)
+def test_perturbed_recovery_inputs_match_the_qbinom_loop(name, data):
+    mod, rec, hom = _recovered()[name]
+    m, n = mod.m, mod.algebra.dim
+    delta = data.draw(st.sampled_from([1, -1, CycNum.rational(m, "1/2")])) * \
+        zeta_power(m, data.draw(st.integers(0, m - 1)))
+    i, j, a = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    A, phi, rebuilt = mod.algebra, rec.phi, rec.rebuilt.module.algebra
+    if data.draw(st.booleans()):
+        rows = [list(r) for r in phi.rows]
+        rows[i][j] = rows[i][j] + delta
+        phi = Matrix(m, tuple(map(tuple, rows)))
+    else:
+        table = [list(map(list, row)) for row in A.mult]
+        table[i][j][a] = table[i][j][a] + delta
+        A = FinDimAlgebra(m, tuple(tuple(map(tuple, row)) for row in table),
+                          validate=False, autodetect_unit=False)
+        # B, its grading and the rebuilt extension come from the input table,
+        # as in recover_structure; inputs they reject never reach the law
+        try:
+            b_alg = subalgebra_on(A, rec.b_space)
+            if rec.b_grading.verify_multiplication(b_alg) is not None:
+                return
+            spec = NilpotentExtensionSpec(m=m, B=b_alg, grading=rec.b_grading)
+            rebuilt = build_nilpotent_extension(spec).module.algebra
+        except InputError:
+            return
+    _assert_qbinom_matches(rebuilt, A, phi, hom)
