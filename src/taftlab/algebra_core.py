@@ -112,16 +112,6 @@ class FinDimAlgebra:
                         acc[a] = acc[a] + coeff * c
         return tuple(acc)
 
-    def left_mult(self, x) -> Matrix:
-        cols = [self.multiply(x, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(self.m, tuple(tuple(cols[j][a] for j in range(self.dim))
-                                    for a in range(self.dim)))
-
-    def right_mult(self, x) -> Matrix:
-        cols = [self.multiply(self.basis_vector(j), x) for j in range(self.dim)]
-        return Matrix(self.m, tuple(tuple(cols[j][a] for j in range(self.dim))
-                                    for a in range(self.dim)))
-
     def left_mult_basis(self, i: int) -> Matrix:
         return Matrix(self.m, tuple(tuple(self.mult[i][j][a] for j in range(self.dim))
                                     for a in range(self.dim)))

@@ -30,8 +30,8 @@ from .algebra_core import (FinDimAlgebra, GradingDecomposition,
                            grading_from_c, jacobson_radical,
                            ideal_generated_by, subalgebra_on,
                            subspace_product)
-from .hmodule import (CertifiedSimple, HModuleAlgebra, _verify_module_iso,
-                      hma_verify, is_h_simple, operator_span_dim)
+from .hmodule import (CertifiedSimple, HModuleAlgebra, _normal_form_dim,
+                      _verify_module_iso, hma_verify, is_h_simple)
 from .qcombinatorics import QBinomTable
 from .taft_hopf import TaftAlgebra
 
@@ -424,16 +424,30 @@ def certify_graded_simple(B: FinDimAlgebra, grading: GradingDecomposition):
 
     A graded ideal is invariant under left and right multiplications and the
     grading projectors, so density of the algebra those generate rules out
-    any proper invariant subspace, graded ideals included.  Returns the
-    certificate, or None when density is not reached (which does NOT mean a
-    graded ideal exists; callers must treat None as not-certified).
+    any proper invariant subspace, graded ideals included.  That algebra is
+    span{L' R' P_g} (L' in F 1 + L(B), R' in F 1 + R(B)), since
+    P_g L_a = L_a P_{g-|a|} and P_g R_a = R_a P_{g-|a|} for homogeneous a,
+    and it is ranked in that form (hmodule._normal_form_dim).  The identity
+    needs a grading compatible with the multiplication, so a short span
+    first re-runs verify_multiplication and raises InputError if it fails.
+    Returns the certificate, or None when density is not reached (which
+    does NOT mean a graded ideal exists; callers must treat None as
+    not-certified).
     """
     if B.square_is_zero():
         return None
-    gens = [B.left_mult_basis(i) for i in range(B.dim)]
-    gens += [B.right_mult_basis(i) for i in range(B.dim)]
-    gens += grading.projectors()
-    dim, method = operator_span_dim(gens, B.dim, m=B.m)
+
+    def laws():
+        bad = grading.verify_multiplication(B)
+        if bad is not None:
+            raise InputError("grading incompatible with multiplication "
+                             "at components %r" % (bad,))
+
+    dim, method = _normal_form_dim(
+        [B.left_mult_basis(i) for i in range(B.dim)],
+        [B.right_mult_basis(i) for i in range(B.dim)],
+        grading.projectors(), lambda gens, mul, one: list(gens),
+        B.dim, B.m, laws)
     if dim != B.dim * B.dim:
         return None
     return GradedSimpleCertificate(operator_algebra_dim=dim, method=method)

@@ -5,8 +5,11 @@ operator matrices c_op and v_op.  Checking the module-algebra law on the
 generators c and v is enough: c and v generate H as an algebra, and the law
 h(ab) = sum (h_1 a)(h_2 b) is multiplicative in h (if it holds for g and h
 it holds for gh, because Delta is an algebra map).  hma_verify spells the
-generator checks out and records that derivation in its report.  The two
-laws c(ab) = c(a)c(b) and v(ab) = c(a)v(b) + v(a)b are checked exactly on
+generator checks out and records that derivation in its report.  The
+operator relations c^m = 1, v^m = 0 and vc = zeta cv are checked on the
+integer numerators of the two operators over their common denominator,
+each matrix product folded mod Phi_m.  The two laws c(ab) = c(a)c(b) and
+v(ab) = c(a)v(b) + v(a)b are checked exactly on
 every basis pair, in integers: the structure constants and both operators
 are written over one common denominator, each side becomes a sum of raw
 integer convolutions of their numerators, and a sum is reduced mod Phi_m
@@ -19,18 +22,24 @@ integer check in one routine, _multiplicative_witness, which
 _verify_module_iso and the generic isomorphism search call.
 
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
-density): spin the unital operator algebra generated by all left/right
+density): rank the unital operator algebra O generated by all left/right
 multiplications together with c_op and v_op; if it has dimension (dim A)^2
 it acts irreducibly, so no proper nonzero H-invariant ideal can exist, and
-with A*A != 0 that certifies simplicity.  The spin runs over a prime field
-F_p (p = 1 mod m, zeta sent to an order-m element), which can only
+with A*A != 0 that certifies simplicity.  The module-algebra laws put
+every element of O in the normal form L' R' c^s v^k (L' in F 1 + L(A),
+R' in F 1 + R(A)), so operator_span_dim ranks those (n+1)^2 m^2 explicit
+operators in blocks instead of spinning words.  The rank runs over a prime
+field F_p (p = 1 mod m, zeta sent to an order-m element), which can only
 underestimate the true span; reaching (dim A)^2 mod p is therefore a sound
-certificate, and a shortfall falls back to exact spinning on small
-algebras (dim A <= 10).  Tier 2 hunts for a witness: invariant-ideal
-closures seeded from eigenvectors, basis vectors, kernels, and five fixed
-pseudo-random vectors (seed 0); any proper nonzero closed subspace is
-returned as a verified witness.  If both tiers come back empty the result
-is Inconclusive, never a guess.
+certificate, whether or not the laws hold, since every L' R' c^s v^k is a
+word in the generators.  A shortfall is the dimension of O only when the
+laws hold, so hma_verify runs first on that path and a module that fails
+it raises InputError; then small algebras (dim A <= 10) are ranked
+exactly.  Tier 2 hunts for a witness: invariant-ideal closures seeded from
+eigenvectors, basis vectors, kernels, and five fixed pseudo-random vectors
+(seed 0); any proper nonzero closed subspace is returned as a verified
+witness.  If both tiers come back empty the result is Inconclusive, never
+a guess.
 """
 
 from __future__ import annotations
@@ -128,14 +137,10 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
     """Check the Taft relations on operators and the module-algebra law on
     generators, over all basis pairs."""
     rep = HmaReport()
-    A, m = mod.algebra, mod.m
-    n = A.dim
-    ident = Matrix.identity(m, n)
-    z = zeta_power(m, 1)
+    A = mod.algebra
 
-    rep.add("c_order", mod.c_op ** m == ident)
-    rep.add("v_nilpotent", (mod.v_op ** m).is_zero())
-    rep.add("vc_commutation", mod.v_op @ mod.c_op == (mod.c_op @ mod.v_op) * z)
+    for name, ok in _operator_relations(mod):
+        rep.add(name, ok)
 
     c_wit, v_wit = _module_law_witnesses(mod)
     rep.add("c_multiplicative", c_wit is None, c_wit)
@@ -145,6 +150,53 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
         rep.add("c_fixes_unit", mod.c_op.apply(A.unit) == tuple(A.unit))
         rep.add("v_kills_unit", vec_is_zero(mod.v_op.apply(A.unit)))
     return rep
+
+
+def _int_matmul(m: int, x, y) -> list:
+    """The columns of x y for column lists as _columns gives them, each
+    entry folded mod Phi_m, so equal products have equal columns: column j
+    is the sum of y[k][j] times column k of x."""
+    out = []
+    for col in y:
+        acc = raw_sums(m)
+        for k, a in col:
+            add_products(acc, a, x[k])
+        entries = []
+        for b in sorted(acc):
+            num = tuple((s, u) for s, u in enumerate(fold(m, acc[b])) if u)
+            if num:
+                entries.append((b, num))
+        out.append(entries)
+    return out
+
+
+def _int_power(m: int, x, e: int) -> list:
+    """x^e (e >= 1) by repeated squaring on _int_matmul."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else _int_matmul(m, result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = _int_matmul(m, x, x)
+
+
+def _operator_relations(mod: HModuleAlgebra) -> list:
+    """(name, holds) for c^m = 1, v^m = 0 and v c = zeta c v, decided on
+    integer numerators: over the common denominator E of both operators,
+    C = E c and V = E v, the relations read C^m = E^m 1, V^m = 0 and
+    V C = C (zeta V)."""
+    m, n = mod.m, mod.algebra.dim
+    big = lcm(1, *(x.den for op in (mod.c_op, mod.v_op)
+                   for row in op.rows for x in row))
+    c, v = _columns(mod.c_op, 1, big), _columns(mod.v_op, 1, big)
+    zeta = tuple((s, u) for s, u in enumerate(zeta_power(m, 1).num) if u)
+    zv = _int_matmul(m, [[(a, zeta)] for a in range(n)], v)
+    return [("c_order", _int_power(m, c, m)
+             == [[(a, ((0, big ** m),))] for a in range(n)]),
+            ("v_nilpotent", not any(_int_power(m, v, m))),
+            ("vc_commutation", _int_matmul(m, v, c) == _int_matmul(m, c, zv))]
 
 
 def _scaled(cells, factor: int) -> list:
@@ -303,92 +355,141 @@ class Inconclusive:
     detail: str
 
 
-def _action_generators(mod: HModuleAlgebra) -> list:
-    A = mod.algebra
-    gens = [A.left_mult_basis(i) for i in range(A.dim)]
-    gens += [A.right_mult_basis(i) for i in range(A.dim)]
-    gens += [mod.c_op, mod.v_op]
-    return gens
-
-
-def _spin_dim_modp(gens, n: int, m: int, p: int) -> int:
-    """Dimension of the span of all words in gens (with identity) over F_p."""
-    w = root_of_unity_mod(m, p)
-    gmods = [matrix_to_modp(g, p, w) for g in gens]
+def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
+    """Dimension over F_p of span{L' R' h}: the products L' R' first, one
+    block per L', then U h for U the basis of their span, until the span
+    is full."""
     eb = ModpEchelon(n * n, p)
-    ident = np.eye(n, dtype=np.int64)
-    eb.insert(ident.reshape(-1))
-    queue = [ident]
-    while queue:
-        word = queue.pop()
-        for g in gmods:
-            prod = (word @ g) % p
-            if eb.insert(prod.reshape(-1)):
-                queue.append(prod)
-                if eb.dim == n * n:
-                    return eb.dim
+    one = np.eye(n, dtype=eb.dtype)
+    rs = np.concatenate([one[None], np.array(rights, dtype=eb.dtype)])
+    for x in [one] + [np.asarray(x, dtype=eb.dtype) for x in lefts]:
+        eb.insert_block((x @ rs).reshape(-1, n * n))
+        if eb.dim == n * n:
+            return eb.dim
+    # U h row-major: row (u, i) of the stacked U, times h, is row i of U_u h;
+    # blocks of CHUNK elements of U keep the temporaries small
+    us = eb.rows.reshape(-1, n).copy()
+    step = eb.CHUNK * n
+    for h in twists:
+        h = h.astype(eb.dtype)
+        for lo in range(0, len(us), step):
+            eb.insert_block((us[lo:lo + step] @ h).reshape(-1, n * n))
+            if eb.dim == n * n:
+                return eb.dim
     return eb.dim
 
 
-def _spin_dim_exact(gens, n: int, m: int) -> int:
+def _normal_form_exact(lefts, rights, twists, n: int, m: int) -> int:
+    """_normal_form_modp over Q(zeta_m), on EchelonBasis."""
     eb = EchelonBasis(m, n * n)
-    ident = Matrix.identity(m, n)
+    one = Matrix.identity(m, n)
 
     def flat(mat):
         return tuple(x for row in mat.rows for x in row)
 
-    eb.insert(flat(ident))
-    queue = [ident]
-    while queue:
-        word = queue.pop()
-        for g in gens:
-            prod = word @ g
-            if eb.insert(flat(prod)):
-                queue.append(prod)
-                if eb.dim == n * n:
-                    return eb.dim
+    for x in [one] + lefts:
+        for y in [one] + rights:
+            eb.insert(flat(x @ y))
+            if eb.dim == n * n:
+                return eb.dim
+    us = [Matrix(m, tuple(row[i * n:(i + 1) * n] for i in range(n)))
+          for row in eb.rows()]
+    for h in twists:
+        for u in us:
+            eb.insert(flat(u @ h))
+            if eb.dim == n * n:
+                return eb.dim
     return eb.dim
 
 
-def operator_span_dim(mod_or_gens, n: int | None = None, *, m: int | None = None,
-                      exact_max_dim: int = 10):
-    """(dim, method) for the unital operator algebra generated by the inputs.
+def _taft_monomials(gens, mul, one, m: int) -> list:
+    """The operators c^s v^k for 0 <= s, k < m but (s, k) != (0, 0), from
+    gens = (c, v), products taken by mul, in order of degree s + k: the
+    generators come first, and often fill the span alone."""
+    c, v = gens
+    cs, vs = [one], [one]
+    for _ in range(m - 1):
+        cs.append(mul(cs[-1], c))
+        vs.append(mul(vs[-1], v))
+    keys = sorted((s + k, s, k) for s in range(m) for k in range(m))
+    return [mul(cs[s], vs[k]) for _, s, k in keys[1:]]
 
-    Tries prime-field spinning first (sound upper certificate when the span
-    fills); falls back to exact spinning when the modular result is short
-    and the algebra is small enough to afford it, else reports the modular
-    dimension as a lower bound.
+
+def _normal_form_dim(lefts, rights, gens, twists, n: int, m: int, laws,
+                     exact_max_dim: int = 10):
+    """(dim, method) of span{L' R' h}, L' over 1 and lefts, R' over 1 and
+    rights, h over twists(gens, mul, one) and 1.
+
+    Each L' R' h is a word in lefts, rights and gens, so a full span
+    certifies density whatever the input.  A short span is the dimension
+    of the algebra they generate only when its laws put every word in that
+    form, so laws() runs first and raises InputError if they fail.  The
+    span is ranked over F_p for the first of three primes that reduces
+    every matrix; a short result is ranked exactly when n <= exact_max_dim
+    and is otherwise reported as a lower bound.
     """
-    if isinstance(mod_or_gens, HModuleAlgebra):
-        gens = _action_generators(mod_or_gens)
-        n = mod_or_gens.algebra.dim
-        m = mod_or_gens.m
-    else:
-        gens = list(mod_or_gens)
-        if n is None or m is None:
-            raise InputError("operator_span_dim needs n and m with a raw generator list")
     last = None
-    # up to three primes: the first that reduces all the generators is used
     for skip in range(3):
         p = modular_prime(m, skip)
+        w = root_of_unity_mod(m, p)
         try:
-            d = _spin_dim_modp(gens, n, m, p)
+            ls, rs, gs = ([matrix_to_modp(x, p, w) for x in mats]
+                          for mats in (lefts, rights, gens))
         except ModReductionError:
             continue
-        last = (d, "operator span mod p=%d" % p)
-        if d == n * n:
+        hs = twists(gs, lambda x, y: x @ y % p, np.eye(n, dtype=np.int64))
+        last = (_normal_form_modp(ls, rs, hs, n, p),
+                "operator span mod p=%d" % p)
+        if last[0] == n * n:
             return last
         break
+    laws()
     if n <= exact_max_dim:
-        d = _spin_dim_exact(gens, n, m)
-        return (d, "operator span, exact")
+        hs = twists(list(gens), Matrix.__matmul__, Matrix.identity(m, n))
+        return (_normal_form_exact(lefts, rights, hs, n, m),
+                "operator span, exact")
     if last is not None:
         return (last[0], last[1] + " (lower bound)")
     return (0, "no usable reduction prime")
 
 
+def operator_span_dim(mod: HModuleAlgebra, *, exact_max_dim: int = 10):
+    """(dim, method) for the unital operator algebra O generated by the
+    L(e_i), R(e_i), c and v of a module algebra.
+
+    The module-algebra laws normal-order every word: v L_a = L_{c(a)} v +
+    L_{v(a)}, v R_b = R_b v + R_{v(b)} c, c L_a = L_{c(a)} c,
+    c R_b = R_{c(b)} c, and L_a R_b = R_b L_a by associativity.  So
+    O = span{L' R' c^s v^k} with L' in F 1 + L(A) and R' in F 1 + R(A),
+    at most (n+1)^2 m^2 explicit operators, which are ranked instead of
+    spinning words.  A full span certifies density even when the laws fail;
+    a short one is trusted only after hma_verify passes, and a module that
+    fails it raises InputError.  Modular and exact ranks, primes and method
+    strings are those of the word spin on every module whose laws hold.
+    """
+    A, m = mod.algebra, mod.m
+
+    def laws():
+        failed = [name for name, _ in hma_verify(mod).failed()]
+        if failed:
+            raise InputError("module-algebra laws fail: %s; a short operator "
+                             "span decides nothing without them"
+                             % ", ".join(failed))
+
+    return _normal_form_dim(
+        [A.left_mult_basis(i) for i in range(A.dim)],
+        [A.right_mult_basis(i) for i in range(A.dim)],
+        (mod.c_op, mod.v_op),
+        lambda gens, mul, one: _taft_monomials(gens, mul, one, m),
+        A.dim, m, laws, exact_max_dim)
+
+
 def is_h_simple(mod: HModuleAlgebra):
-    """Decide H-simplicity: CertifiedSimple / NotSimple(witness) / Inconclusive."""
+    """Decide H-simplicity: CertifiedSimple / NotSimple(witness) / Inconclusive.
+
+    Tier 1 is operator_span_dim: a full normal-form span certifies, and a
+    short one is trusted only after hma_verify passes (InputError if not).
+    """
     A = mod.algebra
     n = A.dim
     if n == 0 or A.square_is_zero():

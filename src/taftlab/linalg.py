@@ -15,8 +15,6 @@ meets an exact bound from the other side.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .cyclotomic import CycNum
@@ -175,9 +173,6 @@ class Matrix:
                     acc = acc + c * x
             out.append(acc)
         return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.m, tuple(zip(*self.rows)) if self.rows else ())
 
     def trace(self) -> CycNum:
         acc = CycNum.zero(self.m)
@@ -597,39 +592,124 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return r
 
 
+
+
 class ModpEchelon:
-    """Incremental RREF accumulator over F_p on numpy rows."""
+    """Reduced row echelon accumulator over F_p on preallocated numpy rows.
+
+    The rows have unit pivots and are mutually reduced, so the residual of
+    a whole block against the span is one matrix product,
+    B - B[:, pivots] @ rows.  Entries stay in [0, p), so every product sums
+    at most ncols terms below p^2: the kernel runs on float64 (BLAS) when
+    p^2 * ncols < 2^53, on int64 when p^2 * ncols < 2^63, and refuses a
+    wider accumulator before allocating anything.  Rows narrower than
+    FLOAT_MIN_WIDTH stay on int64: numpy's own products cost tens of
+    milliseconds there, and BLAS would keep about 1 MB of packing buffers
+    resident.
+    """
+
+    CHUNK = 32  # new rows eliminated among themselves before one basis update
+    FLOAT_MIN_WIDTH = 512
+    # bytes of rows reserved up front: np.zeros pages cost no memory until a
+    # row is written, so a basis rarely has to grow and copy itself
+    RESERVE = 1 << 24
 
     def __init__(self, ncols: int, p: int):
+        bound = p * p * max(ncols, 1)
+        if bound < 1 << 53 and ncols >= self.FLOAT_MIN_WIDTH:
+            dtype = np.float64
+        elif bound < 1 << 63:
+            dtype = np.int64
+        else:
+            raise OverflowError("p^2 * width = %d overflows a 64-bit "
+                                "accumulator (p = %d, width %d)"
+                                % (bound, p, ncols))
         self.p = p
         self.ncols = ncols
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.pivcols = []
+        self.dtype = dtype
+        cap = max(self.CHUNK, self.RESERVE // (8 * max(ncols, 1)))
+        self._rows = np.zeros((min(ncols, cap), ncols), dtype=dtype)
+        self._piv = np.zeros(ncols, dtype=np.intp)
+        self._dim = 0
 
     @property
     def dim(self) -> int:
-        return len(self.pivcols)
+        return self._dim
 
-    def residual(self, vec: np.ndarray) -> np.ndarray:
-        v = vec % self.p
-        if self.pivcols:
-            coeffs = v[self.pivcols]
-            if coeffs.any():
-                v = (v - coeffs @ self.rows) % self.p
-        return v
+    @property
+    def rows(self) -> np.ndarray:
+        """The basis rows (a view), in insertion order."""
+        return self._rows[:self._dim]
 
-    def insert(self, vec: np.ndarray) -> bool:
-        v = self.residual(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), self.p - 2, self.p)) % self.p
-        if self.dim:
-            col = self.rows[:, piv].copy()
-            mask = np.nonzero(col)[0]
-            if mask.size:
-                self.rows[mask] = (self.rows[mask] - np.outer(col[mask], v)) % self.p
-        self.rows = np.vstack([self.rows, v[None, :]])
-        self.pivcols.append(piv)
-        return True
+    @property
+    def pivcols(self) -> list:
+        return self._piv[:self._dim].tolist()
+
+    def residual(self, block) -> np.ndarray:
+        """The rows of block (or one vector) reduced against the span: zero
+        in every pivot column, entries in [0, p)."""
+        res = np.remainder(block, self.p).astype(self.dtype, copy=False)
+        return self._reduce(res, 0)
+
+    def _reduce(self, res, start: int) -> np.ndarray:
+        """res reduced against the basis rows from start on."""
+        if self._dim == start:
+            return res
+        out = res[..., self._piv[start:self._dim]] @ self._rows[start:self._dim]
+        np.subtract(res, out, out=out)
+        return np.remainder(out, self.p, out=out)
+
+    def insert(self, vec) -> bool:
+        """Add one vector; True if the dimension grew."""
+        return self.insert_block(np.asarray(vec)[None, :]) > 0
+
+    def insert_block(self, block) -> int:
+        """Add every row of block to the span; the number of new pivots.
+
+        The block is reduced against the basis with one product, its nonzero
+        residuals are eliminated CHUNK rows at a time, and each chunk's new
+        pivots are cleared from the older rows with one product more.
+        """
+        res = self.residual(block)
+        keep = res.any(axis=1)
+        if not keep.all():
+            res = res[keep]
+        start = self._dim
+        for lo in range(0, len(res), self.CHUNK):
+            if self._dim == self.ncols:
+                break
+            self._absorb(self._reduce(res[lo:lo + self.CHUNK], start))
+        return self._dim - start
+
+    def _absorb(self, chunk) -> None:
+        """Append the independent rows of chunk, which is zero in every pivot
+        column, and keep the whole basis reduced."""
+        p, old = self.p, self._dim
+        if old + len(chunk) > len(self._rows):
+            grown = np.zeros((min(self.ncols, max(2 * len(self._rows),
+                                                  old + len(chunk))),
+                              self.ncols), dtype=self.dtype)
+            grown[:old] = self._rows[:old]
+            self._rows = grown
+        rows, piv = self._rows, self._piv
+        for i in range(len(chunk)):
+            nz = np.flatnonzero(chunk[i])
+            if nz.size == 0:
+                continue
+            col = int(nz[0])
+            row = chunk[i] * pow(int(chunk[i, col]), p - 2, p) % p
+            # clear the new pivot column from the rows of this chunk only;
+            # the older rows get all of the chunk's pivots at once below
+            for part in (rows[old:self._dim], chunk[i + 1:]):
+                hit = np.flatnonzero(part[:, col])
+                if hit.size:
+                    part[hit] = (part[hit]
+                                 - np.outer(part[hit, col], row)) % p
+            rows[self._dim] = row
+            piv[self._dim] = col
+            self._dim += 1
+        if old and self._dim > old:
+            coef = rows[:old][:, piv[old:self._dim]]
+            hit = np.flatnonzero(coef.any(axis=1))
+            if hit.size:
+                rows[hit] = (rows[hit] - coef[hit] @ rows[old:self._dim]) % p

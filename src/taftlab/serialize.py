@@ -435,7 +435,7 @@ def nilext_spec_to_json(spec: NilpotentExtensionSpec, c_op: Matrix) -> dict:
 def grading_to_c_matrix(grading: GradingDecomposition) -> Matrix:
     """The diagonalizable operator acting by zeta^i on component i."""
     from .cyclotomic import zeta_power
-    from .linalg import EchelonBasis, vec_scale
+    from .linalg import vec_scale
     m, n = grading.m, grading.ambient
     cols = []
     vecs = []

@@ -274,9 +274,6 @@ class TaftAlgebra:
             return None
         return ((i + j) % self.m, k + l), zeta_power(self.m, k * j)
 
-    def product(self, x: HopfElement, y: HopfElement) -> HopfElement:
-        return x * y
-
     def counit(self, x: HopfElement) -> CycNum:
         acc = CycNum.zero(self.m)
         for (i, k), c in x.terms.items():

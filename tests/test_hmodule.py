@@ -150,15 +150,6 @@ def test_operator_span_backends_agree():
     assert "mod p" in method or "exact" in method
 
 
-def test_operator_span_on_raw_generators():
-    # the identity alone spans a 1-dim operator algebra
-    gens = [Matrix.identity(2, 3)]
-    d, _ = operator_span_dim(gens, 3, m=2)
-    assert d == 1
-    with pytest.raises(InputError, match="needs n and m"):
-        operator_span_dim(gens)
-
-
 def test_self_isomorphism_is_identity():
     mod = sweedler_two_dim()
     T = hma_isomorphic_generic(mod, mod)
