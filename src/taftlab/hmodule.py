@@ -360,9 +360,9 @@ def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
     block per L', then U h for U the basis of their span, until the span
     is full."""
     eb = ModpEchelon(n * n, p)
-    one = np.eye(n, dtype=eb.dtype)
-    rs = np.concatenate([one[None], np.array(rights, dtype=eb.dtype)])
-    for x in [one] + [np.asarray(x, dtype=eb.dtype) for x in lefts]:
+    one = np.eye(n, dtype=np.int64)
+    rs = np.concatenate([one[None], np.array(rights, dtype=np.int64)])
+    for x in [one] + list(lefts):
         eb.insert_block((x @ rs).reshape(-1, n * n))
         if eb.dim == n * n:
             return eb.dim
@@ -371,7 +371,6 @@ def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
     us = eb.rows.reshape(-1, n).copy()
     step = eb.CHUNK * n
     for h in twists:
-        h = h.astype(eb.dtype)
         for lo in range(0, len(us), step):
             eb.insert_block((us[lo:lo + step] @ h).reshape(-1, n * n))
             if eb.dim == n * n:

@@ -595,40 +595,28 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 
 
 class ModpEchelon:
-    """Reduced row echelon accumulator over F_p on preallocated numpy rows.
+    """Reduced row echelon accumulator over F_p on preallocated int64 rows.
 
     The rows have unit pivots and are mutually reduced, so the residual of
     a whole block against the span is one matrix product,
     B - B[:, pivots] @ rows.  Entries stay in [0, p), so every product sums
-    at most ncols terms below p^2: the kernel runs on float64 (BLAS) when
-    p^2 * ncols < 2^53, on int64 when p^2 * ncols < 2^63, and refuses a
-    wider accumulator before allocating anything.  Rows narrower than
-    FLOAT_MIN_WIDTH stay on int64: numpy's own products cost tens of
-    milliseconds there, and BLAS would keep about 1 MB of packing buffers
-    resident.
+    at most ncols terms below p^2 and is exact while p^2 * ncols < 2^63; a
+    wider accumulator is refused before anything is allocated.  All ncols
+    rows a basis can hold are allocated at once: np.zeros pages cost no
+    memory until a row is written.
     """
 
     CHUNK = 32  # new rows eliminated among themselves before one basis update
-    FLOAT_MIN_WIDTH = 512
-    # bytes of rows reserved up front: np.zeros pages cost no memory until a
-    # row is written, so a basis rarely has to grow and copy itself
-    RESERVE = 1 << 24
 
     def __init__(self, ncols: int, p: int):
         bound = p * p * max(ncols, 1)
-        if bound < 1 << 53 and ncols >= self.FLOAT_MIN_WIDTH:
-            dtype = np.float64
-        elif bound < 1 << 63:
-            dtype = np.int64
-        else:
+        if bound >= 1 << 63:
             raise OverflowError("p^2 * width = %d overflows a 64-bit "
                                 "accumulator (p = %d, width %d)"
                                 % (bound, p, ncols))
         self.p = p
         self.ncols = ncols
-        self.dtype = dtype
-        cap = max(self.CHUNK, self.RESERVE // (8 * max(ncols, 1)))
-        self._rows = np.zeros((min(ncols, cap), ncols), dtype=dtype)
+        self._rows = np.zeros((ncols, ncols), dtype=np.int64)
         self._piv = np.zeros(ncols, dtype=np.intp)
         self._dim = 0
 
@@ -648,14 +636,20 @@ class ModpEchelon:
     def residual(self, block) -> np.ndarray:
         """The rows of block (or one vector) reduced against the span: zero
         in every pivot column, entries in [0, p)."""
-        res = np.remainder(block, self.p).astype(self.dtype, copy=False)
+        res = np.remainder(block, self.p).astype(np.int64, copy=False)
         return self._reduce(res, 0)
 
     def _reduce(self, res, start: int) -> np.ndarray:
         """res reduced against the basis rows from start on."""
         if self._dim == start:
             return res
-        out = res[..., self._piv[start:self._dim]] @ self._rows[start:self._dim]
+        coef = res[..., self._piv[start:self._dim]]
+        rows = self._rows[start:self._dim]
+        # only the rows whose pivot column res touches contribute
+        used = np.flatnonzero(np.atleast_2d(coef).any(axis=0))
+        if len(used) < len(rows):
+            coef, rows = coef[..., used], rows[used]
+        out = coef @ rows
         np.subtract(res, out, out=out)
         return np.remainder(out, self.p, out=out)
 
@@ -685,12 +679,6 @@ class ModpEchelon:
         """Append the independent rows of chunk, which is zero in every pivot
         column, and keep the whole basis reduced."""
         p, old = self.p, self._dim
-        if old + len(chunk) > len(self._rows):
-            grown = np.zeros((min(self.ncols, max(2 * len(self._rows),
-                                                  old + len(chunk))),
-                              self.ncols), dtype=self.dtype)
-            grown[:old] = self._rows[:old]
-            self._rows = grown
         rows, piv = self._rows, self._piv
         for i in range(len(chunk)):
             nz = np.flatnonzero(chunk[i])

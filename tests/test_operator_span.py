@@ -322,12 +322,15 @@ def _blocks(draw):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, (k, r)) @ rng.integers(0, 3, (r, w)) if r else \
         np.zeros((k, w), dtype=np.int64)
+    if draw(st.booleans()):
+        # sparse rows touch few pivot columns, so few basis rows reduce them
+        a = a * (rng.random((k, w)) < 0.15)
     cuts = sorted(draw(st.lists(st.integers(0, k), max_size=4)))
     return p, a % p, cuts
 
 
 def _assert_reduced(eb):
-    rows = eb.rows.astype(np.int64)
+    rows = eb.rows
     piv = eb.pivcols
     assert len(set(piv)) == len(piv)
     assert (rows[:, piv] == np.eye(len(piv), dtype=np.int64)).all()
@@ -336,16 +339,12 @@ def _assert_reduced(eb):
         assert not row[:col].any()
 
 
-@given(_blocks(), st.sampled_from([0, ModpEchelon.FLOAT_MIN_WIDTH]))
+@given(_blocks())
 @settings(max_examples=120, deadline=None)
-def test_block_insert_matches_rank_mod_p(drawn, float_min_width):
-    # float_min_width 0 puts even these narrow rows on the float64 path
+def test_block_insert_matches_rank_mod_p(drawn):
     p, a, cuts = drawn
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ModpEchelon, "FLOAT_MIN_WIDTH", float_min_width)
-        eb = ModpEchelon(a.shape[1], p)
-        one = ModpEchelon(a.shape[1], p)
-    assert eb.dtype == (np.float64 if float_min_width == 0 else np.int64)
+    eb = ModpEchelon(a.shape[1], p)
+    one = ModpEchelon(a.shape[1], p)
     grown = sum(eb.insert_block(part) for part in np.split(a, cuts))
     assert grown == eb.dim == rank_mod_p(a, p)
     _assert_reduced(eb)
@@ -355,10 +354,7 @@ def test_block_insert_matches_rank_mod_p(drawn, float_min_width):
     assert np.array_equal(np.sort(one.pivcols), np.sort(eb.pivcols))
 
 
-@pytest.mark.parametrize("reserve", [ModpEchelon.RESERVE, 0])
-def test_block_insert_chunks_a_tall_block(monkeypatch, reserve):
-    # with nothing reserved the rows start at one chunk and have to grow
-    monkeypatch.setattr(ModpEchelon, "RESERVE", reserve)
+def test_block_insert_chunks_a_tall_block():
     p = modular_prime(3)
     rng = np.random.default_rng(5)
     a = rng.integers(0, p, (150, 40)) @ rng.integers(0, p, (40, 90)) % p
@@ -368,18 +364,33 @@ def test_block_insert_chunks_a_tall_block(monkeypatch, reserve):
     _assert_reduced(eb)
     assert eb.insert_block(a[:7]) == 0
     assert not eb.residual(a).any()
+    # sparse rows: each later chunk meets only a few of the new rows that
+    # the block's earlier chunks added
+    s = a * (rng.random(a.shape) < 0.04)
+    eb = ModpEchelon(90, p)
+    eb.insert_block(s[:10])
+    assert eb.insert_block(s) > 2 * eb.CHUNK
+    assert eb.dim == rank_mod_p(s, p)
+    _assert_reduced(eb)
+    assert not eb.residual(s).any()
 
 
-def test_accumulator_follows_the_overflow_bound():
+def test_full_rank_insert_fills_the_rows_in_place():
+    # every row a basis can hold is allocated once; filling them copies none
     p = modular_prime(4)
-    assert ModpEchelon(1296, p).dtype == np.float64
-    assert ModpEchelon(ModpEchelon.FLOAT_MIN_WIDTH - 1, p).dtype == np.int64
-    # p^2 * width past 2^53 but below 2^63: int64, still exact
-    wide = ModpEchelon((1 << 53) // (p * p) + 1, p)
-    assert wide.dtype == np.int64
+    rng = np.random.default_rng(7)
+    eb = ModpEchelon(70, p)
+    rows = eb._rows
+    assert rows.shape == (70, 70)
+    for part in np.split(rng.integers(0, p, (90, 70)), [33, 60]):
+        eb.insert_block(part)
+    assert eb.dim == 70 and eb._rows is rows
+    _assert_reduced(eb)
+
+
+def test_products_are_exact_up_to_the_overflow_bound():
     big = 1073741827  # a prime near 2^30: p^2 * 4 < 2^63 <= p^2 * 8
     eb = ModpEchelon(4, big)
-    assert eb.dtype == np.int64
     a = np.array([[big - 1, 2, 3, 5], [1, big - 2, big - 3, big - 5],
                   [0, 1, 1, 0]], dtype=np.int64)
     assert eb.insert_block(a) == rank_mod_p(a, big) == 2
