@@ -44,6 +44,25 @@ def _check_square(name: str, mat: Matrix, m: int, k: int):
         raise InputError("%s must be a %d x %d matrix over Q(zeta_%d)" % (name, k, k, m))
 
 
+def _check_rotation_data(m: int, k: int, t: int, P: Matrix,
+                         Q: Matrix) -> Matrix:
+    """Q^{-1}, after checking t | m, P and Q square, Q invertible,
+    Q^{m/t} = E and QPQ^{-1} = zeta^{-t} P, in that order."""
+    if t < 1 or m % t != 0:
+        raise InputError("t = %r does not divide m = %r" % (t, m))
+    _check_square("P", P, m, k)
+    _check_square("Q", Q, m, k)
+    try:
+        qinv = Q.inverse()
+    except InputError:
+        raise InputError("Q is singular")
+    if Q ** (m // t) != Matrix.identity(m, k):
+        raise InputError("Q^(m/t) is not the identity")
+    if Q @ P @ qinv != P * zeta_power(m, -t):
+        raise InputError("QPQ^{-1} = zeta^{-t} P fails")
+    return qinv
+
+
 @dataclass(frozen=True)
 class SemisimpleSpec:
     """Defining data (m, k, t, P, Q) for a block-rotation module algebra.
@@ -64,18 +83,7 @@ class SemisimpleSpec:
             raise InputError("conductor must be at least 2")
         if k < 1:
             raise InputError("matrix size must be positive")
-        if t < 1 or m % t != 0:
-            raise InputError("t = %r does not divide m = %r" % (t, m))
-        _check_square("P", self.P, m, k)
-        _check_square("Q", self.Q, m, k)
-        try:
-            qinv = self.Q.inverse()
-        except InputError:
-            raise InputError("Q is singular")
-        if self.Q ** (m // t) != Matrix.identity(m, k):
-            raise InputError("Q^(m/t) is not the identity")
-        if self.Q @ self.P @ qinv != self.P * zeta_power(m, -t):
-            raise InputError("QPQ^{-1} = zeta^{-t} P fails")
+        _check_rotation_data(m, k, t, self.P, self.Q)
         if (self.P ** m).is_scalar() is None:
             raise InputError("P^m is not a scalar matrix")
 
@@ -127,19 +135,13 @@ def semisimple_operators(m: int, k: int, t: int, P: Matrix, Q: Matrix):
     what lets tests exhibit v_op^m != 0, the obstruction that forces the
     condition in the first place.
     """
-    if t < 1 or m % t != 0:
-        raise InputError("t = %r does not divide m = %r" % (t, m))
-    _check_square("P", P, m, k)
-    _check_square("Q", Q, m, k)
-    try:
-        qinv = Q.inverse()
-    except InputError:
-        raise InputError("Q is singular")
-    if Q ** (m // t) != Matrix.identity(m, k):
-        raise InputError("Q^(m/t) is not the identity")
-    if Q @ P @ qinv != P * zeta_power(m, -t):
-        raise InputError("QPQ^{-1} = zeta^{-t} P fails")
+    qinv = _check_rotation_data(m, k, t, P, Q)
+    return _rotation_operators(m, k, t, P, Q, qinv)
 
+
+def _rotation_operators(m: int, k: int, t: int, P: Matrix, Q: Matrix,
+                        qinv: Matrix):
+    """semisimple_operators on data _check_rotation_data has passed."""
     n = t * k * k
     zero_k = Matrix.zeros(m, k, k)
     units = _block_matrix_units(m, k)
@@ -188,8 +190,9 @@ def semisimple_operators(m: int, k: int, t: int, P: Matrix, Q: Matrix):
 
 
 def build_semisimple(spec: SemisimpleSpec, hopf: TaftAlgebra | None = None) -> HModuleAlgebra:
-    algebra, c_op, v_op = semisimple_operators(spec.m, spec.k, spec.t,
-                                               spec.P, spec.Q)
+    # the spec checked its data when it was made
+    algebra, c_op, v_op = _rotation_operators(spec.m, spec.k, spec.t, spec.P,
+                                              spec.Q, spec.Q.inverse())
     H = hopf if hopf is not None else TaftAlgebra(spec.m)
     return HModuleAlgebra(H, algebra, c_op, v_op)
 
@@ -444,10 +447,7 @@ def certify_graded_simple(B: FinDimAlgebra, grading: GradingDecomposition):
                              "at components %r" % (bad,))
 
     dim, method = _normal_form_dim(
-        [B.left_mult_basis(i) for i in range(B.dim)],
-        [B.right_mult_basis(i) for i in range(B.dim)],
-        grading.projectors(), lambda gens, mul, one: list(gens),
-        B.dim, B.m, laws)
+        B, grading.projectors(), lambda gens, mul, one: list(gens), laws)
     if dim != B.dim * B.dim:
         return None
     return GradedSimpleCertificate(operator_algebra_dim=dim, method=method)

@@ -414,30 +414,58 @@ def _taft_monomials(gens, mul, one, m: int) -> list:
     return [mul(cs[s], vs[k]) for _, s, k in keys[1:]]
 
 
-def _normal_form_dim(lefts, rights, gens, twists, n: int, m: int, laws,
-                     exact_max_dim: int = 10):
-    """(dim, method) of span{L' R' h}, L' over 1 and lefts, R' over 1 and
-    rights, h over twists(gens, mul, one) and 1.
+def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
+    """T[i, j, a] = mult[i][j][a] over F_p, read from the integer view.
 
-    Each L' R' h is a word in lefts, rights and gens, so a full span
+    Raises ModReductionError exactly when cyc_to_modp would on some
+    structure constant: the common denominator D is divisible by the prime
+    p just when one of their denominators is.
+    """
+    den, cells = A._integer_view()
+    if den % p == 0:
+        raise ModReductionError("denominator divisible by %d" % p)
+    n = A.dim
+    zpow = [pow(zeta_mod, s, p) for s in range(A.m)]
+    dinv = pow(den, p - 2, p)
+    index, values = [], []
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for a, nums in cell:
+                index.append((i * n + j) * n + a)
+                values.append(sum(u * zpow[s] for s, u in nums) * dinv % p)
+    table = np.zeros(n ** 3, dtype=np.int64)
+    table[index] = values
+    return table.reshape(n, n, n)
+
+
+def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws,
+                     exact_max_dim: int = 10):
+    """(dim, method) of span{L' R' h}, L' over 1 and the L(e_i), R' over 1
+    and the R(e_i) of A, h over twists(gens, mul, one) and 1.
+
+    Each L' R' h is a word in the L(e_i), R(e_i) and gens, so a full span
     certifies density whatever the input.  A short span is the dimension
     of the algebra they generate only when its laws put every word in that
     form, so laws() runs first and raises InputError if they fail.  The
-    span is ranked over F_p for the first of three primes that reduces
-    every matrix; a short result is ranked exactly when n <= exact_max_dim
-    and is otherwise reported as a lower bound.
+    span is ranked over F_p for the first of three primes that reduces the
+    structure constants and gens, with the L and R stacks read off one
+    reduced table; a short result is ranked exactly when dim A <=
+    exact_max_dim and is otherwise reported as a lower bound.
     """
+    n, m = A.dim, A.m
     last = None
     for skip in range(3):
         p = modular_prime(m, skip)
         w = root_of_unity_mod(m, p)
         try:
-            ls, rs, gs = ([matrix_to_modp(x, p, w) for x in mats]
-                          for mats in (lefts, rights, gens))
+            table = _table_modp(A, p, w)
+            gs = [matrix_to_modp(x, p, w) for x in gens]
         except ModReductionError:
             continue
         hs = twists(gs, lambda x, y: x @ y % p, np.eye(n, dtype=np.int64))
-        last = (_normal_form_modp(ls, rs, hs, n, p),
+        # L(e_i)[a, j] = T[i, j, a] and R(e_i)[a, j] = T[j, i, a]
+        last = (_normal_form_modp(table.transpose(0, 2, 1),
+                                  table.transpose(1, 2, 0), hs, n, p),
                 "operator span mod p=%d" % p)
         if last[0] == n * n:
             return last
@@ -445,7 +473,9 @@ def _normal_form_dim(lefts, rights, gens, twists, n: int, m: int, laws,
     laws()
     if n <= exact_max_dim:
         hs = twists(list(gens), Matrix.__matmul__, Matrix.identity(m, n))
-        return (_normal_form_exact(lefts, rights, hs, n, m),
+        return (_normal_form_exact([A.left_mult_basis(i) for i in range(n)],
+                                   [A.right_mult_basis(i) for i in range(n)],
+                                   hs, n, m),
                 "operator span, exact")
     if last is not None:
         return (last[0], last[1] + " (lower bound)")
@@ -466,7 +496,7 @@ def operator_span_dim(mod: HModuleAlgebra, *, exact_max_dim: int = 10):
     fails it raises InputError.  Modular and exact ranks, primes and method
     strings are those of the word spin on every module whose laws hold.
     """
-    A, m = mod.algebra, mod.m
+    m = mod.m
 
     def laws():
         failed = [name for name, _ in hma_verify(mod).failed()]
@@ -476,11 +506,9 @@ def operator_span_dim(mod: HModuleAlgebra, *, exact_max_dim: int = 10):
                              % ", ".join(failed))
 
     return _normal_form_dim(
-        [A.left_mult_basis(i) for i in range(A.dim)],
-        [A.right_mult_basis(i) for i in range(A.dim)],
-        (mod.c_op, mod.v_op),
+        mod.algebra, (mod.c_op, mod.v_op),
         lambda gens, mul, one: _taft_monomials(gens, mul, one, m),
-        A.dim, m, laws, exact_max_dim)
+        laws, exact_max_dim)
 
 
 def is_h_simple(mod: HModuleAlgebra):

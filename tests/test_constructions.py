@@ -2,6 +2,7 @@
 extensions, and structure recovery."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from taftlab.algebra_core import (
     quotient_algebra,
     trivial_grading,
 )
+from taftlab import constructions
 from taftlab.constructions import (
     AutPair,
     IsoWitness,
@@ -89,6 +91,45 @@ def test_spec_rejects_nonscalar_p_power():
     P = _mat(2, [[1, 0], [0, 0]])
     with pytest.raises(InputError, match="scalar"):
         SemisimpleSpec(m=2, k=2, t=2, P=P, Q=Q)
+
+
+# (m, k, t, P, Q, message): each fails one block-rotation check, and the
+# first two fail the later ones as well
+_BAD_ROTATION_DATA = [
+    (4, 1, 3, Matrix.zeros(4, 1, 1), Matrix.zeros(4, 1, 1), "does not divide"),
+    (2, 2, 1, Matrix.zeros(2, 1, 1), Matrix.zeros(2, 1, 1),
+     "P must be a 2 x 2"),
+    (2, 2, 1, Matrix.zeros(2, 2, 2), Matrix.identity(3, 2),
+     "Q must be a 2 x 2"),
+    (2, 1, 1, Matrix.zeros(2, 1, 1), Matrix.zeros(2, 1, 1), "singular"),
+    (2, 2, 1, Matrix.zeros(2, 2, 2), _mat(2, [[2, 0], [0, 2]]),
+     "Q^(m/t) is not the identity"),
+    (2, 2, 1, _mat(2, [[1, 0], [0, 1]]), _mat(2, [[1, 0], [0, -1]]),
+     "QPQ^{-1} = zeta^{-t} P fails"),
+]
+
+
+@pytest.mark.parametrize("m,k,t,P,Q,message", _BAD_ROTATION_DATA)
+def test_spec_and_operators_reject_rotation_data_alike(m, k, t, P, Q, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        SemisimpleSpec(m=m, k=k, t=t, P=P, Q=Q)
+    with pytest.raises(InputError, match=re.escape(message)):
+        semisimple_operators(m, k, t, P, Q)
+
+
+def test_build_does_not_recheck_a_validated_spec(monkeypatch):
+    spec = ss_specs()["grid_m3_k2_t3"]
+    want = semisimple_operators(spec.m, spec.k, spec.t, spec.P, spec.Q)
+    calls = []
+    check = constructions._check_rotation_data
+    monkeypatch.setattr(constructions, "_check_rotation_data",
+                        lambda *args: calls.append(args) or check(*args))
+    mod = build_semisimple(spec)
+    assert calls == []
+    assert (mod.algebra.mult, mod.c_op, mod.v_op) == (want[0].mult, want[1],
+                                                      want[2])
+    semisimple_operators(spec.m, spec.k, spec.t, spec.P, spec.Q)
+    assert len(calls) == 1
 
 
 def test_alpha_and_dim():

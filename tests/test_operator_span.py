@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftlab.algebra_core import (GradingDecomposition, direct_sum,
-                                  field_algebra, matrix_algebra,
+from taftlab.algebra_core import (FinDimAlgebra, GradingDecomposition,
+                                  direct_sum, field_algebra, matrix_algebra,
                                   trivial_grading)
 from taftlab.cli import main
 from taftlab.constructions import certify_graded_simple
@@ -26,13 +26,14 @@ from taftlab.errors import InputError
 from taftlab.fixtures import nilext_specs, sweedler_two_dim, trivial_action
 from taftlab.hmodule import (CertifiedSimple, HModuleAlgebra, NotSimple,
                              _normal_form_dim, _normal_form_exact,
-                             _taft_monomials, hma_verify, is_h_simple,
-                             operator_span_dim)
+                             _table_modp, _taft_monomials, hma_verify,
+                             is_h_simple, operator_span_dim)
 from taftlab.linalg import (EchelonBasis, Matrix, ModpEchelon,
                             ModReductionError, Subspace, matrix_to_modp,
                             modular_prime, rank_mod_p, root_of_unity_mod)
 from taftlab.serialize import dumps_canonical, hma_to_json
-from test_law_checks import DENSE_COPIES, _change_basis, _corpus, _dense_copy
+from test_law_checks import (DENSE_COPIES, _change_basis, _corpus,
+                             _dense_copy, _random_modules)
 
 
 # -- the oracles: the word spins operator_span_dim ran before ------------------
@@ -254,15 +255,73 @@ def test_scaling_v_to_zero_shortens_the_span():
         (3, "operator span mod p=%d (lower bound)" % modular_prime(2))
 
 
+# -- the mod-p L and R stacks ---------------------------------------------------
+
+
+def _stacks_by_entry(A, p, w):
+    """The L(e_i) and R(e_i) stacks as operator_span_dim reduced them before
+    it read the integer table: every entry through cyc_to_modp."""
+    return ([matrix_to_modp(A.left_mult_basis(i), p, w) for i in range(A.dim)],
+            [matrix_to_modp(A.right_mult_basis(i), p, w)
+             for i in range(A.dim)])
+
+
+def _assert_table_matches(A, p, w):
+    """True when both reductions give the same stacks, False when both
+    refuse the prime."""
+    try:
+        lefts, rights = _stacks_by_entry(A, p, w)
+    except ModReductionError:
+        with pytest.raises(ModReductionError):
+            _table_modp(A, p, w)
+        return False
+    table = _table_modp(A, p, w)
+    assert table.dtype == np.int64
+    assert np.array_equal(table.transpose(0, 2, 1), np.array(lefts))
+    assert np.array_equal(table.transpose(1, 2, 0), np.array(rights))
+    return True
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _assert_tables_match(A):
+    """Over the three primes operator_span_dim tries (the first never fails
+    on these) and small primes, some of which divide a denominator; returns
+    the small primes refused."""
+    for skip in range(3):
+        p = modular_prime(A.m, skip)
+        assert _assert_table_matches(A, p, root_of_unity_mod(A.m, p))
+    return [q for q in SMALL_PRIMES if not _assert_table_matches(A, q, 2 % q)]
+
+
+@pytest.mark.parametrize("name", sorted(_corpus()))
+def test_corpus_tables_match_the_entrywise_reduction(name):
+    assert _assert_tables_match(_corpus()[name].algebra) == []
+
+
+def test_dense_tables_match_the_entrywise_reduction():
+    refused = [_assert_tables_match(_dense_copy(name, kind).algebra)
+               for name, kind in DENSE_COPIES]
+    # the rational copies' denominators make some small primes unusable
+    assert any(refused) and not all(refused)
+
+
+@given(_random_modules())
+@settings(max_examples=100, deadline=None)
+def test_random_tables_match_the_entrywise_reduction(drawn):
+    m, table, _, _ = drawn
+    _assert_tables_match(FinDimAlgebra(m, table, validate=False,
+                                       autodetect_unit=False))
+
+
 # -- graded bases ---------------------------------------------------------------
 
 
 def _graded_dim(B, grading, exact_max_dim=10):
     return _normal_form_dim(
-        [B.left_mult_basis(i) for i in range(B.dim)],
-        [B.right_mult_basis(i) for i in range(B.dim)],
-        grading.projectors(), lambda gens, mul, one: list(gens),
-        B.dim, B.m, lambda: None, exact_max_dim)
+        B, grading.projectors(), lambda gens, mul, one: list(gens),
+        lambda: None, exact_max_dim)
 
 
 def _graded_spin(B, grading, exact_max_dim=10):
@@ -466,11 +525,9 @@ def test_the_spin_of_a_lawless_module_is_no_normal_form():
     assert _spin_span_dim(_action_generators(mod), 3, 2) == \
         (9, "operator span mod p=%d" % modular_prime(2))
     assert _normal_form_dim(
-        [mod.algebra.left_mult_basis(i) for i in range(3)],
-        [mod.algebra.right_mult_basis(i) for i in range(3)],
-        (mod.c_op, mod.v_op),
+        mod.algebra, (mod.c_op, mod.v_op),
         lambda gens, mul, one: _taft_monomials(gens, mul, one, 2),
-        3, 2, lambda: None)[0] == 6
+        lambda: None)[0] == 6
 
 
 def test_full_span_with_failing_laws_still_certifies():

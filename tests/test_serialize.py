@@ -13,11 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taftlab
+from taftlab.cli import main as cli_main
 from taftlab.constructions import build_nilpotent_extension, build_semisimple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import (negative_modules, nilext_specs, ss_specs,
                               sweedler_two_dim)
+from taftlab.hmodule import hma_verify
+from taftlab.identities import codim_growth_report, codimension
 from taftlab.linalg import Matrix
 from taftlab.serialize import (
     ALGEBRA_SCHEMA,
@@ -47,7 +50,7 @@ from taftlab.serialize import (
     ss_spec_to_json,
     validate,
 )
-from taftlab.taft_hopf import TaftAlgebra
+from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
 
 
 def test_cyc_round_trip():
@@ -396,3 +399,152 @@ def test_cyc_parse_is_shared_and_conductor_checked():
         json_to_cyc(doc, m=4)
     with pytest.raises(InputError, match="bad rational coefficient"):
         json_to_cyc({"m": 3, "coeffs": ["3/-4"]})
+
+
+# ------------------------------------ canonical writer vs json.dumps (oracle)
+
+
+def _oracle(doc):
+    """The canonical bytes as json.dumps writes them with its Python encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _outcome(write, doc):
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_canonical(doc):
+    assert _outcome(dumps_canonical, doc) == _outcome(_oracle, doc)
+
+
+_NASTY = ["", "é", " ", "\x00\x1f\x7f", 'quote " and \\ back', "\ud800",
+          "tab\tnew\nline", "日本", "\U0001f600", "m", "coeffs"]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 63, max_value=10 ** 60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 2.0 ** 70, float("nan"),
+                     float("inf"), -float("inf")]),
+    st.text(), st.sampled_from(_NASTY))
+# keys of one comparable kind per dict, as sort_keys needs; both writers
+# raise the same TypeError on the mixed dicts
+_KEYED = [st.text(), st.sampled_from(_NASTY),
+          st.one_of(st.integers(), st.floats(), st.booleans()), st.none(),
+          st.one_of(st.text(), st.integers())]
+# field elements and near misses, from a small pool so that entries repeat
+_ENTRIES = st.one_of(
+    st.builds(lambda m, c: {"m": m, "coeffs": c}, st.integers(-3, 5),
+              st.lists(st.sampled_from(["0", "1", "-1/2", "é"]), max_size=3)),
+    st.builds(lambda m, c: {"m": m, "coeffs": c},
+              st.sampled_from([True, False, 2.0, None, "2"]),
+              st.lists(st.sampled_from(["0", "1"]), max_size=2)),
+    st.builds(lambda m, c: {"m": m, "coeffs": c}, st.integers(2, 3),
+              st.sampled_from([("1", "0"), ["1", 0], ["1", False], ["1", 1],
+                               ["1", True], ["1", None], [1], [1.0], "10",
+                               {"0": "1"}])),
+    st.builds(lambda e: dict(e, extra=1), st.just({"m": 2, "coeffs": ["1"]})))
+
+
+def _trees(kids):
+    return st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.lists(_ENTRIES, min_size=1, max_size=3).map(lambda xs: xs * 3),
+        *[st.dictionaries(keys, kids, max_size=4) for keys in _KEYED])
+
+
+_JSON = st.recursive(st.one_of(_SCALARS, _ENTRIES), _trees, max_leaves=30)
+
+
+@given(_JSON)
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_canonical_writer_matches_json_dumps(doc):
+    _assert_canonical(doc)
+
+
+def test_canonical_writer_edge_cases():
+    entry = {"coeffs": ["1", "-1/2"], "m": 3}
+    deep = entry
+    for i in range(150):
+        deep = [deep, entry] if i % 2 else {"k%d" % i: deep, "e": entry}
+    for doc in ([], {}, (), [[]], [{}], {"": {}}, [(), ()], (1, (2, ())),
+                [True, 1, False, 0, 1.0, None], {True: 1, 2: 3, 1.5: 4},
+                {None: []}, {float("nan"): 1, -0.0: 2, 1e16: 3},
+                {"é": "\x00", "\n": 1}, -0.0, 1e16, float("nan"),
+                float("inf"), 10 ** 40, "\ud800", True, None, deep,
+                # one entry at several depths, and under a tuple
+                [entry, [entry, [entry]], {"x": entry}, (entry, entry)],
+                # equal as Python values, not as JSON
+                [{"m": 2, "coeffs": c} for c in (["1", True], ["1", 1],
+                                                 [1.0], [1], [0], [False])],
+                [{"m": m, "coeffs": ["1"]} for m in (1, True, 1.0)],
+                # sort_keys compares mixed keys: a TypeError from both
+                {1: 2, "a": 3}):
+        _assert_canonical(doc)
+    for bad in ({(1, 2): 3}, [object()], {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            dumps_canonical(bad)
+        assert _outcome(dumps_canonical, bad) == _outcome(_oracle, bad)
+
+
+def _write_documents(directory):
+    """Every document `taft fixtures`, `construct ss` and `construct nilext`
+    write, and the verify, codim and hopf-check reports, as name -> text."""
+    fx = directory / "fx"
+    out = directory / "out"
+    out.mkdir()
+
+    def run(name, *argv):
+        assert cli_main([*argv, "--out", str(out / name)]) == 0
+
+    run("fixtures.json", "fixtures", "--out-dir", str(fx))
+    for name in sorted(ss_specs()):
+        run("ss_%s.json" % name, "construct", "ss",
+            "--in", str(fx / (name + ".json")))
+    for name in sorted(nilext_specs()):
+        run("ext_%s.json" % name, "construct", "nilext",
+            "--in", str(fx / (name + ".json")))
+    run("verify_sweedler.json", "verify", "--in", str(fx / "sweedler2dim.json"))
+    for name in sorted(negative_modules()):
+        run("verify_%s.json" % name, "verify",
+            "--in", str(fx / (name + ".json")))
+    run("codim.json", "codim", "--in", str(fx / "sweedler2dim.json"),
+        "--n", "3")
+    run("codim_report.json", "codim", "--in", str(fx / "sweedler2dim.json"),
+        "--n", "3", "--report", "json")
+    for m in (2, 3):
+        run("hopf_%d.json" % m, "hopf-check", "--m", str(m))
+    texts = {p.name: p.read_text() for p in sorted(fx.glob("*.json"))}
+    texts.update((p.name, p.read_text()) for p in sorted(out.glob("*.json")))
+    return texts
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    return _write_documents(tmp_path_factory.mktemp("written"))
+
+
+def test_written_documents_are_json_dumps_bytes(written):
+    assert len(written) == 39 + 1 + 32 + 4 + 3 + 2 + 2
+    for name, text in written.items():
+        doc = loads(text)
+        assert text == _oracle(doc), name
+        assert dumps_canonical(doc) == text, name
+
+
+def test_report_objects_are_json_dumps_bytes():
+    reports = [hma_verify(sweedler_two_dim()).to_json()]
+    reports += [hma_verify(mod).to_json()
+                for _, mod in sorted(negative_modules().items())]
+    reports += [hopf_verify_axioms(TaftAlgebra(m)).to_json() for m in (2, 3)]
+    mod = sweedler_two_dim()
+    res = codimension(mod, 2)
+    reports.append({"format": FORMAT_TAG, "n": res.n, "c": res.value,
+                    "method": res.method, "wall_ms": res.wall_ms})
+    reports += [vars(row) for row in codim_growth_report(mod, 3)]
+    for doc in reports:
+        assert dumps_canonical(doc) == _oracle(doc)
