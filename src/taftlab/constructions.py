@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
-from .linalg import EchelonBasis, Matrix, Subspace, intertwiner_space, kernel
+from .linalg import (EchelonBasis, Matrix, Subspace, intertwiner_space, kernel,
+                     rank)
 from .algebra_core import (FinDimAlgebra, GradingDecomposition,
                            grading_from_c, jacobson_radical,
                            ideal_generated_by, subalgebra_on,
@@ -254,8 +255,9 @@ def _invertible_in_span(basis, k: int, m: int):
 
     det over the span is a polynomial of total degree <= k in the
     coordinates, so vanishing on the full grid {0..k}^s forces it to vanish
-    identically; scanning that grid is a complete decision, and any hit is
-    returned at once.  Cheap candidates (single elements, prefix sums) are
+    identically; scanning that grid is a complete decision.  A candidate
+    is invertible when its rank is k, and the first one is returned at
+    once.  Cheap candidates (single elements, prefix sums) are
     tried before the grid.
     """
     if not basis:
@@ -281,7 +283,7 @@ def _invertible_in_span(basis, k: int, m: int):
         cand = combo(coeffs)
         if cand is None:
             continue
-        if not cand.det().is_zero():
+        if rank(cand) == k:
             return cand
     return None
 

@@ -55,7 +55,7 @@ from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
                      Subspace, intertwiner_space, kernel, matrix_to_modp,
-                     modular_prime, root_of_unity_mod, vec_is_zero)
+                     rank, reduction_primes, vec_is_zero)
 from .algebra_core import FinDimAlgebra, ideal_generated_by
 from .taft_hopf import HopfElement, TaftAlgebra
 
@@ -317,9 +317,7 @@ def _multiplicative_witness(src: FinDimAlgebra, dst: FinDimAlgebra,
 
 def _verify_module_iso(src: HModuleAlgebra, dst: HModuleAlgebra, T: Matrix):
     """Exact check that T is an H-module-algebra isomorphism src -> dst."""
-    try:
-        T.inverse()
-    except InputError:
+    if T.nrows != T.ncols or rank(T) != T.nrows:
         raise InputError("candidate isomorphism is singular")
     if T @ src.c_op != dst.c_op @ T:
         raise InputError("candidate isomorphism does not intertwine c")
@@ -438,8 +436,12 @@ def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
     return table.reshape(n, n, n)
 
 
-def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws,
-                     exact_max_dim: int = 10):
+# the largest dim A whose short normal-form span is ranked exactly; above
+# it the modular rank is reported as a lower bound
+EXACT_MAX_DIM = 10
+
+
+def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
     """(dim, method) of span{L' R' h}, L' over 1 and the L(e_i), R' over 1
     and the R(e_i) of A, h over twists(gens, mul, one) and 1.
 
@@ -450,13 +452,11 @@ def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws,
     span is ranked over F_p for the first of three primes that reduces the
     structure constants and gens, with the L and R stacks read off one
     reduced table; a short result is ranked exactly when dim A <=
-    exact_max_dim and is otherwise reported as a lower bound.
+    EXACT_MAX_DIM and is otherwise reported as a lower bound.
     """
     n, m = A.dim, A.m
     last = None
-    for skip in range(3):
-        p = modular_prime(m, skip)
-        w = root_of_unity_mod(m, p)
+    for p, w in reduction_primes(m):
         try:
             table = _table_modp(A, p, w)
             gs = [matrix_to_modp(x, p, w) for x in gens]
@@ -471,7 +471,7 @@ def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws,
             return last
         break
     laws()
-    if n <= exact_max_dim:
+    if n <= EXACT_MAX_DIM:
         hs = twists(list(gens), Matrix.__matmul__, Matrix.identity(m, n))
         return (_normal_form_exact([A.left_mult_basis(i) for i in range(n)],
                                    [A.right_mult_basis(i) for i in range(n)],
@@ -482,7 +482,7 @@ def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws,
     return (0, "no usable reduction prime")
 
 
-def operator_span_dim(mod: HModuleAlgebra, *, exact_max_dim: int = 10):
+def operator_span_dim(mod: HModuleAlgebra):
     """(dim, method) for the unital operator algebra O generated by the
     L(e_i), R(e_i), c and v of a module algebra.
 
@@ -508,7 +508,7 @@ def operator_span_dim(mod: HModuleAlgebra, *, exact_max_dim: int = 10):
     return _normal_form_dim(
         mod.algebra, (mod.c_op, mod.v_op),
         lambda gens, mul, one: _taft_monomials(gens, mul, one, m),
-        laws, exact_max_dim)
+        laws)
 
 
 def is_h_simple(mod: HModuleAlgebra):
@@ -655,9 +655,7 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
         if T2 is None:
             continue
         T = T2
-        try:
-            T.inverse()
-        except InputError:
+        if rank(T) != n:
             continue
         if _multiplicative_witness(A1, A2, T) is None:
             return T

@@ -45,8 +45,8 @@ from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra
 from .linalg import (EchelonBasis, ModReductionError, cyc_to_modp, echelon,
-                     modular_prime, rank_mod_p, root_of_unity_mod, vec_add,
-                     vec_scale, vec_zero)
+                     rank_mod_p, reduction_primes, vec_add, vec_scale,
+                     vec_zero)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -281,12 +281,10 @@ def _argument_permutations(dim: int, n: int):
         yield (source[:, None] * dim + out).ravel()
 
 
-def _modp_rank(codes, values, m: int, attempts: int = 3):
-    """Rank over a prime field of the rows values[codes], or None if
-    reduction fails."""
-    for attempt in range(attempts):
-        p = modular_prime(m, skip=attempt)
-        zmod = root_of_unity_mod(m, p)
+def _modp_rank(codes, values, m: int):
+    """(rank, p) over the first reduction prime p that reduces values, of
+    the rows values[codes], or None if none does."""
+    for p, zmod in reduction_primes(m):
         try:
             image = np.array([cyc_to_modp(x, p, zmod) for x in values],
                              dtype=np.int64)

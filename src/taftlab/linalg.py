@@ -3,7 +3,9 @@
 Matrices are immutable tuples of tuples of CycNum.  Subspaces are kept in
 reduced row echelon form with unit pivots and no zero rows; that form is
 canonical, so subspace equality is plain tuple equality and results are
-bit-reproducible run to run.
+bit-reproducible run to run.  Every exact elimination runs on that echelon
+basis (EchelonBasis / echelon): rank, kernel, solve, Subspace and
+Matrix.inverse, which reads A^{-1} off the echelon basis of [A | I].
 
 The modular half maps Q(zeta_m) into a prime field F_p with p = 1 (mod m),
 sending zeta to an element of multiplicative order m.  Ranks computed there
@@ -174,12 +176,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def trace(self) -> CycNum:
-        acc = CycNum.zero(self.m)
-        for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(r) for r in self.rows)
 
@@ -196,52 +192,16 @@ class Matrix:
         return "Matrix(%d, [%s])" % (self.m, body)
 
     def inverse(self) -> "Matrix":
+        """The right half of the echelon basis of [A | I]; A is singular
+        exactly when the pivots are not the first n columns."""
         if self.nrows != self.ncols:
             raise InputError("inverse needs a square matrix")
         n = self.nrows
-        aug = [list(self.rows[i]) + list(Matrix.identity(self.m, n).rows[i])
-               for i in range(n)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not aug[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise InputError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return Matrix(self.m, tuple(tuple(r[n:]) for r in aug))
-
-    def det(self) -> CycNum:
-        if self.nrows != self.ncols:
-            raise InputError("det needs a square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = CycNum.one(self.m)
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return CycNum.zero(self.m)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = a[col][col].inverse()
-            for r in range(col + 1, n):
-                if not a[r][col].is_zero():
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
+        ident = Matrix.identity(self.m, n).rows
+        eb = echelon(self.m, 2 * n, (a + e for a, e in zip(self.rows, ident)))
+        if eb.pivots() != tuple(range(n)):
+            raise InputError("matrix is singular")
+        return Matrix(self.m, tuple(r[n:] for r in eb.rows()))
 
     def is_scalar(self):
         """The scalar c with self == c*I, or None."""
@@ -399,15 +359,9 @@ def solve(matrix: Matrix, rhs) -> tuple | None:
     for piv, row in zip(eb.pivots(), eb.rows()):
         if piv == n:
             return None  # inconsistent: pivot in the constants column
+        # the rows are mutually reduced and the free variables stay zero,
+        # so each pivot variable reads its row's constant
         x[piv] = row[n]
-    # back substitution is already done (rows are mutually reduced), but the
-    # free variables are pinned at zero; rows read x[piv] + sum free = rhs
-    for piv, row in zip(eb.pivots(), eb.rows()):
-        acc = row[n]
-        for j in range(n):
-            if j != piv and not row[j].is_zero():
-                acc = acc - row[j] * x[j]
-        x[piv] = acc
     check = matrix.apply(tuple(x))
     if tuple(check) != tuple(rhs):
         return None
@@ -542,6 +496,14 @@ def root_of_unity_mod(m: int, p: int) -> int:
         if x != 1 and all(pow(x, m // q, p) != 1 for q in primes):
             return x
     raise RuntimeError("no order-%d element found mod %d" % (m, p))
+
+
+def reduction_primes(m: int):
+    """The primes a modular rank tries in turn, each with its image of zeta:
+    (p, zeta mod p) for the first three primes p = 1 (mod m) above 2**20."""
+    for skip in range(3):
+        p = modular_prime(m, skip)
+        yield p, root_of_unity_mod(m, p)
 
 
 class ModReductionError(ArithmeticError):

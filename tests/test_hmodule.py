@@ -12,6 +12,7 @@ from taftlab.fixtures import (
     sweedler_two_dim,
     trivial_action,
 )
+from taftlab import hmodule
 from taftlab.hmodule import (
     CertifiedSimple,
     HModuleAlgebra,
@@ -142,10 +143,11 @@ def test_verify_invariant_ideal_rejects_non_ideal():
     assert not verify_invariant_ideal(mod, bad)
 
 
-def test_operator_span_backends_agree():
+def test_operator_span_backends_agree(monkeypatch):
     mod = sweedler_two_dim()
     d_auto, method = operator_span_dim(mod)
-    d_exact, _ = operator_span_dim(mod, exact_max_dim=100)
+    monkeypatch.setattr(hmodule, "EXACT_MAX_DIM", 100)
+    d_exact, _ = operator_span_dim(mod)
     assert d_auto == d_exact == 4
     assert "mod p" in method or "exact" in method
 

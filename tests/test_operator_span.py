@@ -10,6 +10,7 @@ as the `simple` command prints them.
 
 import json
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from taftlab.constructions import certify_graded_simple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import nilext_specs, sweedler_two_dim, trivial_action
+from taftlab import hmodule
 from taftlab.hmodule import (CertifiedSimple, HModuleAlgebra, NotSimple,
                              _normal_form_dim, _normal_form_exact,
                              _table_modp, _taft_monomials, hma_verify,
@@ -34,6 +36,7 @@ from taftlab.linalg import (EchelonBasis, Matrix, ModpEchelon,
 from taftlab.serialize import dumps_canonical, hma_to_json
 from test_law_checks import (DENSE_COPIES, _change_basis, _corpus,
                              _dense_copy, _random_modules)
+from test_linalg import gauss_det
 
 
 # -- the oracles: the word spins operator_span_dim ran before ------------------
@@ -139,9 +142,18 @@ def _action_generators(mod):
             + [mod.c_op, mod.v_op])
 
 
+@contextmanager
+def _exact_max_dim(value):
+    """hmodule.EXACT_MAX_DIM set to value inside the with block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmodule, "EXACT_MAX_DIM", value)
+        yield
+
+
 def _assert_matches_spin(mod, exact_max_dim=10):
     n, m = mod.algebra.dim, mod.m
-    got = operator_span_dim(mod, exact_max_dim=exact_max_dim)
+    with _exact_max_dim(exact_max_dim):
+        got = operator_span_dim(mod)
     assert got == _spin_span_dim(_action_generators(mod), n, m, exact_max_dim)
     return got
 
@@ -230,7 +242,7 @@ def _lawful_modules(draw):
     entries = st.integers(-2, 2)
     t = Matrix.from_rows(m, [[draw(entries) for _ in range(n)]
                              for _ in range(n)])
-    if t.det().is_zero():
+    if gauss_det(t).is_zero():
         t = Matrix.identity(m, n)
     return _change_basis(mod, t)
 
@@ -319,9 +331,10 @@ def test_random_tables_match_the_entrywise_reduction(drawn):
 
 
 def _graded_dim(B, grading, exact_max_dim=10):
-    return _normal_form_dim(
-        B, grading.projectors(), lambda gens, mul, one: list(gens),
-        lambda: None, exact_max_dim)
+    with _exact_max_dim(exact_max_dim):
+        return _normal_form_dim(
+            B, grading.projectors(), lambda gens, mul, one: list(gens),
+            lambda: None)
 
 
 def _graded_spin(B, grading, exact_max_dim=10):
