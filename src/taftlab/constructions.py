@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, Subspace, intertwiner_space, kernel,
-                     rank)
+from .linalg import (EchelonBasis, Matrix, Subspace, combination,
+                     intertwiner_space, kernel, rank)
 from .algebra_core import (FinDimAlgebra, GradingDecomposition,
                            grading_from_c, jacobson_radical,
                            ideal_generated_by, subalgebra_on,
@@ -263,16 +263,6 @@ def _invertible_in_span(basis, k: int, m: int):
     if not basis:
         return None
     s = len(basis)
-
-    def combo(coeffs):
-        acc = None
-        for cf, b in zip(coeffs, basis):
-            if cf == 0:
-                continue
-            part = b * cf
-            acc = part if acc is None else acc + part
-        return acc
-
     quick = [tuple(1 if i == j else 0 for j in range(s)) for i in range(s)]
     quick += [tuple(1 if j <= i else 0 for j in range(s)) for i in range(1, s)]
     seen = set()
@@ -280,7 +270,7 @@ def _invertible_in_span(basis, k: int, m: int):
         if coeffs in seen:
             continue
         seen.add(coeffs)
-        cand = combo(coeffs)
+        cand = combination(coeffs, basis)
         if cand is None:
             continue
         if rank(cand) == k:
@@ -801,11 +791,7 @@ def mutate_p_nonscalar(m: int, k: int, t: int, Q: Matrix):
             return cand
     rng_grid = itertools.product(range(3), repeat=len(space))
     for coeffs in itertools.islice(rng_grid, 2000):
-        acc = None
-        for cf, b in zip(coeffs, space):
-            if cf:
-                part = b * cf
-                acc = part if acc is None else acc + part
+        acc = combination(coeffs, space)
         if acc is not None and nonscalar(acc):
             return acc
     return None

@@ -441,24 +441,6 @@ class CycNum:
         coeffs = self.num if self.den == 1 else self.coeffs
         return {"m": self.m, "coeffs": [str(c) for c in coeffs]}
 
-    @staticmethod
-    def from_json(obj) -> "CycNum":
-        if not isinstance(obj, dict) or "m" not in obj or "coeffs" not in obj:
-            raise InputError("CycNum JSON needs keys 'm' and 'coeffs': %r" % (obj,))
-        m = obj["m"]
-        if not isinstance(m, int) or m < 2:
-            raise InputError("CycNum conductor must be an int >= 2, got %r" % (m,))
-        deg = _field(m)[0]
-        raw = obj["coeffs"]
-        if not isinstance(raw, list) or len(raw) != deg:
-            raise InputError(
-                "CycNum for m=%d needs exactly %d coefficients, got %r" % (m, deg, raw))
-        try:
-            coeffs = [Fraction(s) for s in raw]
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError("bad rational string in CycNum coeffs: %s" % e) from None
-        return CycNum.make(m, coeffs)
-
 
 _new = object.__new__
 _set_m = CycNum.m.__set__

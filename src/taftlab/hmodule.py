@@ -54,8 +54,8 @@ from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
                          zeta_power)
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
-                     Subspace, intertwiner_space, kernel, matrix_to_modp,
-                     rank, reduction_primes, vec_is_zero)
+                     Subspace, combination, intertwiner_space, kernel,
+                     matrix_to_modp, rank, reduction_primes, vec_is_zero)
 from .algebra_core import FinDimAlgebra, ideal_generated_by
 from .taft_hopf import HopfElement, TaftAlgebra
 
@@ -353,6 +353,11 @@ class Inconclusive:
     detail: str
 
 
+# elements of U per block of U h: small blocks keep the temporaries small
+# and let the span stop as soon as it is full
+_UH_BLOCK = 32
+
+
 def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
     """Dimension over F_p of span{L' R' h}: the products L' R' first, one
     block per L', then U h for U the basis of their span, until the span
@@ -364,10 +369,9 @@ def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
         eb.insert_block((x @ rs).reshape(-1, n * n))
         if eb.dim == n * n:
             return eb.dim
-    # U h row-major: row (u, i) of the stacked U, times h, is row i of U_u h;
-    # blocks of CHUNK elements of U keep the temporaries small
+    # U h row-major: row (u, i) of the stacked U, times h, is row i of U_u h
     us = eb.rows.reshape(-1, n).copy()
-    step = eb.CHUNK * n
+    step = _UH_BLOCK * n
     for h in twists:
         for lo in range(0, len(us), step):
             eb.insert_block((us[lo:lo + step] @ h).reshape(-1, n * n))
@@ -639,12 +643,7 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
             coeffs = [rng.randint(-3, 3) for _ in space]
             if not any(coeffs):
                 continue
-            t = None
-            for cf, b in zip(coeffs, space):
-                if cf:
-                    part = b * cf
-                    t = part if t is None else t + part
-            yield t
+            yield combination(coeffs, space)
 
     tried = 0
     for T in candidates():

@@ -12,7 +12,10 @@ sending zeta to an element of multiplicative order m.  Ranks computed there
 are exact lower bounds for the true rank (a nonzero minor mod p lifts to a
 nonzero minor over the field), which is what the fast filters in hmodule
 and identities rely on; they never report a modular rank as exact unless it
-meets an exact bound from the other side.
+meets an exact bound from the other side.  One in-place F_p row reduction
+(_row_reduce) is the only modular elimination: rank_mod_p runs it on a
+reduced copy of its matrix, and ModpEchelon.insert_block on the residual
+of each block against its basis.
 """
 
 from __future__ import annotations
@@ -97,9 +100,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> CycNum:
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
@@ -456,6 +456,17 @@ def intertwiner_space(m: int, n_out: int, n_in: int, constraints) -> list:
     return out
 
 
+def combination(coeffs, basis):
+    """sum cf * b over the nonzero small integers cf, in basis order; None
+    when every cf is 0."""
+    acc = None
+    for cf, b in zip(coeffs, basis):
+        if cf:
+            part = b * cf
+            acc = part if acc is None else acc + part
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # prime-field reduction
 
@@ -530,30 +541,37 @@ def matrix_to_modp(mat: Matrix, p: int, zeta_mod: int) -> np.ndarray:
                     dtype=np.int64)
 
 
-def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p (forward elimination, vectorized)."""
-    a = np.array(a, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, col])[0]
+def _row_reduce(a: np.ndarray, p: int) -> list:
+    """Reduce the int64 rows of a, entries in [0, p), in place over F_p; the
+    (row, pivot column) of each nonzero row left, in row order.
+
+    Each row in turn takes its leading column as pivot, is scaled to a unit
+    pivot, and has that column cleared from every other row.  Rows that
+    depend on the earlier ones end up zero, and the pivot rows, taken in
+    pivot column order, are in reduced row echelon form.  Every entry of a
+    product stays below p^2.
+    """
+    pivots = []
+    for i in range(len(a)):
+        nz = np.flatnonzero(a[i])
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        rest = a[r + 1:, col]
-        mask = np.nonzero(rest)[0]
-        if mask.size:
-            a[r + 1 + mask] = (a[r + 1 + mask] - np.outer(rest[mask], a[r])) % p
-        r += 1
-    return r
+        col = int(nz[0])
+        row = a[i]
+        if row[col] != 1:
+            row *= pow(int(row[col]), p - 2, p)
+            row %= p
+        hit = np.flatnonzero(a[:, col])
+        hit = hit[hit != i]
+        if hit.size:
+            a[hit] = (a[hit] - np.outer(a[hit, col], row)) % p
+        pivots.append((i, col))
+    return pivots
 
 
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p, by _row_reduce on a reduced copy."""
+    return len(_row_reduce(np.remainder(np.asarray(a, dtype=np.int64), p), p))
 
 
 class ModpEchelon:
@@ -567,8 +585,6 @@ class ModpEchelon:
     rows a basis can hold are allocated at once: np.zeros pages cost no
     memory until a row is written.
     """
-
-    CHUNK = 32  # new rows eliminated among themselves before one basis update
 
     def __init__(self, ncols: int, p: int):
         bound = p * p * max(ncols, 1)
@@ -599,14 +615,10 @@ class ModpEchelon:
         """The rows of block (or one vector) reduced against the span: zero
         in every pivot column, entries in [0, p)."""
         res = np.remainder(block, self.p).astype(np.int64, copy=False)
-        return self._reduce(res, 0)
-
-    def _reduce(self, res, start: int) -> np.ndarray:
-        """res reduced against the basis rows from start on."""
-        if self._dim == start:
+        if self._dim == 0:
             return res
-        coef = res[..., self._piv[start:self._dim]]
-        rows = self._rows[start:self._dim]
+        coef = res[..., self._piv[:self._dim]]
+        rows = self.rows
         # only the rows whose pivot column res touches contribute
         used = np.flatnonzero(np.atleast_2d(coef).any(axis=0))
         if len(used) < len(rows):
@@ -622,44 +634,23 @@ class ModpEchelon:
     def insert_block(self, block) -> int:
         """Add every row of block to the span; the number of new pivots.
 
-        The block is reduced against the basis with one product, its nonzero
-        residuals are eliminated CHUNK rows at a time, and each chunk's new
-        pivots are cleared from the older rows with one product more.
+        The block is reduced against the basis with one product, _row_reduce
+        turns its residual into new basis rows, and one product more clears
+        their pivots from the older rows.
         """
         res = self.residual(block)
-        keep = res.any(axis=1)
-        if not keep.all():
-            res = res[keep]
-        start = self._dim
-        for lo in range(0, len(res), self.CHUNK):
-            if self._dim == self.ncols:
-                break
-            self._absorb(self._reduce(res[lo:lo + self.CHUNK], start))
-        return self._dim - start
-
-    def _absorb(self, chunk) -> None:
-        """Append the independent rows of chunk, which is zero in every pivot
-        column, and keep the whole basis reduced."""
-        p, old = self.p, self._dim
+        res = res[res.any(axis=1)]
+        new = _row_reduce(res, self.p)
+        if not new:
+            return 0
+        old, self._dim = self._dim, self._dim + len(new)
         rows, piv = self._rows, self._piv
-        for i in range(len(chunk)):
-            nz = np.flatnonzero(chunk[i])
-            if nz.size == 0:
-                continue
-            col = int(nz[0])
-            row = chunk[i] * pow(int(chunk[i, col]), p - 2, p) % p
-            # clear the new pivot column from the rows of this chunk only;
-            # the older rows get all of the chunk's pivots at once below
-            for part in (rows[old:self._dim], chunk[i + 1:]):
-                hit = np.flatnonzero(part[:, col])
-                if hit.size:
-                    part[hit] = (part[hit]
-                                 - np.outer(part[hit, col], row)) % p
-            rows[self._dim] = row
-            piv[self._dim] = col
-            self._dim += 1
-        if old and self._dim > old:
+        idx, cols = zip(*new)
+        rows[old:self._dim] = res[list(idx)]
+        piv[old:self._dim] = cols
+        if old:
             coef = rows[:old][:, piv[old:self._dim]]
             hit = np.flatnonzero(coef.any(axis=1))
             if hit.size:
-                rows[hit] = (rows[hit] - coef[hit] @ rows[old:self._dim]) % p
+                rows[hit] = (rows[hit] - coef[hit] @ rows[old:self._dim]) % self.p
+        return len(new)

@@ -11,9 +11,7 @@ The coalgebra structure is *generated*: Delta(c) = c (x) c,
 Delta(v) = c (x) v + v (x) 1, eps(c) = 1, eps(v) = 0, S(c) = c^{-1},
 S(v) = -c^{-1} v.  Coproducts and antipodes of basis monomials are expanded
 from the generator values through the (anti)homomorphism property, so any
-closed formula for Delta(v^k) is a checked consequence, not an input.  The
-generator values can be overridden to build deliberately broken tables;
-hopf_verify_axioms then reports exactly which axiom dies.
+closed formula for Delta(v^k) is a checked consequence, not an input.
 
 hopf_verify_axioms is exhaustive for every m: associativity and the unit are
 checked by algebra_core's exact integer checks on the product written as a
@@ -205,10 +203,9 @@ class TensorElement:
 
 
 class TaftAlgebra:
-    """Structure constants and (possibly overridden) coalgebra generators."""
+    """Structure constants and the coalgebra generator values."""
 
-    def __init__(self, m: int, *, delta_c=None, delta_v=None,
-                 eps_c=None, eps_v=None, s_c=None, s_v=None):
+    def __init__(self, m: int):
         if m < 2:
             raise InputError("Taft algebra needs m >= 2, got %r" % (m,))
         self.m = m
@@ -216,14 +213,13 @@ class TaftAlgebra:
         self.dim = m * m
         self._coproduct_cache = {}
         self._antipode_cache = {}
-        self._delta_c = delta_c if delta_c is not None else self.tensor2(
-            {((1, 0), (1, 0)): CycNum.one(m)})
-        self._delta_v = delta_v if delta_v is not None else self.tensor2(
+        self._delta_c = self.tensor2({((1, 0), (1, 0)): CycNum.one(m)})
+        self._delta_v = self.tensor2(
             {((1, 0), (0, 1)): CycNum.one(m), ((0, 1), (0, 0)): CycNum.one(m)})
-        self._eps_c = eps_c if eps_c is not None else CycNum.one(m)
-        self._eps_v = eps_v if eps_v is not None else CycNum.zero(m)
-        self._s_c = s_c if s_c is not None else self.monomial(m - 1, 0)
-        self._s_v = s_v if s_v is not None else self.monomial(m - 1, 1, -1)
+        self._eps_c = CycNum.one(m)
+        self._eps_v = CycNum.zero(m)
+        self._s_c = self.monomial(m - 1, 0)
+        self._s_v = self.monomial(m - 1, 1, -1)
 
     # -- element constructors ------------------------------------------------
 

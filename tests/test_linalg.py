@@ -14,8 +14,8 @@ from taftlab.constructions import _invertible_in_span
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import ss_specs
-from taftlab.linalg import (EchelonBasis, Matrix, Subspace, echelon,
-                            intertwiner_space, rank, solve)
+from taftlab.linalg import (EchelonBasis, Matrix, Subspace, combination,
+                            echelon, intertwiner_space, rank, solve)
 
 M = 3
 WIDTH = 6
@@ -283,6 +283,23 @@ def test_invertible_in_span_picks_the_det_candidate(monkeypatch):
                                                       monkeypatch)
                 found += got is not None
     assert found >= 2
+
+
+@given(st.lists(square_matrices(), min_size=1, max_size=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_combination_sums_the_scaled_basis(basis, data):
+    m, n = basis[0].m, basis[0].nrows
+    basis = [b for b in basis if (b.m, b.nrows) == (m, n)]
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                max_size=len(basis)))
+    got = combination(coeffs, basis)
+    if not any(coeffs):
+        assert got is None
+        return
+    want = Matrix.zeros(m, n, n)
+    for cf, b in zip(coeffs, basis):
+        want = want + b * cf
+    assert got == want
 
 
 def back_substitution_solve(matrix, rhs):

@@ -385,16 +385,49 @@ def test_graded_short_span_rechecks_the_grading():
 # -- the block kernel -------------------------------------------------------------
 
 
+def sweep_rank_mod_p(a, p):
+    """The column sweep rank_mod_p replaced: forward elimination column by
+    column, swapping a pivot row up and clearing the rows below it."""
+    a = np.array(a, dtype=np.int64) % p
+    nrows, ncols = a.shape
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, col]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        rest = a[r + 1:, col]
+        mask = np.nonzero(rest)[0]
+        if mask.size:
+            a[r + 1 + mask] = (a[r + 1 + mask] - np.outer(rest[mask], a[r])) % p
+        r += 1
+    return r
+
+
 @st.composite
 def _blocks(draw):
-    p = draw(st.sampled_from([7, 101, modular_prime(4)]))
-    k, w = draw(st.integers(1, 40)), draw(st.integers(1, 30))
-    r = draw(st.integers(0, min(k, w)))
+    p = draw(st.sampled_from([2, 3, 7, 101, modular_prime(4)]))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "tall", "wide"]))
+    if kind == "tall":
+        k, w = draw(st.integers(30, 120)), draw(st.integers(1, 20))
+        r = draw(st.integers(0, min(4, w)))
+    elif kind == "wide":
+        k, w = draw(st.integers(1, 6)), draw(st.integers(40, 300))
+        r = draw(st.integers(0, k))
+    else:
+        k, w = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+        r = 0 if kind == "zero" else draw(st.integers(0, min(k, w)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, (k, r)) @ rng.integers(0, 3, (r, w)) if r else \
         np.zeros((k, w), dtype=np.int64)
-    if draw(st.booleans()):
+    if kind == "sparse":
         # sparse rows touch few pivot columns, so few basis rows reduce them
         a = a * (rng.random((k, w)) < 0.15)
     cuts = sorted(draw(st.lists(st.integers(0, k), max_size=4)))
@@ -411,14 +444,25 @@ def _assert_reduced(eb):
         assert not row[:col].any()
 
 
+@given(_blocks(), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_rank_mod_p_matches_the_column_sweep(drawn, shift):
+    p, a, _ = drawn
+    # entries outside [0, p) reduce first, on rank_mod_p's own copy
+    b = a + shift * p
+    kept = b.copy()
+    assert rank_mod_p(b, p) == sweep_rank_mod_p(a, p)
+    assert np.array_equal(b, kept)
+
+
 @given(_blocks())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_block_insert_matches_rank_mod_p(drawn):
     p, a, cuts = drawn
     eb = ModpEchelon(a.shape[1], p)
     one = ModpEchelon(a.shape[1], p)
     grown = sum(eb.insert_block(part) for part in np.split(a, cuts))
-    assert grown == eb.dim == rank_mod_p(a, p)
+    assert grown == eb.dim == rank_mod_p(a, p) == sweep_rank_mod_p(a, p)
     _assert_reduced(eb)
     assert not eb.residual(a).any()
     # the one-row insert is the same kernel
@@ -432,19 +476,36 @@ def test_block_insert_chunks_a_tall_block():
     a = rng.integers(0, p, (150, 40)) @ rng.integers(0, p, (40, 90)) % p
     eb = ModpEchelon(90, p)
     assert eb.insert_block(a[:20]) == 20
-    assert eb.insert_block(a) == 20 and eb.dim == rank_mod_p(a, p)
+    assert eb.insert_block(a) == 20 and eb.dim == sweep_rank_mod_p(a, p)
     _assert_reduced(eb)
     assert eb.insert_block(a[:7]) == 0
     assert not eb.residual(a).any()
-    # sparse rows: each later chunk meets only a few of the new rows that
-    # the block's earlier chunks added
+    # sparse rows: the block's new rows meet only a few of the older ones
     s = a * (rng.random(a.shape) < 0.04)
     eb = ModpEchelon(90, p)
     eb.insert_block(s[:10])
-    assert eb.insert_block(s) > 2 * eb.CHUNK
-    assert eb.dim == rank_mod_p(s, p)
+    eb.insert_block(s)
+    assert eb.dim == sweep_rank_mod_p(s, p)
     _assert_reduced(eb)
     assert not eb.residual(s).any()
+
+
+def test_rank_mod_p_ranks_a_wide_block():
+    # no width x width buffer: at 2^20 columns it would be 8 TiB
+    p, width = modular_prime(4), 1 << 20
+    a = np.zeros((4, width), dtype=np.int64)
+    a[0, width - 1] = 1
+    a[1, 5] = 3
+    a[2] = a[0] + 2 * a[1]
+    a[3, width // 2] = p - 1
+    a[3, 7:100] = np.arange(93)
+    tracemalloc.start()
+    try:
+        assert rank_mod_p(a, p) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * a.nbytes
 
 
 def test_full_rank_insert_fills_the_rows_in_place():

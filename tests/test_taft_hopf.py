@@ -100,10 +100,11 @@ def test_axiom_battery_small():
         assert report.ok, report.failures
 
 
-def test_axiom_battery_catches_broken_coproduct():
+def test_axiom_battery_catches_broken_coproduct(monkeypatch):
     # same algebra, but Delta(v) missing the twist; the battery must object
-    H = TaftAlgebra(2)
-    broken = TaftAlgebra(2, delta_v=H.tensor2({((0, 1), (0, 0)): 1}))
+    broken = TaftAlgebra(2)
+    monkeypatch.setattr(broken, "_delta_v",
+                        broken.tensor2({((0, 1), (0, 0)): 1}))
     report = hopf_verify_axioms(broken)
     assert not report.ok
     assert report.failures
