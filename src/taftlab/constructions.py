@@ -408,11 +408,6 @@ class GradedSimpleCertificate:
     operator_algebra_dim: int
     method: str
 
-    @property
-    def to_json(self):
-        return {"operator_algebra_dim": self.operator_algebra_dim,
-                "method": self.method}
-
 
 def certify_graded_simple(B: FinDimAlgebra, grading: GradingDecomposition):
     """Burnside-style certificate that B has no proper nonzero graded ideal.
@@ -469,10 +464,6 @@ class NilpotentExtensionSpec:
                              "at components %r" % (bad,))
         if certify_graded_simple(self.B, self.grading) is None:
             raise InputError("base algebra is not certified graded-simple")
-
-    @property
-    def certificate(self) -> GradedSimpleCertificate:
-        return certify_graded_simple(self.B, self.grading)
 
 
 @dataclass(frozen=True)

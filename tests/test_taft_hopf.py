@@ -1,13 +1,18 @@
-"""The Hopf algebra on generators c, v: relations, coproduct, antipode."""
+"""The Hopf algebra on generators c, v: relations, coproduct, antipode, and
+the axiom battery against its exhaustive oracle."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.qcombinatorics import q_binom
-from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
+from taftlab.taft_hopf import (AxiomReport, TaftAlgebra, _coassoc_sides,
+                               _product_table, hopf_verify_axioms)
+
+FLAGS = ("associativity", "coassociativity", "counit", "bialgebra", "antipode")
 
 
 def test_defining_relations():
@@ -95,7 +100,7 @@ def test_antipode_is_an_antihomomorphism(m, data):
 
 
 def test_axiom_battery_small():
-    for m in (2, 3):
+    for m in range(2, 9):
         report = hopf_verify_axioms(TaftAlgebra(m))
         assert report.ok, report.failures
 
@@ -108,3 +113,175 @@ def test_axiom_battery_catches_broken_coproduct(monkeypatch):
     report = hopf_verify_axioms(broken)
     assert not report.ok
     assert report.failures
+
+
+# -- the oracle: the Hopf axioms checked key by key over the whole basis ---------
+
+
+def exhaustive_axioms(H):
+    """The axiom battery that checked every basis monomial: coassociativity,
+    the counit and the antipode on each of the m^2 keys, and Delta(xy) =
+    Delta(x) Delta(y), eps(xy) = eps(x) eps(y) on each of the m^4 pairs."""
+    report = AxiomReport(m=H.m)
+    keys = H.basis_keys()
+
+    def fail(axiom: str, witness: str):
+        setattr(report, axiom, False)
+        if len(report.failures) < 32:
+            report.failures.append("%s: %s" % (axiom, witness))
+
+    table = _product_table(H)
+    triple = table._associativity_witness()
+    if triple is not None:
+        fail("associativity", "keys %r %r %r" % tuple(keys[t] for t in triple))
+    bad = table._unit_witness(table.basis_vector(0))
+    if bad is not None:
+        fail("associativity", "unit fails at %r" % (keys[bad],))
+
+    for key in keys:
+        left, right = _coassoc_sides(H, key)
+        if left != right:
+            fail("coassociativity", "key %r" % (key,))
+        delta = H.coproduct_basis(key)
+        lhs = H.zero()
+        rhs = H.zero()
+        for (a, b), c in delta.terms.items():
+            lhs = lhs + H.monomial(*b).scale(c * H.counit(H.monomial(*a)))
+            rhs = rhs + H.monomial(*a).scale(c * H.counit(H.monomial(*b)))
+        x = H.monomial(*key)
+        if lhs != x or rhs != x:
+            fail("counit", "key %r" % (key,))
+
+    one = H.one()
+    if H.coproduct(one) != H.tensor_unit(2):
+        fail("bialgebra", "coproduct of 1")
+    if H.counit(one) != CycNum.one(H.m):
+        fail("bialgebra", "counit of 1")
+    monomials = {key: H.monomial(*key) for key in keys}
+    deltas = {key: H.coproduct(x) for key, x in monomials.items()}
+    counits = {key: H.counit(x) for key, x in monomials.items()}
+    for a in keys:
+        for b in keys:
+            xy = monomials[a] * monomials[b]
+            if H.coproduct(xy) != deltas[a] * deltas[b]:
+                fail("bialgebra", "coproduct at %r * %r" % (a, b))
+                break
+            if H.counit(xy) != counits[a] * counits[b]:
+                fail("bialgebra", "counit at %r * %r" % (a, b))
+                break
+        if not report.bialgebra:
+            break
+
+    for key in keys:
+        x = H.monomial(*key)
+        delta = H.coproduct_basis(key)
+        lhs = H.zero()
+        rhs = H.zero()
+        for (a, b), c in delta.terms.items():
+            lhs = lhs + (H.antipode_basis(a) * H.monomial(*b)).scale(c)
+            rhs = rhs + (H.monomial(*a) * H.antipode_basis(b)).scale(c)
+        want = one.scale(H.counit(x))
+        if lhs != want or rhs != want:
+            fail("antipode", "key %r" % (key,))
+
+    return report
+
+
+def _flags(report):
+    return {name: getattr(report, name) for name in FLAGS}
+
+
+c_, v_, one_ = (1, 0), (0, 1), (0, 0)
+BROKEN = {
+    "delta_v = v(x)1": ("_delta_v", lambda H: H.tensor2({(v_, one_): 1})),
+    "delta_v = v(x)c + 1(x)v": (
+        "_delta_v", lambda H: H.tensor2({(v_, c_): 1, (one_, v_): 1})),
+    "delta_v = v(x)1 + 1(x)v": (
+        "_delta_v", lambda H: H.tensor2({(v_, one_): 1, (one_, v_): 1})),
+    # Delta an algebra map, one side of the counit / antipode law broken
+    "delta_v = 1(x)v": ("_delta_v", lambda H: H.tensor2({(one_, v_): 1})),
+    "delta_v = 1(x)v - c(x)cv": (
+        "_delta_v", lambda H: H.tensor2({(one_, v_): 1, (c_, (1, 1)): -1})),
+    "delta_c = c(x)1": ("_delta_c", lambda H: H.tensor2({(c_, one_): 1})),
+    "eps_c = 2": ("_eps_c", lambda H: CycNum.rational(H.m, 2)),
+    "eps_v = 1": ("_eps_v", lambda H: CycNum.one(H.m)),
+    "s_c = 1": ("_s_c", lambda H: H.one()),
+    "s_v = +c^-1 v": ("_s_v", lambda H: H.monomial(H.m - 1, 1)),
+    "s_v = -zeta c^-1 v": (
+        "_s_v", lambda H: H.monomial(H.m - 1, 1, -zeta_power(H.m, 1))),
+}
+
+
+def _broken(m, case):
+    H = TaftAlgebra(m)
+    attr, value = BROKEN[case]
+    setattr(H, attr, value(H))
+    return H
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_battery_matches_the_oracle_on_the_taft_structure(m):
+    H = TaftAlgebra(m)
+    assert _flags(hopf_verify_axioms(H)) == _flags(exhaustive_axioms(H))
+    assert hopf_verify_axioms(H).ok
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_battery_matches_the_oracle_on_broken_generator_values(m, case):
+    report = hopf_verify_axioms(_broken(m, case))
+    expect = exhaustive_axioms(_broken(m, case))
+    assert not expect.ok
+    assert _flags(report) == _flags(expect), (report.failures, expect.failures)
+
+
+def test_broken_relation_witnesses():
+    report = hopf_verify_axioms(_broken(3, "delta_v = v(x)1 + 1(x)v"))
+    assert report.failures[0] == "bialgebra: coproduct breaks v^m = 0"
+    report = hopf_verify_axioms(_broken(3, "eps_v = 1"))
+    assert report.failures[:2] == ["bialgebra: counit breaks v^m = 0",
+                                   "bialgebra: counit breaks v c = zeta c v"]
+    report = hopf_verify_axioms(_broken(3, "s_c = 1"))
+    assert report.failures[0] == "antipode: antipode breaks v c = zeta c v"
+
+
+@st.composite
+def _generator_values(draw, H):
+    """Delta, eps and S on c and v: each value the Taft one or, half the time,
+    a random sparse element with coefficients in {-1, 1, zeta}."""
+    keys = H.basis_keys()
+    coeffs = st.sampled_from([-1, 1, zeta_power(H.m, 1)])
+
+    def sparse(key):
+        return draw(st.dictionaries(key, coeffs, min_size=1, max_size=3))
+
+    out = {}
+    for attr, key, build in (
+            ("_delta_c", st.tuples(st.sampled_from(keys), st.sampled_from(keys)),
+             H.tensor2),
+            ("_delta_v", st.tuples(st.sampled_from(keys), st.sampled_from(keys)),
+             H.tensor2),
+            ("_s_c", st.sampled_from(keys), H.element),
+            ("_s_v", st.sampled_from(keys), H.element)):
+        if draw(st.booleans()):
+            out[attr] = build(sparse(key))
+    for attr in ("_eps_c", "_eps_v"):
+        if draw(st.booleans()):
+            out[attr] = draw(st.sampled_from(
+                [CycNum.zero(H.m), CycNum.one(H.m), zeta_power(H.m, 1)]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_battery_matches_the_oracle_on_random_generator_values(m, data):
+    values = data.draw(_generator_values(TaftAlgebra(m)))
+    H, G = TaftAlgebra(m), TaftAlgebra(m)
+    for attr, value in values.items():
+        setattr(H, attr, value)
+        setattr(G, attr, value)
+    report, expect = hopf_verify_axioms(H), exhaustive_axioms(G)
+    assert report.ok == expect.ok, (report.failures, expect.failures)
+    if report.bialgebra and expect.bialgebra:
+        # Delta and eps are algebra maps: every flag is the oracle's
+        assert _flags(report) == _flags(expect)
