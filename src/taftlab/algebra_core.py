@@ -440,12 +440,16 @@ class GradingDecomposition:
 def grading_from_c(a: FinDimAlgebra, c_op: Matrix) -> GradingDecomposition:
     """Eigenspace decomposition of an order-m automorphism into a Z_m-grading.
 
-    Rejects (structured InputError) when c_op^m != id, when the eigenspaces
-    for the powers of zeta_m fail to fill the algebra (the action does not
-    diagonalize over Q(zeta_m); we reject rather than extend the field), and
-    when some product lands outside its expected component.
+    Rejects (structured InputError) when c_op is over another conductor
+    than the algebra, when c_op^m != id, when the eigenspaces for the powers
+    of zeta_m fail to fill the algebra (the action does not diagonalize over
+    Q(zeta_m); we reject rather than extend the field), and when some
+    product lands outside its expected component.
     """
     m, n = a.m, a.dim
+    if c_op.m != m:
+        raise InputError("conductor mismatch: c operator over Q(zeta_%d), "
+                         "algebra over Q(zeta_%d)" % (c_op.m, m))
     if c_op.nrows != n or c_op.ncols != n:
         raise InputError("c operator must be %d x %d" % (n, n))
     if c_op ** m != Matrix.identity(m, n):

@@ -20,13 +20,12 @@ index is in range.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, Subspace, combination,
-                     intertwiner_space, kernel, rank)
+                     intertwiner_space, kernel, rank, small_coefficients)
 from .algebra_core import (FinDimAlgebra, GradingDecomposition,
                            grading_from_c, jacobson_radical,
                            ideal_generated_by, subalgebra_on,
@@ -255,24 +254,14 @@ def _invertible_in_span(basis, k: int, m: int):
 
     det over the span is a polynomial of total degree <= k in the
     coordinates, so vanishing on the full grid {0..k}^s forces it to vanish
-    identically; scanning that grid is a complete decision.  A candidate
-    is invertible when its rank is k, and the first one is returned at
-    once.  Cheap candidates (single elements, prefix sums) are
-    tried before the grid.
+    identically; scanning that grid is a complete decision.  The candidates
+    are linalg.small_coefficients over 0..k: the single elements and the
+    prefix sums, which are cheap and often invertible, then the grid.  A
+    candidate is invertible when its rank is k, and the first one is
+    returned at once.
     """
-    if not basis:
-        return None
-    s = len(basis)
-    quick = [tuple(1 if i == j else 0 for j in range(s)) for i in range(s)]
-    quick += [tuple(1 if j <= i else 0 for j in range(s)) for i in range(1, s)]
-    seen = set()
-    for coeffs in itertools.chain(quick, itertools.product(range(k + 1), repeat=s)):
-        if coeffs in seen:
-            continue
-        seen.add(coeffs)
+    for coeffs in small_coefficients(len(basis), range(k + 1)):
         cand = combination(coeffs, basis)
-        if cand is None:
-            continue
         if rank(cand) == k:
             return cand
     return None
@@ -632,8 +621,8 @@ def recover_structure(mod: HModuleAlgebra) -> RecoveredStructure:
     nil_index = len(chain)    # chain[-1] is the first zero power
     last_power = chain[-2]
 
-    seed = last_power.basis[0]
-    min_ideal = ideal_generated_by(A, [seed], extra_ops=(mod.c_op,))
+    x = last_power.basis[0]
+    min_ideal = ideal_generated_by(A, [x], extra_ops=(mod.c_op,))
     d = min_ideal.dim
     if d * m != n:
         raise InputError(
@@ -766,23 +755,16 @@ def grid_spec(m: int, k: int, t: int) -> SemisimpleSpec:
 
 def mutate_p_nonscalar(m: int, k: int, t: int, Q: Matrix):
     """A matrix P compatible with Q's commutation constraint but with P^m
-    not scalar, or None when no such P exists (k = 1, say)."""
+    not scalar, or None when no candidate is (k = 1, say, where every P^m
+    is scalar).
+
+    The candidates are the combinations of the constraint's solution space
+    with coefficients from linalg.small_coefficients over 0..2: its basis
+    elements, their prefix sums, then the grid {0, 1, 2}^s.
+    """
     space = intertwiner_space(m, k, k, [(Q, Q, zeta_power(m, t))])
-    if not space:
-        return None
-
-    def nonscalar(P):
-        return (P ** m).is_scalar() is None
-
-    candidates = list(space)
-    candidates += [a + b for a, b in itertools.combinations(space, 2)]
-    candidates += [a + b * 2 for a, b in itertools.combinations(space, 2)]
-    for cand in candidates:
-        if nonscalar(cand):
-            return cand
-    rng_grid = itertools.product(range(3), repeat=len(space))
-    for coeffs in itertools.islice(rng_grid, 2000):
-        acc = combination(coeffs, space)
-        if acc is not None and nonscalar(acc):
-            return acc
+    for coeffs in small_coefficients(len(space), range(3)):
+        P = combination(coeffs, space)
+        if (P ** m).is_scalar() is None:
+            return P
     return None

@@ -35,16 +35,25 @@ certificate, whether or not the laws hold, since every L' R' c^s v^k is a
 word in the generators.  A shortfall is the dimension of O only when the
 laws hold, so hma_verify runs first on that path and a module that fails
 it raises InputError; then small algebras (dim A <= 10) are ranked
-exactly.  Tier 2 hunts for a witness: invariant-ideal closures seeded from
-eigenvectors, basis vectors, kernels, and five fixed pseudo-random vectors
-(seed 0); any proper nonzero closed subspace is returned as a verified
-witness.  If both tiers come back empty the result is Inconclusive, never
+exactly.  Tier 2 therefore runs only on modules whose laws hold, and looks
+for a witness among highest-weight vectors, which needs exactly what those
+laws give: v is nilpotent (v^m = 0), and c^m = 1 with v c = zeta c v.  A
+nonzero invariant ideal I is stable under the nilpotent v, so W, the
+intersection of I and ker v, is nonzero.  c maps W into itself, since I is
+c-stable and v c x = zeta c v x = 0 for x in ker v.  c^m = 1 makes c
+diagonalizable over Q(zeta_m), so W is the sum of its intersections with
+the eigenspaces ker(c - zeta^i).  Hence every nonzero invariant ideal contains a nonzero x
+in some K_i, the intersection of ker(c - zeta^i) and ker v.  Tier 2 closes
+each canonical basis vector of K_0, ..., K_{m-1} under both
+multiplications, c and v, and returns the first closure that is proper as
+the witness.  A proper ideal that contains none of those basis vectors is
+missed, so if both tiers come back empty the result is Inconclusive, never
 a guess.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -55,7 +64,8 @@ from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
                      Subspace, combination, intertwiner_space, kernel,
-                     matrix_to_modp, rank, reduction_primes, vec_is_zero)
+                     matrix_to_modp, rank, reduction_primes,
+                     small_coefficients, vec_is_zero)
 from .algebra_core import FinDimAlgebra, ideal_generated_by
 from .taft_hopf import HopfElement, TaftAlgebra
 
@@ -520,6 +530,13 @@ def is_h_simple(mod: HModuleAlgebra):
 
     Tier 1 is operator_span_dim: a full normal-form span certifies, and a
     short one is trusted only after hma_verify passes (InputError if not).
+    Tier 2 runs after that check, so the laws hold: it closes the canonical
+    basis vectors of each K_i, the intersection of ker(c - zeta^i) and
+    ker v, i = 0..m-1, under both multiplications, c and v, and the first
+    proper closure is the NotSimple witness.  Every nonzero invariant ideal meets some K_i (see
+    the module docstring), but it need not contain one of those basis
+    vectors, so when none closes to a proper ideal the result is
+    Inconclusive.
     """
     A = mod.algebra
     n = A.dim
@@ -530,28 +547,14 @@ def is_h_simple(mod: HModuleAlgebra):
     if dim == n * n:
         return CertifiedSimple(operator_algebra_dim=dim, method=method)
 
-    # tier 2: witness search
+    # tier 2: K_i is the kernel of c - zeta^i stacked over v
     ident = Matrix.identity(mod.m, n)
-    candidates = []
     for i in range(mod.m):
         shifted = mod.c_op - ident * zeta_power(mod.m, i)
-        candidates.extend(kernel(shifted))
-    candidates.extend(A.basis_vector(i) for i in range(n))
-    candidates.extend(kernel(mod.v_op))
-    for i in range(n):
-        candidates.extend(kernel(A.left_mult_basis(i))[:2])
-    rng = random.Random(0)
-    for _ in range(5):
-        candidates.append(tuple(CycNum.rational(mod.m, rng.randint(-3, 3))
-                                for _ in range(n)))
-    seen = set()
-    for cand in candidates:
-        if vec_is_zero(cand) or tuple(cand) in seen:
-            continue
-        seen.add(tuple(cand))
-        ideal = ideal_generated_by(A, [cand], extra_ops=(mod.c_op, mod.v_op))
-        if 0 < ideal.dim < n:
-            return NotSimple(witness=ideal)
+        for x in kernel(Matrix(mod.m, shifted.rows + mod.v_op.rows)):
+            ideal = ideal_generated_by(A, [x], extra_ops=(mod.c_op, mod.v_op))
+            if ideal.dim < n:
+                return NotSimple(witness=ideal)
     return Inconclusive(detail="operator span reached %d of %d (%s); no witness "
                                "ideal found" % (dim, n * n, method))
 
@@ -607,11 +610,16 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
 
     The intertwiner conditions T c1 = c2 T and T v1 = v2 T are linear, so the
     candidate space is solved exactly; multiplicativity is not linear, so
-    candidates are sampled from that space (basis elements, prefix sums, then
-    pseudo-random combinations from seed 0), rescaled to send unit to unit
-    when possible, and checked exactly (_multiplicative_witness).  A None
-    answer is a budget statement, not a proof.
+    candidates are drawn from that space: the identity first when it is
+    equivariant, then the combinations with coefficients from
+    linalg.small_coefficients over 0, 1, -1, 2, -2, 3, -3 (basis elements,
+    prefix sums, then that grid), at most budget + 2 dim(space) of them.
+    Each is rescaled to send unit to unit when possible and checked exactly
+    (_multiplicative_witness).  A None answer is a budget statement, not a
+    proof.  A negative budget raises InputError.
     """
+    if budget < 0:
+        raise InputError("budget must be >= 0, got %d" % budget)
     if mod1.m != mod2.m:
         raise InputError("conductor mismatch")
     A1, A2 = mod1.algebra, mod2.algebra
@@ -626,35 +634,16 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
     if not space:
         return None
 
-    def candidates():
-        # the identity first when it is equivariant: it settles every
-        # self-comparison immediately; later candidates are equivariant by
-        # construction, so this is the only one needing its own check
-        if mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op:
-            yield Matrix.identity(m, n)
-        for b in space:
-            yield b
-        acc = None
-        for b in space:
-            acc = b if acc is None else acc + b
-            yield acc
-        rng = random.Random(0)
-        for _ in range(budget):
-            coeffs = [rng.randint(-3, 3) for _ in space]
-            if not any(coeffs):
-                continue
-            yield combination(coeffs, space)
-
-    tried = 0
-    for T in candidates():
-        tried += 1
-        if tried > budget + 2 * len(space):
-            break
-        T2 = _scale_to_unit(mod1, mod2, T)
-        if T2 is None:
-            continue
-        T = T2
-        if rank(T) != n:
+    grid = small_coefficients(len(space), (0, 1, -1, 2, -2, 3, -3))
+    candidates = (combination(coeffs, space) for coeffs in grid)
+    # the identity first when it is equivariant: it settles every
+    # self-comparison immediately; later candidates are equivariant by
+    # construction, so this is the only one needing its own check
+    if mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op:
+        candidates = itertools.chain([Matrix.identity(m, n)], candidates)
+    for T in itertools.islice(candidates, budget + 2 * len(space)):
+        T = _scale_to_unit(mod1, mod2, T)
+        if T is None or rank(T) != n:
             continue
         if _multiplicative_witness(A1, A2, T) is None:
             return T

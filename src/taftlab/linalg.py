@@ -20,6 +20,8 @@ of each block against its basis.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .cyclotomic import CycNum
@@ -454,6 +456,20 @@ def intertwiner_space(m: int, n_out: int, n_in: int, constraints) -> list:
         out.append(Matrix(m, tuple(tuple(v[i * n_in + j] for j in range(n_in))
                                    for i in range(n_out))))
     return out
+
+
+def small_coefficients(s: int, values):
+    """The integer coefficient vectors of length s that the span searches
+    try, each once (for distinct values) and never all zero: the unit
+    vectors, then the prefix sums (1, ..., 1, 0, ..., 0) of two or more
+    ones, then itertools.product(values, repeat=s) in its order."""
+    cheap = [tuple(int(j == i) for j in range(s)) for i in range(s)]
+    cheap += [tuple(int(j <= i) for j in range(s)) for i in range(1, s)]
+    yield from cheap
+    seen = set(cheap)
+    for coeffs in itertools.product(values, repeat=s):
+        if any(coeffs) and coeffs not in seen:
+            yield coeffs
 
 
 def combination(coeffs, basis):

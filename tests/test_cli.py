@@ -10,6 +10,7 @@ import pytest
 from taftlab import cli
 from taftlab.cli import main
 from taftlab.fixtures import ss_specs, sweedler_two_dim, trivial_action
+from taftlab.linalg import Matrix
 from taftlab.serialize import dumps_canonical, hma_to_json, ss_spec_to_json
 from taftlab.taft_hopf import AxiomReport
 
@@ -135,6 +136,15 @@ def test_iso_generic_self(capsys, tmp_path):
     assert doc["budget"] == 64
 
 
+def test_iso_rejects_a_negative_budget(capsys, tmp_path):
+    path = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
+    code, out, err = run(capsys, "iso", "--a", path, "--b", path,
+                         "--budget", "-3")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-input",
+                               "message": "budget must be >= 0, got -3"}
+
+
 def _jet3():
     """F[t]/(t^3) over Q(zeta_2)."""
     from taftlab.algebra_core import FinDimAlgebra
@@ -179,6 +189,20 @@ def test_grading_command(capsys, tmp_path):
                        "--m", "3")
     assert code == 2
     assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_grading_names_a_c_matrix_over_another_conductor(capsys, tmp_path):
+    from taftlab.algebra_core import matrix_algebra
+    from taftlab.serialize import algebra_to_json, matrix_doc_to_json
+
+    apath = write_doc(tmp_path, "alg.json", algebra_to_json(matrix_algebra(2, 2)))
+    cpath = write_doc(tmp_path, "c.json", matrix_doc_to_json(Matrix.identity(3, 4)))
+    code, out, err = run(capsys, "grading", "--in", apath, "--c", cpath)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "invalid-input",
+        "message": "conductor mismatch: c operator over Q(zeta_3), "
+                   "algebra over Q(zeta_2)"}
 
 
 def test_recover_round_trip_via_cli(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Block-rotation semisimple builds, their classification, nilpotent
 extensions, and structure recovery."""
 
+import itertools
 import random
 import re
 
@@ -46,7 +47,7 @@ from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import nilext_specs, ss_specs
 from taftlab.hmodule import hma_verify
-from taftlab.linalg import Matrix
+from taftlab.linalg import Matrix, combination, intertwiner_space
 
 
 def _mat(m, rows):
@@ -243,6 +244,33 @@ def test_mutation_impossible_for_scalar_blocks():
     # k = 1 with t = m: the commutation constraint is vacuous but every
     # 1x1 matrix has scalar powers, so no mutation exists
     assert mutate_p_nonscalar(2, 1, 2, Matrix.identity(2, 1)) is None
+
+
+def _listed_mutate_p_nonscalar(m, k, t, Q):
+    """mutate_p_nonscalar as it listed its candidates before it took them
+    from linalg.small_coefficients: the basis, every a + b and a + 2b of two
+    basis elements, then the first 2000 points of the grid {0, 1, 2}^s."""
+    space = intertwiner_space(m, k, k, [(Q, Q, zeta_power(m, t))])
+    pairs = list(itertools.combinations(space, 2))
+    grid = itertools.islice(itertools.product(range(3), repeat=len(space)), 2000)
+    candidates = itertools.chain(
+        space, (a + b for a, b in pairs), (a + b * 2 for a, b in pairs),
+        (combination(coeffs, space) for coeffs in grid if any(coeffs)))
+    return next((P for P in candidates if (P ** m).is_scalar() is None), None)
+
+
+# the criterion-04 grid with each spec's Q, and the inputs above with Q = 1
+MUTATION_INPUTS = (
+    [pytest.param(m, k, t, grid_spec(m, k, t).Q, id="grid_m%d_k%d_t%d" % (m, k, t))
+     for m in (2, 3, 4) for k in (1, 2, 3) for t in range(1, m + 1)
+     if m % t == 0]
+    + [pytest.param(m, k, m, Matrix.identity(m, k), id="one_m%d_k%d" % (m, k))
+       for m, k in ((2, 2), (3, 2), (4, 2), (2, 1))])
+
+
+@pytest.mark.parametrize("m,k,t,Q", MUTATION_INPUTS)
+def test_mutation_matches_the_listed_candidates(m, k, t, Q):
+    assert mutate_p_nonscalar(m, k, t, Q) == _listed_mutate_p_nonscalar(m, k, t, Q)
 
 
 # -- isomorphism decisions --------------------------------------------------

@@ -1,13 +1,19 @@
 """Module-algebra verification, simplicity certificates, generic isomorphism."""
 
+import itertools
+import random
+from functools import cache
+
 import pytest
 
-from taftlab.algebra_core import direct_sum, field_algebra, matrix_algebra
+from taftlab.algebra_core import (FinDimAlgebra, direct_sum, field_algebra,
+                                  ideal_generated_by, matrix_algebra)
 from taftlab.constructions import build_semisimple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import (
     negative_modules,
+    positive_modules,
     ss_specs,
     sweedler_two_dim,
     trivial_action,
@@ -25,7 +31,7 @@ from taftlab.hmodule import (
     operator_span_dim,
     verify_invariant_ideal,
 )
-from taftlab.linalg import Matrix
+from taftlab.linalg import Matrix, kernel, vec_is_zero
 from taftlab.taft_hopf import TaftAlgebra
 
 
@@ -120,6 +126,88 @@ def test_negatives_come_with_verified_witnesses():
         assert verify_invariant_ideal(mod, verdict.witness), name
 
 
+# -- tier 2 against the candidate list it replaced ------------------------------
+
+
+def _listed_tier2_witness(mod):
+    """The witness of the tier-2 search is_h_simple ran before it took its
+    candidates from ker(c - zeta^i) and ker v: c-eigenvectors, basis vectors,
+    ker v, two kernel vectors of every L(e_i) and five seeded random
+    vectors, each closed in turn; None when no closure is proper."""
+    A, m, n = mod.algebra, mod.m, mod.algebra.dim
+    ident = Matrix.identity(m, n)
+    candidates = []
+    for i in range(m):
+        candidates.extend(kernel(mod.c_op - ident * zeta_power(m, i)))
+    candidates.extend(A.basis_vector(i) for i in range(n))
+    candidates.extend(kernel(mod.v_op))
+    for i in range(n):
+        candidates.extend(kernel(A.left_mult_basis(i))[:2])
+    rng = random.Random(0)
+    for _ in range(5):
+        candidates.append(tuple(CycNum.rational(m, rng.randint(-3, 3))
+                                for _ in range(n)))
+    seen = set()
+    for cand in candidates:
+        if vec_is_zero(cand) or tuple(cand) in seen:
+            continue
+        seen.add(tuple(cand))
+        ideal = ideal_generated_by(A, [cand], extra_ops=(mod.c_op, mod.v_op))
+        if 0 < ideal.dim < n:
+            return ideal
+    return None
+
+
+def _block_diagonal(m, x, y):
+    zero = CycNum.zero(m)
+    return Matrix(m, tuple(r + (zero,) * y.ncols for r in x.rows)
+                  + tuple((zero,) * x.ncols + r for r in y.rows))
+
+
+def _module_sum(mod1, mod2):
+    return HModuleAlgebra(hopf=mod1.hopf,
+                          algebra=direct_sum(mod1.algebra, mod2.algebra),
+                          c_op=_block_diagonal(mod1.m, mod1.c_op, mod2.c_op),
+                          v_op=_block_diagonal(mod1.m, mod1.v_op, mod2.v_op))
+
+
+def _truncated_polynomials(m, k):
+    """F[t]/(t^k) on the basis 1, t, ..., t^(k-1)."""
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    mult = tuple(tuple(tuple(one if a == i + j else zero for a in range(k))
+                       for j in range(k)) for i in range(k))
+    return FinDimAlgebra(m, mult, unit=(one,) + (zero,) * (k - 1))
+
+
+@cache
+def _reducible():
+    """Module algebras with a proper nonzero invariant ideal: the corpus
+    negatives, the direct sums of two positive corpus modules of dim <= 4
+    over one conductor, and F[t]/(t^k) with the trivial action."""
+    out = dict(negative_modules())
+    small = sorted((name, mod) for name, mod in positive_modules().items()
+                   if mod.algebra.dim <= 4)
+    for (a, x), (b, y) in itertools.combinations_with_replacement(small, 2):
+        if x.m == y.m:
+            out["%s + %s" % (a, b)] = _module_sum(x, y)
+    for k in (2, 3, 4):
+        out["F[t]/(t^%d)" % k] = trivial_action(_truncated_polynomials(2, k))
+    return out
+
+
+def test_reducible_modules_are_the_listed_ones():
+    assert len(_reducible()) == 103
+
+
+@pytest.mark.parametrize("name", sorted(_reducible()))
+def test_tier2_witness_matches_the_listed_candidates(name):
+    mod = _reducible()[name]
+    verdict = is_h_simple(mod)
+    assert isinstance(verdict, NotSimple)
+    assert verdict.witness == _listed_tier2_witness(mod)
+    assert verify_invariant_ideal(mod, verdict.witness)
+
+
 def test_square_zero_algebra_is_not_simple():
     from taftlab.algebra_core import FinDimAlgebra
     zero = CycNum.zero(2)
@@ -162,6 +250,13 @@ def test_isomorphism_respects_dimension():
     m1 = trivial_action(field_algebra(2))
     m2 = trivial_action(matrix_algebra(2, 2))
     assert hma_isomorphic_generic(m1, m2) is None
+
+
+def test_isomorphism_rejects_a_negative_budget():
+    mod = sweedler_two_dim()
+    with pytest.raises(InputError, match="budget must be >= 0, got -3"):
+        hma_isomorphic_generic(mod, mod, budget=-3)
+    assert hma_isomorphic_generic(mod, mod, budget=0) == Matrix.identity(2, 2)
 
 
 def test_isomorphism_conductor_mismatch_rejected():

@@ -4,6 +4,7 @@ _check_unit), the module-algebra law on generators (hma_verify), the Taft
 product (hopf_verify_axioms) and algebra maps (_verify_module_iso,
 hma_isomorphic_generic and the q-binomial product law of recover_structure)."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -26,7 +27,8 @@ from taftlab.fixtures import (negative_modules, nilext_specs, positive_modules,
                               ss_specs)
 from taftlab.hmodule import (HmaReport, HModuleAlgebra, hma_isomorphic_generic,
                              hma_verify)
-from taftlab.linalg import Matrix, vec_is_zero
+from taftlab.linalg import (Matrix, combination, intertwiner_space, rank,
+                            vec_is_zero)
 from taftlab.qcombinatorics import QBinomTable
 from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
 
@@ -654,23 +656,86 @@ def test_random_tables_and_maps_match_the_pair_loop(drawn, data):
         _cycnum_first_nonmultiplicative(a1, a2, T)
 
 
-@pytest.mark.parametrize("a,b", [
+GENERIC_PAIRS = [
     ("ss_pair_alpha_1", "ss_pair_alpha_neg1"),
     ("ss_pair_alpha_1", "ss_pair_alpha_2"),
     ("ss_pair2_diag_1", "ss_pair2_diag_neg1"),
     ("sweedler2dim", "sweedler2dim"),
     ("ss_mat2_trivial", ("ss_mat2_trivial", "rational")),
     ("sweedler2dim", ("sweedler2dim", "rational")),
-])
+]
+
+
+def _pair(a, b):
+    return _corpus()[a], _dense_copy(*b) if isinstance(b, tuple) else _corpus()[b]
+
+
+@pytest.mark.parametrize("a,b", GENERIC_PAIRS)
 def test_generic_isomorphism_search_matches_the_pair_loop(monkeypatch, a, b):
-    mod1 = _corpus()[a]
-    mod2 = _dense_copy(*b) if isinstance(b, tuple) else _corpus()[b]
+    mod1, mod2 = _pair(a, b)
     got = hma_isomorphic_generic(mod1, mod2)
     if got is not None:
         assert _cycnum_verify_module_iso(mod1, mod2, got) is None
     monkeypatch.setattr(hmodule, "_multiplicative_witness",
                         _cycnum_first_nonmultiplicative)
     assert got == hma_isomorphic_generic(mod1, mod2)
+
+
+def _seeded_isomorphic_generic(mod1, mod2, budget=64):
+    """hma_isomorphic_generic as it drew its candidates before the fixed
+    grid: the identity when equivariant, the basis of the intertwiner space,
+    its prefix sums (the first of them the first basis element again), then
+    random.Random(0) combinations with coefficients in -3..3, at most
+    budget + 2 dim(space) candidates in all."""
+    A1, A2 = mod1.algebra, mod2.algebra
+    if A1.dim != A2.dim:
+        return None
+    m, n = mod1.m, A1.dim
+    one = CycNum.one(m)
+    space = intertwiner_space(m, n, n, [(mod1.c_op, mod2.c_op, one),
+                                        (mod1.v_op, mod2.v_op, one)])
+    if not space:
+        return None
+
+    def candidates():
+        if mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op:
+            yield Matrix.identity(m, n)
+        yield from space
+        acc = None
+        for b in space:
+            acc = b if acc is None else acc + b
+            yield acc
+        rng = random.Random(0)
+        for _ in range(budget):
+            coeffs = [rng.randint(-3, 3) for _ in space]
+            if any(coeffs):
+                yield combination(coeffs, space)
+
+    for tried, T in enumerate(candidates(), 1):
+        if tried > budget + 2 * len(space):
+            break
+        T = hmodule._scale_to_unit(mod1, mod2, T)
+        if T is None or rank(T) != n:
+            continue
+        if hmodule._multiplicative_witness(A1, A2, T) is None:
+            return T
+    return None
+
+
+# the two pairs of the benchmark's iso jobs, the pairs above, and each
+# corpus module of dim <= 4 with its dense copy (every intertwiner space of
+# dim <= 2 among the dense copies is one of these)
+SEEDED_PAIRS = ([("ss_pair2_diag_1", "ss_pair2_diag_neg1"),
+                 ("ss_pair2_diag_1", "ss_pair2_diag_2")] + GENERIC_PAIRS
+                + [(name, (name, kind)) for name, kind in DENSE_COPIES
+                   if _corpus()[name].algebra.dim <= 4])
+
+
+@pytest.mark.parametrize("a,b", SEEDED_PAIRS)
+def test_generic_isomorphism_search_matches_the_seeded_search(a, b):
+    mod1, mod2 = _pair(a, b)
+    assert hma_isomorphic_generic(mod1, mod2) == \
+        _seeded_isomorphic_generic(mod1, mod2)
 
 
 # -- recover: the q-binomial product law -----------------------------------------

@@ -3,6 +3,7 @@ matrix-vector and matrix-matrix products over the supports; inverse,
 invertibility and solve on the echelon basis against the dense
 Gauss-Jordan loops they replaced."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import ss_specs
 from taftlab.linalg import (EchelonBasis, Matrix, Subspace, combination,
-                            echelon, intertwiner_space, rank, solve)
+                            echelon, intertwiner_space, rank,
+                            small_coefficients, solve)
 
 M = 3
 WIDTH = 6
@@ -283,6 +285,25 @@ def test_invertible_in_span_picks_the_det_candidate(monkeypatch):
                                                       monkeypatch)
                 found += got is not None
     assert found >= 2
+
+
+@given(st.integers(0, 4),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+@settings(max_examples=80, deadline=None)
+def test_small_coefficients_cheap_vectors_then_the_grid(s, values):
+    got = list(small_coefficients(s, values))
+    assert len(set(got)) == len(got)
+    assert all(len(c) == s and any(c) for c in got)
+    # the unit vectors, then the prefix sums of two or more ones
+    for i in range(s):
+        assert got[i] == tuple(int(j == i) for j in range(s))
+    for i in range(1, s):
+        assert got[s + i - 1] == tuple(int(j <= i) for j in range(s))
+    cheap = got[:max(2 * s - 1, 0)]
+    # then every other nonzero grid point, in itertools.product order
+    grid = list(itertools.product(values, repeat=s))
+    rest = got[len(cheap):]
+    assert rest == [c for c in grid if any(c) and c not in cheap]
 
 
 @given(st.lists(square_matrices(), min_size=1, max_size=4), st.data())
