@@ -21,8 +21,10 @@ Arithmetic is ordinary field arithmetic through operators (+, -, *, /, **
 with negative exponents allowed).  ints and Fractions are promoted to
 constants of the same conductor; mixing two different conductors raises
 InputError rather than silently embedding one field in the other.
-Division inverts via the extended Euclidean algorithm over Q against Phi_m,
-which is irreducible over Q, so every nonzero element is invertible.
+Division inverts through the norm: for x = a/den with a integral,
+N(a) = a * prod sigma_k(a) over the automorphisms sigma_k(zeta) = zeta^k,
+k in (Z/m)^x, k != 1, is a nonzero integer (Phi_m is irreducible over Q),
+so x^-1 = den * prod sigma_k(a) / N(a) needs integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -34,64 +36,34 @@ from math import gcd, lcm
 
 from .errors import InputError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    # den assumed nonzero; plain long division in Q[x]
-    num = list(num)
-    q = [_ZERO] * max(1, len(num) - len(den) + 1)
-    inv_lead = Fraction(1) / Fraction(den[-1])
-    while len(num) >= len(den) and _poly_trim(num):
-        shift = len(num) - len(den)
-        coef = num[-1] * inv_lead
-        q[shift] = coef
-        for i, di in enumerate(den):
-            num[shift + i] -= coef * di
-        _poly_trim(num)
-    return _poly_trim(q), num
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients of Phi_m, ascending, as ints.  Phi_1 = x - 1."""
     if m < 1:
         raise InputError("cyclotomic polynomial needs m >= 1, got %r" % (m,))
-    f = [Fraction(-1)] + [_ZERO] * (m - 1) + [Fraction(1)]  # x^m - 1
+    f = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            q, r = _poly_divmod(f, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            if r:
+            # long division by the monic Phi_d stays in Z[x]
+            g = cyclotomic_polynomial(d)
+            k = len(g) - 1
+            q = [0] * (len(f) - k)
+            for s in range(len(f) - 1, k - 1, -1):
+                c = f[s]
+                if c:
+                    q[s - k] = c
+                    for i, gi in enumerate(g):
+                        f[s - k + i] -= c * gi
+            if any(f[:k]):
                 raise RuntimeError("cyclotomic division left a remainder")
             f = q
-    out = []
-    for c in f:
-        if c.denominator != 1:
-            raise RuntimeError("cyclotomic coefficients must be integral")
-        out.append(int(c))
-    return tuple(out)
+    return tuple(f)
 
 
 @lru_cache(maxsize=None)
 def _field(m: int):
-    """(degree, Phi_m coeffs, table, fold) for Q(zeta_m).
+    """(degree, table, fold) for Q(zeta_m).
 
     table[j] is x^j mod Phi_m as an int tuple for j < max(m, 2*degree - 1),
     which covers every residue of an exponent mod m and every exponent of a
@@ -113,7 +85,7 @@ def _field(m: int):
         table.append(shifted)
     fold = tuple(tuple((i, c) for i, c in enumerate(table[j]) if c)
                  for j in range(deg, 2 * deg - 1))
-    return deg, phi, tuple(table), fold
+    return deg, tuple(table), fold
 
 
 def raw_sums(m: int) -> defaultdict:
@@ -140,7 +112,7 @@ def add_products(acc: defaultdict, x, terms, base: int = 0) -> None:
 def fold(m: int, raw) -> list:
     """The phi(m) numerators of a raw product sum (2*phi(m) - 1 slots)
     reduced mod Phi_m."""
-    deg, _, _, rows = _field(m)
+    deg, _, rows = _field(m)
     out = list(raw[:deg])
     for e, row in enumerate(rows, deg):
         c = raw[e]
@@ -159,7 +131,7 @@ def vanishes(m: int, raw) -> bool:
 
 def _reduce_poly(m, coeffs) -> list:
     """Reduce an integer coefficient list of any length mod Phi_m."""
-    deg, _, table, _ = _field(m)
+    deg, table, _ = _field(m)
     if len(coeffs) > len(table):
         # x^m = 1 in the quotient, since Phi_m divides x^m - 1
         folded = [0] * m
@@ -324,7 +296,7 @@ class CycNum:
                 if g != 1:
                     return _cyc(m, (n // g,), den // g)
             return _cyc(m, (n,), den)
-        deg, _, _, fold = _field(m)
+        deg, _, fold = _field(m)
         nzb = [(j, y) for j, y in enumerate(b) if y]
         conv = [0] * (2 * deg - 1)
         for i, x in enumerate(a):
@@ -342,29 +314,22 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if not any(self.num):
-            raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % self.m)
-        _, phi, _, _ = _field(self.m)
-        # self = N(zeta)/den, so its inverse is den * N(zeta)^-1
-        a = _poly_trim([Fraction(c) for c in self.num])
-        b = [Fraction(c) for c in phi]
-        # extended Euclid: s*a + t*phi = gcd; gcd is a nonzero constant
-        r0, r1 = a, b
-        s0, s1 = [_ONE], []
-        while _poly_trim(list(r1)):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1) if s1 else []
-            ns = [_ZERO] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                ns[i] += c
-            for i, c in enumerate(qs):
-                ns[i] -= c
-            s0, s1 = s1, _poly_trim(ns)
-        if len(r0) != 1:
-            raise RuntimeError("Phi_m not coprime to a nonzero residue")
-        scale = self.den / r0[0]
-        return _from_fractions(self.m, [c * scale for c in s0])
+        m, num = self.m, self.num
+        if not any(num):
+            raise ZeroDivisionError("inverse of zero in Q(zeta_%d)" % m)
+        # self = a/den with a integral, and a * prod_{k != 1} sigma_k(a) is
+        # the norm N(a), a nonzero integer; sigma_k(zeta) = zeta^k moves the
+        # numerator at slot j to slot j*k mod m
+        rest = CycNum.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * m
+                for j, c in enumerate(num):
+                    conj[j * k % m] += c
+                rest = rest * _cyc(m, tuple(_reduce_poly(m, conj)), 1)
+        norm = (_cyc(m, num, 1) * rest).num[0]
+        scale = self.den if norm > 0 else -self.den  # m = 2: N(a) = a
+        return _canon(m, [c * scale for c in rest.num], abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -466,4 +431,4 @@ def zeta_power(m: int, e: int) -> CycNum:
     """zeta_m ** e for any integer e (negative exponents fold mod m)."""
     if m < 2:
         raise InputError("conductor must be >= 2, got %r" % (m,))
-    return _cyc(m, _field(m)[2][e % m], 1)
+    return _cyc(m, _field(m)[1][e % m], 1)

@@ -13,7 +13,6 @@ quotient is defined.  At q = 1 everything collapses to ordinary binomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclotomic import CycNum
 from .errors import InputError
@@ -41,20 +40,19 @@ def q_factorial(n: int, q: CycNum) -> CycNum:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _qbinom_row(n: int, q: CycNum) -> tuple:
-    if n == 0:
-        return (CycNum.one(q.m),)
-    prev = _qbinom_row(n - 1, q)
+def _qbinom_rows(n: int, width: int, q: CycNum) -> list:
+    """Rows 0..n of the q-Pascal triangle, each cut to its first `width`
+    entries; entry k of a row needs only entries k-1 and k of the row above."""
     zero = CycNum.zero(q.m)
-    qpow = CycNum.one(q.m)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if k >= 1 else zero
-        right = prev[k] if k <= n - 1 else zero
-        row.append(left + qpow * right)
-        qpow = qpow * q
-    return tuple(row)
+    qpow = [q ** k for k in range(width)]
+    row = (CycNum.one(q.m),)
+    rows = [row]
+    for r in range(1, n + 1):
+        row = tuple((row[k - 1] if k else zero)
+                    + (qpow[k] * row[k] if k < r else zero)
+                    for k in range(min(r + 1, width)))
+        rows.append(row)
+    return rows
 
 
 def q_binom(n: int, k: int, q: CycNum) -> CycNum:
@@ -63,7 +61,9 @@ def q_binom(n: int, k: int, q: CycNum) -> CycNum:
         raise InputError("q_binom needs n >= 0, got %d" % n)
     if k < 0 or k > n:
         raise InputError("q_binom needs 0 <= k <= n, got k=%d, n=%d" % (k, n))
-    return _qbinom_row(n, q)[k]
+    # binom(n, k)_q = binom(n, n - k)_q, so min(k, n - k) + 1 columns suffice
+    k = min(k, n - k)
+    return _qbinom_rows(n, k + 1, q)[n][k]
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class QBinomTable:
             bound = 2 * q.m
         if bound < 0:
             raise InputError("QBinomTable bound must be >= 0")
-        rows = tuple(_qbinom_row(n, q) for n in range(bound + 1))
+        rows = tuple(_qbinom_rows(bound, bound + 1, q))
         return QBinomTable(m=q.m, q=q, bound=bound, rows=rows)
 
     def value(self, n: int, k: int) -> CycNum:

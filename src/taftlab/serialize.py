@@ -3,9 +3,12 @@
 Every document carries a top-level ``"format": "taftlab/1"``.  Field
 elements are ``{"m": m, "coeffs": ["p/q", ...]}`` with exact rational
 strings (the coefficient list is the canonical residue, shortest first);
-matrices are row-major nested lists of those.  ``dumps_canonical`` emits
-sorted-key two-space-indented JSON so parse -> emit -> parse is the
-identity on canonical files.  Its bytes are those of
+matrices are row-major nested lists of those.  The ``*_to_json`` writers
+give each distinct field element of one document a single dict that all its
+entries share, so a caller edits only a copy rebuilt through
+``loads(dumps_canonical(doc))`` (``copy.deepcopy`` keeps the sharing).
+``dumps_canonical`` emits sorted-key two-space-indented JSON so parse ->
+emit -> parse is the identity on canonical files.  Its bytes are those of
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, but it does not run
 json's generator-based Python encoder (which ``indent`` selects): it appends
 the pieces of one walk to a list, joins once, and writes each distinct field
@@ -385,8 +388,10 @@ def _parse_cyc(m, coeffs: tuple) -> CycNum:
     return CycNum.make(m, fracs)
 
 
-def matrix_to_json(mat: Matrix) -> list:
-    return [[cyc_to_json(x) for x in row] for row in mat.rows]
+def matrix_to_json(mat: Matrix, memo: dict | None = None) -> list:
+    """Row-major entry dicts; equal entries share one (see vector_to_json)."""
+    memo = {} if memo is None else memo
+    return [vector_to_json(row, memo) for row in mat.rows]
 
 
 def json_to_matrix(obj, m: int, *, what: str = "matrix") -> Matrix:
@@ -411,8 +416,17 @@ def json_to_matrix_doc(doc) -> Matrix:
     return json_to_matrix(doc["rows"], doc["m"])
 
 
-def vector_to_json(vec) -> list:
-    return [cyc_to_json(x) for x in vec]
+def vector_to_json(vec, memo: dict | None = None) -> list:
+    """The entries' dicts.  memo maps every CycNum already written into the
+    document to its dict, so equal entries share one."""
+    memo = {} if memo is None else memo
+    out = []
+    for x in vec:
+        d = memo.get(x)
+        if d is None:
+            d = memo[x] = x.to_json()
+        out.append(d)
+    return out
 
 
 def json_to_vector(obj, m: int) -> tuple:
@@ -421,17 +435,17 @@ def json_to_vector(obj, m: int) -> tuple:
 
 # --------------------------------------------------------------- algebras
 
-def _algebra_body(a: FinDimAlgebra) -> dict:
+def _algebra_body(a: FinDimAlgebra, memo: dict) -> dict:
     return {
         "dim": a.dim,
-        "mult": [[vector_to_json(cell) for cell in row] for row in a.mult],
-        "unit": None if a.unit is None else vector_to_json(a.unit),
+        "mult": [[vector_to_json(cell, memo) for cell in row] for row in a.mult],
+        "unit": None if a.unit is None else vector_to_json(a.unit, memo),
     }
 
 
 def algebra_to_json(a: FinDimAlgebra) -> dict:
     doc = {"format": FORMAT_TAG}
-    doc.update(_algebra_body(a))
+    doc.update(_algebra_body(a, {}))
     return doc
 
 
@@ -481,12 +495,13 @@ def json_to_algebra(doc) -> FinDimAlgebra:
 # ---------------------------------------------------------- module algebras
 
 def hma_to_json(mod: HModuleAlgebra) -> dict:
+    memo = {}
     return {
         "format": FORMAT_TAG,
         "m": mod.m,
-        "algebra": _algebra_body(mod.algebra),
-        "c": matrix_to_json(mod.c_op),
-        "v": matrix_to_json(mod.v_op),
+        "algebra": _algebra_body(mod.algebra, memo),
+        "c": matrix_to_json(mod.c_op, memo),
+        "v": matrix_to_json(mod.v_op, memo),
     }
 
 
@@ -503,13 +518,14 @@ def json_to_hma(doc) -> HModuleAlgebra:
 # ------------------------------------------------------------------- specs
 
 def ss_spec_to_json(spec: SemisimpleSpec) -> dict:
+    memo = {}
     return {
         "format": FORMAT_TAG,
         "m": spec.m,
         "k": spec.k,
         "t": spec.t,
-        "P": matrix_to_json(spec.P),
-        "Q": matrix_to_json(spec.Q),
+        "P": matrix_to_json(spec.P, memo),
+        "Q": matrix_to_json(spec.Q, memo),
         "alpha": cyc_to_json(spec.alpha),
     }
 
@@ -532,11 +548,12 @@ def json_to_ss_spec(doc) -> SemisimpleSpec:
 
 def nilext_spec_to_json(spec: NilpotentExtensionSpec, c_op: Matrix) -> dict:
     """The base-algebra document; the grading travels as its c operator."""
+    memo = {}
     return {
         "format": FORMAT_TAG,
         "m": spec.m,
-        "algebra": _algebra_body(spec.B),
-        "c": matrix_to_json(c_op),
+        "algebra": _algebra_body(spec.B, memo),
+        "c": matrix_to_json(c_op, memo),
     }
 
 

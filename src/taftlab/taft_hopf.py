@@ -128,11 +128,6 @@ class HopfElement:
             parts.append("(%s)%s" % (self.terms[(i, k)], name))
         return " + ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"m": self.algebra.m,
-                "terms": [{"c": i, "v": k, "coeff": c.to_json()}
-                          for (i, k), c in sorted(self.terms.items())]}
-
 
 class TensorElement:
     """An element of H^(x)deg with coordinates keyed by key tuples."""

@@ -57,6 +57,13 @@ def test_qbinom_vanishing(capsys):
     assert json.loads(out)["value"]["coeffs"][0] == "2"
 
 
+def test_qbinom_long_row(capsys):
+    # [5000] at zeta_3 = 1 + zeta, since 5000 = 2 mod 3
+    code, out, _ = run(capsys, "qbinom", "5000", "1", "3", "1")
+    assert code == 0
+    assert json.loads(out)["value"]["coeffs"] == ["1", "1"]
+
+
 def test_qbinom_rejects_out_of_range(capsys):
     code, out, err = run(capsys, "qbinom", "2", "5", "2", "1")
     assert code == 2 and out == ""

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftlab.cyclotomic import (CycNum, _poly_divmod, _poly_mul, _poly_trim,
-                                cyclotomic_polynomial, zeta_power)
+from taftlab.cyclotomic import CycNum, cyclotomic_polynomial, zeta_power
 from taftlab.errors import InputError
 from taftlab.linalg import ModReductionError, cyc_to_modp
 from taftlab.serialize import json_to_cyc
@@ -26,6 +25,51 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b):
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_divmod(num, den):
+    """Long division in Q[x]: (quotient, remainder), both trimmed."""
+    num = list(num)
+    q = [_ZERO] * max(1, len(num) - len(den) + 1)
+    inv_lead = Fraction(1) / Fraction(den[-1])
+    while len(num) >= len(den) and _poly_trim(num):
+        shift = len(num) - len(den)
+        coef = num[-1] * inv_lead
+        q[shift] = coef
+        for i, di in enumerate(den):
+            num[shift + i] -= coef * di
+        _poly_trim(num)
+    return _poly_trim(q), num
+
+
+def ref_cyclotomic_polynomial(m):
+    """Phi_m as Fractions: x^m - 1 divided by Phi_d for each d | m, d < m."""
+    f = [Fraction(-1)] + [_ZERO] * (m - 1) + [_ONE]
+    for d in range(1, m):
+        if m % d == 0:
+            f, r = _poly_divmod(f, ref_cyclotomic_polynomial(d))
+            assert not r
+    return f
+
+
+def euler_phi(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def _ref_field(m):
@@ -232,6 +276,36 @@ def test_cyclotomic_polynomial_degrees():
     assert len(cyclotomic_polynomial(12)) - 1 == 4
 
 
+def test_cyclotomic_polynomial_matches_fraction_division():
+    for m in range(1, 121):
+        phi = cyclotomic_polynomial(m)
+        assert all(type(c) is int for c in phi)
+        assert [Fraction(c) for c in phi] == ref_cyclotomic_polynomial(m), m
+        assert len(phi) - 1 == euler_phi(m), m
+        assert phi[-1] == 1
+
+
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    for m in range(1, 121):
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+
+
+def test_phi_105_has_a_coefficient_minus_2():
+    # the least m whose Phi_m has a coefficient outside {-1, 0, 1}
+    assert -2 in cyclotomic_polynomial(105)
+    assert all(abs(c) <= 1 for m in range(1, 105)
+               for c in cyclotomic_polynomial(m))
+
+
 @settings(max_examples=60)
 @given(st.sampled_from(MS), st.data())
 def test_field_laws(m, data):
@@ -269,6 +343,13 @@ def test_rational_embedding():
     assert zeta_power(6, 1).as_rational() is None
 
 
+def test_inverse_of_a_negative_keeps_the_denominator_positive():
+    # for m = 2 the norm N(x) is x itself, so it is negative here
+    for m in (2, 3, 4):
+        x = CycNum.rational(m, Fraction(-3, 5))
+        assert_same(x.inverse(), RefCyc.make(m, [Fraction(-5, 3)]))
+
+
 def test_conductor_mismatch_rejected():
     with pytest.raises(InputError):
         zeta_power(3, 1) + zeta_power(4, 1)
@@ -300,8 +381,9 @@ def test_arithmetic_matches_fraction_oracle(m, data):
         assert x.as_rational() is None
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(MS), st.data())
+# the norm inverse runs one product per Galois conjugate: every m up to 16
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(range(2, 17)) + [20, 24, 30]), st.data())
 def test_inverse_and_powers_match_fraction_oracle(m, data):
     x, rx = pair(m, data.draw(raw_coeffs(m)))
     e = data.draw(st.integers(-3, 5))
@@ -312,6 +394,7 @@ def test_inverse_and_powers_match_fraction_oracle(m, data):
             assert_same(x ** e, rx ** e)
         return
     assert_same(x.inverse(), rx.inverse())
+    assert x * x.inverse() == CycNum.one(m)
     assert_same(x ** e, rx ** e)
     y, ry = pair(m, data.draw(raw_coeffs(m)))
     assert_same(y / x, ry * rx.inverse())

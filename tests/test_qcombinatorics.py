@@ -87,3 +87,13 @@ def test_table_matches_scalar_function():
             for n in range(2 * m + 1):
                 for k in range(n + 1):
                     assert table.value(n, k) == q_binom(n, k, q)
+
+
+def test_long_rows_do_not_recurse():
+    # binom(n, 1)_q = binom(n, n - 1)_q = [n]_q, far past the recursion limit
+    n = 5000
+    for m, e in ((2, 1), (3, 1), (5, 2), (6, 5)):
+        q = zeta_power(m, e)
+        want = q_int(n, q)
+        assert q_binom(n, 1, q) == want, (m, e)
+        assert q_binom(n, n - 1, q) == want, (m, e)

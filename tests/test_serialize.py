@@ -82,7 +82,8 @@ def test_algebra_round_trip():
 
 def test_algebra_schema_violation_reports_path():
     a = sweedler_two_dim().algebra
-    doc = algebra_to_json(a)
+    # the writer shares one dict per distinct entry; edit a parsed copy
+    doc = loads(dumps_canonical(algebra_to_json(a)))
     doc["mult"][0][0][0][0] = "not a number"
     with pytest.raises(InputError) as err:
         json_to_algebra(doc)
@@ -104,6 +105,19 @@ def test_hma_round_trip():
     assert back.c_op == mod.c_op and back.v_op == mod.v_op
     assert back.algebra.mult == mod.algebra.mult
     assert back.m == mod.m
+
+
+def test_writers_share_one_dict_per_distinct_entry():
+    doc = hma_to_json(build_semisimple(ss_specs()["sweedler_p_gamma3"]))
+    entries = [e for row in doc["algebra"]["mult"] for cell in row for e in cell]
+    entries += doc["algebra"]["unit"] or []
+    entries += [e for key in ("c", "v") for row in doc[key] for e in row]
+    assert len({id(e) for e in entries}) == len(
+        {json.dumps(e, sort_keys=True) for e in entries}) < len(entries)
+    # sharing does not change the bytes
+    fresh = json.loads(json.dumps(doc))
+    assert dumps_canonical(doc) == dumps_canonical(fresh) == \
+        json.dumps(fresh, sort_keys=True, indent=2) + "\n"
 
 
 def test_hma_missing_field_rejected():
