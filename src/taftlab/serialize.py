@@ -11,10 +11,14 @@ entries share, so a caller edits only a copy rebuilt through
 emit -> parse is the identity on canonical files.  Its bytes are those of
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, but it does not run
 json's generator-based Python encoder (which ``indent`` selects): it appends
-the pieces of one walk to a list, joins once, and writes each distinct field
-element once per indentation level.  On a 2-CPU Xeon host (median of 11)
-the 5.9 MB dim-36 M_3(F)^4 module takes 0.08 s instead of 0.59 s, and a
-dim-20 table whose entries are all distinct 0.07 s instead of 0.10 s.
+the pieces of one walk to a list, joins once, and renders each distinct field
+element once per indentation level.  The text of an entry is found by the
+entry dict's identity, and by its content only the first time that dict is
+met at that level, so a table of shared dicts costs one dict lookup per
+entry; a new entry's text is built in one expression.  On a 2-CPU Xeon
+host (medians of 11, three runs) the 5.9 MB dim-36 M_3(F)^4 module takes
+0.014-0.023 s (json.dumps: 0.55-0.62 s), and a dim-20 table whose entries
+are all distinct 0.045-0.060 s (json.dumps: 0.09-0.10 s).
 
 Decoders validate against a JSON schema first, then rebuild the domain
 object, whose own constructor re-checks the semantic invariants
@@ -22,8 +26,16 @@ object, whose own constructor re-checks the semantic invariants
 schema is compiled once into a plain-Python predicate with the Draft 2020-12
 verdict for the keywords these schemas use; ``jsonschema`` is imported and
 run only when that predicate rejects a document, to word the InputError with
-the offending path.  Field elements are parsed through a bounded cache, since
-a table repeats a handful of distinct values thousands of times.
+the offending path.  Each ``validate`` call, and each decoder call, keeps one
+memo for its document, keyed on an entry's content ``(m, *coeffs)`` when it
+has just those two keys, an int m and a list of coefficients (``validate``
+also asks for exact ``str`` coefficients): each distinct entry is
+schema-checked once and parsed once, and every other entry costs one key and
+one dict lookup.  Equal keys give equal verdicts, so nothing is sampled;
+any other entry is checked and parsed on its own.  The memo dies with the
+call, so no state carries from one document to the next.  Draft 2020-12
+counts an integral float such as ``2.0`` as an integer; the decoders read
+every schema integer as an int, so such a document reads as its int twin.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from __future__ import annotations
 import json
 import numbers
 import re
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -139,17 +152,37 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Number) and not isinstance(x, bool)
 
 
+def _integer(x):
+    """A schema integer as an int: Draft 2020-12 counts 2.0 as one."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
 _TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "null": lambda x: x is None,
-    "integer": _is_integer,
+    "object": lambda x, memo: isinstance(x, dict),
+    "array": lambda x, memo: isinstance(x, list),
+    "string": lambda x, memo: isinstance(x, str),
+    "null": lambda x, memo: x is None,
+    "integer": lambda x, memo: _is_integer(x),
 }
+
+_STR_ONLY = frozenset((str,))
+
+
+def _entry_key(x):
+    """``(m, *coeffs)`` for a field element whose values have exactly the
+    types json.loads gives them (int m, a list of str), else None.  Such
+    entries with equal keys are equal JSON values."""
+    if type(x) is dict and len(x) == 2:
+        m = x.get("m")
+        coeffs = x.get("coeffs")
+        if (type(m) is int and type(coeffs) is list
+                and _STR_ONLY.issuperset(map(type, coeffs))):
+            return (m, *coeffs)
+    return None
 
 
 def _both(first, rest):
-    return lambda x: first(x) and rest(x)
+    return lambda x, memo: first(x, memo) and rest(x, memo)
 
 
 def compile_schema(schema):
@@ -158,8 +191,18 @@ def compile_schema(schema):
     Covers exactly the keywords the schemas above use; any other keyword, or
     a form of one not used here, raises ValueError rather than being
     ignored.  As in the specification, each keyword but ``type`` passes
-    instances of the types it does not apply to.
+    instances of the types it does not apply to.  Each call checks each
+    distinct field element of the document once (see ``_compile``).
     """
+    check = _compile(schema)
+    return lambda doc: check(doc, {})
+
+
+def _compile(schema):
+    """``compile_schema``'s predicate as ``test(x, memo)``.  An array of
+    field elements looks each exact entry up in memo, one dict per document
+    mapping ``_entry_key`` to the verdict: the verdict depends on the key
+    alone, so equal entries are checked once."""
     if not (isinstance(schema, dict) and _KEYWORDS.issuperset(schema)
             and schema.get("type", "object") in _TYPES):
         raise ValueError("no compiled check for schema %r" % (schema,))
@@ -171,35 +214,38 @@ def compile_schema(schema):
         const = schema["const"]
         if not isinstance(const, str):
             raise ValueError("only string constants are compiled")
-        tests.append(lambda x: x == const)
+        tests.append(lambda x, memo: x == const)
     if "minimum" in schema:
         low = schema["minimum"]
         if kind == "integer":
-            tests.append(lambda x: _is_integer(x) and not x < low)
+            tests.append(lambda x, memo: _is_integer(x) and not x < low)
             kind = None
         else:
-            tests.append(lambda x: not (_is_number(x) and x < low))
+            tests.append(lambda x, memo: not (_is_number(x) and x < low))
     if "pattern" in schema:
         search = re.compile(schema["pattern"]).search
         if kind == "string":
-            tests.append(lambda x: isinstance(x, str) and search(x) is not None)
+            tests.append(lambda x, memo: isinstance(x, str)
+                         and search(x) is not None)
             kind = None
         else:
-            tests.append(lambda x: not isinstance(x, str) or search(x) is not None)
+            tests.append(lambda x, memo: not isinstance(x, str)
+                         or search(x) is not None)
     if "items" in schema:
-        item = compile_schema(schema["items"])
-        if kind == "array":
-            tests.append(lambda x: isinstance(x, list) and all(map(item, x)))
-            kind = None
+        item = _compile(schema["items"])
+        if schema["items"] == _CYC:
+            tests.append(_entries_test(item, kind == "array"))
         else:
-            tests.append(lambda x: not isinstance(x, list) or all(map(item, x)))
+            tests.append(_items_test(item, kind == "array"))
+        if kind == "array":
+            kind = None
     if not {"required", "properties", "additionalProperties"}.isdisjoint(schema):
         tests.append(_object_test(schema, kind == "object"))
         if kind == "object":
             kind = None
     if "anyOf" in schema:
-        options = tuple(compile_schema(s) for s in schema["anyOf"])
-        tests.append(lambda x: any(f(x) for f in options))
+        options = tuple(_compile(s) for s in schema["anyOf"])
+        tests.append(lambda x, memo: any(f(x, memo) for f in options))
     if kind is not None:
         tests.insert(0, _TYPES[kind])
     if not tests:
@@ -210,16 +256,52 @@ def compile_schema(schema):
     return check
 
 
+def _items_test(item, strict):
+    def test(x, memo):
+        if not isinstance(x, list):
+            return not strict
+        for y in x:
+            if not item(y, memo):
+                return False
+        return True
+    return test
+
+
+def _entries_test(check, strict):
+    """_items_test for a list of field elements: each exact entry's verdict
+    is looked up in memo, which maps ``_entry_key`` (inlined) to it."""
+    def test(x, memo):
+        if not isinstance(x, list):
+            return not strict
+        for y in x:
+            if type(y) is dict and len(y) == 2:
+                m = y.get("m")
+                coeffs = y.get("coeffs")
+                if (type(m) is int and type(coeffs) is list
+                        and _STR_ONLY.issuperset(map(type, coeffs))):
+                    key = (m, *coeffs)
+                    verdict = memo.get(key)
+                    if verdict is None:
+                        verdict = memo[key] = check(y, memo)
+                    if verdict:
+                        continue
+                    return False
+            if not check(y, memo):
+                return False
+        return True
+    return test
+
+
 def _object_test(schema, strict):
     required = tuple(schema.get("required", ()))
     props = schema.get("properties", {})
-    fields = tuple((k, compile_schema(s)) for k, s in props.items())
+    fields = tuple((k, _compile(s)) for k, s in props.items())
     closed = schema.get("additionalProperties", True)
     if closed is not True and closed is not False:
         raise ValueError("only boolean additionalProperties are compiled")
     names = frozenset(props)
 
-    def test(x):
+    def test(x, memo):
         if not isinstance(x, dict):
             return not strict
         for k in required:
@@ -228,17 +310,15 @@ def _object_test(schema, strict):
         if not closed and not names.issuperset(x):
             return False
         for k, f in fields:
-            if k in x and not f(x[k]):
+            if k in x and not f(x[k], memo):
                 return False
         return True
     return test
 
 
-_CHECKS = {id(s): compile_schema(s) for s in (
+_CHECKS = {id(s): _compile(s) for s in (
     ALGEBRA_SCHEMA, HMA_SCHEMA, SS_SPEC_SCHEMA, NILEXT_SCHEMA, MATRIX_SCHEMA,
     HOPF_SCHEMA)}
-
-_STR_ONLY = frozenset((str,))
 
 
 def dumps_canonical(doc) -> str:
@@ -254,26 +334,26 @@ def dumps_canonical(doc) -> str:
     so ``NaN``, ``-0.0`` and the TypeError for unserialisable objects are
     json's own.  A field element ``{"coeffs": [str, ...], "m": int}`` is
     rendered once per indentation level and its text reused: a table
-    repeats a handful of distinct entries thousands of times.
+    repeats a handful of distinct entries thousands of times, and the
+    ``*_to_json`` writers give those a handful of shared dicts.  So the text
+    is found by the dict's identity first, and by its content the first time
+    that dict is met at that level.  The document keeps every dict alive
+    for the call, so no id is reused.
     """
     out = []
     append = out.append
-    entries = {}
+    # level -> {id of a two-key dict: its text, or False if no entry}
+    by_id = defaultdict(dict)
+    by_content = {}
 
     def write(value, level):
         # an exact dict is no other JSON type, so the entry test can go first
         if type(value) is dict and len(value) == 2:
-            m = value.get("m")
-            coeffs = value.get("coeffs")
-            if (type(m) is int and type(coeffs) is list
-                    and _STR_ONLY.issuperset(map(type, coeffs))):
-                key = (level, m, *coeffs)
-                text = entries.get(key)
-                if text is None:
-                    start = len(out)
-                    write_dict(value, level)
-                    text = entries[key] = "".join(out[start:])
-                    del out[start:]
+            seen = by_id[level]
+            text = seen.get(id(value))
+            if text is None:
+                text = seen[id(value)] = entry_text(value, level)
+            if text:
                 append(text)
                 return
         if isinstance(value, str):
@@ -293,6 +373,30 @@ def dumps_canonical(doc) -> str:
         else:
             append(json.dumps(value))
 
+    def entry_text(value, level):
+        """value's text if it is a field element of exact types, str keys
+        included, else False."""
+        key = _entry_key(value)
+        if key is None or not _STR_ONLY.issuperset(map(type, value)):
+            return False
+        key = (level, *key)
+        text = by_content.get(key)
+        if text is None:
+            # write_dict's text for the keys "coeffs" < "m"
+            inner = "\n" + "  " * (level + 1)
+            coeffs = value["coeffs"]
+            if coeffs:
+                deeper = inner + "  "
+                coeffs = ("[" + deeper
+                          + ("," + deeper).join(map(_quote, coeffs))
+                          + inner + "]")
+            else:
+                coeffs = "[]"
+            text = by_content[key] = (
+                "{" + inner + '"coeffs": ' + coeffs + "," + inner + '"m": '
+                + int.__repr__(value["m"]) + "\n" + "  " * level + "}")
+        return text
+
     def write_list(items, level):
         if not items:
             append("[]")
@@ -300,11 +404,19 @@ def dumps_canonical(doc) -> str:
         inner = "\n" + "  " * (level + 1)
         sep = "[" + inner
         between = "," + inner
+        # a hit is an entry met before: no other live object has its id
+        seen = by_id[level + 1]
         for item in items:
             append(sep)
             sep = between
             if isinstance(item, str):
                 append(_quote(item))
+                continue
+            text = seen.get(id(item))
+            if text is None and type(item) is dict and len(item) == 2:
+                text = seen[id(item)] = entry_text(item, level + 1)
+            if text:
+                append(text)
             else:
                 write(item, level + 1)
         append("\n" + "  " * level + "]")
@@ -353,8 +465,8 @@ def loads(text: str):
 
 def validate(doc, schema, what: str) -> None:
     """Schema check with the failing path in the error message."""
-    check = _CHECKS.get(id(schema)) or compile_schema(schema)
-    if check(doc):
+    check = _CHECKS.get(id(schema)) or _compile(schema)
+    if check(doc, {}):
         return
     import jsonschema  # only to word the rejection
     errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(doc),
@@ -372,10 +484,11 @@ def cyc_to_json(x: CycNum) -> dict:
 
 
 def json_to_cyc(obj, m: int | None = None) -> CycNum:
-    if m is not None and obj["m"] != m:
+    own = _integer(obj["m"])
+    if m is not None and own != m:
         raise InputError("field element has conductor %d; expected %d"
-                         % (obj["m"], m))
-    return _parse_cyc(obj["m"], tuple(obj["coeffs"]))
+                         % (own, m))
+    return _parse_cyc(own, tuple(obj["coeffs"]))
 
 
 # typed: m = 2.0 must not share the entries of m = 2
@@ -388,22 +501,24 @@ def _parse_cyc(m, coeffs: tuple) -> CycNum:
     return CycNum.make(m, fracs)
 
 
-def matrix_to_json(mat: Matrix, memo: dict | None = None) -> list:
+def matrix_to_json(mat: Matrix, memo: _EntryDicts | None = None) -> list:
     """Row-major entry dicts; equal entries share one (see vector_to_json)."""
-    memo = {} if memo is None else memo
+    memo = _EntryDicts() if memo is None else memo
     return [vector_to_json(row, memo) for row in mat.rows]
 
 
-def json_to_matrix(obj, m: int, *, what: str = "matrix") -> Matrix:
+def json_to_matrix(obj, m: int, *, what: str = "matrix",
+                   memo: dict | None = None) -> Matrix:
     if not obj:
         raise InputError("%s must have at least one row" % what)
+    memo = {} if memo is None else memo
     width = len(obj[0])
     rows = []
     for i, row in enumerate(obj):
         if len(row) != width:
             raise InputError("%s row %d has length %d; expected %d"
                              % (what, i, len(row), width))
-        rows.append(tuple(json_to_cyc(x, m) for x in row))
+        rows.append(json_to_vector(row, m, memo))
     return Matrix.from_rows(m, rows)
 
 
@@ -413,29 +528,70 @@ def matrix_doc_to_json(mat: Matrix) -> dict:
 
 def json_to_matrix_doc(doc) -> Matrix:
     validate(doc, MATRIX_SCHEMA, "matrix")
-    return json_to_matrix(doc["rows"], doc["m"])
+    return json_to_matrix(doc["rows"], _integer(doc["m"]))
 
 
-def vector_to_json(vec, memo: dict | None = None) -> list:
-    """The entries' dicts.  memo maps every CycNum already written into the
-    document to its dict, so equal entries share one."""
-    memo = {} if memo is None else memo
+class _EntryDicts:
+    """The entry dicts of one document being written.  ``by_value`` maps
+    each CycNum value to its one dict; ``by_id`` maps the id of each CycNum
+    object met to the same dict, so a repeated object is not hashed again,
+    and ``alive`` keeps those objects, so no id in it is reused."""
+
+    __slots__ = ("by_id", "by_value", "alive")
+
+    def __init__(self):
+        self.by_id = {}
+        self.by_value = {}
+        self.alive = []
+
+
+def vector_to_json(vec, memo: _EntryDicts | None = None) -> list:
+    """The entries' dicts.  memo holds every CycNum already written into
+    the document, so equal entries share one dict."""
+    memo = _EntryDicts() if memo is None else memo
+    by_id, by_value = memo.by_id, memo.by_value
     out = []
     for x in vec:
-        d = memo.get(x)
+        d = by_id.get(id(x))
         if d is None:
-            d = memo[x] = x.to_json()
+            d = by_value.get(x)
+            if d is None:
+                d = by_value[x] = x.to_json()
+            by_id[id(x)] = d
+            memo.alive.append(x)
         out.append(d)
     return out
 
 
-def json_to_vector(obj, m: int) -> tuple:
-    return tuple(json_to_cyc(x, m) for x in obj)
+def json_to_vector(obj, m: int, memo: dict | None = None) -> tuple:
+    """The entries as CycNums.  memo maps the key ``(m, *coeffs)`` of each
+    entry of conductor m already read from the document to its CycNum, so
+    each distinct entry is parsed once; any other entry (a bool or float m,
+    another conductor, a key besides "m" and "coeffs") goes through
+    json_to_cyc.  Unlike ``_entry_key`` this does not test the coefficients'
+    types, which costs more than the memo saves: a key holding a
+    non-``str`` coefficient equals no key of strings, and equal keys parse
+    to equal values."""
+    memo = {} if memo is None else memo
+    out = []
+    for x in obj:
+        if type(x) is dict and len(x) == 2:
+            own = x.get("m")
+            coeffs = x.get("coeffs")
+            if own == m and type(own) is int and type(coeffs) is list:
+                key = (own, *coeffs)
+                y = memo.get(key)
+                if y is None:
+                    y = memo[key] = json_to_cyc(x, m)
+                out.append(y)
+                continue
+        out.append(json_to_cyc(x, m))
+    return tuple(out)
 
 
 # --------------------------------------------------------------- algebras
 
-def _algebra_body(a: FinDimAlgebra, memo: dict) -> dict:
+def _algebra_body(a: FinDimAlgebra, memo: _EntryDicts) -> dict:
     return {
         "dim": a.dim,
         "mult": [[vector_to_json(cell, memo) for cell in row] for row in a.mult],
@@ -445,12 +601,14 @@ def _algebra_body(a: FinDimAlgebra, memo: dict) -> dict:
 
 def algebra_to_json(a: FinDimAlgebra) -> dict:
     doc = {"format": FORMAT_TAG}
-    doc.update(_algebra_body(a, {}))
+    doc.update(_algebra_body(a, _EntryDicts()))
     return doc
 
 
-def _algebra_from_body(obj, m: int | None = None) -> FinDimAlgebra:
-    dim = obj["dim"]
+def _algebra_from_body(obj, m: int | None = None,
+                       memo: dict | None = None) -> FinDimAlgebra:
+    memo = {} if memo is None else memo
+    dim = _integer(obj["dim"])
     mult = obj["mult"]
     if len(mult) != dim:
         raise InputError("mult table has %d rows; dim is %d" % (len(mult), dim))
@@ -459,7 +617,7 @@ def _algebra_from_body(obj, m: int | None = None) -> FinDimAlgebra:
         for row in mult:
             for cell in row:
                 for entry in cell:
-                    m = entry["m"]
+                    m = _integer(entry["m"])
                     break
                 if m is not None:
                     break
@@ -477,13 +635,13 @@ def _algebra_from_body(obj, m: int | None = None) -> FinDimAlgebra:
             if len(cell) != dim:
                 raise InputError("mult entry (%d, %d) has length %d; dim is %d"
                                  % (i, j, len(cell), dim))
-            cells.append(json_to_vector(cell, m))
+            cells.append(json_to_vector(cell, m, memo))
         table.append(tuple(cells))
     unit = obj.get("unit")
     if unit is not None:
         if len(unit) != dim:
             raise InputError("unit has length %d; dim is %d" % (len(unit), dim))
-        unit = json_to_vector(unit, m)
+        unit = json_to_vector(unit, m, memo)
     return FinDimAlgebra(m, tuple(table), unit=unit)
 
 
@@ -495,7 +653,7 @@ def json_to_algebra(doc) -> FinDimAlgebra:
 # ---------------------------------------------------------- module algebras
 
 def hma_to_json(mod: HModuleAlgebra) -> dict:
-    memo = {}
+    memo = _EntryDicts()
     return {
         "format": FORMAT_TAG,
         "m": mod.m,
@@ -507,10 +665,11 @@ def hma_to_json(mod: HModuleAlgebra) -> dict:
 
 def json_to_hma(doc) -> HModuleAlgebra:
     validate(doc, HMA_SCHEMA, "module algebra")
-    m = doc["m"]
-    algebra = _algebra_from_body(doc["algebra"], m)
-    c_op = json_to_matrix(doc["c"], m, what="c operator")
-    v_op = json_to_matrix(doc["v"], m, what="v operator")
+    m = _integer(doc["m"])
+    memo = {}
+    algebra = _algebra_from_body(doc["algebra"], m, memo)
+    c_op = json_to_matrix(doc["c"], m, what="c operator", memo=memo)
+    v_op = json_to_matrix(doc["v"], m, what="v operator", memo=memo)
     return HModuleAlgebra(hopf=TaftAlgebra(m), algebra=algebra,
                           c_op=c_op, v_op=v_op)
 
@@ -518,7 +677,7 @@ def json_to_hma(doc) -> HModuleAlgebra:
 # ------------------------------------------------------------------- specs
 
 def ss_spec_to_json(spec: SemisimpleSpec) -> dict:
-    memo = {}
+    memo = _EntryDicts()
     return {
         "format": FORMAT_TAG,
         "m": spec.m,
@@ -532,11 +691,12 @@ def ss_spec_to_json(spec: SemisimpleSpec) -> dict:
 
 def json_to_ss_spec(doc) -> SemisimpleSpec:
     validate(doc, SS_SPEC_SCHEMA, "semisimple spec")
-    m = doc["m"]
+    m = _integer(doc["m"])
+    memo = {}
     spec = SemisimpleSpec(
-        m=m, k=doc["k"], t=doc["t"],
-        P=json_to_matrix(doc["P"], m, what="P"),
-        Q=json_to_matrix(doc["Q"], m, what="Q"),
+        m=m, k=_integer(doc["k"]), t=_integer(doc["t"]),
+        P=json_to_matrix(doc["P"], m, what="P", memo=memo),
+        Q=json_to_matrix(doc["Q"], m, what="Q", memo=memo),
     )
     if "alpha" in doc:
         claimed = json_to_cyc(doc["alpha"], m)
@@ -548,7 +708,7 @@ def json_to_ss_spec(doc) -> SemisimpleSpec:
 
 def nilext_spec_to_json(spec: NilpotentExtensionSpec, c_op: Matrix) -> dict:
     """The base-algebra document; the grading travels as its c operator."""
-    memo = {}
+    memo = _EntryDicts()
     return {
         "format": FORMAT_TAG,
         "m": spec.m,
@@ -575,9 +735,10 @@ def grading_to_c_matrix(grading: GradingDecomposition) -> Matrix:
 
 def json_to_nilext_spec(doc) -> NilpotentExtensionSpec:
     validate(doc, NILEXT_SCHEMA, "base algebra")
-    m = doc["m"]
-    B = _algebra_from_body(doc["algebra"], m)
-    c_op = json_to_matrix(doc["c"], m, what="grading operator")
+    m = _integer(doc["m"])
+    memo = {}
+    B = _algebra_from_body(doc["algebra"], m, memo)
+    c_op = json_to_matrix(doc["c"], m, what="grading operator", memo=memo)
     grading = grading_from_c(B, c_op)
     return NilpotentExtensionSpec(m=m, B=B, grading=grading)
 
@@ -592,11 +753,11 @@ def hopf_to_json(x: HopfElement) -> dict:
 
 def json_to_hopf(doc) -> HopfElement:
     validate(doc, HOPF_SCHEMA, "Hopf element")
-    m = doc["m"]
+    m = _integer(doc["m"])
     H = TaftAlgebra(m)
     terms = {}
     for entry in doc["terms"]:
-        i, k = entry["c"], entry["v"]
+        i, k = _integer(entry["c"]), _integer(entry["v"])
         if i >= m or k >= m:
             raise InputError("basis monomial (c=%d, v=%d) out of range for "
                              "conductor %d" % (i, k, m))

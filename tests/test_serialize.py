@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,13 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taftlab
+from taftlab import serialize
+from taftlab.algebra_core import FinDimAlgebra
 from taftlab.cli import main as cli_main
 from taftlab.constructions import build_nilpotent_extension, build_semisimple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
-from taftlab.fixtures import (negative_modules, nilext_specs, ss_specs,
-                              sweedler_two_dim)
-from taftlab.hmodule import hma_verify
+from taftlab.fixtures import (negative_modules, nilext_specs,
+                              positive_modules, ss_specs, sweedler_two_dim)
+from taftlab.hmodule import HModuleAlgebra, hma_verify
 from taftlab.identities import codim_growth_report, codimension
 from taftlab.linalg import Matrix
 from taftlab.serialize import (
@@ -44,11 +47,13 @@ from taftlab.serialize import (
     json_to_matrix_doc,
     json_to_nilext_spec,
     json_to_ss_spec,
+    json_to_vector,
     loads,
     matrix_doc_to_json,
     nilext_spec_to_json,
     ss_spec_to_json,
     validate,
+    vector_to_json,
 )
 from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
 
@@ -118,6 +123,18 @@ def test_writers_share_one_dict_per_distinct_entry():
     fresh = json.loads(json.dumps(doc))
     assert dumps_canonical(doc) == dumps_canonical(fresh) == \
         json.dumps(fresh, sort_keys=True, indent=2) + "\n"
+
+
+def test_vector_to_json_on_objects_made_one_at_a_time():
+    # values a, b, a, b, c, d, c, d, ...: each second copy is freed while
+    # the next objects are made, so a later value may take its id
+    def value(i):
+        return 2 * (i // 4) + i % 2
+
+    nums = {v: CycNum.rational(5, v).num for v in range(200)}
+    made = (CycNum(5, nums[value(i)], 1) for i in range(400))
+    assert vector_to_json(made) == [CycNum.rational(5, value(i)).to_json()
+                                    for i in range(400)]
 
 
 def test_hma_missing_field_rejected():
@@ -415,6 +432,296 @@ def test_cyc_parse_is_shared_and_conductor_checked():
         json_to_cyc({"m": 3, "coeffs": ["3/-4"]})
 
 
+# ------------------------------------ per-document memo of the reader
+
+
+def _entry_paths(node, path=()):
+    """The path of every field element in node, in the order validate and
+    the decoders visit them (sorted keys, then list order)."""
+    if isinstance(node, dict):
+        if set(node) == {"m", "coeffs"}:
+            yield path
+            return
+        for key in sorted(node):
+            yield from _entry_paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _entry_paths(item, path + (i,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# each turns an exact entry into one the memo must not answer for; True
+# where the schema still accepts the edited entry
+_LAST_COPY_EDITS = {
+    "m = True": (lambda e: e.update(m=True), False),
+    "m = False": (lambda e: e.update(m=False), False),
+    "m = 1": (lambda e: e.update(m=1), False),
+    "m = 2.0": (lambda e: e.update(m=2.0), True),
+    "m as float": (lambda e: e.update(m=float(e["m"])), True),
+    "extra key": (lambda e: e.update(extra=1), False),
+    "no coeffs": (lambda e: e.pop("coeffs"), False),
+    "int coeff": (lambda e: e["coeffs"].append(1), False),
+    "bool coeff": (lambda e: e["coeffs"].append(True), False),
+    "bad coeff": (lambda e: e["coeffs"].append("x"), False),
+    "3/-4 coeff": (lambda e: e["coeffs"].append("3/-4"), True),
+    "tuple coeffs": (lambda e: e.update(coeffs=tuple(e["coeffs"])), False),
+}
+_REPEATED = [(what, doc, path) for what, doc in DOCS
+             for path in [list(_entry_paths(doc))]
+             if len({json.dumps(_at(doc, p), sort_keys=True) for p in path})
+             < len(path)]
+# decoder, then the writer giving its document back
+_CODECS = {
+    "algebra": (json_to_algebra, algebra_to_json),
+    "module algebra": (json_to_hma, hma_to_json),
+    "semisimple spec": (json_to_ss_spec, ss_spec_to_json),
+    "base algebra": (json_to_nilext_spec, lambda spec: nilext_spec_to_json(
+        spec, grading_to_c_matrix(spec.grading))),
+    "matrix": (json_to_matrix_doc, matrix_doc_to_json),
+    "Hopf element": (json_to_hopf, hopf_to_json),
+}
+
+
+def _read_back(what, doc):
+    """The canonical text of what the decoder reads, or its InputError."""
+    read, write = _CODECS[what]
+    try:
+        return dumps_canonical(write(read(doc)))
+    except InputError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(_REPEATED), st.sampled_from(sorted(_LAST_COPY_EDITS)),
+       st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_compiled_schemas_agree_when_the_last_copy_is_edited(drawn, edit,
+                                                             data):
+    what, doc, paths = drawn
+    texts = [json.dumps(_at(doc, p), sort_keys=True) for p in paths]
+    repeated = sorted({t for t in texts if texts.count(t) > 1})
+    text = data.draw(st.sampled_from(repeated))
+    last = max(i for i, t in enumerate(texts) if t == text)
+    edited = copy.deepcopy(doc)
+    apply, accepted = _LAST_COPY_EDITS[edit]
+    apply(_at(edited, paths[last]))
+    assert _agrees(edited, SCHEMAS[what], what) == accepted
+    if not accepted:
+        return
+    # the decoder reads the edited copy on its own, not as the good ones;
+    # an algebra document takes its conductor from its first entry
+    got = _read_back(what, edited)
+    m = doc.get("m", _at(doc, paths[0])["m"])
+    if edit == "m as float" or (edit == "m = 2.0" and m == 2):
+        assert got == _read_back(what, doc)
+    elif edit == "m = 2.0":
+        assert got == "field element has conductor 2; expected %d" % m
+    else:
+        assert got.startswith("bad rational coefficient")
+
+
+def _old_json_to_vector(obj, m):
+    """The decoder before the per-document memo: one json_to_cyc per entry."""
+    return tuple(json_to_cyc(x, m) for x in obj)
+
+
+def _dense_copy(mod):
+    """mod in the basis of the columns of I + J, or of I + zeta J for m > 2:
+    every table entry of the copy is dense."""
+    m, A = mod.m, mod.algebra
+    off = CycNum.one(m) if m == 2 else zeta_power(m, 1)
+    t = Matrix(m, tuple(tuple(off + 1 if i == j else off
+                              for j in range(A.dim)) for i in range(A.dim)))
+    t_inv = t.inverse()
+    cols = [t.col(i) for i in range(A.dim)]
+    mult = tuple(tuple(t_inv.apply(A.multiply(x, y)) for y in cols)
+                 for x in cols)
+    unit = None if A.unit is None else t_inv.apply(A.unit)
+    algebra = FinDimAlgebra(m, mult, unit=unit, validate=False)
+    return HModuleAlgebra(hopf=mod.hopf, algebra=algebra,
+                          c_op=t_inv @ mod.c_op @ t, v_op=t_inv @ mod.v_op @ t)
+
+
+def _module_documents():
+    mods = dict(positive_modules())
+    mods.update(negative_modules())
+    docs = {name: hma_to_json(mod) for name, mod in mods.items()}
+    docs.update(("dense_" + name, hma_to_json(_dense_copy(mod)))
+                for name, mod in mods.items() if 2 <= mod.algebra.dim <= 9)
+    return {name: loads(dumps_canonical(doc)) for name, doc in docs.items()}
+
+
+def test_memo_decoder_matches_the_per_entry_oracle():
+    docs = _module_documents()
+    assert sum(name.startswith("dense_") for name in docs) >= 20
+    for name, doc in sorted(docs.items()):
+        mod = json_to_hma(doc)
+        m, body = doc["m"], doc["algebra"]
+        mult = tuple(tuple(_old_json_to_vector(cell, m) for cell in row)
+                     for row in body["mult"])
+        assert mod.algebra.mult == mult, name
+        unit = body["unit"]
+        assert mod.algebra.unit == (
+            None if unit is None else _old_json_to_vector(unit, m)), name
+        for key, op in (("c", mod.c_op), ("v", mod.v_op)):
+            assert op.rows == tuple(_old_json_to_vector(row, m)
+                                    for row in doc[key]), name
+    for what, doc in DOCS:
+        if what == "semisimple spec":
+            spec = json_to_ss_spec(doc)
+            for key in ("P", "Q"):
+                assert getattr(spec, key).rows == tuple(
+                    _old_json_to_vector(row, doc["m"]) for row in doc[key])
+        elif what == "base algebra":
+            body, m = doc["algebra"], doc["m"]
+            assert json_to_nilext_spec(doc).B.mult == tuple(
+                tuple(_old_json_to_vector(cell, m) for cell in row)
+                for row in body["mult"])
+
+
+def test_memo_decoder_keeps_each_entry_check():
+    one = {"m": 3, "coeffs": ["1", "0"]}
+    cells = [one, dict(one), {"m": 3.0, "coeffs": ["1", "0"]},
+             {"m": 3, "coeffs": ["1", "0"], "extra": 1}]
+    memo = {}
+    assert json_to_vector(cells, 3, memo) == (CycNum.one(3),) * 4
+    assert list(memo) == [(3, "1", "0")]
+    # a memo met under another conductor answers for nothing
+    with pytest.raises(InputError, match="conductor 3; expected 4"):
+        json_to_vector([one], 4, memo)
+    with pytest.raises(InputError, match="bad rational coefficient"):
+        json_to_vector([one, {"m": 3, "coeffs": ["3/-4"]}], 3, memo)
+
+
+def test_no_memo_state_leaks_between_documents(monkeypatch):
+    doc = loads(dumps_canonical(hma_to_json(
+        build_semisimple(ss_specs()["grid_m3_k2_t3"]))))
+    distinct = {json.dumps(_at(doc, p)) for p in _entry_paths(doc)}
+    parsed = []
+    real = serialize.json_to_cyc
+    monkeypatch.setattr(serialize, "json_to_cyc",
+                        lambda obj, m=None: parsed.append(1) or real(obj, m))
+    for _ in range(2):
+        parsed.clear()
+        json_to_hma(doc)
+        assert len(parsed) == len(distinct)
+    # the verdicts: one pattern search per coefficient of each distinct
+    # entry, in every call
+    searched = []
+
+    class Pattern:
+        def __init__(self, pattern):
+            self.real = re.compile(pattern)
+
+        def search(self, text):
+            searched.append(text)
+            return self.real.search(text)
+
+    monkeypatch.setattr(serialize, "re", type(
+        "re", (), {"compile": staticmethod(Pattern)}))
+    schema = copy.deepcopy(HMA_SCHEMA)
+    coeffs = sum(len(json.loads(e)["coeffs"]) for e in distinct)
+    for check in (lambda d: validate(d, schema, "module algebra"),
+                  compile_schema(schema)):
+        for _ in range(2):
+            searched.clear()
+            check(doc)
+            assert len(searched) == coeffs
+
+
+# ------------------------------------------ integral floats are integers
+
+
+def _floats(node, names):
+    """A copy of node with every int held under a key in names a float."""
+    if isinstance(node, dict):
+        return {k: float(v) if k in names and type(v) is int
+                else _floats(v, names) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_floats(v, names) for v in node]
+    return node
+
+
+def _one_float(doc, path):
+    doc = copy.deepcopy(doc)
+    parent = _at(doc, path[:-1])
+    parent[path[-1]] = float(parent[path[-1]])
+    return doc
+
+
+def _cli_outcome(capsys, tmp_path, argv, docs):
+    """Exit code, stderr and written text of one command on documents."""
+    paths = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / ("in%d.json" % i)
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    out = tmp_path / "out.json"
+    if out.exists():
+        out.unlink()
+    code = cli_main([a if type(a) is str else paths[a] for a in argv]
+                    + ["--out", str(out)])
+    text = out.read_text() if out.exists() else None
+    return code, capsys.readouterr().err, text
+
+
+def test_integral_float_integers_read_as_their_int_twins(capsys, tmp_path):
+    def canonical(doc):
+        return loads(dumps_canonical(doc))
+
+    hma = canonical(hma_to_json(sweedler_two_dim()))
+    ss = canonical(ss_spec_to_json(ss_specs()["mat2_trivial"]))
+    base = nilext_specs()["base_mat2_elem_m2"]
+    grading = grading_to_c_matrix(base.grading)
+    nilext = canonical(nilext_spec_to_json(base, grading))
+    algebra = canonical(algebra_to_json(base.B))
+    matrix = canonical(matrix_doc_to_json(grading))
+    first = ("algebra", "mult", 0, 0, 0, "m")
+    cases = [
+        (["verify", "--in", 0], [hma], [
+            [_one_float(hma, ("m",))], [_one_float(hma, first)],
+            [_one_float(hma, ("algebra", "dim"))],
+            [_floats(hma, {"m", "dim"})]]),
+        (["simple", "--in", 0], [hma], [[_floats(hma, {"m", "dim"})]]),
+        (["construct", "ss", "--in", 0], [ss], [
+            [_one_float(ss, (key,))] for key in ("m", "k", "t")]
+            + [[_one_float(ss, ("P", 0, 0, "m"))],
+               [_floats(ss, {"m", "k", "t"})]]),
+        (["construct", "nilext", "--in", 0], [nilext], [
+            [_one_float(nilext, ("m",))], [_one_float(nilext, first)],
+            [_floats(nilext, {"m", "dim"})]]),
+        (["radical", "--in", 0], [algebra], [
+            [_one_float(algebra, ("dim",))],
+            [_floats(algebra, {"m", "dim"})]]),
+        (["grading", "--in", 0, "--c", 1], [algebra, matrix], [
+            [algebra, _one_float(matrix, ("m",))],
+            [_floats(algebra, {"m", "dim"}), _floats(matrix, {"m"})]]),
+    ]
+    for argv, docs, twins in cases:
+        want = _cli_outcome(capsys, tmp_path, argv, docs)
+        assert want[0] == 0 and want[2], argv
+        for floated in twins:
+            assert json.dumps(floated) != json.dumps(docs)
+            assert _cli_outcome(capsys, tmp_path, argv, floated) == want, argv
+    # Hopf elements have no command; the decoder gives the int twin's value
+    H = TaftAlgebra(3)
+    hopf = canonical(hopf_to_json(
+        H.c() * H.v() + H.c().scale(zeta_power(3, 1))))
+    for floated in (_one_float(hopf, ("m",)),
+                    _one_float(hopf, ("terms", 0, "c")),
+                    _one_float(hopf, ("terms", 0, "v")),
+                    _floats(hopf, {"m", "c", "v"})):
+        back = json_to_hopf(floated)
+        assert back == json_to_hopf(hopf)
+        assert all(type(i) is int and type(k) is int for i, k in back.terms)
+        assert dumps_canonical(hopf_to_json(back)) == dumps_canonical(hopf)
+
+
 # ------------------------------------ canonical writer vs json.dumps (oracle)
 
 
@@ -503,6 +810,79 @@ def test_canonical_writer_edge_cases():
         with pytest.raises(TypeError):
             dumps_canonical(bad)
         assert _outcome(dumps_canonical, bad) == _outcome(_oracle, bad)
+
+
+class _LooksLikeM(str):
+    """A key that finds the value of "m" but is written as its own text."""
+
+    def __eq__(self, other):
+        return other == "m" or str.__eq__(self, other)
+
+    def __hash__(self):
+        return hash("m")
+
+
+def test_canonical_writer_on_aliased_documents():
+    entry = {"coeffs": ["1", "-1/2"], "m": 3}
+    twin = {"coeffs": ["1", "-1/2"], "m": 3}
+    coeffs = ["0", "1"]
+    looks = [{"m": True, "coeffs": ["1"]}, {"m": 2.0, "coeffs": ["1"]},
+             {"m": 2, "coeffs": [1]}, {"m": 2, "coeffs": ["1", None]},
+             {"m": 2, "coeffs": ("1",)}, {"m": 2, "coeffs": ["1"], "x": 1},
+             {}, {"m": 2}, {"m": 2, "x": ["1"]}, {"coeffs": ["1"], "x": 2},
+             {_LooksLikeM("mass"): 2, "coeffs": ["1"]}]
+    row = [entry, twin, entry]
+    for doc in (
+            # one entry dict at several indentation levels, deep ones first
+            [[[entry]], entry, [entry, [entry]], {"x": [entry]}],
+            {"a": entry, "b": [entry], "c": {"d": entry}},
+            # the same level reached as a dict value and as a list item
+            [{"a": entry}, [entry], ({"b": entry}, [entry])],
+            # equal entries held as distinct objects
+            [entry, twin, [twin, entry], {"a": twin, "b": entry}],
+            # look-alikes, repeated at one level and at others
+            looks + looks + [looks, [looks], {"x": looks}],
+            # one list object repeated
+            [row, row, [row, row], {"r": row, "s": row}],
+            # entries that share one coefficient list
+            [{"m": 2, "coeffs": coeffs}, {"m": 3, "coeffs": coeffs},
+             [{"m": 2, "coeffs": coeffs}], coeffs]):
+        _assert_canonical(doc)
+
+
+@st.composite
+def _aliased(draw):
+    """A document built from a pool of drawn values: each new list, tuple
+    or dict takes its items from the pool, which holds every value drawn or
+    built so far, so one object sits at several places and depths.  Dicts
+    whose keys are "m" and "coeffs" are entries or look-alikes made of
+    shared parts."""
+    pool = draw(st.lists(st.one_of(
+        _SCALARS, _ENTRIES, st.integers(2, 4),
+        st.lists(st.sampled_from(["0", "1", "-1/2"]), max_size=3)),
+        min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["list", "tuple", "dict", "entry"]))
+        if kind == "entry":
+            node = {"m": draw(st.sampled_from(pool)),
+                    "coeffs": draw(st.sampled_from(pool))}
+        elif kind == "dict":
+            keys = draw(st.lists(st.sampled_from(
+                ["m", "coeffs", "a", "b", "extra"]), unique=True, max_size=4))
+            node = {k: draw(st.sampled_from(pool)) for k in keys}
+        else:
+            node = draw(st.lists(st.sampled_from(pool), max_size=5))
+            if kind == "tuple":
+                node = tuple(node)
+        pool.append(node)
+    return pool[-1] if draw(st.booleans()) else pool
+
+
+@given(_aliased())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_canonical_writer_matches_json_dumps_on_shared_objects(doc):
+    _assert_canonical(doc)
 
 
 def _write_documents(directory):
