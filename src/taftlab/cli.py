@@ -1,9 +1,13 @@
 """The ``taft`` command line: JSON in, JSON (or CSV) out.
 
 Exit codes are stable: 0 success, 2 rejected input (malformed JSON, schema
-or semantic validation, budget refusals, failed verification), 1 internal
-error.  Stdout carries data only; diagnostics go to stderr as one JSON
-object per failure.
+or semantic validation, budget refusals, failed verification, an output
+path that cannot be written), 1 internal error.  Stdout carries data only;
+diagnostics go to stderr as one JSON object per failure.
+
+Each call builds only the argparse parser of the command it names, not all
+twelve; help, a missing or unknown command and any other top-level error
+fall back to the full parser, so every output is the same either way.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import csv
 import io
 import json
 import sys
-from functools import cache
 
 from .algebra_core import grading_from_c, jacobson_radical
 from .constructions import (build_nilpotent_extension, build_semisimple,
@@ -29,7 +32,7 @@ from .serialize import (FORMAT_TAG, dumps_canonical, grading_to_c_matrix,
                         hma_to_json, json_to_algebra, json_to_hma,
                         json_to_matrix_doc, json_to_nilext_spec,
                         json_to_ss_spec, loads, matrix_to_json,
-                        nilext_spec_to_json, vector_to_json)
+                        nilext_spec_to_json, vector_to_json, write_text)
 from .taft_hopf import TaftAlgebra, hopf_verify_axioms
 
 
@@ -45,8 +48,7 @@ def _read_doc(path: str):
 def _emit(doc, out: str | None, *, csv_text: str | None = None) -> None:
     text = csv_text if csv_text is not None else dumps_canonical(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -185,8 +187,7 @@ def cmd_recover(args) -> int:
     if args.out_base:
         base_doc = nilext_spec_to_json(rec.spec,
                                        grading_to_c_matrix(rec.spec.grading))
-        with open(args.out_base, "w") as fh:
-            fh.write(dumps_canonical(base_doc))
+        write_text(args.out_base, dumps_canonical(base_doc))
     return 0
 
 
@@ -232,29 +233,29 @@ def cmd_fixtures(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="taft",
-        description="Exact tools for algebras with a Taft-algebra action.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _leaf(sub, name, fn, help):
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(fn=fn)
+    p.add_argument("--out", help="write the result here instead of stdout")
+    return p
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the result here instead of stdout")
-        return p
 
-    p = add("hopf-check", cmd_hopf_check, help="verify the Hopf axioms")
+def _add_hopf_check(sub, name):
+    p = _leaf(sub, name, cmd_hopf_check, "verify the Hopf axioms")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("qbinom", cmd_qbinom,
-            help="Gaussian binomial binom(n, k) at a root of unity")
+
+def _add_qbinom(sub, name):
+    p = _leaf(sub, name, cmd_qbinom,
+              "Gaussian binomial binom(n, k) at a root of unity")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("m", type=int)
     p.add_argument("e", type=int)
 
-    construct = sub.add_parser("construct", help="build module algebras")
+
+def _add_construct(sub, name):
+    construct = sub.add_parser(name, help="build module algebras")
     csub = construct.add_subparsers(dest="what", required=True)
 
     p = csub.add_parser("ss", help="block-rotation algebra from a (P, Q) spec")
@@ -269,39 +270,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="cross-check against the document")
     p.add_argument("--out")
 
-    p = add("verify", cmd_verify, help="check the module-algebra laws")
+
+def _add_verify(sub, name):
+    p = _leaf(sub, name, cmd_verify, "check the module-algebra laws")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = add("simple", cmd_simple, help="decide simplicity under the action")
+
+def _add_simple(sub, name):
+    p = _leaf(sub, name, cmd_simple, "decide simplicity under the action")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = add("iso-ss", cmd_iso_ss,
-            help="decide isomorphism of two block-rotation specs")
+
+def _add_iso_ss(sub, name):
+    p = _leaf(sub, name, cmd_iso_ss,
+              "decide isomorphism of two block-rotation specs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("iso", cmd_iso, help="search for a module-algebra isomorphism")
+
+def _add_iso(sub, name):
+    p = _leaf(sub, name, cmd_iso, "search for a module-algebra isomorphism")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--budget", type=int, default=64,
                    help="candidate combinations to try")
 
-    p = add("radical", cmd_radical, help="Jacobson radical of an algebra")
+
+def _add_radical(sub, name):
+    p = _leaf(sub, name, cmd_radical, "Jacobson radical of an algebra")
     p.add_argument("--in", dest="infile", required=True)
 
-    p = add("grading", cmd_grading,
-            help="eigenspace grading from an order-m automorphism")
+
+def _add_grading(sub, name):
+    p = _leaf(sub, name, cmd_grading,
+              "eigenspace grading from an order-m automorphism")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--c", required=True, help="matrix document for the action")
     p.add_argument("--m", type=int, help="cross-check against the documents")
 
-    p = add("recover", cmd_recover,
-            help="layer structure of a non-semisimple simple module algebra")
+
+def _add_recover(sub, name):
+    p = _leaf(sub, name, cmd_recover,
+              "layer structure of a non-semisimple simple module algebra")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-base", dest="out_base",
                    help="also write the recovered base-algebra document here")
 
-    p = add("codim", cmd_codim, help="codimension of multilinear identities")
+
+def _add_codim(sub, name):
+    p = _leaf(sub, name, cmd_codim, "codimension of multilinear identities")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=10 ** 6,
@@ -310,21 +327,65 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit all degrees 1..n as a table")
     p.add_argument("--backend", choices=["auto", "exact"], default="auto")
 
-    p = add("fixtures", cmd_fixtures, help="write the example corpus")
+
+def _add_fixtures(sub, name):
+    p = _leaf(sub, name, cmd_fixtures, "write the example corpus")
     p.add_argument("--out-dir", dest="out_dir", required=True)
 
+
+# every command, in the order ``taft --help`` lists them, with the function
+# that adds its parser
+_COMMANDS = {
+    "hopf-check": _add_hopf_check,
+    "qbinom": _add_qbinom,
+    "construct": _add_construct,
+    "verify": _add_verify,
+    "simple": _add_simple,
+    "iso-ss": _add_iso_ss,
+    "iso": _add_iso,
+    "radical": _add_radical,
+    "grading": _add_grading,
+    "recover": _add_recover,
+    "codim": _add_codim,
+    "fixtures": _add_fixtures,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``taft`` parser with every command, or with ``command`` alone.
+
+    A one-command parser reads that command's argv as the full one does:
+    same namespace, help, usage and errors.  Its subcommand metavar lists
+    every command, so the top-level usage line of an "unrecognized
+    arguments" error stays the full parser's.  The full parser leaves the
+    metavar unset: set, it would rename ``argument command`` in the
+    invalid-choice and missing-command errors, which only it reports.
+    """
+    parser = argparse.ArgumentParser(
+        prog="taft",
+        description="Exact tools for algebras with a Taft-algebra action.")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    else:
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{%s}" % ",".join(_COMMANDS))
+        names = (command,)
+    for name in names:
+        _COMMANDS[name](sub, name)
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args reads the parser and never changes
-    # it, and the cmd_* functions look their helpers up when they run
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level has no option but -h and no positional but the command,
+    # so a first word naming a command is that command; anything else (no
+    # words, -h, an option, an unknown word) is help or an error, which the
+    # full parser reports
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

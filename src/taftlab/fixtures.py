@@ -28,10 +28,11 @@ from .constructions import (NilpotentExtensionSpec, SemisimpleSpec,
                             build_nilpotent_extension, build_semisimple,
                             grid_spec)
 from .cyclotomic import CycNum, zeta_power
+from .errors import InputError
 from .hmodule import HModuleAlgebra
 from .linalg import Matrix
 from .serialize import (dumps_canonical, grading_to_c_matrix, hma_to_json,
-                        nilext_spec_to_json, ss_spec_to_json)
+                        nilext_spec_to_json, ss_spec_to_json, write_text)
 from .taft_hopf import TaftAlgebra
 
 GRID_MS = (2, 3, 4)
@@ -190,13 +191,15 @@ def positive_modules() -> dict:
 
 def write_fixtures(directory: str) -> dict:
     """Emit the whole corpus as canonical JSON; returns name -> path."""
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (directory, exc))
     paths = {}
 
     def put(name, doc):
         path = os.path.join(directory, name + ".json")
-        with open(path, "w") as fh:
-            fh.write(dumps_canonical(doc))
+        write_text(path, dumps_canonical(doc))
         paths[name] = path
 
     for name, spec in sorted(ss_specs().items()):

@@ -451,9 +451,25 @@ def dumps_canonical(doc) -> str:
             write(value, level + 1)
         append("\n" + "  " * level + "}")
 
-    write(doc, 0)
+    try:
+        write(doc, 0)
+    finally:
+        # the three writers call each other through closure cells: empty
+        # the cells so that the pieces and caches go when the call returns,
+        # not when the cyclic collector next runs
+        del write, write_list, write_dict
     append("\n")
     return "".join(out)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is the
+    caller's input at fault, so it raises InputError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc))
 
 
 def loads(text: str):

@@ -1,11 +1,15 @@
 """End-to-end command-line paths: pipelines, exit codes, diagnostics."""
 
+import argparse
 import csv
 import io
 import json
 import re
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taftlab import cli
 from taftlab.cli import main
@@ -309,8 +313,8 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
-    # main() keeps one parser per process; a sequence of calls, a usage
-    # error among them, must behave exactly as with a fresh parser each time
+    # main() builds only the named command's parser; a sequence of calls, a
+    # usage error among them, must behave exactly as with the full parser
     mod = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
     other = write_doc(tmp_path, "other.json", hma_to_json(
         trivial_action(sweedler_two_dim().algebra)))
@@ -338,13 +342,203 @@ def test_one_parser_serves_many_calls(capsys, monkeypatch, tmp_path):
             seen.append((code, out, captured.err))
         return seen
 
-    cached = outcomes()
-    assert cli._parser() is cli._parser()
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    assert cached == outcomes()
-    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
-    assert "required: --in" in cached[2][2]
-    assert json.loads(cached[0][1])["budget"] == 3
-    assert json.loads(cached[3][1])["budget"] == 64
-    assert json.loads(cached[4][1])["method"] == "exact-echelon"
-    assert json.loads(cached[5][1])["method"].startswith("modp-pinned")
+    monkeypatch.setenv("COLUMNS", "80")
+    narrow = outcomes()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: full_parser())
+    assert narrow == outcomes()
+    assert [code for code, _, _ in narrow] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    assert "required: --in" in narrow[2][2]
+    assert json.loads(narrow[0][1])["budget"] == 3
+    assert json.loads(narrow[3][1])["budget"] == 64
+    assert json.loads(narrow[4][1])["method"] == "exact-echelon"
+    assert json.loads(narrow[5][1])["method"].startswith("modp-pinned")
+
+
+# ------------------------------------------- one command's parser vs the full
+
+# each command (construct by its subcommands) with arguments that parse
+VALID = {
+    ("hopf-check",): ["--m", "3"],
+    ("qbinom",): ["3", "1", "3", "1"],
+    ("construct", "ss"): ["--in", "x"],
+    ("construct", "nilext"): ["--in", "x", "--m", "3"],
+    ("verify",): ["--in", "x"],
+    ("simple",): ["--in", "x"],
+    ("iso-ss",): ["--a", "x", "--b", "y"],
+    ("iso",): ["--a", "x", "--b", "y", "--budget", "5"],
+    ("radical",): ["--in", "x"],
+    ("grading",): ["--in", "x", "--c", "y", "--m", "3"],
+    ("recover",): ["--in", "x", "--out-base", "y"],
+    ("codim",): ["--in", "x", "--n", "2", "--backend", "exact"],
+    ("fixtures",): ["--out-dir", "x"],
+}
+
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["-h", "verify"], ["verify", "-h", "--in"],
+    ["frobnicate"], ["Verify"], ["ver"], ["iso-s"], ["--out", "x", "verify"],
+    ["--", "verify"], ["construct"], ["construct", "-h"],
+    ["construct", "bogus"], ["construct", "SS", "--in", "x"],
+    ["construct", "ss", "nilext"],
+    # bad types and choices
+    ["hopf-check", "--m", "x"], ["qbinom", "3", "x", "3", "1"],
+    ["codim", "--in", "x", "--n", "x"],
+    ["iso", "--a", "x", "--b", "y", "--budget", "x"],
+    ["grading", "--in", "x", "--c", "y", "--m", "2.5"],
+    ["construct", "nilext", "--in", "x", "--m", "x"],
+    ["codim", "--in", "x", "--n", "2", "--backend", "fast"],
+    ["codim", "--in", "x", "--n", "2", "--report", "xml"],
+    # abbreviated options: unique prefixes parse, ambiguous ones are errors
+    ["verify", "--i", "x"], ["fixtures", "--out-d", "x"],
+    ["recover", "--in", "x", "--out-b", "y"],
+    ["codim", "--i", "x", "--n", "2", "--b", "5"],
+    ["construct", "nilext", "--i", "x", "--o", "y"],
+]
+for words, valid in VALID.items():
+    words = list(words)
+    ARGV_CORPUS += [
+        words + ["-h"],
+        words,  # a required option or positional is missing
+        words + valid,
+        words + valid + ["extra"],
+        words + valid + ["--out"],  # an option without its value
+        words + valid + ["--nope", "1"],
+    ]
+
+
+@contextmanager
+def parse_only():
+    """main() and full_parse() return the parsed namespace as a dict instead
+    of running the command; help is formatted for 80 columns."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        for name in list(vars(cli)):
+            if name.startswith("cmd_"):
+                mp.setattr(cli, name, vars)
+        yield
+
+
+def full_parse(argv):
+    return vars(cli.build_parser().parse_args(argv))
+
+
+def outcome(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_full(argv):
+    with parse_only():
+        assert outcome(main, argv) == outcome(full_parse, argv)
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv):
+    assert_parses_as_full(argv)
+
+
+def test_argv_corpus_reaches_every_outcome():
+    with parse_only():
+        results = [outcome(main, argv) for argv in ARGV_CORPUS]
+    codes = {r if isinstance(r, int) else "parsed" for r, _, _ in results}
+    assert codes == {0, 2, "parsed"}
+    errors = "".join(err for _, _, err in results)
+    for message in ("invalid choice", "required", "invalid int value",
+                    "unrecognized arguments", "ambiguous option",
+                    "expected one argument"):
+        assert message in errors
+    # the full parser names the command argument by its dest
+    assert "error: the following arguments are required: command\n" in errors
+    assert "error: argument command: invalid choice: 'frobnicate'" in errors
+    # a one-command parser's usage line still lists every command
+    every = "{%s}" % ",".join(cli._COMMANDS)
+    assert all(err.startswith("usage: taft [-h]") and every in err
+               for _, _, err in results if "unrecognized arguments" in err)
+
+
+TOKENS = (list(cli._COMMANDS) + [
+    "ss", "nilext", "-h", "--help", "--", "--in", "--i", "--out", "--o",
+    "--out-dir", "--out-base", "--m", "--n", "--a", "--b", "--c", "--budget",
+    "--backend", "--report", "exact", "fast", "csv", "x", "3", "-1", "2.5"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=6))
+def test_random_argv_parses_as_the_full_parser(argv):
+    assert_parses_as_full(argv)
+
+
+def count_parsers(monkeypatch):
+    counted = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counted.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return counted
+
+
+def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch,
+                                                tmp_path):
+    counted = count_parsers(monkeypatch)
+    cli.build_parser()
+    assert len(counted) == 15
+
+    spec = write_doc(tmp_path, "spec.json",
+                     ss_spec_to_json(ss_specs()["mat2_trivial"]))
+    mod = str(tmp_path / "mod.json")
+    del counted[:]
+    assert main(["construct", "ss", "--in", spec, "--out", mod]) == 0
+    assert len(counted) <= 4  # taft, construct, ss and nilext
+    del counted[:]
+    assert main(["verify", "--in", mod]) == 0
+    assert len(counted) <= 2  # taft and verify
+    capsys.readouterr()
+
+
+# ------------------------------------------------------ unwritable outputs
+
+def assert_cannot_write(result, path):
+    code, out, err = result
+    assert code == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "invalid-input"
+    assert diag["message"].startswith("cannot write %s: " % path)
+
+
+def test_unwritable_out_is_rejected_input(capsys, tmp_path):
+    target = str(tmp_path / "no" / "x.json")
+    assert_cannot_write(run(capsys, "qbinom", "3", "1", "3", "1",
+                            "--out", target), target)
+    mod = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
+    target = str(tmp_path / "no" / "y.csv")
+    assert_cannot_write(run(capsys, "codim", "--in", mod, "--n", "2",
+                            "--report", "csv", "--out", target), target)
+
+
+def test_unwritable_out_base_is_rejected_input(capsys, tmp_path):
+    from taftlab.constructions import build_nilpotent_extension
+    from taftlab.fixtures import nilext_specs
+
+    ext = build_nilpotent_extension(nilext_specs()["base_field_m2"])
+    path = write_doc(tmp_path, "ext.json", hma_to_json(ext.module))
+    target = str(tmp_path / "no" / "base.json")
+    code, out, err = run(capsys, "recover", "--in", path, "--out",
+                         str(tmp_path / "rec.json"), "--out-base", target)
+    assert_cannot_write((code, out, err), target)
+
+
+def test_unwritable_out_dir_is_rejected_input(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for target in (str(blocker), str(blocker / "corpus")):
+        assert_cannot_write(run(capsys, "fixtures", "--out-dir", target),
+                            target)

@@ -1,6 +1,7 @@
 """JSON document round trips, schema rejection paths, canonical bytes."""
 
 import copy
+import gc
 import json
 import os
 import re
@@ -810,6 +811,23 @@ def test_canonical_writer_edge_cases():
         with pytest.raises(TypeError):
             dumps_canonical(bad)
         assert _outcome(dumps_canonical, bad) == _outcome(_oracle, bad)
+
+
+def test_canonical_writer_leaves_no_reference_cycle():
+    entry = {"coeffs": ["1", "-1/2"], "m": 3}
+    doc = {"rows": [[entry, {"a": [1, entry]}]] * 500, "t": (True, None)}
+    for bad in (doc, [doc, object()]):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _outcome(dumps_canonical, bad)  # warm
+            gc.collect()
+            _outcome(dumps_canonical, bad)
+            # the TypeError's traceback is gone with _outcome's frame
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class _LooksLikeM(str):
