@@ -114,6 +114,8 @@ def cmd_simple(args) -> int:
                "method": result.method}
     elif isinstance(result, NotSimple):
         doc = {"verdict": "not_simple", "reason": result.reason}
+        if result.method is not None:
+            doc["method"] = result.method
         if result.witness is not None:
             doc["witness_dim"] = result.witness.dim
             doc["witness_basis"] = [vector_to_json(v)
@@ -254,21 +256,39 @@ def _add_qbinom(sub, name):
     p.add_argument("e", type=int)
 
 
-def _add_construct(sub, name):
-    construct = sub.add_parser(name, help="build module algebras")
-    csub = construct.add_subparsers(dest="what", required=True)
-
-    p = csub.add_parser("ss", help="block-rotation algebra from a (P, Q) spec")
+def _add_construct_ss(sub, name):
+    p = sub.add_parser(name, help="block-rotation algebra from a (P, Q) spec")
     p.set_defaults(fn=cmd_construct_ss)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
 
-    p = csub.add_parser("nilext",
-                        help="layered extension of a graded-simple base")
+
+def _add_construct_nilext(sub, name):
+    p = sub.add_parser(name, help="layered extension of a graded-simple base")
     p.set_defaults(fn=cmd_construct_nilext)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--m", type=int, help="cross-check against the document")
     p.add_argument("--out")
+
+
+# the construct subcommands, in the order ``taft construct --help`` lists them
+_CONSTRUCTS = {"ss": _add_construct_ss, "nilext": _add_construct_nilext}
+
+
+def _add_construct(sub, name, what=None):
+    """The construct parser with both subcommands, or with ``what`` alone
+    under the full metavar, as build_parser does one level up."""
+    construct = sub.add_parser(name, help="build module algebras")
+    if what is None:
+        csub = construct.add_subparsers(dest="what", required=True)
+        whats = _CONSTRUCTS
+    else:
+        csub = construct.add_subparsers(
+            dest="what", required=True,
+            metavar="{%s}" % ",".join(_CONSTRUCTS))
+        whats = (what,)
+    for w in whats:
+        _CONSTRUCTS[w](csub, w)
 
 
 def _add_verify(sub, name):
@@ -351,41 +371,53 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
     """The ``taft`` parser with every command, or with ``command`` alone.
 
-    A one-command parser reads that command's argv as the full one does:
-    same namespace, help, usage and errors.  Its subcommand metavar lists
-    every command, so the top-level usage line of an "unrecognized
-    arguments" error stays the full parser's.  The full parser leaves the
-    metavar unset: set, it would rename ``argument command`` in the
-    invalid-choice and missing-command errors, which only it reports.
+    ``command`` is a command name, or a pair such as ("construct", "ss")
+    for one nested subcommand.  A one-command parser reads that command's
+    argv as the full one does: same namespace, help, usage and errors.  Its
+    subcommand metavar lists every command, so the top-level usage line of
+    an "unrecognized arguments" error stays the full parser's.  The full
+    parser leaves the metavar unset: set, it would rename ``argument
+    command`` in the invalid-choice and missing-command errors, which only
+    it reports.
     """
     parser = argparse.ArgumentParser(
         prog="taft",
         description="Exact tools for algebras with a Taft-algebra action.")
     if command is None:
         sub = parser.add_subparsers(dest="command", required=True)
-        names = _COMMANDS
-    else:
-        sub = parser.add_subparsers(
-            dest="command", required=True,
-            metavar="{%s}" % ",".join(_COMMANDS))
-        names = (command,)
-    for name in names:
-        _COMMANDS[name](sub, name)
+        for name, add in _COMMANDS.items():
+            add(sub, name)
+        return parser
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(_COMMANDS))
+    name, *nested = (command,) if isinstance(command, str) else command
+    _COMMANDS[name](sub, name, *nested)
     return parser
+
+
+def _command_words(argv):
+    """What build_parser needs to read argv: None (the full parser) unless
+    the first word names a command, and for construct the pair of it and
+    its subcommand when the second word is exactly one."""
+    # the top level has no option but -h and no positional but the command,
+    # so a first word naming a command is that command; anything else (no
+    # words, -h, an option, an unknown word) is help or an error, which the
+    # full parser reports.  construct works the same way one level down.
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    if argv[0] == "construct" and len(argv) > 1 and argv[1] in _CONSTRUCTS:
+        return tuple(argv[:2])
+    return argv[0]
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top level has no option but -h and no positional but the command,
-    # so a first word naming a command is that command; anything else (no
-    # words, -h, an option, an unknown word) is help or an error, which the
-    # full parser reports
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(_command_words(argv)).parse_args(argv)
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

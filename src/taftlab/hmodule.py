@@ -34,10 +34,11 @@ underestimate the true span; reaching (dim A)^2 mod p is therefore a sound
 certificate, whether or not the laws hold, since every L' R' c^s v^k is a
 word in the generators.  A shortfall is the dimension of O only when the
 laws hold, so hma_verify runs first on that path and a module that fails
-it raises InputError; then small algebras (dim A <= 10) are ranked
-exactly.  Tier 2 therefore runs only on modules whose laws hold, and looks
-for a witness among highest-weight vectors, which needs exactly what those
-laws give: v is nilpotent (v^m = 0), and c^m = 1 with v c = zeta c v.  A
+it raises InputError; then linalg.certified_rank proves the modular rank
+exact at any dim, with an exact rank over Q(zeta_m) as its fallback.
+Tier 2 therefore runs only on modules whose laws hold, and looks for a
+witness among highest-weight vectors, which needs exactly what those laws
+give: v is nilpotent (v^m = 0), and c^m = 1 with v c = zeta c v.  A
 nonzero invariant ideal I is stable under the nilpotent v, so W, the
 intersection of I and ker v, is nonzero.  c maps W into itself, since I is
 c-stable and v c x = zeta c v x = 0 for x in ker v.  c^m = 1 makes c
@@ -63,9 +64,10 @@ from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
                          zeta_power)
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
-                     Subspace, combination, intertwiner_space, kernel,
-                     matrix_to_modp, rank, reduction_primes,
-                     small_coefficients, vec_is_zero)
+                     Subspace, certified_rank, combination, integer_planes,
+                     intertwiner_space, kernel, matrix_to_modp, rank,
+                     reduction_primes, small_coefficients, vec_is_zero,
+                     zmatmul)
 from .algebra_core import FinDimAlgebra, ideal_generated_by
 from .taft_hopf import HopfElement, TaftAlgebra
 
@@ -356,6 +358,8 @@ class CertifiedSimple:
 class NotSimple:
     witness: Subspace | None
     reason: str = "proper nonzero H-invariant ideal"
+    # how tier 1 ranked the short operator span, when it ran
+    method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -368,17 +372,17 @@ class Inconclusive:
 _UH_BLOCK = 32
 
 
-def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
-    """Dimension over F_p of span{L' R' h}: the products L' R' first, one
-    block per L', then U h for U the basis of their span, until the span
-    is full."""
+def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> ModpEchelon:
+    """Echelon basis over F_p of span{L' R' h}: the products L' R' first,
+    one block per L', then U h for U the basis of their span, until the
+    span is full."""
     eb = ModpEchelon(n * n, p)
     one = np.eye(n, dtype=np.int64)
     rs = np.concatenate([one[None], np.array(rights, dtype=np.int64)])
     for x in [one] + list(lefts):
         eb.insert_block((x @ rs).reshape(-1, n * n))
         if eb.dim == n * n:
-            return eb.dim
+            return eb
     # U h row-major: row (u, i) of the stacked U, times h, is row i of U_u h
     us = eb.rows.reshape(-1, n).copy()
     step = _UH_BLOCK * n
@@ -386,8 +390,8 @@ def _normal_form_modp(lefts, rights, twists, n: int, p: int) -> int:
         for lo in range(0, len(us), step):
             eb.insert_block((us[lo:lo + step] @ h).reshape(-1, n * n))
             if eb.dim == n * n:
-                return eb.dim
-    return eb.dim
+                return eb
+    return eb
 
 
 def _normal_form_exact(lefts, rights, twists, n: int, m: int) -> int:
@@ -450,9 +454,41 @@ def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
     return table.reshape(n, n, n)
 
 
-# the largest dim A whose short normal-form span is ranked exactly; above
-# it the modular rank is reported as a lower bound
-EXACT_MAX_DIM = 10
+def _certify_span(A: FinDimAlgebra, gens, first, images):
+    """certified_rank on span{L' R' h}: the L' R' are the generating rows,
+    and the span must be closed under right multiplication by each of gens,
+    so it holds every L' R' times a word in gens.  first and images give
+    the modular echelon forms, as certified_rank takes them."""
+    n, m = A.dim, A.m
+    consts = [x for plane in A.mult for row in plane for x in row]
+    entries = [consts] + [[x for row in g.rows for x in row] for g in gens]
+    rational = not any(any(x.num[1:]) for xs in entries for x in xs)
+    deg = 1 if rational else len(consts[0].num)
+    planes = [integer_planes(xs, deg) for xs in entries]
+    if any(x is None for x in planes):
+        return None
+    table = planes[0].reshape(n, n, n, deg)
+    one = np.zeros((1, n, n, deg), dtype=np.int64)
+    one[0, range(n), range(n), 0] = 1
+    # L(e_i)[a, j] = T[i, j, a] and R(e_i)[a, j] = T[j, i, a]; row (x, a)
+    # times column (y, b) of the product is (L'_x R'_y)[a, b]
+    lefts = np.concatenate([one, table.transpose(0, 2, 1, 3)])
+    rights = np.concatenate([one, table.transpose(1, 2, 0, 3)])
+    prod = zmatmul(lefts.reshape(-1, n, deg),
+                   rights.transpose(1, 0, 2, 3).reshape(n, -1, deg), m)
+    if prod is None:
+        return None
+    prod = prod.reshape(n + 1, n, n + 1, n, deg).transpose(0, 2, 1, 3, 4)
+
+    def right_by(h):
+        def apply(rows):
+            out = zmatmul(rows.reshape(-1, n, deg), h, m)
+            return None if out is None else out.reshape(len(rows), -1, deg)
+        return apply
+
+    return certified_rank(
+        m, first, images, lambda: [prod.reshape(-1, n * n, deg)],
+        [right_by(h.reshape(n, n, deg)) for h in planes[1:]], rational)
 
 
 def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
@@ -465,35 +501,44 @@ def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
     form, so laws() runs first and raises InputError if they fail.  The
     span is ranked over F_p for the first of three primes that reduces the
     structure constants and gens, with the L and R stacks read off one
-    reduced table; a short result is ranked exactly when dim A <=
-    EXACT_MAX_DIM and is otherwise reported as a lower bound.
+    reduced table.  A short modular rank is a lower bound, and
+    linalg.certified_rank confirms it at every dim: its integer check
+    shows that the span of the reconstructed echelon form holds every
+    L' R' and is closed under right multiplication by each of gens
+    ("operator span, certified(p=...)").  Without a certificate the span
+    is ranked over Q(zeta_m) ("operator span, exact").
     """
     n, m = A.dim, A.m
-    last = None
-    for p, w in reduction_primes(m):
-        try:
-            table = _table_modp(A, p, w)
-            gs = [matrix_to_modp(x, p, w) for x in gens]
-        except ModReductionError:
-            continue
+
+    def modp(p, w):
+        table = _table_modp(A, p, w)
+        gs = [matrix_to_modp(x, p, w) for x in gens]
         hs = twists(gs, lambda x, y: x @ y % p, np.eye(n, dtype=np.int64))
         # L(e_i)[a, j] = T[i, j, a] and R(e_i)[a, j] = T[j, i, a]
-        last = (_normal_form_modp(table.transpose(0, 2, 1),
-                                  table.transpose(1, 2, 0), hs, n, p),
-                "operator span mod p=%d" % p)
-        if last[0] == n * n:
-            return last
+        return _normal_form_modp(table.transpose(0, 2, 1),
+                                 table.transpose(1, 2, 0), hs, n, p)
+
+    first = None
+    for p, w in reduction_primes(m):
+        try:
+            eb = modp(p, w)
+        except ModReductionError:
+            continue
+        if eb.dim == n * n:
+            return eb.dim, "operator span mod p=%d" % p
+        first = (p, w) + eb.reduced()
         break
     laws()
-    if n <= EXACT_MAX_DIM:
-        hs = twists(list(gens), Matrix.__matmul__, Matrix.identity(m, n))
-        return (_normal_form_exact([A.left_mult_basis(i) for i in range(n)],
-                                   [A.right_mult_basis(i) for i in range(n)],
-                                   hs, n, m),
-                "operator span, exact")
-    if last is not None:
-        return (last[0], last[1] + " (lower bound)")
-    return (0, "no usable reduction prime")
+    if first is not None:
+        got = _certify_span(A, gens, first, lambda p, w: modp(p, w).reduced())
+        if got is not None:
+            return got[0], "operator span, certified(p=%s)" % ",".join(
+                map(str, got[1]))
+    hs = twists(list(gens), Matrix.__matmul__, Matrix.identity(m, n))
+    return (_normal_form_exact([A.left_mult_basis(i) for i in range(n)],
+                               [A.right_mult_basis(i) for i in range(n)],
+                               hs, n, m),
+            "operator span, exact")
 
 
 def operator_span_dim(mod: HModuleAlgebra):
@@ -554,7 +599,7 @@ def is_h_simple(mod: HModuleAlgebra):
         for x in kernel(Matrix(mod.m, shifted.rows + mod.v_op.rows)):
             ideal = ideal_generated_by(A, [x], extra_ops=(mod.c_op, mod.v_op))
             if ideal.dim < n:
-                return NotSimple(witness=ideal)
+                return NotSimple(witness=ideal, method=method)
     return Inconclusive(detail="operator span reached %d of %d (%s); no witness "
                                "ideal found" % (dim, n * n, method))
 

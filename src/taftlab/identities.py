@@ -26,6 +26,13 @@ coincide, instead of n! * m^{2n}.  ``CodimResult.matrix_shape`` and the
 ``rows`` field of the ``codim`` output still give the nominal evaluation
 matrix (n! * m^{2n}, dim^{n+1}), and the row budget caps that nominal count.
 
+The rank of those rows is taken mod the first reduction prime, on integer
+codes of their entries.  That is a lower bound, and the value when it fills
+the shape of the rows or when linalg.certified_rank proves it exact; only
+without a certificate are the rows eliminated over Q(zeta_m) on
+EchelonBasis.  codim_growth_report builds W_1, ..., W_n once and ranks each
+level as it is built.
+
 Orderings are fixed so bases and ranks are bit-reproducible: permutations
 in lexicographic order, labels b = i*m + k in increasing order, every span
 kept in canonical reduced echelon form.
@@ -44,9 +51,9 @@ import numpy as np
 from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra
-from .linalg import (EchelonBasis, ModReductionError, cyc_to_modp, echelon,
-                     rank_mod_p, reduction_primes, vec_add, vec_scale,
-                     vec_zero)
+from .linalg import (EchelonBasis, ModReductionError, certified_rank,
+                     cyc_to_modp, echelon, echelon_mod_p, integer_planes,
+                     reduction_primes, vec_add, vec_scale, vec_zero)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -241,8 +248,9 @@ def _products(basis, right, dim: int, zero: CycNum):
             yield tuple(acc)
 
 
-def _ordered_span(mod: HModuleAlgebra, n: int) -> tuple:
-    """Canonical basis of W_n, the span of t -> (h_1 e_{t_1}) ... (h_n e_{t_n}).
+def _ordered_spans(mod: HModuleAlgebra, n: int):
+    """Canonical bases of W_1, ..., W_n in turn, W_j the span of
+    t -> (h_1 e_{t_1}) ... (h_j e_{t_j}).
 
     Rows are flattened over (argument tuple, output coordinate) like the
     columns of the evaluation matrix.  W_1 holds the images h_b(e_t); W_j is
@@ -260,10 +268,17 @@ def _ordered_span(mod: HModuleAlgebra, n: int) -> tuple:
              for images in app]
     span = echelon(m, dim * dim,
                    [tuple(x for img in images for x in img) for images in app])
+    yield span.rows()
     for _ in range(n - 1):
         span = echelon(m, span.ncols * dim,
                        _products(span.rows(), right, dim, CycNum.zero(m)))
-    return span.rows()
+        yield span.rows()
+
+
+def _ordered_span(mod: HModuleAlgebra, n: int) -> tuple:
+    """Canonical basis of W_n (see _ordered_spans)."""
+    *_, basis = _ordered_spans(mod, n)
+    return basis
 
 
 def _argument_permutations(dim: int, n: int):
@@ -281,17 +296,93 @@ def _argument_permutations(dim: int, n: int):
         yield (source[:, None] * dim + out).ravel()
 
 
-def _modp_rank(codes, values, m: int):
-    """(rank, p) over the first reduction prime p that reduces values, of
-    the rows values[codes], or None if none does."""
-    for p, zmod in reduction_primes(m):
+def _image(values, p: int, zeta_mod: int) -> np.ndarray:
+    return np.array([cyc_to_modp(x, p, zeta_mod) for x in values],
+                    dtype=np.int64)
+
+
+# entries per block of the certificate's integer check: bounds the planes
+# and products it holds at once
+_CHECK_ENTRIES = 1 << 16
+
+
+def _coded_rank(codes, values, m: int):
+    """(rank, method) of the rows values[codes] when the mod-p rank at the
+    first reduction prime fills their shape or certified_rank confirms it;
+    None when neither does."""
+    for p, w in reduction_primes(m):
         try:
-            image = np.array([cyc_to_modp(x, p, zmod) for x in values],
-                             dtype=np.int64)
+            image = _image(values, p, w)
         except ModReductionError:
             continue
-        return rank_mod_p(image[codes], p), p
+        first = echelon_mod_p(image[codes], p)
+        if len(first[0]) == min(codes.shape):
+            return len(first[0]), "modp-pinned(p=%d)" % p
+        rational = not any(any(x.num[1:]) for x in values)
+        ints = integer_planes(values, 1 if rational else len(values[0].num))
+        if ints is None:
+            return None
+
+        def images(q, z):
+            return echelon_mod_p(_image(values, q, z)[codes], q)
+
+        def rows():
+            step = max(1, _CHECK_ENTRIES // codes.shape[1])
+            for lo in range(0, len(codes), step):
+                yield ints[codes[lo:lo + step]]
+
+        got = certified_rank(m, (p, w) + first, images, rows,
+                             rational=rational)
+        if got is None:
+            return None
+        return got[0], "modp-certified(p=%s)" % ",".join(map(str, got[1]))
     return None
+
+
+def _nominal_rows(m: int, n: int, budget_rows: int) -> int:
+    """n! * m^{2n}, the rows of the degree-n evaluation matrix, checked
+    against the budget."""
+    rows_total = math.factorial(n) * (m * m) ** n
+    if rows_total > budget_rows:
+        raise BudgetExceeded(
+            "degree %d needs %d evaluation rows; the budget is %d — pass a "
+            "larger budget explicitly to proceed" % (n, rows_total, budget_rows))
+    return rows_total
+
+
+def _level_rank(mod: HModuleAlgebra, n: int, basis, backend: str):
+    """(value, method): the rank of the n! permuted copies of the canonical
+    basis of W_n, exact duplicates dropped."""
+    m, dim = mod.m, mod.algebra.dim
+    cols = dim ** (n + 1)
+    # entries as small ints: equal codes are equal CycNums, so permuting and
+    # deduplicating rows is integer work
+    index = {}
+    coded = np.array([[index.setdefault((x.num, x.den), len(index)) for x in f]
+                      for f in basis], dtype=np.intp).reshape(len(basis), cols)
+    values = [CycNum(m, num, den) for num, den in index]
+    distinct = np.frombuffer(b"".join(dict.fromkeys(
+        row.tobytes() for perm in _argument_permutations(dim, n)
+        for row in coded[:, perm])), dtype=np.intp).reshape(-1, cols)
+    if backend == "auto" and len(distinct):
+        got = _coded_rank(distinct, values, m)
+        if got is not None:
+            return got
+    # no pin and no certificate: the identity block leads and is already
+    # canonical
+    eb = EchelonBasis.from_reduced(m, cols, basis)
+    for codes in distinct[len(basis):].tolist():
+        if eb.dim == cols:
+            break
+        eb.insert(tuple(map(values.__getitem__, codes)))
+    return eb.dim, "exact-echelon"
+
+
+def _check_request(n: int, backend: str) -> None:
+    if n < 1:
+        raise InputError("degree must be positive, got %d" % n)
+    if backend not in ("auto", "exact"):
+        raise InputError("unknown rank backend %r" % backend)
 
 
 def codimension(mod: HModuleAlgebra, n: int, *,
@@ -307,57 +398,21 @@ def codimension(mod: HModuleAlgebra, n: int, *,
     ``matrix_shape`` still reports the nominal (n! * m^{2n}, dim^{n+1})
     matrix, and ``budget_rows`` caps that nominal row count.
 
-    backend "auto" first takes the rank over a prime field; that is a lower
-    bound on the exact rank, so when it already reaches min(rows, cols) the
-    exact elimination is skipped.  backend "exact" always eliminates over
-    the cyclotomic field.  The reported value is exact either way.
+    backend "auto" first takes the rank over a prime field, a lower bound
+    on the exact rank.  It is the value when it reaches min(rows, cols)
+    (method "modp-pinned") or when linalg.certified_rank confirms it from
+    modular images and an exact integer check ("modp-certified", with the
+    primes used).  Without either, and always under backend "exact", the
+    rank is taken by elimination over the cyclotomic field
+    ("exact-echelon").  The reported value is exact every way.
     """
-    if n < 1:
-        raise InputError("degree must be positive, got %d" % n)
-    if backend not in ("auto", "exact"):
-        raise InputError("unknown rank backend %r" % backend)
-    m = mod.m
-    dim = mod.algebra.dim
-    m2 = m * m
-    rows_total = math.factorial(n) * m2 ** n
-    if rows_total > budget_rows:
-        raise BudgetExceeded(
-            "degree %d needs %d evaluation rows; the budget is %d — pass a "
-            "larger budget explicitly to proceed" % (n, rows_total, budget_rows))
-    cols = dim ** (n + 1)
+    _check_request(n, backend)
+    rows_total = _nominal_rows(mod.m, n, budget_rows)
     started = time.perf_counter()
-
-    basis = _ordered_span(mod, n)
-    # entries as small ints: equal codes are equal CycNums, so permuting and
-    # deduplicating rows is integer work
-    index = {}
-    coded = np.array([[index.setdefault((x.num, x.den), len(index)) for x in f]
-                      for f in basis], dtype=np.intp).reshape(len(basis), cols)
-    values = [CycNum(m, num, den) for num, den in index]
-    blocks = dict.fromkeys(row.tobytes()
-                           for perm in _argument_permutations(dim, n)
-                           for row in coded[:, perm])
-    distinct = np.frombuffer(b"".join(blocks),
-                             dtype=np.intp).reshape(len(blocks), cols)
-
-    bound = min(len(distinct), cols)
-    method = None
-    value = None
-    if backend == "auto" and len(distinct):
-        got = _modp_rank(distinct, values, m)
-        if got is not None and got[0] == bound:
-            value, method = got[0], "modp-pinned(p=%d)" % got[1]
-    if value is None:
-        # the identity block leads and is already canonical
-        eb = EchelonBasis.from_reduced(m, cols, basis)
-        for codes in distinct[len(basis):].tolist():
-            if eb.dim == cols:
-                break
-            eb.insert(tuple(map(values.__getitem__, codes)))
-        value, method = eb.dim, "exact-echelon"
-
+    value, method = _level_rank(mod, n, _ordered_span(mod, n), backend)
     wall_ms = (time.perf_counter() - started) * 1000.0
-    return CodimResult(n=n, value=value, matrix_shape=(rows_total, cols),
+    return CodimResult(n=n, value=value,
+                       matrix_shape=(rows_total, mod.algebra.dim ** (n + 1)),
                        method=method, wall_ms=wall_ms)
 
 
@@ -377,20 +432,32 @@ def codim_growth_report(mod: HModuleAlgebra, n_max: int, *,
                         backend: str = "auto"):
     """Codimensions for n = 1..n_max with the (dim A)^{n+1} bound check.
 
-    Only the upper bound is asserted per row; the matching exponential lower
-    bound involves constants this toolkit does not compute.
+    Each row holds what codimension(mod, n) gives, but W_1..W_{n_max} are
+    built once, each level ranked as it is built, and every degree is
+    checked against the budget before any is built.  wall_ms is the time
+    of the level's build and rank.  Only the upper bound is asserted per
+    row; the matching exponential lower bound involves constants this
+    toolkit does not compute.
     """
     dim = mod.algebra.dim
+    degrees = range(1, n_max + 1)
+    if n_max >= 1:
+        _check_request(n_max, backend)
+    nominal = [_nominal_rows(mod.m, n, budget_rows) for n in degrees]
     report = []
-    for n in range(1, n_max + 1):
-        res = codimension(mod, n, budget_rows=budget_rows, backend=backend)
+    started = time.perf_counter()
+    for n, rows_total, basis in zip(degrees, nominal,
+                                    _ordered_spans(mod, n_max)):
+        value, _ = _level_rank(mod, n, basis, backend)
+        now = time.perf_counter()
         report.append(GrowthRow(
             n=n,
-            value=res.value,
-            nth_root=res.value ** (1.0 / n),
-            bound_ok=res.value <= dim ** (n + 1),
-            rows=res.matrix_shape[0],
-            cols=res.matrix_shape[1],
-            wall_ms=res.wall_ms,
+            value=value,
+            nth_root=value ** (1.0 / n),
+            bound_ok=value <= dim ** (n + 1),
+            rows=rows_total,
+            cols=dim ** (n + 1),
+            wall_ms=(now - started) * 1000.0,
         ))
+        started = now
     return report

@@ -10,21 +10,25 @@ Matrix.inverse, which reads A^{-1} off the echelon basis of [A | I].
 The modular half maps Q(zeta_m) into a prime field F_p with p = 1 (mod m),
 sending zeta to an element of multiplicative order m.  Ranks computed there
 are exact lower bounds for the true rank (a nonzero minor mod p lifts to a
-nonzero minor over the field), which is what the fast filters in hmodule
-and identities rely on; they never report a modular rank as exact unless it
-meets an exact bound from the other side.  One in-place F_p row reduction
-(_row_reduce) is the only modular elimination: rank_mod_p runs it on a
-reduced copy of its matrix, and ModpEchelon.insert_block on the residual
-of each block against its basis.
+nonzero minor over the field).  One in-place F_p row reduction (_row_reduce)
+is the only modular elimination: rank_mod_p and echelon_mod_p run it on a
+matrix, and ModpEchelon.insert_block on the residual of each block against
+its basis.  A modular rank is reported as exact only when it meets an exact
+bound from the other side: the shape of the matrix, or certified_rank.  That
+routine reconstructs the reduced echelon form E of the row space over
+Q(zeta_m) from its images at every root of Phi_m mod a few primes (CRT, then
+rational reconstruction) and checks in integers that every generating row
+lies in the span of E, so the rank is at most the modular one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, fold
 from .errors import InputError
 
 
@@ -525,10 +529,10 @@ def root_of_unity_mod(m: int, p: int) -> int:
     raise RuntimeError("no order-%d element found mod %d" % (m, p))
 
 
-def reduction_primes(m: int):
+def reduction_primes(m: int, count: int = 3):
     """The primes a modular rank tries in turn, each with its image of zeta:
-    (p, zeta mod p) for the first three primes p = 1 (mod m) above 2**20."""
-    for skip in range(3):
+    (p, zeta mod p) for the first `count` primes p = 1 (mod m) above 2**20."""
+    for skip in range(count):
         p = modular_prime(m, skip)
         yield p, root_of_unity_mod(m, p)
 
@@ -590,6 +594,14 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
     return len(_row_reduce(np.remainder(np.asarray(a, dtype=np.int64), p), p))
 
 
+def echelon_mod_p(a: np.ndarray, p: int):
+    """(pivots, E): the reduced row echelon form over F_p of the int64 rows
+    of a, entries in [0, p), which _row_reduce reduces in place; pivots
+    ascending, and E the nonzero rows in that order."""
+    found = sorted(_row_reduce(a, p), key=lambda rc: rc[1])
+    return [c for _, c in found], a[[i for i, _ in found]]
+
+
 class ModpEchelon:
     """Reduced row echelon accumulator over F_p on preallocated int64 rows.
 
@@ -626,6 +638,13 @@ class ModpEchelon:
     @property
     def pivcols(self) -> list:
         return self._piv[:self._dim].tolist()
+
+    def reduced(self):
+        """(pivots, E) as echelon_mod_p gives them: the basis rows sorted by
+        pivot column."""
+        piv = self._piv[:self._dim]
+        order = np.argsort(piv)
+        return piv[order].tolist(), self._rows[order]
 
     def residual(self, block) -> np.ndarray:
         """The rows of block (or one vector) reduced against the span: zero
@@ -670,3 +689,264 @@ class ModpEchelon:
             if hit.size:
                 rows[hit] = (rows[hit] - coef[hit] @ rows[old:self._dim]) % self.p
         return len(new)
+
+
+# ---------------------------------------------------------------------------
+# certified ranks: integer planes over Z[zeta_m] and modular reconstruction
+
+# integers kept in int64 stay below this, so one sum of two never wraps
+_INT_LIMIT = 1 << 62
+
+# the primes a certificate may take, the caller's first one included
+CERTIFY_PRIMES = 4
+
+
+def integer_planes(values, deg: int):
+    """planes[i], the first deg numerators of D * values[i] as int64, for D
+    the lcm of the denominators of values; None when one of them reaches
+    2^62."""
+    den = math.lcm(1, *(x.den for x in values))
+    rows = [[u * (den // x.den) for u in x.num[:deg]] for x in values]
+    if any(abs(u) >= _INT_LIMIT for row in rows for u in row):
+        return None
+    return np.array(rows, dtype=np.int64).reshape(len(rows), deg)
+
+
+def _lift(b: np.ndarray, m: int):
+    """The integer matrix of right multiplication by b over Z[zeta_m].
+
+    b holds the coefficient planes (q, s, deg) of a q x s matrix; row
+    (k, i), column (j, l) of the result is coefficient l of zeta^i b[k, j].
+    So a row vector's planes, flattened over (k, i), times the result are
+    the planes of the vector times b, folded mod Phi_m.  deg = 1 is plain
+    integers.  None when an entry would reach 2^62.
+    """
+    q, s, deg = b.shape
+    if deg == 1:
+        return b.reshape(q, s)
+    # shifts[i, t] is zeta^(i + t) mod Phi_m
+    shifts = np.array([[fold(m, [int(j == i + t) for j in range(2 * deg - 1)])
+                        for t in range(deg)] for i in range(deg)],
+                      dtype=np.int64)
+    growth = int(np.abs(shifts).sum(axis=1).max())
+    if int(np.abs(b).max(initial=0)) * growth >= _INT_LIMIT:
+        return None
+    out = np.zeros((q, deg, s, deg), dtype=np.int64)
+    for i in range(deg):
+        for t in range(deg):
+            for l in np.flatnonzero(shifts[i, t]):
+                out[:, i, :, l] += shifts[i, t, l] * b[..., t]
+    return out.reshape(q * deg, s * deg)
+
+
+def _product_dtype(width: int, amax: int, bmax: int):
+    """The dtype in which a @ b is exact, for a of the given width and
+    entries up to amax, b up to bmax: every partial sum is at most
+    width * amax * bmax, so float64 (BLAS) below 2^53, int64 below 2^63,
+    and None above."""
+    bound = width * amax * bmax
+    if bound < 1 << 53:
+        return np.float64
+    if bound < 1 << 63:
+        return np.int64
+    return None
+
+
+def _right_product(big: np.ndarray):
+    """a -> a @ big for int64 matrices a, exactly, as int64; None when the
+    guard of _product_dtype refuses.  big is cast once per dtype used."""
+    bmax = int(np.abs(big).max(initial=0))
+    casts = {}
+
+    def product(a):
+        dtype = _product_dtype(a.shape[1], int(np.abs(a).max(initial=0)),
+                               bmax)
+        if dtype is None:
+            return None
+        if dtype not in casts:
+            casts[dtype] = big.astype(dtype, copy=False)
+        out = a.astype(dtype, copy=False) @ casts[dtype]
+        return out.astype(np.int64, copy=False)
+
+    return product
+
+
+def zmatmul(a: np.ndarray, b: np.ndarray, m: int):
+    """a @ b over Z[zeta_m] on coefficient planes, (p, q, deg) @ (q, s, deg)
+    -> (p, s, deg), exact; None when an overflow guard refuses."""
+    big = _lift(b, m)
+    if big is None:
+        return None
+    out = _right_product(big)(a.reshape(len(a), -1))
+    return None if out is None else out.reshape(len(a), b.shape[1], b.shape[2])
+
+
+def _inverse_mod_p(mat, p: int) -> list:
+    """The inverse of an invertible square matrix over F_p (lists of ints)."""
+    n = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] % p)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], p - 2, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                c = aug[i][col]
+                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _coefficients(images, roots, p: int) -> np.ndarray:
+    """Coefficient planes mod p of the matrix whose image at each root of
+    Phi_m in roots is the matching entry of images: the roots are distinct,
+    so their Vandermonde matrix is invertible."""
+    deg = len(roots)
+    if deg == 1:
+        return images[0][..., None]
+    vinv = _inverse_mod_p([[pow(z, s, p) for s in range(deg)] for z in roots],
+                          p)
+    return np.stack([sum(c * img % p for c, img in zip(row, images)) % p
+                     for row in vinv], axis=-1)
+
+
+def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod modulus * p that are x mod modulus and y mod p.
+
+    They stay int64 while modulus * p < 2^62 and become Python ints
+    (object dtype) past it, so nothing wraps.
+    """
+    t = (y - x % p) % p * pow(modulus, -1, p) % p
+    if modulus * p < _INT_LIMIT:
+        return x + np.int64(modulus) * t
+    return x.astype(object) + modulus * t.astype(object)
+
+
+def _rational_reconstruction(u: np.ndarray, modulus: int):
+    """(num, den) with num = den * u mod modulus, |num| and 0 < den at
+    most sqrt(modulus / 2), and gcd(num, den) = 1, for each entry of the
+    1-d array u; such a fraction is unique (Wang, Guy and Davenport 1982).
+    None when an entry has none.
+
+    The extended Euclidean algorithm runs on all entries at once, each
+    stopping at its first remainder within the bound.
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    r0, r1 = np.full_like(u, modulus), u.copy()
+    t0, t1 = np.zeros_like(u), np.ones_like(u)
+    todo = np.flatnonzero(r1 > bound)
+    while todo.size:
+        q = r0[todo] // r1[todo]
+        r0[todo], r1[todo] = r1[todo], r0[todo] - q * r1[todo]
+        t0[todo], t1[todo] = t1[todo], t0[todo] - q * t1[todo]
+        todo = todo[r1[todo] > bound]
+    if (np.abs(t1) > bound).any() or (np.gcd(r1, t1) != 1).any():
+        return None
+    sign = np.where(t1 < 0, -1, 1)
+    return r1 * sign, t1 * sign
+
+
+def _cleared(x: np.ndarray, modulus: int):
+    """(D, D * E) as int64 for the matrix E whose residues mod modulus are
+    x, each nonzero entry the fraction _rational_reconstruction finds; None
+    when some entry has none or D * E reaches 2^62."""
+    flat = x.ravel()
+    nz = np.flatnonzero(flat)
+    got = _rational_reconstruction(flat[nz], modulus)
+    if got is None:
+        return None
+    num, den = got
+    d = math.lcm(1, *set(den.tolist()))
+    if d * int(np.abs(num).max(initial=0)) >= _INT_LIMIT:
+        return None
+    scaled = np.zeros(flat.shape, dtype=np.int64)
+    scaled[nz] = num.astype(np.int64) * (d // den).astype(np.int64)
+    return d, scaled.reshape(x.shape)
+
+
+def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
+    """Whether every generating row, and every image of a row of E under
+    maps, equals its pivot entries times E, where E is the matrix with the
+    unit pivots and de / d in the free columns; False when a guard refuses.
+
+    The test is in integers: y[free] * d == y[pivots] @ (d E)[free] over
+    Z[zeta_m], the product in float64 or int64 under _product_dtype.
+    """
+    rank, _, deg = de.shape
+    big = _lift(de, m)
+    if big is None:
+        return False
+    times_de = _right_product(big)
+
+    def inside(y):
+        if y is None or d * int(np.abs(y).max(initial=0)) >= 1 << 63:
+            return False
+        rhs = times_de(y[:, pivots].reshape(len(y), -1))
+        return rhs is not None and np.array_equal(
+            y[:, free].reshape(len(y), -1) * d, rhs)
+
+    blocks = rows()
+    if maps:
+        full = np.zeros((rank, len(pivots) + len(free), deg), dtype=np.int64)
+        full[:, free] = de
+        full[np.arange(rank), pivots, 0] = d
+        blocks = itertools.chain(blocks, (g(full) for g in maps))
+    return all(inside(y) for y in blocks)
+
+
+def certified_rank(m: int, first, images, rows, maps=(), rational=False):
+    """(rank, primes) for a row space of Q(zeta_m)^ncols whose rank mod the
+    first prime is r, when a certificate shows the exact rank is r too;
+    None when no certificate is found.
+
+    first is (p, w, pivots, E): the caller's image at its first reduction
+    prime p, zeta -> w, in the form echelon_mod_p gives, with r = len(pivots)
+    the lower bound.  images(p, z) gives that form at any other prime and
+    root (or raises ModReductionError).  rows() yields the generating rows
+    as int64 coefficient planes (b, ncols, deg) in blocks, each row scaled by
+    any nonzero integer; maps are linear maps on such planes (or None from
+    an overflow guard), and the span must be closed under each.  rational
+    says every entry lies in Q, so deg = 1 and one root per prime suffices;
+    otherwise deg = phi(m).
+
+    The reduced echelon form E of the span is read off its images at every
+    root of Phi_m mod each prime, p = 1 (mod m) and at most CERTIFY_PRIMES
+    of them, combined by CRT and recovered by rational reconstruction.
+    Every image must have the first one's pivots.  Then every generating
+    row y, and every image of a row of E under maps, must equal
+    y[pivots] @ E exactly (_spans).  So the span of E holds the row space
+    and rank <= r.  The check never decides past an overflow guard: a
+    refusal counts as a failed check.
+    """
+    p1, w1, pivots, image = first
+    free = np.ones(image.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    deg = 1 if rational else len(CycNum.zero(m).num)
+    used, x, modulus = [], None, 1
+    for p, w in reduction_primes(m, CERTIFY_PRIMES):
+        if p < p1:
+            continue
+        roots = [pow(w, k, p) for k in range(1, m)
+                 if math.gcd(k, m) == 1][:deg]
+        try:
+            found = [(pivots, image) if (p, z) == (p1, w1) else images(p, z)
+                     for z in roots]
+        except ModReductionError:
+            continue
+        if any(list(piv) != list(pivots) for piv, _ in found):
+            return None
+        planes = _coefficients([e[:, free] for _, e in found], roots, p)
+        x = planes if x is None else _crt(x, modulus, planes, p)
+        modulus *= p
+        used.append(p)
+        got = _cleared(x, modulus)
+        if got is None:
+            continue
+        # a guard may refuse a wrong reconstruction whose denominators are
+        # too large, so a refusal moves on to the next prime as a failed
+        # check does
+        if _spans(*got, pivots, free, rows, maps, m):
+            return len(pivots), tuple(used)
+    return None

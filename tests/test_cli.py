@@ -113,6 +113,8 @@ def test_simple_reports_witness_for_sums(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["verdict"] == "not_simple"
     assert doc["witness_dim"] == 1
+    # tier 1's short span, certified exact, is named too
+    assert doc["method"] == "operator span, certified(p=1048583)"
 
 
 def test_iso_ss_verdicts(capsys, tmp_path):
@@ -502,6 +504,41 @@ def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch,
     assert main(["verify", "--in", mod]) == 0
     assert len(counted) <= 2  # taft and verify
     capsys.readouterr()
+
+
+NESTED_ARGV = [
+    ["construct", "ss", "-h"], ["construct", "nilext", "--help"],
+    ["construct", "ss"], ["construct", "nilext", "--m", "3"],
+    ["construct", "ss", "--in", "x"], ["construct", "ss", "--in", "x", "y"],
+    ["construct", "nilext", "--in", "x", "--m", "2.5"],
+    ["construct", "nilext", "--i", "x", "--o", "y", "--m", "3"],
+    ["construct", "ss", "--in", "x", "--out"],
+    ["construct", "ss", "nilext", "--in", "x"],
+    ["construct", "nilext", "ss"], ["construct", "ss", "--nope", "1"],
+    # not exactly a subcommand: the whole construct parser reads these
+    ["construct", "-h"], ["construct"], ["construct", "s"],
+    ["construct", "--in", "x", "ss"], ["construct", "SS", "--in", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", NESTED_ARGV, ids=" ".join)
+def test_nested_construct_parses_as_the_full_parser(argv):
+    assert_parses_as_full(argv)
+
+
+def test_construct_builds_only_the_named_subcommand(monkeypatch):
+    counted = count_parsers(monkeypatch)
+    for what in ("ss", "nilext"):
+        del counted[:]
+        parser = cli.build_parser(cli._command_words(["construct", what]))
+        assert counted == ["taft", "taft construct", "taft construct " + what]
+        # the narrowed construct parser keeps the full subcommand metavar
+        usage = parser._subparsers._group_actions[0].choices[
+            "construct"].format_usage()
+        assert "{ss,nilext}" in usage
+    del counted[:]
+    cli.build_parser(cli._command_words(["construct", "-h"]))
+    assert len(counted) == 4
 
 
 # ------------------------------------------------------ unwritable outputs

@@ -197,6 +197,47 @@ def test_growth_report_rows():
     assert rows[0].nth_root > rows[1].nth_root > rows[2].nth_root > 2.0
 
 
+def _small_corpus():
+    """The dim-2 and dim-4 corpus modules, each with the highest degree the
+    growth comparison takes."""
+    mods = {**positive_modules(), **negative_modules()}
+    return {name: (mod, 4 if mod.algebra.dim == 2 and mod.m < 4
+                   else 2 if mod.m == 4 else 3)
+            for name, mod in mods.items() if mod.algebra.dim in (2, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(_small_corpus()))
+def test_growth_report_matches_codimension_per_degree(name):
+    # the report builds W_1..W_n once; each row is what codimension gives
+    mod, n_max = _small_corpus()[name]
+    budget = 10 ** 7
+    report = codim_growth_report(mod, n_max, budget_rows=budget)
+    assert [r.n for r in report] == list(range(1, n_max + 1))
+    for row in report:
+        res = codimension(mod, row.n, budget_rows=budget)
+        assert (row.value, (row.rows, row.cols)) == (res.value,
+                                                    res.matrix_shape)
+        assert row.bound_ok == (res.value <= mod.algebra.dim ** (row.n + 1))
+        assert row.nth_root == res.value ** (1.0 / row.n)
+
+
+def test_growth_report_backends_and_budget():
+    mod = sweedler_two_dim()
+    exact = codim_growth_report(mod, 3, backend="exact")
+    assert [r.value for r in exact] == [
+        codimension(mod, n, backend="exact").value for n in (1, 2, 3)]
+    # every degree is checked against the budget before any is built, and
+    # the first one over it is named as codimension names it
+    with pytest.raises(BudgetExceeded) as per_degree:
+        codimension(mod, 3, budget_rows=100)
+    with pytest.raises(BudgetExceeded) as report:
+        codim_growth_report(mod, 4, budget_rows=100)
+    assert str(report.value) == str(per_degree.value)
+    assert codim_growth_report(mod, 0) == []
+    with pytest.raises(InputError, match="backend"):
+        codim_growth_report(mod, 2, backend="sketchy")
+
+
 # ---------------------------------------------------------------------------
 # the full evaluation matrix, kept as the oracle for the ordered-span engine
 

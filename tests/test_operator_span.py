@@ -3,12 +3,15 @@
 hmodule.operator_span_dim and constructions.certify_graded_simple rank
 span{L' R' h} in blocks on linalg.ModpEchelon.insert_block.  The oracles
 here are the breadth-first word spins they replaced, over F_p on the old
-re-stacking echelon and exactly on EchelonBasis, together with the old
-prime and fallback logic, so dimensions and method strings are compared
-as the `simple` command prints them.
+re-stacking echelon and exactly on EchelonBasis, together with the prime
+logic: a short span's exact dim is certified at the first usable prime or,
+with certificates switched off, reached by the exact fallback.  So
+dimensions and method strings are compared as the `simple` command prints
+them.
 """
 
 import json
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -115,24 +118,25 @@ def _spin_dim_exact(gens, n, m):
     return eb.dim
 
 
-def _spin_span_dim(gens, n, m, exact_max_dim=10):
-    """operator_span_dim on a raw generator list, as it was."""
-    last = None
+def _spin_span_dim(gens, n, m, certify=True):
+    """operator_span_dim on a raw generator list: a full modular spin as it
+    was, and a short one at its exact dim, certified at the first prime
+    that reduces the generators or else ranked exactly."""
+    first = None
     for skip in range(3):
         p = modular_prime(m, skip)
         try:
             d = _spin_dim_modp(gens, n, m, p)
         except ModReductionError:
             continue
-        last = (d, "operator span mod p=%d" % p)
         if d == n * n:
-            return last
+            return (d, "operator span mod p=%d" % p)
+        first = p
         break
-    if n <= exact_max_dim:
-        return (_spin_dim_exact(gens, n, m), "operator span, exact")
-    if last is not None:
-        return (last[0], last[1] + " (lower bound)")
-    return (0, "no usable reduction prime")
+    if certify and first is not None:
+        return (_spin_dim_exact(gens, n, m),
+                "operator span, certified(p=%d)" % first)
+    return (_spin_dim_exact(gens, n, m), "operator span, exact")
 
 
 def _action_generators(mod):
@@ -143,18 +147,27 @@ def _action_generators(mod):
 
 
 @contextmanager
-def _exact_max_dim(value):
-    """hmodule.EXACT_MAX_DIM set to value inside the with block."""
+def _certificates(allowed):
+    """Inside the with block, hmodule finds no certificate unless allowed,
+    so a short span takes the exact fallback."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hmodule, "EXACT_MAX_DIM", value)
+        if not allowed:
+            mp.setattr(hmodule, "certified_rank", lambda *a, **k: None)
         yield
 
 
-def _assert_matches_spin(mod, exact_max_dim=10):
+def _first_prime_only(method):
+    """A certified method with the later primes dropped: how many primes the
+    reconstruction takes is not the spin's to say."""
+    return re.sub(r"(certified\(p=\d+)(,\d+)*\)", r"\1)", method)
+
+
+def _assert_matches_spin(mod, certify=True):
     n, m = mod.algebra.dim, mod.m
-    with _exact_max_dim(exact_max_dim):
+    with _certificates(certify):
         got = operator_span_dim(mod)
-    assert got == _spin_span_dim(_action_generators(mod), n, m, exact_max_dim)
+    assert (got[0], _first_prime_only(got[1])) == \
+        _spin_span_dim(_action_generators(mod), n, m, certify)
     return got
 
 
@@ -176,9 +189,9 @@ def test_corpus_matches_the_spin(name):
         assert method == "operator span mod p=%d" % modular_prime(mod.m)
         return
     d, method = _assert_matches_spin(mod)
-    # the exact rank and the modular lower bound agree with the spin too
+    # the certified rank and the exact fallback agree with the spin too
     if d < n * n:
-        _assert_matches_spin(mod, exact_max_dim=0)
+        _assert_matches_spin(mod, certify=False)
     elif n <= 4:
         assert _normal_form_exact_dim(mod) == n * n
 
@@ -253,7 +266,7 @@ def test_lawful_perturbed_modules_match_the_spin(mod):
     assert hma_verify(mod).ok
     d, _ = _assert_matches_spin(mod)
     if d < mod.algebra.dim ** 2:
-        _assert_matches_spin(mod, exact_max_dim=0)
+        _assert_matches_spin(mod, certify=False)
 
 
 def test_scaling_v_to_zero_shortens_the_span():
@@ -262,9 +275,10 @@ def test_scaling_v_to_zero_shortens_the_span():
     mod = sweedler_two_dim()
     flat = HModuleAlgebra(hopf=mod.hopf, algebra=mod.algebra, c_op=mod.c_op,
                           v_op=Matrix.zeros(2, 2, 2))
-    assert _assert_matches_spin(flat) == (3, "operator span, exact")
-    assert _assert_matches_spin(flat, exact_max_dim=0) == \
-        (3, "operator span mod p=%d (lower bound)" % modular_prime(2))
+    assert _assert_matches_spin(flat) == \
+        (3, "operator span, certified(p=%d)" % modular_prime(2))
+    assert _assert_matches_spin(flat, certify=False) == \
+        (3, "operator span, exact")
 
 
 # -- the mod-p L and R stacks ---------------------------------------------------
@@ -330,18 +344,18 @@ def test_random_tables_match_the_entrywise_reduction(drawn):
 # -- graded bases ---------------------------------------------------------------
 
 
-def _graded_dim(B, grading, exact_max_dim=10):
-    with _exact_max_dim(exact_max_dim):
+def _graded_dim(B, grading, certify=True):
+    with _certificates(certify):
         return _normal_form_dim(
             B, grading.projectors(), lambda gens, mul, one: list(gens),
             lambda: None)
 
 
-def _graded_spin(B, grading, exact_max_dim=10):
+def _graded_spin(B, grading, certify=True):
     gens = ([B.left_mult_basis(i) for i in range(B.dim)]
             + [B.right_mult_basis(i) for i in range(B.dim)]
             + grading.projectors())
-    return _spin_span_dim(gens, B.dim, B.m, exact_max_dim)
+    return _spin_span_dim(gens, B.dim, B.m, certify)
 
 
 def _graded_cases():
@@ -365,7 +379,8 @@ def test_graded_form_matches_the_spin(name):
         assert (cert.operator_algebra_dim, cert.method) == got
     else:
         assert cert is None
-        assert _graded_dim(B, grading, 0) == _graded_spin(B, grading, 0)
+        assert _graded_dim(B, grading, False) == \
+            _graded_spin(B, grading, False)
 
 
 def test_graded_short_span_rechecks_the_grading():
@@ -641,6 +656,21 @@ def test_lawful_short_span_still_reaches_tier_two():
     # the reducible negatives pass hma_verify and get their witness ideals
     mod = trivial_action(direct_sum(matrix_algebra(3, 2), matrix_algebra(3, 2)))
     assert hma_verify(mod).ok
-    assert operator_span_dim(mod) == (32, "operator span, exact")
+    assert operator_span_dim(mod) == \
+        (32, "operator span, certified(p=%d)" % modular_prime(3))
     got = is_h_simple(mod)
     assert isinstance(got, NotSimple) and got.witness.dim == 4
+
+
+def test_short_span_past_dim_ten_is_exact():
+    # M_3 + M_2 has dim 13: the span L'R' c^s v^k of the trivial action is
+    # End(M_3) + End(M_2), 81 + 16 of 169, which the modular rank alone
+    # only bounds from below; the certificate and the exact fallback agree
+    mod = trivial_action(direct_sum(matrix_algebra(2, 3),
+                                    matrix_algebra(2, 2)))
+    assert mod.algebra.dim == 13
+    got = operator_span_dim(mod)
+    assert got == (97, "operator span, certified(p=%d)" % modular_prime(2))
+    with _certificates(False):
+        assert operator_span_dim(mod) == (97, "operator span, exact")
+    assert is_h_simple(mod).method == got[1]
