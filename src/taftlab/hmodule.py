@@ -462,11 +462,10 @@ def _certify_span(A: FinDimAlgebra, gens, first, images):
     n, m = A.dim, A.m
     consts = [x for plane in A.mult for row in plane for x in row]
     entries = [consts] + [[x for row in g.rows for x in row] for g in gens]
-    rational = not any(any(x.num[1:]) for xs in entries for x in xs)
-    deg = 1 if rational else len(consts[0].num)
-    planes = [integer_planes(xs, deg) for xs in entries]
-    if any(x is None for x in planes):
+    planes = integer_planes(m, entries)
+    if planes is None:
         return None
+    deg = planes[0].shape[-1]
     table = planes[0].reshape(n, n, n, deg)
     one = np.zeros((1, n, n, deg), dtype=np.int64)
     one[0, range(n), range(n), 0] = 1
@@ -487,8 +486,8 @@ def _certify_span(A: FinDimAlgebra, gens, first, images):
         return apply
 
     return certified_rank(
-        m, first, images, lambda: [prod.reshape(-1, n * n, deg)],
-        [right_by(h.reshape(n, n, deg)) for h in planes[1:]], rational)
+        m, first, images, lambda: [prod.reshape(-1, n * n, deg)], deg,
+        [right_by(h.reshape(n, n, deg)) for h in planes[1:]])
 
 
 def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):

@@ -318,10 +318,10 @@ def _coded_rank(codes, values, m: int):
         first = echelon_mod_p(image[codes], p)
         if len(first[0]) == min(codes.shape):
             return len(first[0]), "modp-pinned(p=%d)" % p
-        rational = not any(any(x.num[1:]) for x in values)
-        ints = integer_planes(values, 1 if rational else len(values[0].num))
-        if ints is None:
+        planes = integer_planes(m, [values])
+        if planes is None:
             return None
+        ints = planes[0]
 
         def images(q, z):
             return echelon_mod_p(_image(values, q, z)[codes], q)
@@ -332,7 +332,7 @@ def _coded_rank(codes, values, m: int):
                 yield ints[codes[lo:lo + step]]
 
         got = certified_rank(m, (p, w) + first, images, rows,
-                             rational=rational)
+                             ints.shape[-1])
         if got is None:
             return None
         return got[0], "modp-certified(p=%s)" % ",".join(map(str, got[1]))

@@ -11,14 +11,16 @@ The modular half maps Q(zeta_m) into a prime field F_p with p = 1 (mod m),
 sending zeta to an element of multiplicative order m.  Ranks computed there
 are exact lower bounds for the true rank (a nonzero minor mod p lifts to a
 nonzero minor over the field).  One in-place F_p row reduction (_row_reduce)
-is the only modular elimination: rank_mod_p and echelon_mod_p run it on a
-matrix, and ModpEchelon.insert_block on the residual of each block against
-its basis.  A modular rank is reported as exact only when it meets an exact
-bound from the other side: the shape of the matrix, or certified_rank.  That
-routine reconstructs the reduced echelon form E of the row space over
-Q(zeta_m) from its images at every root of Phi_m mod a few primes (CRT, then
-rational reconstruction) and checks in integers that every generating row
-lies in the span of E, so the rank is at most the modular one.
+is the only modular elimination: echelon_mod_p runs it on a matrix, and
+ModpEchelon.insert_block on the residual of each block against its basis.
+rank_mod_p, the same reduction on a copy, has no caller in the package; it
+stays for the benchmark's per-layer wrapper and the tests.  A modular rank
+is reported as exact only when it meets an exact bound from the other side:
+the shape of the matrix, or certified_rank.  That routine reconstructs the
+reduced echelon form E of the row space over Q(zeta_m) from its images at
+every root of Phi_m mod a few primes (CRT, then rational reconstruction)
+and checks in integers that every generating row lies in the span of E, so
+the rank is at most the modular one.
 """
 
 from __future__ import annotations
@@ -697,19 +699,26 @@ class ModpEchelon:
 # integers kept in int64 stay below this, so one sum of two never wraps
 _INT_LIMIT = 1 << 62
 
-# the primes a certificate may take, the caller's first one included
-CERTIFY_PRIMES = 4
+# the primes a certificate may take, the caller's first one included: three
+# primes just above 2^20 multiply to below 2^62, so their CRT stays in int64
+CERTIFY_PRIMES = 3
 
 
-def integer_planes(values, deg: int):
-    """planes[i], the first deg numerators of D * values[i] as int64, for D
-    the lcm of the denominators of values; None when one of them reaches
-    2^62."""
-    den = math.lcm(1, *(x.den for x in values))
-    rows = [[u * (den // x.den) for u in x.num[:deg]] for x in values]
-    if any(abs(u) >= _INT_LIMIT for row in rows for u in row):
-        return None
-    return np.array(rows, dtype=np.int64).reshape(len(rows), deg)
+def integer_planes(m: int, value_lists):
+    """[planes] for each list of values: planes[i], the coefficients of
+    D * values[i] as int64, for D the lcm of that list's denominators.  All
+    lists share one degree: 1 when every value in every list is rational,
+    phi(m) otherwise.  None when a coefficient reaches 2^62."""
+    rational = not any(any(x.num[1:]) for xs in value_lists for x in xs)
+    deg = 1 if rational else len(CycNum.zero(m).num)
+    out = []
+    for values in value_lists:
+        den = math.lcm(1, *(x.den for x in values))
+        rows = [[u * (den // x.den) for u in x.num[:deg]] for x in values]
+        if any(abs(u) >= _INT_LIMIT for row in rows for u in row):
+            return None
+        out.append(np.array(rows, dtype=np.int64).reshape(len(rows), deg))
+    return out
 
 
 def _lift(b: np.ndarray, m: int):
@@ -739,34 +748,24 @@ def _lift(b: np.ndarray, m: int):
     return out.reshape(q * deg, s * deg)
 
 
-def _product_dtype(width: int, amax: int, bmax: int):
-    """The dtype in which a @ b is exact, for a of the given width and
-    entries up to amax, b up to bmax: every partial sum is at most
-    width * amax * bmax, so float64 (BLAS) below 2^53, int64 below 2^63,
-    and None above."""
-    bound = width * amax * bmax
-    if bound < 1 << 53:
-        return np.float64
-    if bound < 1 << 63:
-        return np.int64
-    return None
+def _exact_in_float64(width: int, amax: int, bmax: int) -> bool:
+    """Whether a @ b is exact in float64 (BLAS), for a of the given width
+    and entries up to amax, b up to bmax: every partial sum is an integer
+    of size at most width * amax * bmax, exact below 2^53."""
+    return width * amax * bmax < 1 << 53
 
 
 def _right_product(big: np.ndarray):
-    """a -> a @ big for int64 matrices a, exactly, as int64; None when the
-    guard of _product_dtype refuses.  big is cast once per dtype used."""
+    """a -> a @ big for int64 matrices a, exactly, as int64, the product in
+    float64; None when _exact_in_float64 refuses."""
     bmax = int(np.abs(big).max(initial=0))
-    casts = {}
+    as_float = big.astype(np.float64)
 
     def product(a):
-        dtype = _product_dtype(a.shape[1], int(np.abs(a).max(initial=0)),
-                               bmax)
-        if dtype is None:
+        if not _exact_in_float64(a.shape[1], int(np.abs(a).max(initial=0)),
+                                 bmax):
             return None
-        if dtype not in casts:
-            casts[dtype] = big.astype(dtype, copy=False)
-        out = a.astype(dtype, copy=False) @ casts[dtype]
-        return out.astype(np.int64, copy=False)
+        return (a.astype(np.float64) @ as_float).astype(np.int64)
 
     return product
 
@@ -811,16 +810,13 @@ def _coefficients(images, roots, p: int) -> np.ndarray:
                      for row in vinv], axis=-1)
 
 
-def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int) -> np.ndarray:
-    """The residues mod modulus * p that are x mod modulus and y mod p.
-
-    They stay int64 while modulus * p < 2^62 and become Python ints
-    (object dtype) past it, so nothing wraps.
-    """
+def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int):
+    """The int64 residues mod modulus * p that are x mod modulus and y mod
+    p; None when modulus * p reaches 2^62, so nothing wraps."""
+    if modulus * p >= _INT_LIMIT:
+        return None
     t = (y - x % p) % p * pow(modulus, -1, p) % p
-    if modulus * p < _INT_LIMIT:
-        return x + np.int64(modulus) * t
-    return x.astype(object) + modulus * t.astype(object)
+    return x + np.int64(modulus) * t
 
 
 def _rational_reconstruction(u: np.ndarray, modulus: int):
@@ -871,7 +867,7 @@ def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
     unit pivots and de / d in the free columns; False when a guard refuses.
 
     The test is in integers: y[free] * d == y[pivots] @ (d E)[free] over
-    Z[zeta_m], the product in float64 or int64 under _product_dtype.
+    Z[zeta_m], the product in float64 under _exact_in_float64.
     """
     rank, _, deg = de.shape
     big = _lift(de, m)
@@ -895,7 +891,7 @@ def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
     return all(inside(y) for y in blocks)
 
 
-def certified_rank(m: int, first, images, rows, maps=(), rational=False):
+def certified_rank(m: int, first, images, rows, deg: int, maps=()):
     """(rank, primes) for a row space of Q(zeta_m)^ncols whose rank mod the
     first prime is r, when a certificate shows the exact rank is r too;
     None when no certificate is found.
@@ -905,10 +901,10 @@ def certified_rank(m: int, first, images, rows, maps=(), rational=False):
     the lower bound.  images(p, z) gives that form at any other prime and
     root (or raises ModReductionError).  rows() yields the generating rows
     as int64 coefficient planes (b, ncols, deg) in blocks, each row scaled by
-    any nonzero integer; maps are linear maps on such planes (or None from
-    an overflow guard), and the span must be closed under each.  rational
-    says every entry lies in Q, so deg = 1 and one root per prime suffices;
-    otherwise deg = phi(m).
+    any nonzero integer, deg as integer_planes chooses it: 1 when every
+    entry lies in Q, so one root per prime suffices, and phi(m) otherwise.
+    maps are linear maps on such planes (or None from an overflow guard),
+    and the span must be closed under each.
 
     The reduced echelon form E of the span is read off its images at every
     root of Phi_m mod each prime, p = 1 (mod m) and at most CERTIFY_PRIMES
@@ -917,13 +913,13 @@ def certified_rank(m: int, first, images, rows, maps=(), rational=False):
     row y, and every image of a row of E under maps, must equal
     y[pivots] @ E exactly (_spans).  So the span of E holds the row space
     and rank <= r.  The check never decides past an overflow guard: a
-    refusal counts as a failed check.
+    refusal counts as a failed check, and a modulus that would reach 2^62
+    ends the search.
     """
     p1, w1, pivots, image = first
     free = np.ones(image.shape[1], dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    deg = 1 if rational else len(CycNum.zero(m).num)
     used, x, modulus = [], None, 1
     for p, w in reduction_primes(m, CERTIFY_PRIMES):
         if p < p1:
@@ -939,6 +935,8 @@ def certified_rank(m: int, first, images, rows, maps=(), rational=False):
             return None
         planes = _coefficients([e[:, free] for _, e in found], roots, p)
         x = planes if x is None else _crt(x, modulus, planes, p)
+        if x is None:
+            return None
         modulus *= p
         used.append(p)
         got = _cleared(x, modulus)

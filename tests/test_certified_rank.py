@@ -21,8 +21,8 @@ from taftlab.constructions import build_semisimple
 from taftlab.cyclotomic import CycNum
 from taftlab.fixtures import ss_specs
 from taftlab.identities import _coded_rank, codimension
-from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _right_product,
-                            _product_dtype, _rational_reconstruction,
+from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _exact_in_float64,
+                            _rational_reconstruction, _right_product,
                             certified_rank, cyc_to_modp, echelon,
                             echelon_mod_p, integer_planes, modular_prime,
                             reduction_primes, zmatmul)
@@ -54,17 +54,16 @@ def _certify(m, rows):
 def _arguments(m, rows):
     """certified_rank's arguments for rows, as _coded_rank builds them."""
     codes, values = _coded(rows)
-    rational = not any(any(x.num[1:]) for x in values)
 
     def image(p, z):
         return np.array([cyc_to_modp(x, p, z) for x in values],
                         dtype=np.int64)[codes]
 
     p, w = next(reduction_primes(m))
-    ints = integer_planes(values, 1 if rational else _degree(m))
+    ints, = integer_planes(m, [values])
     return ((p, w) + echelon_mod_p(image(p, w), p),
             lambda q, z: echelon_mod_p(image(q, z), q),
-            lambda: [ints[codes]], rational)
+            lambda: [ints[codes]], ints.shape[-1])
 
 
 def _primes(method):
@@ -146,7 +145,7 @@ def test_tall_entries_take_two_or_more_primes(drawn):
                    denominators=st.integers(1, 1)))
 @settings(max_examples=30, deadline=None)
 def test_heights_past_the_prime_budget_reach_the_fallback(drawn):
-    # CERTIFY_PRIMES primes near 2^20 reconstruct heights up to about 2^39
+    # CERTIFY_PRIMES primes near 2^20 reconstruct heights up to about 2^29
     m, rows, basis = drawn
     got = _certify(m, rows)
     units = (CycNum.zero(m), CycNum.one(m))
@@ -221,30 +220,29 @@ def test_pivots_that_differ_across_roots_give_no_certificate():
     z = CycNum.make(m, [0, 1])
     one, zero = CycNum.one(m), CycNum.zero(m)
     rows = [(one, z, zero), (z, z * z, zero)]
-    first, images, rows_of, rational = _arguments(m, rows)
-    assert not rational
-    assert certified_rank(m, first, images, rows_of) == (1, (first[0],))
+    first, images, rows_of, deg = _arguments(m, rows)
+    assert deg == _degree(m)
+    assert certified_rank(m, first, images, rows_of, deg) == (1, (first[0],))
 
     def shifted(p, w):
         piv, e = images(p, w)
         return [c + 1 for c in piv], e
 
-    assert certified_rank(m, first, shifted, rows_of) is None
+    assert certified_rank(m, first, shifted, rows_of, deg) is None
 
 
 def test_pivots_that_differ_across_primes_give_no_certificate():
     m, rows = _two_prime_rows()
-    first, images, rows_of, rational = _arguments(m, rows)
-    assert rational
-    got = certified_rank(m, first, images, rows_of, rational=True)
+    first, images, rows_of, deg = _arguments(m, rows)
+    assert deg == 1
+    got = certified_rank(m, first, images, rows_of, deg)
     assert got is not None and got[0] == 2 and len(got[1]) == 2
 
     def second_differs(p, w):
         piv, e = images(p, w)
         return (piv if p == first[0] else piv[::-1]), e
 
-    assert certified_rank(m, first, second_differs, rows_of,
-                          rational=True) is None
+    assert certified_rank(m, first, second_differs, rows_of, deg) is None
 
 
 def test_a_rank_below_the_first_primes_gives_no_certificate():
@@ -253,40 +251,35 @@ def test_a_rank_below_the_first_primes_gives_no_certificate():
     p = modular_prime(m)
     one, zero = CycNum.one(m), CycNum.zero(m)
     rows = [(one, zero, zero), (zero, CycNum.rational(m, p), zero)]
-    first, images, rows_of, _ = _arguments(m, rows)
+    first, images, rows_of, deg = _arguments(m, rows)
     assert len(first[2]) == 1
-    assert certified_rank(m, first, images, rows_of, rational=True) is None
+    assert certified_rank(m, first, images, rows_of, deg) is None
     assert _oracle(m, rows) == 2
 
 
 # -- overflow guards ------------------------------------------------------------
 
 
-def test_product_dtype_at_the_thresholds():
-    assert _product_dtype(1, 2 ** 26, 2 ** 27 - 1) is np.float64
-    assert _product_dtype(1, 2 ** 26, 2 ** 27) is np.int64
-    assert _product_dtype(3, 1, (2 ** 53 - 1) // 3) is np.float64
-    assert _product_dtype(1, 2 ** 31, 2 ** 32 - 1) is np.int64
-    assert _product_dtype(1, 2 ** 31, 2 ** 32) is None
-    assert _product_dtype(4, 2 ** 30, 2 ** 31) is None
+def test_float64_guard_at_2_to_the_53():
+    assert _exact_in_float64(1, 2 ** 26, 2 ** 27 - 1)
+    assert not _exact_in_float64(1, 2 ** 26, 2 ** 27)
+    assert _exact_in_float64(3, 1, (2 ** 53 - 1) // 3)
+    assert not _exact_in_float64(3, 1, (2 ** 53 + 2) // 3)
+    assert not _exact_in_float64(1, 2 ** 31, 2 ** 32)
 
 
 @pytest.mark.parametrize("a,b", [
-    (2 ** 26, 2 ** 27 - 1), (2 ** 26, 2 ** 27), (2 ** 27, 2 ** 26 + 1),
-    (2 ** 31, 2 ** 32 - 1), (2 ** 31 - 1, 2 ** 32 - 1)])
+    (2 ** 25, 2 ** 27 - 1), (2 ** 25, 2 ** 27), (2 ** 26, 2 ** 26 + 1),
+    (2 ** 26 - 1, 2 ** 26), (2 ** 31, 2 ** 32)])
 def test_exact_product_never_rounds_or_wraps(a, b):
+    # width 2: every partial sum is at most 2 a b
     left = np.array([[a, -a]], dtype=np.int64)
     right = np.array([[b, 1], [0, b]], dtype=np.int64)
     got = _right_product(right)(left)
-    if 2 * a * b >= 1 << 63:
+    if 2 * a * b >= 1 << 53:
         assert got is None
     else:
         assert got.tolist() == [[a * b, a - a * b]]
-
-
-def test_exact_product_refuses_past_2_to_the_63():
-    left = np.array([[2 ** 31]], dtype=np.int64)
-    assert _right_product(np.array([[2 ** 32]], dtype=np.int64))(left) is None
 
 
 def _rank_one(a, x):
@@ -298,46 +291,26 @@ def _rank_one(a, x):
     return m, [(one, rat(x)), (rat(a), rat(a * x))]
 
 
-def _record_dtypes(monkeypatch):
+@pytest.mark.parametrize("a,certified", [(2 ** 44 - 1, True),
+                                         (2 ** 44, False)])
+def test_the_check_refuses_at_2_to_the_53(monkeypatch, a, certified):
+    # the guard bounds the product a * 512 of the pivot entry and x
     seen = []
-    pick = linalg._product_dtype
+    guard = linalg._exact_in_float64
 
     def recording(*args):
-        seen.append(pick(*args))
+        seen.append(guard(*args))
         return seen[-1]
 
-    monkeypatch.setattr(linalg, "_product_dtype", recording)
-    return seen
-
-
-@pytest.mark.parametrize("a,path", [(2 ** 44 - 1, np.float64),
-                                    (2 ** 44, np.int64)])
-def test_the_check_switches_to_int64_at_2_to_the_53(monkeypatch, a, path):
-    seen = _record_dtypes(monkeypatch)
+    monkeypatch.setattr(linalg, "_exact_in_float64", recording)
     m, rows = _rank_one(a, 512)
     got = _certify(m, rows)
-    assert got is not None and got[0] == 1 == _oracle(m, rows)
-    assert seen[-1] is path
-
-
-@pytest.mark.parametrize("a,certified", [(2 ** 32 - 1, True),
-                                         (2 ** 32, False)])
-def test_the_check_refuses_at_2_to_the_63(monkeypatch, a, certified):
-    # four pivots of E and a row (a, 0, 0, 0, a x): the guard bounds the
-    # product by 4 * a * x, and refuses from 2^63 on
-    seen = _record_dtypes(monkeypatch)
-    m, x = 2, 2 ** 29
-    one, zero = CycNum.one(m), CycNum.zero(m)
-    rat = lambda v: CycNum.rational(m, v)  # noqa: E731
-    basis = [tuple(one if j == i else rat(x) if j == 4 else zero
-                   for j in range(5)) for i in range(4)]
-    rows = basis + [(rat(a), zero, zero, zero, rat(a * x))]
-    got = _certify(m, rows)
-    assert _oracle(m, rows) == 4
+    assert _oracle(m, rows) == 1
     if certified:
-        assert got[0] == 4 and np.int64 in seen
+        assert got is not None and got[0] == 1 and all(seen)
     else:
-        assert got is None and seen[-1] is None
+        # every prime refuses, so no certificate: codim would fall back
+        assert got is None and seen and not any(seen)
 
 
 def _python_crt(residues, moduli):
@@ -348,28 +321,32 @@ def _python_crt(residues, moduli):
     return x
 
 
-def test_crt_past_2_to_the_62_does_not_wrap():
-    primes = [p for p, _ in reduction_primes(2, CERTIFY_PRIMES)]
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_the_prime_budget_keeps_crt_below_2_to_the_62(m):
+    primes = [p for p, _ in reduction_primes(m, CERTIFY_PRIMES)]
+    assert math.prod(primes) < 1 << 62
+    rng = np.random.default_rng(m)
     residues = [rng.integers(0, p, 50) for p in primes]
-    residues[0][0] = 0
     x, modulus = residues[0], primes[0]
     for k in range(1, len(primes)):
         x = _crt(x, modulus, residues[k], primes[k])
         modulus *= primes[k]
-        want = [_python_crt([int(r[i]) for r in residues[:k + 1]],
-                            primes[:k + 1]) for i in range(50)]
-        assert [int(v) for v in x] == want
-        # int64 while the product stays below 2^62, Python ints past it
-        assert (x.dtype == np.int64) == (modulus < 1 << 62)
-    assert modulus > 1 << 62 and x.dtype == object
+        assert x.dtype == np.int64
+        assert [int(v) for v in x] == [
+            _python_crt([int(r[i]) for r in residues[:k + 1]],
+                        primes[:k + 1]) for i in range(50)]
 
 
-def test_crt_just_below_2_to_the_62_stays_int64():
-    p = modular_prime(2)
-    modulus = (1 << 62) // p - 1
-    while np.gcd(modulus, p) != 1:
+def _modulus_near(limit, p):
+    modulus = limit // p
+    while math.gcd(modulus, p) != 1:
         modulus -= 1
+    return modulus
+
+
+def test_crt_just_below_2_to_the_62_stays_exact():
+    p = modular_prime(2)
+    modulus = _modulus_near((1 << 62) - 1, p)
     x = np.array([modulus - 1, 0, 12345], dtype=np.int64)
     y = np.array([p - 1, 1, 7], dtype=np.int64)
     got = _crt(x, modulus, y, p)
@@ -379,19 +356,29 @@ def test_crt_just_below_2_to_the_62_stays_int64():
         assert 0 <= gi < modulus * p < 1 << 62
 
 
+def test_crt_past_2_to_the_62_refuses_instead_of_wrapping():
+    p = modular_prime(2)
+    modulus = _modulus_near(1 << 62, p) + p
+    while math.gcd(modulus, p) != 1:
+        modulus += 1
+    assert modulus * p >= 1 << 62
+    x = np.array([modulus - 1], dtype=np.int64)
+    assert _crt(x, modulus, np.array([p - 1], dtype=np.int64), p) is None
+
+
 @pytest.mark.parametrize("modulus", [
-    modular_prime(2), math.prod(modular_prime(2, k) for k in range(4))])
-def test_rational_reconstruction_in_both_dtypes(modulus):
+    modular_prime(2),
+    math.prod(modular_prime(2, k) for k in range(CERTIFY_PRIMES))])
+def test_rational_reconstruction(modulus):
     fracs = [Fraction(0), Fraction(1), Fraction(-5, 7), Fraction(300, 301),
              Fraction(-700, 3)]
-    dtype = np.int64 if modulus < 1 << 62 else object
     u = np.array([f.numerator * pow(f.denominator, -1, modulus) % modulus
-                  for f in fracs], dtype=dtype)
+                  for f in fracs], dtype=np.int64)
     num, den = _rational_reconstruction(u, modulus)
     assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == fracs
     # the integer just past the bound: the first remainder is within it,
     # and the cofactor about twice the bound
-    far = np.array([math.isqrt((modulus - 1) // 2) + 1], dtype=dtype)
+    far = np.array([math.isqrt((modulus - 1) // 2) + 1], dtype=np.int64)
     assert _rational_reconstruction(far, modulus) is None
 
 
