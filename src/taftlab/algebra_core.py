@@ -10,6 +10,16 @@ the unital hull: x lies in the radical iff trace(L_x L_y) vanishes for all
 y, with L the left regular representation of the hull.  That keeps the
 computation one exact kernel, with nilpotency and semisimple-quotient as
 checkable properties rather than part of the algorithm.
+
+The laws are decided exactly on the integer view of a table (its structure
+constants' numerators over one common denominator), each sum reduced mod
+Phi_m only at its zero test: associativity on basis triples, the unit, and,
+in one routine, every law of the form T(ab) = sum S(a) U(b) on basis pairs
+(law_witnesses).  That form covers "T is an algebra map", the c and v laws
+of a module algebra over the Taft algebra and derivations; it suffices to
+check such a law on basis pairs, since both sides are bilinear.  The mod-p
+image of a table (_table_modp) is read from the same view, so no other
+module reads it.
 """
 
 from __future__ import annotations
@@ -17,10 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .cyclotomic import CycNum, add_products, raw_sums, vanishes, zeta_power
+import numpy as np
+
+from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
+                         zeta_power)
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, Subspace, kernel, solve,
-                     subspaces_independent, vec_is_zero, vec_zero)
+from .linalg import (EchelonBasis, Matrix, ModReductionError, Subspace, kernel,
+                     solve, subspaces_independent, vec_is_zero, vec_zero)
 
 
 class FinDimAlgebra:
@@ -208,6 +221,116 @@ class FinDimAlgebra:
     def __repr__(self):
         return "FinDimAlgebra(m=%d, dim=%d, unital=%s)" % (
             self.m, self.dim, self.unit is not None)
+
+
+# -- laws on basis pairs: T(ab) = sum S(a) U(b) ---------------------------------
+
+
+def _columns(op: Matrix, factor: int, big: int) -> list:
+    """cols[a]: the (b, factor * numerators of op[b][a] over big), nonzero
+    only; big must be a multiple of every entry's denominator."""
+    return [[(b, tuple((s, factor * u * (big // row[a].den))
+                       for s, u in enumerate(row[a].num) if u))
+             for b, row in enumerate(op.rows) if any(row[a].num)]
+            for a in range(op.ncols)]
+
+
+def _left_mult(m: int, table, col) -> list:
+    """out[q]: the (b, numerators over E D) of x e_q, for x the vector col
+    over E and table the cells of an integer view over D."""
+    n = len(table)
+    acc = raw_sums(m)
+    for p, x in col:
+        for q, cell in enumerate(table[p]):
+            add_products(acc, x, cell, q * n)
+    out = [[] for _ in range(n)]
+    for key, raw in acc.items():
+        y = tuple((s, u) for s, u in enumerate(fold(m, raw)) if u)
+        if y:
+            q, b = divmod(key, n)
+            out[q].append((b, y))
+    return out
+
+
+def law_witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, laws) -> list:
+    """For each law (T, [(S, U), ...]) of linear maps src -> dst (matrices),
+    the first basis pair (i, j) in row-major order where
+    T(e_i e_j) != sum S(e_i) U(e_j), products taken in dst; None where
+    the law holds.
+
+    "T is an algebra map" is (T, [(T, T)]); a module algebra's c and v laws
+    are (c, [(c, c)]) and (v, [(c, v), (v, 1)]), and a derivation D is
+    (D, [(D, 1), (1, D)]), with 1 the identity matrix.  Each pair is decided
+    exactly, in integers.  Let D and D' be the common denominators of the
+    src and dst tables and E that of D and every map.  S(e_i) e_q is folded
+    over E D' as the left multiplication by S(e_i), built once per i and
+    shared by every law with that S, so each S(e_i) U(e_j) carries E^2 D'.
+    T(e_i e_j) carries D E and is scaled by E D' / D, so each difference is
+    a sum of raw numerator convolutions (cyclotomic.add_products), reduced
+    mod Phi_m only at its zero test.
+    """
+    m = src.m
+    den1, cells1 = src._integer_view()
+    den2, cells2 = dst._integer_view()
+    maps = {id(x): x for t, terms in laws
+            for x in (t, *(y for pair in terms for y in pair))}
+    big = lcm(den1, *(x.den for op in maps.values() for row in op.rows
+                      for x in row))
+    cols = {key: _columns(op, 1, big) for key, op in maps.items()}
+    neg = {key: _columns(op, -1, big) for key, op in maps.items()}
+    # per law: T's columns scaled to E^2 D', and (id of S, -U's columns)
+    checks = [(_columns(t, big * den2 // den1, big),
+               [(id(s), neg[id(u)]) for s, u in terms]) for t, terms in laws]
+    found = [None] * len(laws)
+    for i in range(src.dim):
+        todo = [k for k, w in enumerate(found) if w is None]
+        if not todo:
+            break
+        lefts = {}
+        for k in todo:
+            for s, _ in checks[k][1]:
+                if s not in lefts:
+                    lefts[s] = _left_mult(m, cells2, cols[s][i])
+        for j in range(src.dim):
+            prod = cells1[i][j]
+            for k in todo:
+                if found[k] is not None:
+                    continue
+                lhs, terms = checks[k]
+                acc = raw_sums(m)
+                for a, x in prod:
+                    add_products(acc, x, lhs[a])
+                for s, u in terms:
+                    left = lefts[s]
+                    for q, x in u[j]:
+                        add_products(acc, x, left[q])
+                if not all(vanishes(m, raw) for raw in acc.values()):
+                    found[k] = (i, j)
+    return found
+
+
+def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
+    """T[i, j, a] = mult[i][j][a] over F_p, read from the integer view.
+
+    Raises ModReductionError exactly when cyc_to_modp would on some
+    structure constant: the common denominator D is divisible by the prime
+    p just when one of their denominators is.
+    """
+    den, cells = A._integer_view()
+    if den % p == 0:
+        raise ModReductionError("denominator divisible by %d" % p)
+    n = A.dim
+    zpow = [pow(zeta_mod, s, p) for s in range(A.m)]
+    dinv = pow(den, p - 2, p)
+    index, values = [], []
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for a, nums in cell:
+                index.append((i * n + j) * n + a)
+                values.append(sum(u * zpow[s] for s, u in nums) * dinv % p)
+    table = np.zeros(n ** 3, dtype=np.int64)
+    table[index] = values
+    return table.reshape(n, n, n)
 
 
 # -- canonical small algebras -------------------------------------------------

@@ -9,17 +9,18 @@ generator checks out and records that derivation in its report.  The
 operator relations c^m = 1, v^m = 0 and vc = zeta cv are checked on the
 integer numerators of the two operators over their common denominator,
 each matrix product folded mod Phi_m.  The two laws c(ab) = c(a)c(b) and
-v(ab) = c(a)v(b) + v(a)b are checked exactly on
-every basis pair, in integers: the structure constants and both operators
-are written over one common denominator, each side becomes a sum of raw
-integer convolutions of their numerators, and a sum is reduced mod Phi_m
-only at its zero test.  The left multiplications by c(e_i) and v(e_i) are
-built once per i, so a dense table costs O(dim^4) numerator products
-instead of O(dim^5) field products per law.
-
-Whether a linear map T: A -> B is multiplicative is decided by the same
-integer check in one routine, _multiplicative_witness, which
-_verify_module_iso and the generic isomorphism search call.
+v(ab) = c(a)v(b) + v(a)b have the form T(ab) = sum S(a)U(b), as has
+"T: A -> B is an algebra map", T(ab) = T(a)T(b).  One routine,
+algebra_core.law_witnesses, decides all of them exactly on every basis
+pair, in integers: the structure constants and the maps are written over
+common denominators, each side becomes a sum of raw integer convolutions of
+their numerators, and a sum is reduced mod Phi_m only at its zero test.
+The left multiplication by S(e_i) is built once per i and shared by the
+laws that use it, so a dense table costs O(dim^4) numerator products
+instead of O(dim^5) field products per law.  hma_verify checks both module
+laws in one call, and _verify_module_iso and the generic isomorphism search
+check T; a failing law is reported at its first failing pair in row-major
+order.
 
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
 density): rank the unital operator algebra O generated by all left/right
@@ -60,15 +61,15 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
-                         zeta_power)
+from .cyclotomic import CycNum, add_products, fold, raw_sums, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
                      Subspace, certified_rank, combination, integer_planes,
                      intertwiner_space, kernel, matrix_to_modp, rank,
                      reduction_primes, small_coefficients, vec_is_zero,
                      zmatmul)
-from .algebra_core import FinDimAlgebra, ideal_generated_by
+from .algebra_core import (FinDimAlgebra, _columns, _table_modp,
+                           ideal_generated_by, law_witnesses)
 from .taft_hopf import HopfElement, TaftAlgebra
 
 
@@ -154,7 +155,9 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
     for name, ok in _operator_relations(mod):
         rep.add(name, ok)
 
-    c_wit, v_wit = _module_law_witnesses(mod)
+    c, v = mod.c_op, mod.v_op
+    c_wit, v_wit = law_witnesses(A, A, [
+        (c, [(c, c)]), (v, [(c, v), (v, Matrix.identity(mod.m, A.dim))])])
     rep.add("c_multiplicative", c_wit is None, c_wit)
     rep.add("v_skew_derivation", v_wit is None, v_wit)
 
@@ -211,122 +214,6 @@ def _operator_relations(mod: HModuleAlgebra) -> list:
             ("vc_commutation", _int_matmul(m, v, c) == _int_matmul(m, c, zv))]
 
 
-def _scaled(cells, factor: int) -> list:
-    """An integer view's cells with every numerator multiplied by factor."""
-    return [[[(a, tuple((s, u * factor) for s, u in y)) for a, y in cell]
-             for cell in row] for row in cells]
-
-
-def _columns(op: Matrix, sign: int, big: int) -> list:
-    """cols[a]: the (b, sign * numerators of op[b][a] over big), nonzero only;
-    big must be a multiple of every entry's denominator."""
-    return [[(b, tuple((s, sign * u * (big // row[a].den))
-                       for s, u in enumerate(row[a].num) if u))
-             for b, row in enumerate(op.rows) if any(row[a].num)]
-            for a in range(op.ncols)]
-
-
-def _left_mult(m: int, table, col) -> list:
-    """out[q]: the (b, numerators over E^2) of x e_q, for x the vector col
-    over E and table the cells over E."""
-    n = len(table)
-    acc = raw_sums(m)
-    for p, x in col:
-        for q, cell in enumerate(table[p]):
-            add_products(acc, x, cell, q * n)
-    out = [[] for _ in range(n)]
-    for key, raw in acc.items():
-        y = tuple((s, u) for s, u in enumerate(fold(m, raw)) if u)
-        if y:
-            q, b = divmod(key, n)
-            out[q].append((b, y))
-    return out
-
-
-def _holds(m: int, acc) -> bool:
-    return all(vanishes(m, raw) for raw in acc.values())
-
-
-def _module_law_witnesses(mod: HModuleAlgebra) -> tuple:
-    """The last basis pair (i, j) in row-major order where
-    c(e_i e_j) = c(e_i) c(e_j) fails, and the last where
-    v(e_i e_j) = c(e_i) v(e_j) + v(e_i) e_j fails; None where a law holds.
-
-    Over the common denominator E of the table and both operators, c(e_i e_j)
-    and v(e_i) e_j carry E^2 and c(e_i) c(e_j) and c(e_i) v(e_j) carry E^3
-    (c(e_i) e_q is folded first, as the left multiplication by c(e_i)), so
-    the E^2 terms are scaled by E and each difference is a sum of raw
-    numerator convolutions (cyclotomic.add_products).
-    """
-    A, m, n = mod.algebra, mod.m, mod.algebra.dim
-    den, cells = A._integer_view()
-    big = lcm(den, *(x.den for op in (mod.c_op, mod.v_op)
-                     for row in op.rows for x in row))
-    table = _scaled(cells, big // den)
-    table_e = _scaled(cells, big // den * big)
-    c_cols, v_cols = _columns(mod.c_op, 1, big), _columns(mod.v_op, 1, big)
-    c_neg, v_neg = _columns(mod.c_op, -1, big), _columns(mod.v_op, -1, big)
-    minus_e = ((0, -big),)
-
-    c_wit = v_wit = None
-    # backwards, so the first failure found is the last in row-major order
-    for i in reversed(range(n)):
-        lc = _left_mult(m, table, c_cols[i])
-        lv = _left_mult(m, table, v_cols[i])
-        for j in reversed(range(n)):
-            prod = table_e[i][j]
-            if c_wit is None:
-                # E c(e_i e_j) - c(e_i) c(e_j)
-                acc = raw_sums(m)
-                for a, x in prod:
-                    add_products(acc, x, c_cols[a])
-                for q, x in c_neg[j]:
-                    add_products(acc, x, lc[q])
-                if not _holds(m, acc):
-                    c_wit = (i, j)
-            if v_wit is None:
-                # E v(e_i e_j) - c(e_i) v(e_j) - E v(e_i) e_j
-                acc = raw_sums(m)
-                for a, x in prod:
-                    add_products(acc, x, v_cols[a])
-                for q, x in v_neg[j]:
-                    add_products(acc, x, lc[q])
-                add_products(acc, minus_e, lv[j])
-                if not _holds(m, acc):
-                    v_wit = (i, j)
-            if c_wit is not None and v_wit is not None:
-                return c_wit, v_wit
-    return c_wit, v_wit
-
-
-def _multiplicative_witness(src: FinDimAlgebra, dst: FinDimAlgebra,
-                            T: Matrix):
-    """The first basis pair (i, j) in row-major order with
-    T(e_i e_j) != T(e_i) T(e_j), or None: the c law of _module_law_witnesses
-    for a map T: src -> dst, over the common denominator of both tables and
-    T, with the left multiplication by T(e_i) in dst built once per i.
-    """
-    m = src.m
-    den1, cells1 = src._integer_view()
-    den2, cells2 = dst._integer_view()
-    big = lcm(den1, den2, *(x.den for row in T.rows for x in row))
-    target = _scaled(cells2, big // den2)
-    source_e = _scaled(cells1, big // den1 * big)
-    cols, neg = _columns(T, 1, big), _columns(T, -1, big)
-    for i in range(src.dim):
-        lt = _left_mult(m, target, cols[i])
-        for j in range(src.dim):
-            # E T(e_i e_j) - T(e_i) T(e_j)
-            acc = raw_sums(m)
-            for a, x in source_e[i][j]:
-                add_products(acc, x, cols[a])
-            for q, x in neg[j]:
-                add_products(acc, x, lt[q])
-            if not _holds(m, acc):
-                return i, j
-    return None
-
-
 def _verify_module_iso(src: HModuleAlgebra, dst: HModuleAlgebra, T: Matrix):
     """Exact check that T is an H-module-algebra isomorphism src -> dst."""
     if T.nrows != T.ncols or rank(T) != T.nrows:
@@ -336,7 +223,7 @@ def _verify_module_iso(src: HModuleAlgebra, dst: HModuleAlgebra, T: Matrix):
     if T @ src.v_op != dst.v_op @ T:
         raise InputError("candidate isomorphism does not intertwine v")
     a1, a2 = src.algebra, dst.algebra
-    bad = _multiplicative_witness(a1, a2, T)
+    bad, = law_witnesses(a1, a2, [(T, [(T, T)])])
     if bad is not None:
         raise InputError("candidate isomorphism is not multiplicative "
                          "at basis pair (%d, %d)" % bad)
@@ -428,30 +315,6 @@ def _taft_monomials(gens, mul, one, m: int) -> list:
         vs.append(mul(vs[-1], v))
     keys = sorted((s + k, s, k) for s in range(m) for k in range(m))
     return [mul(cs[s], vs[k]) for _, s, k in keys[1:]]
-
-
-def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
-    """T[i, j, a] = mult[i][j][a] over F_p, read from the integer view.
-
-    Raises ModReductionError exactly when cyc_to_modp would on some
-    structure constant: the common denominator D is divisible by the prime
-    p just when one of their denominators is.
-    """
-    den, cells = A._integer_view()
-    if den % p == 0:
-        raise ModReductionError("denominator divisible by %d" % p)
-    n = A.dim
-    zpow = [pow(zeta_mod, s, p) for s in range(A.m)]
-    dinv = pow(den, p - 2, p)
-    index, values = [], []
-    for i, row in enumerate(cells):
-        for j, cell in enumerate(row):
-            for a, nums in cell:
-                index.append((i * n + j) * n + a)
-                values.append(sum(u * zpow[s] for s, u in nums) * dinv % p)
-    table = np.zeros(n ** 3, dtype=np.int64)
-    table[index] = values
-    return table.reshape(n, n, n)
 
 
 def _certify_span(A: FinDimAlgebra, gens, first, images):
@@ -659,7 +522,7 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
     linalg.small_coefficients over 0, 1, -1, 2, -2, 3, -3 (basis elements,
     prefix sums, then that grid), at most budget + 2 dim(space) of them.
     Each is rescaled to send unit to unit when possible and checked exactly
-    (_multiplicative_witness).  A None answer is a budget statement, not a
+    (algebra_core.law_witnesses).  A None answer is a budget statement, not a
     proof.  A negative budget raises InputError.
     """
     if budget < 0:
@@ -689,6 +552,6 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
         T = _scale_to_unit(mod1, mod2, T)
         if T is None or rank(T) != n:
             continue
-        if _multiplicative_witness(A1, A2, T) is None:
+        if law_witnesses(A1, A2, [(T, [(T, T)])]) == [None]:
             return T
     return None

@@ -437,12 +437,13 @@ def codim_growth_report(mod: HModuleAlgebra, n_max: int, *,
     checked against the budget before any is built.  wall_ms is the time
     of the level's build and rank.  Only the upper bound is asserted per
     row; the matching exponential lower bound involves constants this
-    toolkit does not compute.
+    toolkit does not compute.  n_max = 0 gives no rows; a negative n_max
+    or an unknown backend raises InputError.
     """
     dim = mod.algebra.dim
     degrees = range(1, n_max + 1)
-    if n_max >= 1:
-        _check_request(n_max, backend)
+    # n_max = 0 asks for no degree: only the backend is checked
+    _check_request(n_max or 1, backend)
     nominal = [_nominal_rows(mod.m, n, budget_rows) for n in degrees]
     report = []
     started = time.perf_counter()

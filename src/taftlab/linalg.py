@@ -780,34 +780,20 @@ def zmatmul(a: np.ndarray, b: np.ndarray, m: int):
     return None if out is None else out.reshape(len(a), b.shape[1], b.shape[2])
 
 
-def _inverse_mod_p(mat, p: int) -> list:
-    """The inverse of an invertible square matrix over F_p (lists of ints)."""
-    n = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _coefficients(images, roots, p: int) -> np.ndarray:
     """Coefficient planes mod p of the matrix whose image at each root of
     Phi_m in roots is the matching entry of images: the roots are distinct,
-    so their Vandermonde matrix is invertible."""
+    so their Vandermonde matrix V is invertible, and V^-1 is the right half
+    of the echelon form of [V | I] over F_p."""
     deg = len(roots)
     if deg == 1:
         return images[0][..., None]
-    vinv = _inverse_mod_p([[pow(z, s, p) for s in range(deg)] for z in roots],
-                          p)
+    aug = np.array([[pow(z, s, p) for s in range(deg)]
+                    + [int(i == j) for j in range(deg)]
+                    for i, z in enumerate(roots)], dtype=np.int64)
+    _, reduced = echelon_mod_p(aug, p)
     return np.stack([sum(c * img % p for c, img in zip(row, images)) % p
-                     for row in vinv], axis=-1)
+                     for row in reduced[:, deg:].tolist()], axis=-1)
 
 
 def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int):

@@ -11,11 +11,10 @@ entries share, so a caller edits only a copy rebuilt through
 emit -> parse is the identity on canonical files.  Its bytes are those of
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, but it does not run
 json's generator-based Python encoder (which ``indent`` selects): it appends
-the pieces of one walk to a list, joins once, and renders each distinct field
-element once per indentation level.  The text of an entry is found by the
-entry dict's identity, and by its content only the first time that dict is
-met at that level, so a table of shared dicts costs one dict lookup per
-entry; a new entry's text is built in one expression.  On a 2-CPU Xeon
+the pieces of one walk to a list, joins once, and renders each field element
+dict once per indentation level.  The text of an entry is found by the entry
+dict's identity, so a table of shared dicts costs one dict lookup per entry;
+a new entry's text is built in one expression.  On a 2-CPU Xeon
 host (medians of 11, three runs) the 5.9 MB dim-36 M_3(F)^4 module takes
 0.014-0.023 s (json.dumps: 0.55-0.62 s), and a dim-20 table whose entries
 are all distinct 0.045-0.060 s (json.dumps: 0.09-0.10 s).
@@ -333,18 +332,16 @@ def dumps_canonical(doc) -> str:
     floats and anything else not handled here go to ``json.dumps`` itself,
     so ``NaN``, ``-0.0`` and the TypeError for unserialisable objects are
     json's own.  A field element ``{"coeffs": [str, ...], "m": int}`` is
-    rendered once per indentation level and its text reused: a table
-    repeats a handful of distinct entries thousands of times, and the
-    ``*_to_json`` writers give those a handful of shared dicts.  So the text
-    is found by the dict's identity first, and by its content the first time
-    that dict is met at that level.  The document keeps every dict alive
+    rendered once per dict and indentation level and its text reused: a
+    table repeats a handful of distinct entries thousands of times, and the
+    ``*_to_json`` writers give those a handful of shared dicts, so the text
+    is found by the dict's identity.  The document keeps every dict alive
     for the call, so no id is reused.
     """
     out = []
     append = out.append
     # level -> {id of a two-key dict: its text, or False if no entry}
     by_id = defaultdict(dict)
-    by_content = {}
 
     def write(value, level):
         # an exact dict is no other JSON type, so the entry test can go first
@@ -376,26 +373,20 @@ def dumps_canonical(doc) -> str:
     def entry_text(value, level):
         """value's text if it is a field element of exact types, str keys
         included, else False."""
-        key = _entry_key(value)
-        if key is None or not _STR_ONLY.issuperset(map(type, value)):
+        if (_entry_key(value) is None
+                or not _STR_ONLY.issuperset(map(type, value))):
             return False
-        key = (level, *key)
-        text = by_content.get(key)
-        if text is None:
-            # write_dict's text for the keys "coeffs" < "m"
-            inner = "\n" + "  " * (level + 1)
-            coeffs = value["coeffs"]
-            if coeffs:
-                deeper = inner + "  "
-                coeffs = ("[" + deeper
-                          + ("," + deeper).join(map(_quote, coeffs))
-                          + inner + "]")
-            else:
-                coeffs = "[]"
-            text = by_content[key] = (
-                "{" + inner + '"coeffs": ' + coeffs + "," + inner + '"m": '
+        # write_dict's text for the keys "coeffs" < "m"
+        inner = "\n" + "  " * (level + 1)
+        coeffs = value["coeffs"]
+        if coeffs:
+            deeper = inner + "  "
+            coeffs = ("[" + deeper + ("," + deeper).join(map(_quote, coeffs))
+                      + inner + "]")
+        else:
+            coeffs = "[]"
+        return ("{" + inner + '"coeffs": ' + coeffs + "," + inner + '"m": '
                 + int.__repr__(value["m"]) + "\n" + "  " * level + "}")
-        return text
 
     def write_list(items, level):
         if not items:

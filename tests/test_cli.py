@@ -272,6 +272,20 @@ def test_codim_report_csv(capsys, tmp_path):
     assert all(r["bound_ok"] == "True" for r in rows)
 
 
+@pytest.mark.parametrize("report", ["json", "csv"])
+def test_codim_report_rejects_a_negative_degree(capsys, tmp_path, report):
+    # as the single-degree form does; --n 0 asks for no rows
+    path = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
+    code, out, err = run(capsys, "codim", "--in", path, "--n", "-2",
+                         "--report", report)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+    assert "degree" in json.loads(err)["message"]
+    code, out, _ = run(capsys, "codim", "--in", path, "--n", "0",
+                       "--report", "json")
+    assert code == 0 and json.loads(out)["rows"] == []
+
+
 def test_codim_budget_exit(capsys, tmp_path):
     path = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
     code, out, err = run(capsys, "codim", "--in", path, "--n", "4",

@@ -236,6 +236,12 @@ def test_growth_report_backends_and_budget():
     assert codim_growth_report(mod, 0) == []
     with pytest.raises(InputError, match="backend"):
         codim_growth_report(mod, 2, backend="sketchy")
+    # a bound below 1 builds nothing, but is checked as codimension checks
+    # its degree and backend
+    with pytest.raises(InputError, match="backend"):
+        codim_growth_report(mod, 0, backend="sketchy")
+    with pytest.raises(InputError, match="degree"):
+        codim_growth_report(mod, -2)
 
 
 # ---------------------------------------------------------------------------

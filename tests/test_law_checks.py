@@ -1,8 +1,10 @@
 """The exact law checks on integer numerators against their CycNum oracles:
 associativity and the unit (FinDimAlgebra._check_associative and
-_check_unit), the module-algebra law on generators (hma_verify), the Taft
-product (hopf_verify_axioms) and algebra maps (_verify_module_iso,
-hma_isomorphic_generic and the q-binomial product law of recover_structure)."""
+_check_unit), the Taft product (hopf_verify_axioms), and the laws
+T(ab) = sum S(a) U(b) that algebra_core.law_witnesses decides: the
+module-algebra law on generators (hma_verify), algebra maps
+(_verify_module_iso, hma_isomorphic_generic and the q-binomial product law
+of recover_structure) and derivations."""
 
 import random
 from dataclasses import replace
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taftlab import algebra_core, hmodule
-from taftlab.algebra_core import FinDimAlgebra, subalgebra_on
+from taftlab.algebra_core import FinDimAlgebra, law_witnesses, subalgebra_on
 from taftlab.constructions import (NilpotentExtensionSpec, aut_compose,
                                    aut_module_map, aut_pair,
                                    build_nilpotent_extension, build_semisimple,
@@ -69,7 +71,8 @@ def _cycnum_first_failure(alg):
 
 def _cycnum_hma_verify(mod):
     """hma_verify as it was on CycNum vectors: the module-algebra law applied
-    per basis pair, with the last failing pair as each law's witness."""
+    per basis pair, with the first failing pair in row-major order as each
+    law's witness."""
     rep = HmaReport()
     A, m = mod.algebra, mod.m
     n = A.dim
@@ -80,8 +83,7 @@ def _cycnum_hma_verify(mod):
     rep.add("v_nilpotent", (mod.v_op ** m).is_zero())
     rep.add("vc_commutation", mod.v_op @ mod.c_op == (mod.c_op @ mod.v_op) * z)
 
-    c_mult_ok, c_wit = True, None
-    v_leibniz_ok, v_wit = True, None
+    c_wit = v_wit = None
     basis = [A.basis_vector(j) for j in range(n)]
     c_cols = [mod.c_op.col(j) for j in range(n)]
     v_cols = [mod.v_op.col(j) for j in range(n)]
@@ -90,21 +92,42 @@ def _cycnum_hma_verify(mod):
         for j in range(n):
             ej = basis[j]
             prod = A.mult[i][j]
-            if mod.c_op.apply(prod) != A.multiply(cei, c_cols[j]):
-                c_mult_ok, c_wit = False, (i, j)
+            if c_wit is None and \
+                    mod.c_op.apply(prod) != A.multiply(cei, c_cols[j]):
+                c_wit = (i, j)
             lhs = mod.v_op.apply(prod)
             rhs_vec = A.multiply(cei, v_cols[j])
             rhs_vec = tuple(a + b for a, b in
                             zip(rhs_vec, A.multiply(vei, ej)))
-            if lhs != rhs_vec:
-                v_leibniz_ok, v_wit = False, (i, j)
-    rep.add("c_multiplicative", c_mult_ok, c_wit)
-    rep.add("v_skew_derivation", v_leibniz_ok, v_wit)
+            if v_wit is None and lhs != rhs_vec:
+                v_wit = (i, j)
+    rep.add("c_multiplicative", c_wit is None, c_wit)
+    rep.add("v_skew_derivation", v_wit is None, v_wit)
 
     if A.unit is not None:
         rep.add("c_fixes_unit", mod.c_op.apply(A.unit) == tuple(A.unit))
         rep.add("v_kills_unit", vec_is_zero(mod.v_op.apply(A.unit)))
     return rep
+
+
+def _cycnum_law_witnesses(src, dst, laws):
+    """law_witnesses as a CycNum pair loop: per law (T, [(S, U), ...]), the
+    first basis pair (i, j) in row-major order where T(e_i e_j) differs from
+    the sum of the products S(e_i) U(e_j) in dst, or None."""
+    out = []
+    for T, terms in laws:
+        found = None
+        for i in range(src.dim):
+            for j in range(src.dim):
+                rhs = tuple(sum(xs, CycNum.zero(src.m)) for xs in zip(*(
+                    dst.multiply(S.col(i), U.col(j)) for S, U in terms)))
+                if T.apply(src.mult[i][j]) != rhs:
+                    found = (i, j)
+                    break
+            if found is not None:
+                break
+        out.append(found)
+    return out
 
 
 def _assert_associativity_matches(m, table):
@@ -367,7 +390,7 @@ def test_valid_module_whose_raw_sums_vanish_only_after_folding(monkeypatch):
     mod = _change_basis(base, t)
     assert _assert_report_matches(mod).ok
     with monkeypatch.context() as patch:
-        _without_fold(patch, hmodule)
+        _without_fold(patch, algebra_core)
         failed = {name for name, _ in hma_verify(mod).failed()}
         assert failed and failed <= {"c_multiplicative", "v_skew_derivation"}
 
@@ -543,6 +566,12 @@ def _cycnum_first_nonmultiplicative(a1, a2, T):
     return None
 
 
+def _map_witness(a1, a2, T):
+    """law_witnesses on the one law "T is an algebra map"."""
+    got, = law_witnesses(a1, a2, [(T, [(T, T)])])
+    return got
+
+
 def _cycnum_verify_module_iso(src, dst, T):
     """_verify_module_iso with the CycNum pair loop; the message or None."""
     try:
@@ -574,7 +603,7 @@ def _verify_module_iso_message(src, dst, T):
 
 def _assert_map_matches(src, dst, T):
     expect = _cycnum_first_nonmultiplicative(src.algebra, dst.algebra, T)
-    assert hmodule._multiplicative_witness(src.algebra, dst.algebra, T) == expect
+    assert _map_witness(src.algebra, dst.algebra, T) == expect
     assert _verify_module_iso_message(src, dst, T) == \
         _cycnum_verify_module_iso(src, dst, T)
     return expect
@@ -652,8 +681,75 @@ def test_random_tables_and_maps_match_the_pair_loop(drawn, data):
     other = data.draw(st.one_of(st.just(table), rows(rows(rows(_entries(m))))))
     a1 = FinDimAlgebra(m, table, validate=False, autodetect_unit=False)
     a2 = FinDimAlgebra(m, other, validate=False, autodetect_unit=False)
-    assert hmodule._multiplicative_witness(a1, a2, T) == \
+    assert _map_witness(a1, a2, T) == \
         _cycnum_first_nonmultiplicative(a1, a2, T)
+
+
+# -- derivations: D(ab) = D(a) b + a D(b), a law with two terms -------------------
+
+
+def _inner_derivation(A, x):
+    """ad_x: a -> x a - a x, as a matrix; a derivation when A is associative."""
+    cols = [tuple(p - q for p, q in zip(A.multiply(x, e), A.multiply(e, x)))
+            for e in (A.basis_vector(i) for i in range(A.dim))]
+    return Matrix(A.m, tuple(tuple(col[r] for col in cols)
+                             for r in range(A.dim)))
+
+
+def _derivation_law(D):
+    one = Matrix.identity(D.m, D.nrows)
+    return D, [(D, one), (one, D)]
+
+
+def _small_vector(data, m, n):
+    return tuple(data.draw(st.sampled_from([0, 1, -1, 2])) *
+                 zeta_power(m, data.draw(st.integers(0, m - 1)))
+                 for _ in range(n))
+
+
+@given(st.sampled_from(SOURCES), st.data())
+@settings(max_examples=40, deadline=None)
+def test_inner_derivations_of_the_corpus_pass_the_derivation_law(source, data):
+    mod = _source(*source)
+    A = mod.algebra
+    law = _derivation_law(_inner_derivation(A, _small_vector(data, A.m, A.dim)))
+    assert law_witnesses(A, A, [law]) == [None]
+    assert _cycnum_law_witnesses(A, A, [law]) == [None]
+
+
+@given(st.sampled_from(SOURCES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_perturbed_derivations_match_the_pair_loop(source, data):
+    mod = _source(*source)
+    A, m, n = mod.algebra, mod.m, mod.algebra.dim
+    D = _inner_derivation(A, _small_vector(data, m, n))
+    rows = [list(r) for r in D.rows]
+    b, a = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[b][a] = rows[b][a] + data.draw(st.sampled_from(
+        [1, -1, CycNum.rational(m, "1/3")])) * \
+        zeta_power(m, data.draw(st.integers(0, m - 1)))
+    # with the module's own laws in the same call, so c's left
+    # multiplications serve two laws and the identity serves two terms
+    one = Matrix.identity(m, n)
+    laws = [_derivation_law(Matrix(m, tuple(map(tuple, rows)))),
+            (mod.c_op, [(mod.c_op, mod.c_op)]),
+            (mod.v_op, [(mod.c_op, mod.v_op), (mod.v_op, one)])]
+    got = law_witnesses(A, A, laws)
+    assert got == _cycnum_law_witnesses(A, A, laws)
+    assert got[1:] == [None, None]
+
+
+@given(_random_modules(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_random_tables_and_derivations_match_the_pair_loop(drawn, data):
+    m, table = drawn[0], drawn[1]
+    A = FinDimAlgebra(m, table, validate=False, autodetect_unit=False)
+    inner = _inner_derivation(A, _small_vector(data, m, A.dim))
+    laws = [_derivation_law(inner), _derivation_law(drawn[2])]
+    got = law_witnesses(A, A, laws)
+    assert got == _cycnum_law_witnesses(A, A, laws)
+    if A._associativity_witness() is None:
+        assert got[0] is None
 
 
 GENERIC_PAIRS = [
@@ -676,8 +772,7 @@ def test_generic_isomorphism_search_matches_the_pair_loop(monkeypatch, a, b):
     got = hma_isomorphic_generic(mod1, mod2)
     if got is not None:
         assert _cycnum_verify_module_iso(mod1, mod2, got) is None
-    monkeypatch.setattr(hmodule, "_multiplicative_witness",
-                        _cycnum_first_nonmultiplicative)
+    monkeypatch.setattr(hmodule, "law_witnesses", _cycnum_law_witnesses)
     assert got == hma_isomorphic_generic(mod1, mod2)
 
 
@@ -717,7 +812,7 @@ def _seeded_isomorphic_generic(mod1, mod2, budget=64):
         T = hmodule._scale_to_unit(mod1, mod2, T)
         if T is None or rank(T) != n:
             continue
-        if hmodule._multiplicative_witness(A1, A2, T) is None:
+        if _map_witness(A1, A2, T) is None:
             return T
     return None
 
@@ -798,7 +893,7 @@ def _iso_from(phi, hom):
 
 def _assert_qbinom_matches(rebuilt, A, phi, hom):
     expect = _qbinom_law_failures(A, phi, hom)
-    got = hmodule._multiplicative_witness(rebuilt, A, _iso_from(phi, hom))
+    got = _map_witness(rebuilt, A, _iso_from(phi, hom))
     assert (got is None) == (not expect)
     if got is not None:
         d = len(hom)

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taftlab.algebra_core import (FinDimAlgebra, GradingDecomposition,
-                                  direct_sum, field_algebra, matrix_algebra,
-                                  trivial_grading)
+                                  _table_modp, direct_sum, field_algebra,
+                                  matrix_algebra, trivial_grading)
 from taftlab.cli import main
 from taftlab.constructions import certify_graded_simple
 from taftlab.cyclotomic import CycNum, zeta_power
@@ -31,7 +31,7 @@ from taftlab.fixtures import nilext_specs, sweedler_two_dim, trivial_action
 from taftlab import hmodule
 from taftlab.hmodule import (CertifiedSimple, HModuleAlgebra, NotSimple,
                              _normal_form_dim, _normal_form_exact,
-                             _table_modp, _taft_monomials, hma_verify,
+                             _taft_monomials, hma_verify,
                              is_h_simple, operator_span_dim)
 from taftlab.linalg import (EchelonBasis, Matrix, ModpEchelon,
                             ModReductionError, Subspace, matrix_to_modp,
