@@ -15,8 +15,17 @@ The evaluation matrix is never written out.  Its rows for sigma = id span
 the ordered space W_n of the maps t -> (h_1 e_{t_1}) ... (h_n e_{t_n}), and
 W_n is built by recursion: W_1 holds the images h_b(e_t), and W_j is spanned
 by t -> f(t_1..t_{j-1}) * h_b(e_{t_j}) for f in the canonical basis of
-W_{j-1} and each of the m^2 labels b, each level echelonized exactly and
-read only until it fills its dim^{j+1} columns.  The row of (sigma, h) is
+W_{j-1} and each of the m^2 labels b.  Under backend "auto" every level is
+built on int64 coefficient planes over Z[zeta_m]: its generating rows are
+one product of the previous level's planes with those of the maps
+e_s -> e_s h_b(e_t), they are reduced mod the first reduction prime, and
+linalg.certified_rank reads the exact canonical basis back from that
+echelon form (CRT, rational reconstruction and an integer check that
+every generating row lies in its span), so no CycNum arithmetic runs.
+From a level whose lift an overflow guard or the certificate refuses on,
+and always under backend "exact", the levels are echelonized exactly over
+Q(zeta_m) and read only until they fill their dim^{j+1} columns; both
+ways give the same canonical basis, which is unique.  The row of (sigma, h) is
 the identity-order row of h with its argument columns permuted,
 row_sigma[t] = row[t o sigma] with (t o sigma)_j = t_{sigma(j)}, so the row
 space is the sum of the n! permuted copies P_sigma(W_n).  The rank is taken
@@ -26,8 +35,9 @@ coincide, instead of n! * m^{2n}.  ``CodimResult.matrix_shape`` and the
 ``rows`` field of the ``codim`` output still give the nominal evaluation
 matrix (n! * m^{2n}, dim^{n+1}), and the row budget caps that nominal count.
 
-The rank of those rows is taken mod the first reduction prime, on integer
-codes of their entries.  That is a lower bound, and the value when it fills
+The rank of those rows is taken mod the first reduction prime, on the
+planes of the canonical basis over its common denominator, permuted and
+deduplicated as bytes.  That is a lower bound, and the value when it fills
 the shape of the rows or when linalg.certified_rank proves it exact; only
 without a certificate are the rows eliminated over Q(zeta_m) on
 EchelonBasis.  codim_growth_report builds W_1, ..., W_n once and ranks each
@@ -44,6 +54,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,8 +63,8 @@ from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra
 from .linalg import (EchelonBasis, ModReductionError, certified_rank,
-                     cyc_to_modp, echelon, echelon_mod_p, integer_planes,
-                     reduction_primes, vec_add, vec_scale, vec_zero)
+                     echelon, echelon_mod_p, integer_planes, planes_mod_p,
+                     reduction_primes, vec_add, vec_scale, vec_zero, zmatmul)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -248,14 +259,10 @@ def _products(basis, right, dim: int, zero: CycNum):
             yield tuple(acc)
 
 
-def _ordered_spans(mod: HModuleAlgebra, n: int):
-    """Canonical bases of W_1, ..., W_n in turn, W_j the span of
-    t -> (h_1 e_{t_1}) ... (h_j e_{t_j}).
-
-    Rows are flattened over (argument tuple, output coordinate) like the
-    columns of the evaluation matrix.  W_1 holds the images h_b(e_t); W_j is
-    spanned by the products of a basis of W_{j-1} with each label.
-    """
+def _exact_spans(mod: HModuleAlgebra, count: int, start=None):
+    """EchelonBasis of `count` levels in turn, each echelonized exactly over
+    Q(zeta_m): W_1, W_2, ... when start is None, else the levels after the
+    one whose EchelonBasis start is."""
     m, dim = mod.m, mod.algebra.dim
     alg = mod.algebra
     app = _basis_images(mod)
@@ -266,19 +273,150 @@ def _ordered_spans(mod: HModuleAlgebra, n: int):
                if not x.is_zero()]
               for s in range(dim)]
              for images in app]
-    span = echelon(m, dim * dim,
-                   [tuple(x for img in images for x in img) for images in app])
-    yield span.rows()
-    for _ in range(n - 1):
+    span = start
+    if span is None:
+        span = echelon(m, dim * dim, [tuple(x for img in images for x in img)
+                                      for images in app])
+        yield span
+        count -= 1
+    for _ in range(count):
         span = echelon(m, span.ncols * dim,
                        _products(span.rows(), right, dim, CycNum.zero(m)))
-        yield span.rows()
+        yield span
 
 
-def _ordered_span(mod: HModuleAlgebra, n: int) -> tuple:
-    """Canonical basis of W_n (see _ordered_spans)."""
-    *_, basis = _ordered_spans(mod, n)
-    return basis
+# entries per block of the certificate's integer check: bounds the planes
+# and products it holds at once
+_CHECK_ENTRIES = 1 << 16
+
+
+def _blocks(planes: np.ndarray):
+    """The rows of planes in blocks of about _CHECK_ENTRIES entries."""
+    step = max(1, _CHECK_ENTRIES // planes.shape[1])
+    for lo in range(0, len(planes), step):
+        yield planes[lo:lo + step]
+
+
+def _lift_level(m: int, rows: np.ndarray):
+    """(d, d E) for E the canonical basis of the span of the int64 planes
+    rows, read back by certified_rank from their reduced echelon form mod
+    the first reduction prime; None when the lift is refused."""
+    if not rows.any():
+        return 1, rows[:0]
+
+    def images(q, z):
+        return echelon_mod_p(planes_mod_p(rows, 1, q, z), q)
+
+    p, w = next(reduction_primes(m))
+    got = certified_rank(m, (p, w) + images(p, w), images,
+                         lambda: _blocks(rows), rows.shape[-1])
+    return None if got is None else got[2]
+
+
+def _powers(x: np.ndarray, m: int):
+    """[x^0, ..., x^(m-1)] for the planes of a square matrix; None when a
+    guard of zmatmul refuses."""
+    one = np.zeros_like(x)
+    one[..., 0] = np.eye(len(x), dtype=np.int64)
+    out = [one]
+    for _ in range(m - 1):
+        out.append(zmatmul(out[-1], x, m))
+        if out[-1] is None:
+            return None
+    return out
+
+
+def _plane_spans(mod: HModuleAlgebra, n: int):
+    """Canonical bases of W_1, ..., W_n in turn as planes (d, d E), built
+    in integers and lifted level by level (_lift_level); stops before the
+    first level whose products or lift a guard or certificate refuses.
+
+    The inputs come from the integer planes of the table and of c and v:
+    the operators c^i v^k as one zmatmul of the stacked powers, the images
+    h_b(e_t) that generate W_1, and right[s, (b, t, o)], the planes of
+    (e_s h_b(e_t))_o.  The generating rows of W_j are then (d E_{j-1})
+    times right, one zmatmul, each row of them an integer multiple of the
+    map f * h_b for f a row of E_{j-1}.
+    """
+    m, dim = mod.m, mod.algebra.dim
+    planes = integer_planes(m, [
+        [x for row in mod.algebra.mult for cell in row for x in cell],
+        [x for row in mod.c_op.rows for x in row],
+        [x for row in mod.v_op.rows for x in row]])
+    if planes is None:
+        return
+    deg = planes[0].shape[-1]
+    table = planes[0].reshape(dim, dim, dim, deg)
+    cs, vs = (_powers(x.reshape(dim, dim, deg), m) for x in planes[1:])
+    if cs is None or vs is None:
+        return
+    # ops[(i, a), (k, t)] = (c^i v^k)[a, t]
+    ops = zmatmul(np.concatenate(cs), np.concatenate(vs, axis=1), m)
+    if ops is None:
+        return
+    # images[b, t, a] = (h_b e_t)_a with b = i*m + k
+    images = ops.reshape(m, dim, m, dim, deg).transpose(0, 2, 3, 1, 4)
+    images = images.reshape(m * m, dim, dim, deg)
+    right = zmatmul(images.reshape(-1, dim, deg),
+                    table.transpose(1, 0, 2, 3).reshape(dim, -1, deg), m)
+    if right is None:
+        return
+    right = right.reshape(m * m, dim, dim, dim, deg).transpose(2, 0, 1, 3, 4)
+    right = right.reshape(dim, -1, deg)
+    rows = images.reshape(m * m, dim * dim, deg)
+    for j in range(n):
+        if j:
+            de = level[1]
+            rows = zmatmul(de.reshape(-1, dim, deg), right, m)
+            if rows is None:
+                return
+            prefixes = de.shape[1] // dim
+            rows = rows.reshape(len(de), prefixes, m * m, dim * dim, deg)
+            rows = rows.transpose(0, 2, 1, 3, 4).reshape(
+                len(de) * m * m, prefixes * dim * dim, deg)
+        level = _lift_level(m, rows)
+        if level is None:
+            return
+        yield level
+
+
+def _cyc_rows(m: int, d: int, planes: np.ndarray):
+    """The rows planes / d as tuples of CycNum, each distinct entry built
+    once."""
+    deg = planes.shape[-1]
+    uniq, codes = np.unique(planes.reshape(-1, deg), axis=0,
+                            return_inverse=True)
+    pad = (0,) * (len(CycNum.zero(m).num) - deg)
+    scale = CycNum.rational(m, Fraction(1, d))
+    values = [CycNum(m, tuple(u) + pad, 1) * scale for u in uniq.tolist()]
+    for row in codes.reshape(planes.shape[:-1]).tolist():
+        yield tuple(map(values.__getitem__, row))
+
+
+def _ordered_spans(mod: HModuleAlgebra, n: int, backend: str):
+    """Canonical bases of W_1, ..., W_n in turn, W_j the span of
+    t -> (h_1 e_{t_1}) ... (h_j e_{t_j}), each as (rows, planes): the
+    CycNum rows or None, and the int64 planes (d, d E) or None.
+
+    Rows are flattened over (argument tuple, output coordinate) like the
+    columns of the evaluation matrix.  W_1 holds the images h_b(e_t); W_j is
+    spanned by the products of a basis of W_{j-1} with each label.  Under
+    backend "auto" the levels come from _plane_spans; from the first level
+    it refuses on, and always under "exact", they are echelonized exactly
+    (_exact_spans), starting from the last lifted level.
+    """
+    m = mod.m
+    done, last = 0, None
+    if backend == "auto":
+        for last in _plane_spans(mod, n):
+            done += 1
+            yield None, last
+    if done == n:
+        return
+    start = None if last is None else EchelonBasis.from_reduced(
+        m, last[1].shape[1], list(_cyc_rows(m, *last)))
+    for span in _exact_spans(mod, n - done, start):
+        yield span.rows(), None
 
 
 def _argument_permutations(dim: int, n: int):
@@ -296,47 +434,39 @@ def _argument_permutations(dim: int, n: int):
         yield (source[:, None] * dim + out).ravel()
 
 
-def _image(values, p: int, zeta_mod: int) -> np.ndarray:
-    return np.array([cyc_to_modp(x, p, zeta_mod) for x in values],
-                    dtype=np.int64)
+def _planes_rank(planes: np.ndarray, d: int, m: int):
+    """(rank, method) of the rows planes / d when their mod-p rank at the
+    first reduction prime that keeps d fills their shape or certified_rank
+    confirms it; None when neither does."""
 
+    def images(q, z):
+        return echelon_mod_p(planes_mod_p(planes, d, q, z), q)
 
-# entries per block of the certificate's integer check: bounds the planes
-# and products it holds at once
-_CHECK_ENTRIES = 1 << 16
-
-
-def _coded_rank(codes, values, m: int):
-    """(rank, method) of the rows values[codes] when the mod-p rank at the
-    first reduction prime fills their shape or certified_rank confirms it;
-    None when neither does."""
     for p, w in reduction_primes(m):
         try:
-            image = _image(values, p, w)
+            first = images(p, w)
         except ModReductionError:
             continue
-        first = echelon_mod_p(image[codes], p)
-        if len(first[0]) == min(codes.shape):
+        if len(first[0]) == min(planes.shape[:2]):
             return len(first[0]), "modp-pinned(p=%d)" % p
-        planes = integer_planes(m, [values])
-        if planes is None:
-            return None
-        ints = planes[0]
-
-        def images(q, z):
-            return echelon_mod_p(_image(values, q, z)[codes], q)
-
-        def rows():
-            step = max(1, _CHECK_ENTRIES // codes.shape[1])
-            for lo in range(0, len(codes), step):
-                yield ints[codes[lo:lo + step]]
-
-        got = certified_rank(m, (p, w) + first, images, rows,
-                             ints.shape[-1])
+        got = certified_rank(m, (p, w) + first, images,
+                             lambda: _blocks(planes), planes.shape[-1])
         if got is None:
             return None
         return got[0], "modp-certified(p=%s)" % ",".join(map(str, got[1]))
     return None
+
+
+def _exact_rank(m: int, cols: int, rows, r: int):
+    """(rank, "exact-echelon") of rows over Q(zeta_m), the first r of them
+    a canonical basis, adopted as it is."""
+    rows = iter(rows)
+    eb = EchelonBasis.from_reduced(m, cols, list(itertools.islice(rows, r)))
+    for row in rows:
+        if eb.dim == cols:
+            break
+        eb.insert(row)
+    return eb.dim, "exact-echelon"
 
 
 def _nominal_rows(m: int, n: int, budget_rows: int) -> int:
@@ -350,39 +480,48 @@ def _nominal_rows(m: int, n: int, budget_rows: int) -> int:
     return rows_total
 
 
-def _level_rank(mod: HModuleAlgebra, n: int, basis, backend: str):
+def _level_rank(mod: HModuleAlgebra, n: int, level, backend: str):
     """(value, method): the rank of the n! permuted copies of the canonical
-    basis of W_n, exact duplicates dropped."""
+    basis of W_n, exact duplicates dropped; level is (rows, planes) as
+    _ordered_spans gives it."""
     m, dim = mod.m, mod.algebra.dim
     cols = dim ** (n + 1)
-    # entries as small ints: equal codes are equal CycNums, so permuting and
-    # deduplicating rows is integer work
-    index = {}
-    coded = np.array([[index.setdefault((x.num, x.den), len(index)) for x in f]
-                      for f in basis], dtype=np.intp).reshape(len(basis), cols)
-    values = [CycNum(m, num, den) for num, den in index]
+    rows, planes = level
+    perms = _argument_permutations(dim, n)
+    if planes is None:
+        entries = [x for row in rows for x in row]
+        ints = integer_planes(m, [entries])
+        if ints is not None:
+            planes = (math.lcm(1, *(x.den for x in entries)),
+                      ints[0].reshape(len(rows), cols, ints[0].shape[-1]))
+    if planes is None:
+        # entries past int64: every permuted copy, duplicates kept
+        return _exact_rank(m, cols, (tuple(map(row.__getitem__, perm))
+                                     for perm in perms for row in rows),
+                           len(rows))
+    d, de = planes
+    if not de[..., 1:].any():
+        # rational entries keep one plane, as integer_planes gives them
+        de = de[..., :1]
     distinct = np.frombuffer(b"".join(dict.fromkeys(
-        row.tobytes() for perm in _argument_permutations(dim, n)
-        for row in coded[:, perm])), dtype=np.intp).reshape(-1, cols)
+        row.tobytes() for perm in perms for row in de[:, perm])),
+        dtype=np.int64).reshape(-1, cols, de.shape[-1])
     if backend == "auto" and len(distinct):
-        got = _coded_rank(distinct, values, m)
+        got = _planes_rank(distinct, d, m)
         if got is not None:
             return got
     # no pin and no certificate: the identity block leads and is already
     # canonical
-    eb = EchelonBasis.from_reduced(m, cols, basis)
-    for codes in distinct[len(basis):].tolist():
-        if eb.dim == cols:
-            break
-        eb.insert(tuple(map(values.__getitem__, codes)))
-    return eb.dim, "exact-echelon"
+    return _exact_rank(m, cols, _cyc_rows(m, d, distinct), len(de))
 
 
-def _check_request(n: int, backend: str) -> None:
+def _check_request(n: int, backend: str, budget_rows: int) -> None:
     if n < 1:
         raise InputError("degree must be positive, got %d" % n)
     if backend not in ("auto", "exact"):
         raise InputError("unknown rank backend %r" % backend)
+    if budget_rows < 0:
+        raise InputError("budget must be >= 0, got %d" % budget_rows)
 
 
 def codimension(mod: HModuleAlgebra, n: int, *,
@@ -406,10 +545,11 @@ def codimension(mod: HModuleAlgebra, n: int, *,
     rank is taken by elimination over the cyclotomic field
     ("exact-echelon").  The reported value is exact every way.
     """
-    _check_request(n, backend)
+    _check_request(n, backend, budget_rows)
     rows_total = _nominal_rows(mod.m, n, budget_rows)
     started = time.perf_counter()
-    value, method = _level_rank(mod, n, _ordered_span(mod, n), backend)
+    *_, level = _ordered_spans(mod, n, backend)
+    value, method = _level_rank(mod, n, level, backend)
     wall_ms = (time.perf_counter() - started) * 1000.0
     return CodimResult(n=n, value=value,
                        matrix_shape=(rows_total, mod.algebra.dim ** (n + 1)),
@@ -442,14 +582,14 @@ def codim_growth_report(mod: HModuleAlgebra, n_max: int, *,
     """
     dim = mod.algebra.dim
     degrees = range(1, n_max + 1)
-    # n_max = 0 asks for no degree: only the backend is checked
-    _check_request(n_max or 1, backend)
+    # n_max = 0 asks for no degree: only the backend and budget are checked
+    _check_request(n_max or 1, backend, budget_rows)
     nominal = [_nominal_rows(mod.m, n, budget_rows) for n in degrees]
     report = []
     started = time.perf_counter()
-    for n, rows_total, basis in zip(degrees, nominal,
-                                    _ordered_spans(mod, n_max)):
-        value, _ = _level_rank(mod, n, basis, backend)
+    for n, rows_total, level in zip(degrees, nominal,
+                                    _ordered_spans(mod, n_max, backend)):
+        value, _ = _level_rank(mod, n, level, backend)
         now = time.perf_counter()
         report.append(GrowthRow(
             n=n,

@@ -20,7 +20,12 @@ the shape of the matrix, or certified_rank.  That routine reconstructs the
 reduced echelon form E of the row space over Q(zeta_m) from its images at
 every root of Phi_m mod a few primes (CRT, then rational reconstruction)
 and checks in integers that every generating row lies in the span of E, so
-the rank is at most the modular one.
+the rank is at most the modular one.  The check also proves E exact, and
+it is returned as int64 coefficient planes: the codimension engine builds
+each level W_j of its ordered span this way, from the image of integer
+planes (planes_mod_p) at one prime, instead of by an echelon over
+Q(zeta_m).  The reduction primes are the primes p = 1 (mod m) above 2^20
+in ascending order, found in one upward scan.
 """
 
 from __future__ import annotations
@@ -493,12 +498,33 @@ def combination(coeffs, basis):
 # prime-field reduction
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether the odd n > 2 passes the Miller-Rabin test to the base a."""
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    x = pow(a, odd, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(twos - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: trial division by the primes up to 31, then below
+    2152302898747, the least composite that passes it, the Miller-Rabin
+    test to the bases 2, 3, 5, 7 and 11 (Jaeschke 1993); trial division on
+    above that."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % p == 0:
             return n == p
+    if n < 2152302898747:
+        return all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11))
     d = 37
     while d * d <= n:
         if n % d == 0:
@@ -507,16 +533,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def modular_prime(m: int, skip: int = 0) -> int:
-    """Deterministic prime p = 1 (mod m), p > 2**20; skip steps to the next ones."""
+def _primes_one_mod(m: int):
+    """The primes p = 1 (mod m) above 2**20, ascending, in one upward scan."""
     p = (1 << 20) // m * m + 1
-    found = 0
     while True:
         p += m
         if _is_prime(p):
-            if found == skip:
-                return p
-            found += 1
+            yield p
+
+
+def modular_prime(m: int, skip: int = 0) -> int:
+    """Deterministic prime p = 1 (mod m), p > 2**20; skip steps to the next ones."""
+    return next(itertools.islice(_primes_one_mod(m), skip, None))
 
 
 def root_of_unity_mod(m: int, p: int) -> int:
@@ -534,8 +562,7 @@ def root_of_unity_mod(m: int, p: int) -> int:
 def reduction_primes(m: int, count: int = 3):
     """The primes a modular rank tries in turn, each with its image of zeta:
     (p, zeta mod p) for the first `count` primes p = 1 (mod m) above 2**20."""
-    for skip in range(count):
-        p = modular_prime(m, skip)
+    for p in itertools.islice(_primes_one_mod(m), count):
         yield p, root_of_unity_mod(m, p)
 
 
@@ -721,6 +748,25 @@ def integer_planes(m: int, value_lists):
     return out
 
 
+def planes_mod_p(planes: np.ndarray, den: int, p: int,
+                 zeta_mod: int) -> np.ndarray:
+    """Image over F_p, zeta -> zeta_mod, of the values planes / den, planes
+    int64 coefficient planes as integer_planes gives them; raises
+    ModReductionError when p divides den, as cyc_to_modp does."""
+    if den % p == 0:
+        raise ModReductionError("denominator divisible by %d" % p)
+    scale = pow(den, -1, p)
+    out = None
+    for s in range(planes.shape[-1]):
+        # each term stays below p^2 and at most phi(m) of them are summed
+        term = np.remainder(planes[..., s], p)
+        c = pow(zeta_mod, s, p) * scale % p
+        if c != 1:
+            term *= c
+        out = term if out is None else np.add(out, term, out=out)
+    return np.remainder(out, p, out=out)
+
+
 def _lift(b: np.ndarray, m: int):
     """The integer matrix of right multiplication by b over Z[zeta_m].
 
@@ -776,7 +822,7 @@ def zmatmul(a: np.ndarray, b: np.ndarray, m: int):
     big = _lift(b, m)
     if big is None:
         return None
-    out = _right_product(big)(a.reshape(len(a), -1))
+    out = _right_product(big)(a.reshape(len(a), a.shape[1] * a.shape[2]))
     return None if out is None else out.reshape(len(a), b.shape[1], b.shape[2])
 
 
@@ -847,6 +893,15 @@ def _cleared(x: np.ndarray, modulus: int):
     return d, scaled.reshape(x.shape)
 
 
+def _with_pivots(d: int, de: np.ndarray, pivots, free) -> np.ndarray:
+    """The planes of d E: de in the free columns, d in the pivot ones."""
+    rank, _, deg = de.shape
+    full = np.zeros((rank, len(pivots) + len(free), deg), dtype=np.int64)
+    full[:, free] = de
+    full[np.arange(rank), pivots, 0] = d
+    return full
+
+
 def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
     """Whether every generating row, and every image of a row of E under
     maps, equals its pivot entries times E, where E is the matrix with the
@@ -855,7 +910,6 @@ def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
     The test is in integers: y[free] * d == y[pivots] @ (d E)[free] over
     Z[zeta_m], the product in float64 under _exact_in_float64.
     """
-    rank, _, deg = de.shape
     big = _lift(de, m)
     if big is None:
         return False
@@ -870,17 +924,18 @@ def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
 
     blocks = rows()
     if maps:
-        full = np.zeros((rank, len(pivots) + len(free), deg), dtype=np.int64)
-        full[:, free] = de
-        full[np.arange(rank), pivots, 0] = d
+        full = _with_pivots(d, de, pivots, free)
         blocks = itertools.chain(blocks, (g(full) for g in maps))
     return all(inside(y) for y in blocks)
 
 
 def certified_rank(m: int, first, images, rows, deg: int, maps=()):
-    """(rank, primes) for a row space of Q(zeta_m)^ncols whose rank mod the
-    first prime is r, when a certificate shows the exact rank is r too;
-    None when no certificate is found.
+    """(rank, primes, (d, dE)) for a row space of Q(zeta_m)^ncols whose rank
+    mod the first prime is r, when a certificate shows the exact rank is r
+    too; None when no certificate is found.  E is then the canonical basis
+    of the row space (its reduced echelon form, which is unique), and dE
+    its int64 coefficient planes (r, ncols, deg) over the least common
+    denominator d of its entries.
 
     first is (p, w, pivots, E): the caller's image at its first reduction
     prime p, zeta -> w, in the form echelon_mod_p gives, with r = len(pivots)
@@ -932,5 +987,7 @@ def certified_rank(m: int, first, images, rows, deg: int, maps=()):
         # too large, so a refusal moves on to the next prime as a failed
         # check does
         if _spans(*got, pivots, free, rows, maps, m):
-            return len(pivots), tuple(used)
+            d, de = got
+            return (len(pivots), tuple(used),
+                    (d, _with_pivots(d, de, pivots, free)))
     return None

@@ -4,10 +4,11 @@ A modular rank is a lower bound; certified_rank turns it into the exact
 rank when the reduced echelon form reconstructed from modular images passes
 an exact integer check.  The oracle is EchelonBasis over Q(zeta_m), the
 elimination that codim and the operator span fall back to.  The rows reach
-certified_rank the way codimension hands them over (identities._coded_rank:
-entries coded into a table of distinct values).
+certified_rank the way codimension hands them over (identities._planes_rank:
+int64 coefficient planes over one common denominator).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,12 +21,12 @@ from taftlab import linalg
 from taftlab.constructions import build_semisimple
 from taftlab.cyclotomic import CycNum
 from taftlab.fixtures import ss_specs
-from taftlab.identities import _coded_rank, codimension
+from taftlab.identities import _cyc_rows, _planes_rank, codimension
 from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _exact_in_float64,
                             _rational_reconstruction, _right_product,
-                            certified_rank, cyc_to_modp, echelon,
-                            echelon_mod_p, integer_planes, modular_prime,
-                            reduction_primes, zmatmul)
+                            certified_rank, echelon, echelon_mod_p,
+                            integer_planes, modular_prime, planes_mod_p,
+                            reduction_primes, root_of_unity_mod, zmatmul)
 
 CONDUCTORS = (2, 3, 4, 5, 8, 12)
 
@@ -34,11 +35,12 @@ def _degree(m):
     return len(CycNum.zero(m).num)
 
 
-def _coded(rows):
-    index = {}
-    codes = np.array([[index.setdefault(x, len(index)) for x in row]
-                      for row in rows], dtype=np.intp)
-    return codes.reshape(len(rows), -1), list(index)
+def _common_planes(m, rows):
+    """(d, planes): the rows over their common denominator d."""
+    entries = [x for row in rows for x in row]
+    ints, = integer_planes(m, [entries])
+    d = math.lcm(1, *(x.den for x in entries))
+    return d, ints.reshape(len(rows), len(rows[0]), -1)
 
 
 def _oracle(m, rows):
@@ -46,24 +48,21 @@ def _oracle(m, rows):
 
 
 def _certify(m, rows):
-    """_coded_rank on rows: (rank, method) or None."""
-    codes, values = _coded(rows)
-    return _coded_rank(codes, values, m)
+    """_planes_rank on rows: (rank, method) or None."""
+    d, planes = _common_planes(m, rows)
+    return _planes_rank(planes, d, m)
 
 
 def _arguments(m, rows):
-    """certified_rank's arguments for rows, as _coded_rank builds them."""
-    codes, values = _coded(rows)
+    """certified_rank's arguments for rows, as _planes_rank builds them."""
+    d, planes = _common_planes(m, rows)
 
-    def image(p, z):
-        return np.array([cyc_to_modp(x, p, z) for x in values],
-                        dtype=np.int64)[codes]
+    def images(q, z):
+        return echelon_mod_p(planes_mod_p(planes, d, q, z), q)
 
     p, w = next(reduction_primes(m))
-    ints, = integer_planes(m, [values])
-    return ((p, w) + echelon_mod_p(image(p, w), p),
-            lambda q, z: echelon_mod_p(image(q, z), q),
-            lambda: [ints[codes]], ints.shape[-1])
+    return ((p, w) + images(p, w), images, lambda: [planes],
+            planes.shape[-1])
 
 
 def _primes(method):
@@ -209,6 +208,20 @@ def test_random_matrices_pin_or_certify_the_exact_rank(drawn):
         assert (got is not None) == _within_the_prime_budget(m, rows)
 
 
+@example(_past_the_budget())
+@given(_random_matrices())
+@settings(max_examples=150, deadline=None)
+def test_the_certified_echelon_form_is_the_exact_one(drawn):
+    # RREF is unique, so a certified (d, d E) is the exact canonical basis
+    m, rows = drawn
+    got = certified_rank(m, *_arguments(m, rows))
+    if got is not None:
+        rank, _, (d, de) = got
+        assert de.shape[:2] == (rank, len(rows[0]))
+        assert tuple(_cyc_rows(m, d, de)) == echelon(m, len(rows[0]),
+                                                    rows).rows()
+
+
 # -- refusals -------------------------------------------------------------------
 
 
@@ -254,7 +267,8 @@ def test_pivots_that_differ_across_roots_give_no_certificate():
     rows = [(one, z, zero), (z, z * z, zero)]
     first, images, rows_of, deg = _arguments(m, rows)
     assert deg == _degree(m)
-    assert certified_rank(m, first, images, rows_of, deg) == (1, (first[0],))
+    assert certified_rank(m, first, images, rows_of, deg)[:2] == (
+        1, (first[0],))
 
     def shifted(p, w):
         piv, e = images(p, w)
@@ -367,6 +381,42 @@ def test_the_prime_budget_keeps_crt_below_2_to_the_62(m):
         assert [int(v) for v in x] == [
             _python_crt([int(r[i]) for r in residues[:k + 1]],
                         primes[:k + 1]) for i in range(50)]
+
+
+def _trial_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _restarting_primes(m, count=3):
+    """The search reduction_primes replaced: each prime found by a fresh
+    scan up from 2^20, primality by trial division."""
+    def nth(skip):
+        p, found = (1 << 20) // m * m + 1, 0
+        while True:
+            p += m
+            if _trial_prime(p):
+                if found == skip:
+                    return p
+                found += 1
+
+    return [(p, root_of_unity_mod(m, p)) for p in map(nth, range(count))]
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_reduction_primes_match_the_restarting_search(m):
+    want = _restarting_primes(m)
+    assert list(reduction_primes(m)) == want
+    assert [modular_prime(m, k) for k in range(3)] == [p for p, _ in want]
+
+
+def test_primality_matches_trial_division():
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 2152302898747 to 2, 3, 5, 7 and 11: the first past Miller-Rabin's range
+    near = itertools.chain(range(3000), range((1 << 20) - 500, (1 << 20) + 3000),
+                           range(3215031751 - 50, 3215031751 + 50),
+                           range(2152302898747 - 50, 2152302898747 + 50))
+    for n in near:
+        assert linalg._is_prime(n) == _trial_prime(n), n
 
 
 def _modulus_near(limit, p):

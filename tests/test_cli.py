@@ -286,6 +286,18 @@ def test_codim_report_rejects_a_negative_degree(capsys, tmp_path, report):
     assert code == 0 and json.loads(out)["rows"] == []
 
 
+@pytest.mark.parametrize("report", [None, "json", "csv"])
+def test_codim_rejects_a_negative_budget(capsys, tmp_path, report):
+    # as iso --budget does: rejected input, not a budget refusal
+    path = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
+    argv = ("codim", "--in", path, "--n", "2", "--budget", "-5")
+    code, out, err = run(capsys, *argv, *(("--report", report) if report
+                                          else ()))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "invalid-input",
+                               "message": "budget must be >= 0, got -5"}
+
+
 def test_codim_budget_exit(capsys, tmp_path):
     path = write_doc(tmp_path, "m.json", hma_to_json(sweedler_two_dim()))
     code, out, err = run(capsys, "codim", "--in", path, "--n", "4",

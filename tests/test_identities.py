@@ -15,10 +15,13 @@ from taftlab.errors import BudgetExceeded, InputError
 from taftlab.fixtures import (negative_modules, positive_modules, ss_specs,
                               sweedler_two_dim, trivial_action)
 from taftlab.hmodule import HModuleAlgebra
+from taftlab import identities
 from taftlab.identities import (
     CodimResult,
     HMonomial,
     MultilinearHPoly,
+    _cyc_rows,
+    _ordered_spans,
     alternate,
     codim_growth_report,
     codimension,
@@ -242,6 +245,12 @@ def test_growth_report_backends_and_budget():
         codim_growth_report(mod, 0, backend="sketchy")
     with pytest.raises(InputError, match="degree"):
         codim_growth_report(mod, -2)
+    # a negative budget is rejected input, for no rows as well
+    for n_max in (0, 2):
+        with pytest.raises(InputError, match="budget must be >= 0, got -1"):
+            codim_growth_report(mod, n_max, budget_rows=-1)
+    with pytest.raises(InputError, match="budget must be >= 0, got -5"):
+        codimension(mod, 2, budget_rows=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +361,85 @@ def test_ordered_span_matches_full_matrix_after_basis_change(name, entries, n):
     got = codimension(mod, n)
     assert got.value == _oracle_codimension(mod, n)
     assert got.value == codimension(base, n).value
+
+
+# ---------------------------------------------------------------------------
+# W_1..W_n built on integer planes mod p, against the exact echelon build
+
+
+def _assert_planes_match_the_exact_build(mod, n):
+    """Every level of the auto build is lifted and equals the exact one."""
+    exact = [rows for rows, _ in _ordered_spans(mod, n, "exact")]
+    lifted = list(_ordered_spans(mod, n, "auto"))
+    assert [rows for rows, _ in lifted] == [None] * n
+    assert [tuple(_cyc_rows(mod.m, *planes))
+            for _, planes in lifted] == exact
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_plane_built_spans_match_the_exact_build(name):
+    _assert_planes_match_the_exact_build(CORPUS[name], 3)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, mod in CORPUS.items()
+                                        if mod.algebra.dim == 8))
+def test_plane_built_spans_match_the_exact_build_at_dim_8(name):
+    _assert_planes_match_the_exact_build(CORPUS[name], 2)
+
+
+@given(st.sampled_from(["sweedler2dim", "pair_alpha_1", "sweedler_p_gamma3"]),
+       st.lists(st.integers(min_value=-2, max_value=2), min_size=16,
+                max_size=16),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=12, deadline=None)
+def test_plane_built_spans_match_the_exact_build_after_basis_change(
+        name, entries, n):
+    base = (sweedler_two_dim() if name == "sweedler2dim"
+            else build_semisimple(ss_specs()[name]))
+    dim = base.algebra.dim
+    t = Matrix.from_rows(2, [entries[i * dim:(i + 1) * dim]
+                             for i in range(dim)])
+    assume(not gauss_det(t).is_zero())
+    _assert_planes_match_the_exact_build(_change_basis(base, t),
+                                         min(n, 2) if dim == 4 else n)
+
+
+def test_an_empty_level_stays_empty():
+    # A^2 = 0: W_1 holds the identity images, and W_2 and W_3 are zero
+    zero = FinDimAlgebra(2, (((0, 0), (0, 0)), ((0, 0), (0, 0))))
+    mod = trivial_action(zero)
+    _assert_planes_match_the_exact_build(mod, 3)
+    for backend in ("auto", "exact"):
+        assert [r.value for r in codim_growth_report(
+            mod, 3, backend=backend)] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("refused_at", [1, 2, 3])
+def test_a_refused_lift_falls_back_to_the_exact_build(monkeypatch,
+                                                      refused_at):
+    # gamma3 at n = 3 is certified, so the value and the method come from
+    # the final rank whichever way W_1..W_3 were built
+    mod = build_semisimple(ss_specs()["sweedler_p_gamma3"])
+    want = codimension(mod, 3)
+    assert want.method.startswith("modp-certified(p=")
+    lift = identities._lift_level
+    calls = []
+
+    def refuse(m, rows):
+        calls.append(len(calls) + 1)
+        return None if len(calls) == refused_at else lift(m, rows)
+
+    monkeypatch.setattr(identities, "_lift_level", refuse)
+    levels = list(_ordered_spans(mod, 3, "auto"))
+    assert calls == list(range(1, refused_at + 1))
+    assert [rows is None for rows, _ in levels] == [
+        j < refused_at for j in range(1, 4)]
+    assert [rows or tuple(_cyc_rows(mod.m, *planes))
+            for rows, planes in levels] == [
+        rows for rows, _ in _ordered_spans(mod, 3, "exact")]
+    calls.clear()
+    got = codimension(mod, 3)
+    assert (got.value, got.method) == (want.value, want.method)
 
 
 def test_codimension_beyond_the_full_matrix():
