@@ -304,7 +304,7 @@ def _normal_form_exact(lefts, rights, twists, n: int, m: int) -> int:
     return eb.dim
 
 
-def _taft_monomials(gens, mul, one, m: int) -> list:
+def taft_monomials(gens, mul, one, m: int) -> list:
     """The operators c^s v^k for 0 <= s, k < m but (s, k) != (0, 0), from
     gens = (c, v), products taken by mul, in order of degree s + k: the
     generators come first, and often fill the span alone."""
@@ -317,19 +317,34 @@ def _taft_monomials(gens, mul, one, m: int) -> list:
     return [mul(cs[s], vs[k]) for _, s, k in keys[1:]]
 
 
+def structure_planes(A: FinDimAlgebra, gens):
+    """(table, [g, ...]) as int64 planes at one degree (integer_planes):
+    table[i, j, a] those of the coefficient of e_a in e_i e_j, and each g
+    (n, n, deg) those of one of the matrices gens, every array over its own
+    common denominator; None when a coefficient reaches 2^62."""
+    n = A.dim
+    consts = [x for plane in A.mult for row in plane for x in row]
+    got = integer_planes(A.m, [consts] + [[x for row in g.rows for x in row]
+                                          for g in gens])
+    if got is None:
+        return None
+    (_, table), *hs = got
+    deg = table.shape[-1]
+    return (table.reshape(n, n, n, deg),
+            [h.reshape(n, n, deg) for _, h in hs])
+
+
 def _certify_span(A: FinDimAlgebra, gens, first, images):
     """certified_rank on span{L' R' h}: the L' R' are the generating rows,
     and the span must be closed under right multiplication by each of gens,
     so it holds every L' R' times a word in gens.  first and images give
     the modular echelon forms, as certified_rank takes them."""
     n, m = A.dim, A.m
-    consts = [x for plane in A.mult for row in plane for x in row]
-    entries = [consts] + [[x for row in g.rows for x in row] for g in gens]
-    planes = integer_planes(m, entries)
+    planes = structure_planes(A, gens)
     if planes is None:
         return None
-    deg = planes[0].shape[-1]
-    table = planes[0].reshape(n, n, n, deg)
+    table, hs = planes
+    deg = table.shape[-1]
     one = np.zeros((1, n, n, deg), dtype=np.int64)
     one[0, range(n), range(n), 0] = 1
     # L(e_i)[a, j] = T[i, j, a] and R(e_i)[a, j] = T[j, i, a]; row (x, a)
@@ -350,7 +365,7 @@ def _certify_span(A: FinDimAlgebra, gens, first, images):
 
     return certified_rank(
         m, first, images, lambda: [prod.reshape(-1, n * n, deg)], deg,
-        [right_by(h.reshape(n, n, deg)) for h in planes[1:]])
+        [right_by(h) for h in hs])
 
 
 def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
@@ -428,7 +443,7 @@ def operator_span_dim(mod: HModuleAlgebra):
 
     return _normal_form_dim(
         mod.algebra, (mod.c_op, mod.v_op),
-        lambda gens, mul, one: _taft_monomials(gens, mul, one, m),
+        lambda gens, mul, one: taft_monomials(gens, mul, one, m),
         laws)
 
 

@@ -61,10 +61,11 @@ import numpy as np
 
 from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
-from .hmodule import HModuleAlgebra
+from .hmodule import HModuleAlgebra, structure_planes, taft_monomials
 from .linalg import (EchelonBasis, ModReductionError, certified_rank,
-                     echelon, echelon_mod_p, integer_planes, planes_mod_p,
-                     reduction_primes, vec_add, vec_scale, vec_zero, zmatmul)
+                     echelon, echelon_mod_p, fit_planes, integer_planes,
+                     planes_mod_p, reduction_primes, vec_add, vec_scale,
+                     vec_zero, zmatmul)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -313,50 +314,37 @@ def _lift_level(m: int, rows: np.ndarray):
     return None if got is None else got[2]
 
 
-def _powers(x: np.ndarray, m: int):
-    """[x^0, ..., x^(m-1)] for the planes of a square matrix; None when a
-    guard of zmatmul refuses."""
-    one = np.zeros_like(x)
-    one[..., 0] = np.eye(len(x), dtype=np.int64)
-    out = [one]
-    for _ in range(m - 1):
-        out.append(zmatmul(out[-1], x, m))
-        if out[-1] is None:
-            return None
-    return out
-
-
 def _plane_spans(mod: HModuleAlgebra, n: int):
     """Canonical bases of W_1, ..., W_n in turn as planes (d, d E), built
     in integers and lifted level by level (_lift_level); stops before the
     first level whose products or lift a guard or certificate refuses.
 
-    The inputs come from the integer planes of the table and of c and v:
-    the operators c^i v^k as one zmatmul of the stacked powers, the images
-    h_b(e_t) that generate W_1, and right[s, (b, t, o)], the planes of
-    (e_s h_b(e_t))_o.  The generating rows of W_j are then (d E_{j-1})
-    times right, one zmatmul, each row of them an integer multiple of the
-    map f * h_b for f a row of E_{j-1}.
+    The inputs come from the integer planes of the table and of c and v
+    (hmodule.structure_planes): the operators h_b = c^i v^k as zmatmul
+    products (hmodule.taft_monomials), the images h_b(e_t) that generate
+    W_1, and right[s, (b, t, o)], the planes of (e_s h_b(e_t))_o.  The
+    labels b come in taft_monomials' order, which changes no canonical
+    basis.  The generating rows of W_j are then (d E_{j-1}) times right,
+    one zmatmul, each row of them an integer multiple of the map f * h_b
+    for f a row of E_{j-1}.
     """
     m, dim = mod.m, mod.algebra.dim
-    planes = integer_planes(m, [
-        [x for row in mod.algebra.mult for cell in row for x in cell],
-        [x for row in mod.c_op.rows for x in row],
-        [x for row in mod.v_op.rows for x in row]])
+    planes = structure_planes(mod.algebra, (mod.c_op, mod.v_op))
     if planes is None:
         return
-    deg = planes[0].shape[-1]
-    table = planes[0].reshape(dim, dim, dim, deg)
-    cs, vs = (_powers(x.reshape(dim, dim, deg), m) for x in planes[1:])
-    if cs is None or vs is None:
+    table, gens = planes
+    deg = table.shape[-1]
+    one = np.zeros_like(gens[0])
+    one[..., 0] = np.eye(dim, dtype=np.int64)
+
+    def mul(x, y):
+        return None if x is None or y is None else zmatmul(x, y, m)
+
+    ops = [one] + taft_monomials(gens, mul, one, m)
+    if any(h is None for h in ops):
         return
-    # ops[(i, a), (k, t)] = (c^i v^k)[a, t]
-    ops = zmatmul(np.concatenate(cs), np.concatenate(vs, axis=1), m)
-    if ops is None:
-        return
-    # images[b, t, a] = (h_b e_t)_a with b = i*m + k
-    images = ops.reshape(m, dim, m, dim, deg).transpose(0, 2, 3, 1, 4)
-    images = images.reshape(m * m, dim, dim, deg)
+    # images[b, t, a] = (h_b e_t)_a
+    images = np.stack(ops).transpose(0, 2, 1, 3)
     right = zmatmul(images.reshape(-1, dim, deg),
                     table.transpose(1, 0, 2, 3).reshape(dim, -1, deg), m)
     if right is None:
@@ -487,32 +475,42 @@ def _level_rank(mod: HModuleAlgebra, n: int, level, backend: str):
     m, dim = mod.m, mod.algebra.dim
     cols = dim ** (n + 1)
     rows, planes = level
-    perms = _argument_permutations(dim, n)
-    if planes is None:
-        entries = [x for row in rows for x in row]
-        ints = integer_planes(m, [entries])
-        if ints is not None:
-            planes = (math.lcm(1, *(x.den for x in entries)),
-                      ints[0].reshape(len(rows), cols, ints[0].shape[-1]))
-    if planes is None:
-        # entries past int64: every permuted copy, duplicates kept
-        return _exact_rank(m, cols, (tuple(map(row.__getitem__, perm))
-                                     for perm in perms for row in rows),
-                           len(rows))
-    d, de = planes
-    if not de[..., 1:].any():
-        # rational entries keep one plane, as integer_planes gives them
-        de = de[..., :1]
+    if rows is None:
+        d, keys = planes
+        keys, = fit_planes([keys])
+    else:
+        # an exactly built basis: its entries as small ints, equal codes
+        # equal CycNums, so permuting and deduplicating rows is integer work
+        index = {}
+        keys = np.array([[index.setdefault((x.num, x.den), len(index))
+                          for x in row] for row in rows],
+                        dtype=np.intp).reshape(len(rows), cols)
+        values = [CycNum(m, *x) for x in index]
     distinct = np.frombuffer(b"".join(dict.fromkeys(
-        row.tobytes() for perm in perms for row in de[:, perm])),
-        dtype=np.int64).reshape(-1, cols, de.shape[-1])
+        row.tobytes() for perm in _argument_permutations(dim, n)
+        for row in keys[:, perm])), dtype=keys.dtype).reshape(
+            (-1,) + keys.shape[1:])
     if backend == "auto" and len(distinct):
-        got = _planes_rank(distinct, d, m)
-        if got is not None:
-            return got
+        if rows is None:
+            planes = d, distinct
+        else:
+            # None when a coefficient reaches 2^62: no modular rank then
+            planes = integer_planes(m, [values])
+            if planes is not None:
+                (d, ints), = planes
+                planes = d, ints[distinct]
+        if planes is not None:
+            got = _planes_rank(planes[1], planes[0], m)
+            if got is not None:
+                return got
     # no pin and no certificate: the identity block leads and is already
     # canonical
-    return _exact_rank(m, cols, _cyc_rows(m, d, distinct), len(de))
+    if rows is None:
+        copies = _cyc_rows(m, d, distinct)
+    else:
+        copies = (tuple(map(values.__getitem__, codes))
+                  for codes in distinct.tolist())
+    return _exact_rank(m, cols, copies, len(keys))
 
 
 def _check_request(n: int, backend: str, budget_rows: int) -> None:

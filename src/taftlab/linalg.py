@@ -25,11 +25,12 @@ it is returned as int64 coefficient planes: the codimension engine builds
 each level W_j of its ordered span this way, from the image of integer
 planes (planes_mod_p) at one prime, instead of by an echelon over
 Q(zeta_m).  The reduction primes are the primes p = 1 (mod m) above 2^20
-in ascending order, found in one upward scan.
+in ascending order, found in one upward scan once per conductor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -498,33 +499,12 @@ def combination(coeffs, basis):
 # prime-field reduction
 
 
-def _strong_probable_prime(n: int, a: int) -> bool:
-    """Whether the odd n > 2 passes the Miller-Rabin test to the base a."""
-    odd, twos = n - 1, 0
-    while odd % 2 == 0:
-        odd, twos = odd // 2, twos + 1
-    x = pow(a, odd, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(twos - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
 def _is_prime(n: int) -> bool:
-    """Exact primality: trial division by the primes up to 31, then below
-    2152302898747, the least composite that passes it, the Miller-Rabin
-    test to the bases 2, 3, 5, 7 and 11 (Jaeschke 1993); trial division on
-    above that."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % p == 0:
             return n == p
-    if n < 2152302898747:
-        return all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7, 11))
     d = 37
     while d * d <= n:
         if n % d == 0:
@@ -544,7 +524,7 @@ def _primes_one_mod(m: int):
 
 def modular_prime(m: int, skip: int = 0) -> int:
     """Deterministic prime p = 1 (mod m), p > 2**20; skip steps to the next ones."""
-    return next(itertools.islice(_primes_one_mod(m), skip, None))
+    return _reduction_primes(m, skip + 1)[skip][0]
 
 
 def root_of_unity_mod(m: int, p: int) -> int:
@@ -559,11 +539,17 @@ def root_of_unity_mod(m: int, p: int) -> int:
     raise RuntimeError("no order-%d element found mod %d" % (m, p))
 
 
+@functools.lru_cache(maxsize=None)
+def _reduction_primes(m: int, count: int) -> tuple:
+    return tuple((p, root_of_unity_mod(m, p))
+                 for p in itertools.islice(_primes_one_mod(m), count))
+
+
 def reduction_primes(m: int, count: int = 3):
     """The primes a modular rank tries in turn, each with its image of zeta:
-    (p, zeta mod p) for the first `count` primes p = 1 (mod m) above 2**20."""
-    for p in itertools.islice(_primes_one_mod(m), count):
-        yield p, root_of_unity_mod(m, p)
+    (p, zeta mod p) for the first `count` primes p = 1 (mod m) above 2**20,
+    found once per conductor and count."""
+    return iter(_reduction_primes(m, count))
 
 
 class ModReductionError(ArithmeticError):
@@ -731,21 +717,30 @@ _INT_LIMIT = 1 << 62
 CERTIFY_PRIMES = 3
 
 
+def fit_planes(planes: list) -> list:
+    """The int64 coefficient arrays planes, all cut to their constant plane
+    when no other coefficient of any of them is nonzero: rational values
+    keep one plane, and cyclotomic ones all phi(m)."""
+    if any(x[..., 1:].any() for x in planes):
+        return planes
+    return [x[..., :1] for x in planes]
+
+
 def integer_planes(m: int, value_lists):
-    """[planes] for each list of values: planes[i], the coefficients of
-    D * values[i] as int64, for D the lcm of that list's denominators.  All
-    lists share one degree: 1 when every value in every list is rational,
-    phi(m) otherwise.  None when a coefficient reaches 2^62."""
-    rational = not any(any(x.num[1:]) for xs in value_lists for x in xs)
-    deg = 1 if rational else len(CycNum.zero(m).num)
-    out = []
+    """[(D, planes)] for each list of values: D the lcm of that list's
+    denominators, and planes[i] the coefficients of D * values[i] as int64,
+    all lists at one degree (fit_planes).  None when a coefficient reaches
+    2^62."""
+    deg = len(CycNum.zero(m).num)
+    dens, out = [], []
     for values in value_lists:
         den = math.lcm(1, *(x.den for x in values))
-        rows = [[u * (den // x.den) for u in x.num[:deg]] for x in values]
+        rows = [[u * (den // x.den) for u in x.num] for x in values]
         if any(abs(u) >= _INT_LIMIT for row in rows for u in row):
             return None
+        dens.append(den)
         out.append(np.array(rows, dtype=np.int64).reshape(len(rows), deg))
-    return out
+    return list(zip(dens, fit_planes(out)))
 
 
 def planes_mod_p(planes: np.ndarray, den: int, p: int,
@@ -942,7 +937,7 @@ def certified_rank(m: int, first, images, rows, deg: int, maps=()):
     the lower bound.  images(p, z) gives that form at any other prime and
     root (or raises ModReductionError).  rows() yields the generating rows
     as int64 coefficient planes (b, ncols, deg) in blocks, each row scaled by
-    any nonzero integer, deg as integer_planes chooses it: 1 when every
+    any nonzero integer, deg as fit_planes chooses it: 1 when every
     entry lies in Q, so one root per prime suffices, and phi(m) otherwise.
     maps are linear maps on such planes (or None from an overflow guard),
     and the span must be closed under each.

@@ -8,7 +8,6 @@ certified_rank the way codimension hands them over (identities._planes_rank:
 int64 coefficient planes over one common denominator).
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -37,9 +36,7 @@ def _degree(m):
 
 def _common_planes(m, rows):
     """(d, planes): the rows over their common denominator d."""
-    entries = [x for row in rows for x in row]
-    ints, = integer_planes(m, [entries])
-    d = math.lcm(1, *(x.den for x in entries))
+    (d, ints), = integer_planes(m, [[x for row in rows for x in row]])
     return d, ints.reshape(len(rows), len(rows[0]), -1)
 
 
@@ -407,16 +404,6 @@ def test_reduction_primes_match_the_restarting_search(m):
     want = _restarting_primes(m)
     assert list(reduction_primes(m)) == want
     assert [modular_prime(m, k) for k in range(3)] == [p for p, _ in want]
-
-
-def test_primality_matches_trial_division():
-    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
-    # 2152302898747 to 2, 3, 5, 7 and 11: the first past Miller-Rabin's range
-    near = itertools.chain(range(3000), range((1 << 20) - 500, (1 << 20) + 3000),
-                           range(3215031751 - 50, 3215031751 + 50),
-                           range(2152302898747 - 50, 2152302898747 + 50))
-    for n in near:
-        assert linalg._is_prime(n) == _trial_prime(n), n
 
 
 def _modulus_near(limit, p):

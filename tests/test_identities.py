@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from taftlab.algebra_core import FinDimAlgebra, field_algebra, matrix_algebra
@@ -21,6 +21,7 @@ from taftlab.identities import (
     HMonomial,
     MultilinearHPoly,
     _cyc_rows,
+    _level_rank,
     _ordered_spans,
     alternate,
     codim_growth_report,
@@ -367,13 +368,15 @@ def test_ordered_span_matches_full_matrix_after_basis_change(name, entries, n):
 # W_1..W_n built on integer planes mod p, against the exact echelon build
 
 
-def _assert_planes_match_the_exact_build(mod, n):
-    """Every level of the auto build is lifted and equals the exact one."""
+def _assert_planes_match_the_exact_build(mod, n, every_level=True):
+    """Every level of the auto build equals the exact one; with
+    every_level, each of them is lifted."""
     exact = [rows for rows, _ in _ordered_spans(mod, n, "exact")]
-    lifted = list(_ordered_spans(mod, n, "auto"))
-    assert [rows for rows, _ in lifted] == [None] * n
-    assert [tuple(_cyc_rows(mod.m, *planes))
-            for _, planes in lifted] == exact
+    built = list(_ordered_spans(mod, n, "auto"))
+    if every_level:
+        assert [rows for rows, _ in built] == [None] * n
+    assert [rows or tuple(_cyc_rows(mod.m, *planes))
+            for rows, planes in built] == exact
 
 
 @pytest.mark.parametrize("name", SMALL_CORPUS)
@@ -392,6 +395,10 @@ def test_plane_built_spans_match_the_exact_build_at_dim_8(name):
                 max_size=16),
        st.integers(min_value=1, max_value=3))
 @settings(max_examples=12, deadline=None)
+# W_2's canonical basis has the common denominator 1251264 and entries of
+# d E up to 177835896: the float64 span check refuses, and so the lift
+@example("sweedler_p_gamma3",
+         [-2, 0, 0, -1, 2, -1, 0, -2, 1, 0, 1, 0, -2, -1, 0, 0], 2)
 def test_plane_built_spans_match_the_exact_build_after_basis_change(
         name, entries, n):
     base = (sweedler_two_dim() if name == "sweedler2dim"
@@ -400,8 +407,11 @@ def test_plane_built_spans_match_the_exact_build_after_basis_change(
     t = Matrix.from_rows(2, [entries[i * dim:(i + 1) * dim]
                              for i in range(dim)])
     assume(not gauss_det(t).is_zero())
+    # a large common denominator can refuse a lift, and the exact build
+    # takes over from that level
     _assert_planes_match_the_exact_build(_change_basis(base, t),
-                                         min(n, 2) if dim == 4 else n)
+                                         min(n, 2) if dim == 4 else n,
+                                         every_level=False)
 
 
 def test_an_empty_level_stays_empty():
@@ -440,6 +450,37 @@ def test_a_refused_lift_falls_back_to_the_exact_build(monkeypatch,
     calls.clear()
     got = codimension(mod, 3)
     assert (got.value, got.method) == (want.value, want.method)
+
+
+@pytest.mark.parametrize("name, n", [("sweedler2dim", 3),
+                                     ("ss_sweedler_p_gamma3", 2),
+                                     ("ss_grid_m3_k1_t3", 2)])
+def test_a_basis_without_planes_is_ranked_exactly_without_duplicates(
+        monkeypatch, name, n):
+    # a coefficient at or past 2^62 leaves an exactly built basis without
+    # planes: its permuted copies are deduplicated on entry codes and
+    # eliminated over Q(zeta_m)
+    mod = CORPUS[name]
+    *_, level = _ordered_spans(mod, n, "exact")
+    ranked = []
+    exact_rank = identities._exact_rank
+
+    def record(m, cols, rows, r):
+        ranked.extend(rows)
+        return exact_rank(m, cols, ranked, r)
+
+    monkeypatch.setattr(identities, "integer_planes", lambda m, lists: None)
+    monkeypatch.setattr(identities, "_exact_rank", record)
+    want = _oracle_codimension(mod, n)
+    for backend in ("auto", "exact"):
+        ranked.clear()
+        assert _level_rank(mod, n, level, backend) == (want, "exact-echelon")
+        assert len(set(ranked)) == len(ranked)
+        assert ranked[:len(level[0])] == list(level[0])
+    # the same through codimension, with every lift refused
+    monkeypatch.setattr(identities, "_lift_level", lambda m, rows: None)
+    got = codimension(mod, n)
+    assert (got.value, got.method) == (want, "exact-echelon")
 
 
 def test_codimension_beyond_the_full_matrix():

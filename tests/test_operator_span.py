@@ -31,7 +31,7 @@ from taftlab.fixtures import nilext_specs, sweedler_two_dim, trivial_action
 from taftlab import hmodule
 from taftlab.hmodule import (CertifiedSimple, HModuleAlgebra, NotSimple,
                              _normal_form_dim, _normal_form_exact,
-                             _taft_monomials, hma_verify,
+                             taft_monomials, hma_verify,
                              is_h_simple, operator_span_dim)
 from taftlab.linalg import (EchelonBasis, Matrix, ModpEchelon,
                             ModReductionError, Subspace, matrix_to_modp,
@@ -200,7 +200,7 @@ def _normal_form_exact_dim(mod):
     """The exact normal-form rank, which operator_span_dim only reaches
     after a short modular rank."""
     A, m, n = mod.algebra, mod.m, mod.algebra.dim
-    hs = _taft_monomials((mod.c_op, mod.v_op), Matrix.__matmul__,
+    hs = taft_monomials((mod.c_op, mod.v_op), Matrix.__matmul__,
                          Matrix.identity(m, n), m)
     return _normal_form_exact([A.left_mult_basis(i) for i in range(n)],
                               [A.right_mult_basis(i) for i in range(n)],
@@ -615,7 +615,7 @@ def test_the_spin_of_a_lawless_module_is_no_normal_form():
         (9, "operator span mod p=%d" % modular_prime(2))
     assert _normal_form_dim(
         mod.algebra, (mod.c_op, mod.v_op),
-        lambda gens, mul, one: _taft_monomials(gens, mul, one, 2),
+        lambda gens, mul, one: taft_monomials(gens, mul, one, 2),
         lambda: None)[0] == 6
 
 
