@@ -64,9 +64,9 @@ import numpy as np
 from .cyclotomic import CycNum, add_products, fold, raw_sums, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
-                     Subspace, certified_rank, combination, integer_planes,
-                     intertwiner_space, kernel, matrix_to_modp, rank,
-                     reduction_primes, small_coefficients, vec_is_zero,
+                     Subspace, certified_rank, combination, cyc_to_modp,
+                     integer_planes, intertwiner_space, kernel, matrix_to_modp,
+                     rank, reduction_primes, small_coefficients, vec_is_zero,
                      zmatmul)
 from .algebra_core import (FinDimAlgebra, _columns, _table_modp,
                            ideal_generated_by, law_witnesses)
@@ -526,6 +526,73 @@ def _scale_to_unit(mod1, mod2, T: Matrix):
     return T * mu.inverse()
 
 
+# candidates per screened block: enough to amortise numpy's per-call cost,
+# few enough that memory stays bounded and an early witness returns at once
+_SCREEN_BLOCK = 32
+
+
+def _algebra_map_screen(mod1, mod2, space):
+    """A necessary test over F_p for the candidates of the generic search:
+    keep(block) maps a list of coefficient vectors over space to a bool
+    array, False where combination(coeffs, space) is sure to fail
+    _scale_to_unit or the exact algebra-map law.  None when the screen
+    cannot be built: a denominator vanishes mod the first reduction prime p,
+    the second unit vanishes mod p, or n p^2 would not fit in an int64.
+
+    Reduction Z[zeta_m] -> F_p (zeta to its image, denominators prime to p)
+    is a ring homomorphism.  When both algebras are unital, T passes the
+    exact path only if T(u1) = mu u2 and T/mu is multiplicative, that is
+    mu T(ab) = T(a) T(b); mu is p-integral, since u2's k0-th coordinate is
+    a unit mod p, so both equations hold mod p with mu_p = T_p(u1)[k0] /
+    u2_p[k0].  Otherwise mu = 1.  The screen never tests rank.
+    """
+    A1, A2 = mod1.algebra, mod2.algebra
+    n = A1.dim
+    p, w = next(reduction_primes(mod1.m))
+    if n * p * p >= 1 << 63:
+        return None
+    unital = A1.unit is not None and A2.unit is not None
+    try:
+        basis = np.array([matrix_to_modp(b, p, w).ravel() for b in space])
+        t1, t2 = _table_modp(A1, p, w), _table_modp(A2, p, w)
+        if unital:
+            u1, u2 = (np.array([cyc_to_modp(x, p, w) for x in u], dtype=np.int64)
+                      for u in (A1.unit, A2.unit))
+    except ModReductionError:
+        return None
+    if unital:
+        nz = np.flatnonzero(u2)
+        if not nz.size:
+            return None
+        k0 = nz[0]
+        inv = pow(int(u2[k0]), p - 2, p)
+    t2_rows = t2.reshape(n, n * n)
+
+    def keep(block):
+        T = (np.array(block, dtype=np.int64) @ basis % p).reshape(-1, n, n)
+        if unital:
+            img = T @ u1 % p
+            mu = img[:, k0] * inv % p
+            ok = (img == mu[:, None] * u2 % p).all(axis=1)
+        else:
+            mu = np.ones(len(T), dtype=np.int64)
+            ok = np.ones(len(T), dtype=bool)
+        Tt = T.transpose(0, 2, 1)
+        # mu T(e_i e_j) against T(e_i) T(e_j) for every j, one i at a
+        # time on the candidates still alive
+        for i in range(n):
+            live = np.flatnonzero(ok)
+            if not live.size:
+                break
+            t, tt = T[live], Tt[live]
+            lhs = t1[i] @ tt % p * mu[live, None, None] % p
+            rhs = tt @ (t[:, :, i] @ t2_rows % p).reshape(-1, n, n) % p
+            ok[live] = (lhs == rhs).all(axis=(1, 2))
+        return ok
+
+    return keep
+
+
 def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
                            budget: int = 64):
     """Search for an H-module algebra isomorphism; None = none found in budget.
@@ -539,6 +606,14 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
     Each is rescaled to send unit to unit when possible and checked exactly
     (algebra_core.law_witnesses).  A None answer is a budget statement, not a
     proof.  A negative budget raises InputError.
+
+    The grid candidates are taken lazily in blocks and screened first over
+    F_p (_algebra_map_screen): unit to a multiple of the unit and
+    mu T(ab) = T(a) T(b), both images of exact equations under reduction mod
+    p.  A candidate the screen drops would fail the exact check, so only the
+    survivors are built over Q(zeta_m) and decided exactly, in grid order,
+    and the answer is the one the unscreened loop gives.  When the screen
+    cannot be built, every candidate is decided exactly.
     """
     if budget < 0:
         raise InputError("budget must be >= 0, got %d" % budget)
@@ -556,17 +631,29 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
     if not space:
         return None
 
-    grid = small_coefficients(len(space), (0, 1, -1, 2, -2, 3, -3))
-    candidates = (combination(coeffs, space) for coeffs in grid)
+    def decide(T):
+        T = _scale_to_unit(mod1, mod2, T)
+        if T is None or rank(T) != n:
+            return None
+        return T if law_witnesses(A1, A2, [(T, [(T, T)])]) == [None] else None
+
+    limit = budget + 2 * len(space)
     # the identity first when it is equivariant: it settles every
     # self-comparison immediately; later candidates are equivariant by
     # construction, so this is the only one needing its own check
     if mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op:
-        candidates = itertools.chain([Matrix.identity(m, n)], candidates)
-    for T in itertools.islice(candidates, budget + 2 * len(space)):
-        T = _scale_to_unit(mod1, mod2, T)
-        if T is None or rank(T) != n:
-            continue
-        if law_witnesses(A1, A2, [(T, [(T, T)])]) == [None]:
+        limit -= 1
+        T = decide(Matrix.identity(m, n))
+        if T is not None:
             return T
+    keep = _algebra_map_screen(mod1, mod2, space)
+    grid = itertools.islice(
+        small_coefficients(len(space), (0, 1, -1, 2, -2, 3, -3)), limit)
+    for block in iter(lambda: list(itertools.islice(grid, _SCREEN_BLOCK)), []):
+        alive = [True] * len(block) if keep is None else keep(block)
+        for coeffs, ok in zip(block, alive):
+            if ok:
+                T = decide(combination(coeffs, space))
+                if T is not None:
+                    return T
     return None

@@ -6,7 +6,9 @@ module-algebra law on generators (hma_verify), algebra maps
 (_verify_module_iso, hma_isomorphic_generic and the q-binomial product law
 of recover_structure) and derivations."""
 
+import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -29,7 +31,8 @@ from taftlab.fixtures import (negative_modules, nilext_specs, positive_modules,
                               ss_specs)
 from taftlab.hmodule import (HmaReport, HModuleAlgebra, hma_isomorphic_generic,
                              hma_verify)
-from taftlab.linalg import (Matrix, combination, intertwiner_space, rank,
+from taftlab.linalg import (Matrix, ModReductionError, combination,
+                            intertwiner_space, rank, small_coefficients,
                             vec_is_zero)
 from taftlab.qcombinatorics import QBinomTable
 from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
@@ -831,6 +834,133 @@ def test_generic_isomorphism_search_matches_the_seeded_search(a, b):
     mod1, mod2 = _pair(a, b)
     assert hma_isomorphic_generic(mod1, mod2) == \
         _seeded_isomorphic_generic(mod1, mod2)
+
+
+GRID_VALUES = (0, 1, -1, 2, -2, 3, -3)
+
+
+def _intertwiners(mod1, mod2):
+    one = CycNum.one(mod1.m)
+    n = mod1.algebra.dim
+    return intertwiner_space(mod1.m, n, n, [(mod1.c_op, mod2.c_op, one),
+                                            (mod1.v_op, mod2.v_op, one)])
+
+
+def _unscreened_isomorphic_generic(mod1, mod2, budget=64):
+    """hma_isomorphic_generic before the mod-p screen: the identity when
+    equivariant, then the small_coefficients grid, each candidate built
+    over Q(zeta_m), rescaled to the unit and decided exactly, at most
+    budget + 2 dim(space) candidates in all."""
+    A1, A2 = mod1.algebra, mod2.algebra
+    if A1.dim != A2.dim:
+        return None
+    m, n = mod1.m, A1.dim
+    space = _intertwiners(mod1, mod2)
+    if not space:
+        return None
+    grid = small_coefficients(len(space), GRID_VALUES)
+    candidates = (combination(coeffs, space) for coeffs in grid)
+    if mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op:
+        candidates = itertools.chain([Matrix.identity(m, n)], candidates)
+    for T in itertools.islice(candidates, budget + 2 * len(space)):
+        T = hmodule._scale_to_unit(mod1, mod2, T)
+        if T is None or rank(T) != n:
+            continue
+        if law_witnesses(A1, A2, [(T, [(T, T)])]) == [None]:
+            return T
+    return None
+
+
+def _same_shape_pairs():
+    corpus = _corpus()
+    names = sorted(name for name, mod in corpus.items() if mod.algebra.dim <= 9)
+    shape = {name: (corpus[name].m, corpus[name].algebra.dim) for name in names}
+    return [(a, b) for a in names for b in names if shape[a] == shape[b]]
+
+
+# every ordered corpus pair of one conductor and dim <= 9, and each corpus
+# module against its dense copies
+SCREEN_PAIRS = _same_shape_pairs() + [(name, (name, kind))
+                                      for name, kind in DENSE_COPIES]
+
+
+@pytest.mark.parametrize("a,b", SCREEN_PAIRS)
+def test_screened_search_matches_the_unscreened_loop(a, b):
+    mod1, mod2 = _pair(a, b)
+    for budget in (0, 1, 3, 64):
+        assert hma_isomorphic_generic(mod1, mod2, budget=budget) == \
+            _unscreened_isomorphic_generic(mod1, mod2, budget=budget)
+
+
+# the benchmark's two iso pairs and three dense pairs over Q, Q(zeta_4) and
+# Q with a survivor that is the witness
+SOUNDNESS_PAIRS = [("ss_pair2_diag_1", "ss_pair2_diag_neg1"),
+                   ("ss_pair2_diag_1", "ss_pair2_diag_2"),
+                   ("ss_mat2_trivial", ("ss_mat2_trivial", "rational")),
+                   ("ss_grid_m4_k2_t2", ("ss_grid_m4_k2_t2", "cyclotomic")),
+                   ("ss_grid_m2_k2_t1", ("ss_grid_m2_k2_t1", "rational"))]
+
+
+@pytest.mark.parametrize("a,b", SOUNDNESS_PAIRS)
+def test_screen_drops_only_candidates_that_fail_exactly(a, b):
+    mod1, mod2 = _pair(a, b)
+    A1, A2 = mod1.algebra, mod2.algebra
+    space = _intertwiners(mod1, mod2)
+    keep = hmodule._algebra_map_screen(mod1, mod2, space)
+    assert keep is not None
+    grid = list(itertools.islice(small_coefficients(len(space), GRID_VALUES),
+                                 64 + 2 * len(space)))
+    dropped = [coeffs for coeffs, ok in zip(grid, keep(grid)) if not ok]
+    assert dropped
+    for coeffs in dropped:
+        T = hmodule._scale_to_unit(mod1, mod2, combination(coeffs, space))
+        assert T is None or law_witnesses(A1, A2, [(T, [(T, T)])]) != [None]
+
+
+# a witness in the identity, before any screen, and one after it
+@pytest.mark.parametrize("a,b", [("ss_grid_m2_k2_t2", "ss_pair2_diag_1"),
+                                 ("ss_pair_alpha_0", ("ss_pair_alpha_0",
+                                                      "rational"))])
+def test_a_huge_budget_with_an_early_witness_returns_at_once(a, b):
+    mod1, mod2 = _pair(a, b)
+    expect = hma_isomorphic_generic(mod1, mod2, budget=64)
+    assert expect is not None
+    tracemalloc.start()
+    try:
+        got = hma_isomorphic_generic(mod1, mod2, budget=10 ** 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    assert peak < 5 << 20
+
+
+def _refuse_reduction(*args):
+    raise ModReductionError("forced")
+
+
+# the prime 2^61 - 1, with zeta = -1 for m = 2: p^2 alone passes 2^63
+_HUGE_PRIME = [(2 ** 61 - 1, 2 ** 61 - 2)]
+
+
+@pytest.mark.parametrize("a,b", [("ss_pair2_diag_1", "ss_pair2_diag_neg1"),
+                                 ("ss_pair_alpha_1", "ss_pair_alpha_neg1"),
+                                 ("ss_pair_alpha_0", ("ss_pair_alpha_0",
+                                                      "rational"))])
+@pytest.mark.parametrize("name,value", [
+    ("_table_modp", _refuse_reduction),
+    ("reduction_primes", lambda m: iter(_HUGE_PRIME))])
+def test_unbuilt_screen_decides_every_candidate_exactly(monkeypatch, a, b,
+                                                        name, value):
+    mod1, mod2 = _pair(a, b)
+    expect = hma_isomorphic_generic(mod1, mod2)
+    monkeypatch.setattr(hmodule, name, value)
+    assert hmodule._algebra_map_screen(
+        mod1, mod2, _intertwiners(mod1, mod2)) is None
+    assert hma_isomorphic_generic(mod1, mod2) == expect
+    for budget in (0, 3):
+        assert hma_isomorphic_generic(mod1, mod2, budget=budget) == \
+            _unscreened_isomorphic_generic(mod1, mod2, budget=budget)
 
 
 # -- recover: the q-binomial product law -----------------------------------------
