@@ -407,8 +407,9 @@ def certify_graded_simple(B: FinDimAlgebra, grading: GradingDecomposition):
     span{L' R' P_g} (L' in F 1 + L(B), R' in F 1 + R(B)), since
     P_g L_a = L_a P_{g-|a|} and P_g R_a = R_a P_{g-|a|} for homogeneous a,
     and it is ranked in that form (hmodule._normal_form_dim).  The identity
-    needs a grading compatible with the multiplication, so a short span
-    first re-runs verify_multiplication and raises InputError if it fails.
+    needs a grading compatible with the multiplication, so a short span is
+    trusted only after verify_multiplication passes again, and InputError
+    is raised if it fails.
     Returns the certificate, or None when density is not reached (which
     does NOT mean a graded ideal exists; callers must treat None as
     not-certified).

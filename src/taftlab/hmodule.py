@@ -29,14 +29,16 @@ it acts irreducibly, so no proper nonzero H-invariant ideal can exist, and
 with A*A != 0 that certifies simplicity.  The module-algebra laws put
 every element of O in the normal form L' R' c^s v^k (L' in F 1 + L(A),
 R' in F 1 + R(A)), so operator_span_dim ranks those (n+1)^2 m^2 explicit
-operators in blocks instead of spinning words.  The rank runs over a prime
-field F_p (p = 1 mod m, zeta sent to an order-m element), which can only
-underestimate the true span; reaching (dim A)^2 mod p is therefore a sound
-certificate, whether or not the laws hold, since every L' R' c^s v^k is a
-word in the generators.  A shortfall is the dimension of O only when the
-laws hold, so hma_verify runs first on that path and a module that fails
-it raises InputError; then linalg.certified_rank proves the modular rank
-exact at any dim, with an exact rank over Q(zeta_m) as its fallback.
+operators in blocks instead of spinning words.  linalg.certified_rank,
+the one modular-rank decision, ranks them over a prime field F_p (p = 1
+mod m, zeta sent to an order-m element), which can only underestimate the
+true span; reaching (dim A)^2 mod p is therefore a sound certificate
+(a pin), whether or not the laws hold, since every L' R' c^s v^k is a word
+in the generators.  A shortfall is the dimension of O only when the laws
+hold, so hma_verify runs after a short modular rank and before it is
+trusted, and a module that fails it raises InputError; certified_rank's
+certificate proves the modular rank exact at any dim, with an exact rank
+over Q(zeta_m) as its fallback.
 Tier 2 therefore runs only on modules whose laws hold, and looks for a
 witness among highest-weight vectors, which needs exactly what those laws
 give: v is nilpotent (v^m = 0), and c^m = 1 with v c = zeta c v.  A
@@ -334,11 +336,11 @@ def structure_planes(A: FinDimAlgebra, gens):
             [h.reshape(n, n, deg) for _, h in hs])
 
 
-def _certify_span(A: FinDimAlgebra, gens, first, images):
-    """certified_rank on span{L' R' h}: the L' R' are the generating rows,
-    and the span must be closed under right multiplication by each of gens,
-    so it holds every L' R' times a word in gens.  first and images give
-    the modular echelon forms, as certified_rank takes them."""
+def _span_generators(A: FinDimAlgebra, gens):
+    """certified_rank's generators for span{L' R' h}: the L' R' as rows,
+    and right multiplication by each of gens as the maps the span must be
+    closed under, so it holds every L' R' times a word in gens; None when
+    an overflow guard refuses."""
     n, m = A.dim, A.m
     planes = structure_planes(A, gens)
     if planes is None:
@@ -363,9 +365,7 @@ def _certify_span(A: FinDimAlgebra, gens, first, images):
             return None if out is None else out.reshape(len(rows), -1, deg)
         return apply
 
-    return certified_rank(
-        m, first, images, lambda: [prod.reshape(-1, n * n, deg)], deg,
-        [right_by(h) for h in hs])
+    return prod.reshape(-1, n * n, deg), [right_by(h) for h in hs]
 
 
 def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
@@ -375,11 +375,12 @@ def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
     Each L' R' h is a word in the L(e_i), R(e_i) and gens, so a full span
     certifies density whatever the input.  A short span is the dimension
     of the algebra they generate only when its laws put every word in that
-    form, so laws() runs first and raises InputError if they fail.  The
-    span is ranked over F_p for the first of three primes that reduces the
-    structure constants and gens, with the L and R stacks read off one
-    reduced table.  A short modular rank is a lower bound, and
-    linalg.certified_rank confirms it at every dim: its integer check
+    form, so laws() runs before a short rank is trusted and raises
+    InputError if they fail.  linalg.certified_rank ranks the span over F_p
+    for the first of three primes that reduces the structure constants and
+    gens, with the L and R stacks read off one reduced table.  A full rank
+    there is pinned ("operator span mod p=...").  A short one is a lower
+    bound, and the certificate confirms it at every dim: its integer check
     shows that the span of the reconstructed echelon form holds every
     L' R' and is closed under right multiplication by each of gens
     ("operator span, certified(p=...)").  Without a certificate the span
@@ -387,30 +388,23 @@ def _normal_form_dim(A: FinDimAlgebra, gens, twists, laws):
     """
     n, m = A.dim, A.m
 
-    def modp(p, w):
+    def images(p, w):
         table = _table_modp(A, p, w)
         gs = [matrix_to_modp(x, p, w) for x in gens]
         hs = twists(gs, lambda x, y: x @ y % p, np.eye(n, dtype=np.int64))
         # L(e_i)[a, j] = T[i, j, a] and R(e_i)[a, j] = T[j, i, a]
-        return _normal_form_modp(table.transpose(0, 2, 1),
-                                 table.transpose(1, 2, 0), hs, n, p)
+        eb = _normal_form_modp(table.transpose(0, 2, 1),
+                               table.transpose(1, 2, 0), hs, n, p)
+        # a full span is pinned on its dim alone: no echelon form is copied
+        return (range(n * n), None) if eb.dim == n * n else eb.reduced()
 
-    first = None
-    for p, w in reduction_primes(m):
-        try:
-            eb = modp(p, w)
-        except ModReductionError:
-            continue
-        if eb.dim == n * n:
-            return eb.dim, "operator span mod p=%d" % p
-        first = (p, w) + eb.reduced()
-        break
+    got = certified_rank(m, images, lambda: _span_generators(A, gens), n * n)
+    if got is not None and got[2] is None:
+        return got[0], "operator span mod p=%d" % got[1][0]
     laws()
-    if first is not None:
-        got = _certify_span(A, gens, first, lambda p, w: modp(p, w).reduced())
-        if got is not None:
-            return got[0], "operator span, certified(p=%s)" % ",".join(
-                map(str, got[1]))
+    if got is not None:
+        return got[0], "operator span, certified(p=%s)" % ",".join(
+            map(str, got[1]))
     hs = twists(list(gens), Matrix.__matmul__, Matrix.identity(m, n))
     return (_normal_form_exact([A.left_mult_basis(i) for i in range(n)],
                                [A.right_mult_basis(i) for i in range(n)],
@@ -482,23 +476,11 @@ def is_h_simple(mod: HModuleAlgebra):
 
 
 def verify_invariant_ideal(mod: HModuleAlgebra, s: Subspace) -> bool:
-    """Exact check that s is an H-invariant two-sided ideal of the algebra."""
-    A = mod.algebra
-    eb = EchelonBasis(mod.m, A.dim)
-    for v in s.basis:
-        eb.insert(v)
-    for x in s.basis:
-        for i in range(A.dim):
-            e = A.basis_vector(i)
-            if not eb.contains(A.multiply(e, x)):
-                return False
-            if not eb.contains(A.multiply(x, e)):
-                return False
-        if not eb.contains(mod.c_op.apply(x)):
-            return False
-        if not eb.contains(mod.v_op.apply(x)):
-            return False
-    return True
+    """Exact check that s is an H-invariant two-sided ideal of the algebra:
+    its closure under both multiplications, c and v, is s itself."""
+    closure = ideal_generated_by(mod.algebra, s.basis,
+                                 extra_ops=(mod.c_op, mod.v_op))
+    return closure.dim == s.dim
 
 
 # -- generic isomorphism search -------------------------------------------------

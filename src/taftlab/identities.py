@@ -35,13 +35,15 @@ coincide, instead of n! * m^{2n}.  ``CodimResult.matrix_shape`` and the
 ``rows`` field of the ``codim`` output still give the nominal evaluation
 matrix (n! * m^{2n}, dim^{n+1}), and the row budget caps that nominal count.
 
-The rank of those rows is taken mod the first reduction prime, on the
-planes of the canonical basis over its common denominator, permuted and
-deduplicated as bytes.  That is a lower bound, and the value when it fills
-the shape of the rows or when linalg.certified_rank proves it exact; only
-without a certificate are the rows eliminated over Q(zeta_m) on
-EchelonBasis.  codim_growth_report builds W_1, ..., W_n once and ranks each
-level as it is built.
+The rank of those rows is taken mod the first reduction prime that keeps
+their common denominator, on the planes of the canonical basis over that
+denominator, permuted and deduplicated as bytes.  That is a lower bound,
+and the value when it fills the shape of the rows or when the certificate
+proves it exact; only without either are the rows eliminated over
+Q(zeta_m) on EchelonBasis.  The level lifts and this rank make one call
+each, _span_rank, into linalg.certified_rank, which owns the choice of
+prime, the pin and the certificate.  codim_growth_report builds W_1, ...,
+W_n once and ranks each level as it is built.
 
 Orderings are fixed so bases and ranks are bit-reproducible: permutations
 in lexicographic order, labels b = i*m + k in increasing order, every span
@@ -62,10 +64,9 @@ import numpy as np
 from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra, structure_planes, taft_monomials
-from .linalg import (EchelonBasis, ModReductionError, certified_rank,
-                     echelon, echelon_mod_p, fit_planes, integer_planes,
-                     planes_mod_p, reduction_primes, vec_add, vec_scale,
-                     vec_zero, zmatmul)
+from .linalg import (EchelonBasis, certified_rank, echelon, echelon_mod_p,
+                     fit_planes, integer_planes, planes_mod_p, vec_add,
+                     vec_scale, vec_zero, zmatmul)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -286,31 +287,21 @@ def _exact_spans(mod: HModuleAlgebra, count: int, start=None):
         yield span
 
 
-# entries per block of the certificate's integer check: bounds the planes
-# and products it holds at once
-_CHECK_ENTRIES = 1 << 16
+def _span_rank(planes: np.ndarray, d: int, m: int, full=None):
+    """certified_rank on the rows planes / d, their images mod p taken by
+    echelon_mod_p and the rows themselves generating the span."""
 
+    def images(q, z):
+        return echelon_mod_p(planes_mod_p(planes, d, q, z), q)
 
-def _blocks(planes: np.ndarray):
-    """The rows of planes in blocks of about _CHECK_ENTRIES entries."""
-    step = max(1, _CHECK_ENTRIES // planes.shape[1])
-    for lo in range(0, len(planes), step):
-        yield planes[lo:lo + step]
+    return certified_rank(m, images, lambda: (planes, ()), full)
 
 
 def _lift_level(m: int, rows: np.ndarray):
     """(d, d E) for E the canonical basis of the span of the int64 planes
     rows, read back by certified_rank from their reduced echelon form mod
     the first reduction prime; None when the lift is refused."""
-    if not rows.any():
-        return 1, rows[:0]
-
-    def images(q, z):
-        return echelon_mod_p(planes_mod_p(rows, 1, q, z), q)
-
-    p, w = next(reduction_primes(m))
-    got = certified_rank(m, (p, w) + images(p, w), images,
-                         lambda: _blocks(rows), rows.shape[-1])
+    got = _span_rank(rows, 1, m)
     return None if got is None else got[2]
 
 
@@ -426,23 +417,13 @@ def _planes_rank(planes: np.ndarray, d: int, m: int):
     """(rank, method) of the rows planes / d when their mod-p rank at the
     first reduction prime that keeps d fills their shape or certified_rank
     confirms it; None when neither does."""
-
-    def images(q, z):
-        return echelon_mod_p(planes_mod_p(planes, d, q, z), q)
-
-    for p, w in reduction_primes(m):
-        try:
-            first = images(p, w)
-        except ModReductionError:
-            continue
-        if len(first[0]) == min(planes.shape[:2]):
-            return len(first[0]), "modp-pinned(p=%d)" % p
-        got = certified_rank(m, (p, w) + first, images,
-                             lambda: _blocks(planes), planes.shape[-1])
-        if got is None:
-            return None
-        return got[0], "modp-certified(p=%s)" % ",".join(map(str, got[1]))
-    return None
+    got = _span_rank(planes, d, m, min(planes.shape[:2]))
+    if got is None:
+        return None
+    value, primes, basis = got
+    return value, "modp-%s(p=%s)" % ("pinned" if basis is None
+                                     else "certified",
+                                     ",".join(map(str, primes)))
 
 
 def _exact_rank(m: int, cols: int, rows, r: int):

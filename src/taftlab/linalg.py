@@ -14,18 +14,20 @@ nonzero minor over the field).  One in-place F_p row reduction (_row_reduce)
 is the only modular elimination: echelon_mod_p runs it on a matrix, and
 ModpEchelon.insert_block on the residual of each block against its basis.
 rank_mod_p, the same reduction on a copy, has no caller in the package; it
-stays for the benchmark's per-layer wrapper and the tests.  A modular rank
-is reported as exact only when it meets an exact bound from the other side:
-the shape of the matrix, or certified_rank.  That routine reconstructs the
-reduced echelon form E of the row space over Q(zeta_m) from its images at
-every root of Phi_m mod a few primes (CRT, then rational reconstruction)
-and checks in integers that every generating row lies in the span of E, so
-the rank is at most the modular one.  The check also proves E exact, and
-it is returned as int64 coefficient planes: the codimension engine builds
-each level W_j of its ordered span this way, from the image of integer
-planes (planes_mod_p) at one prime, instead of by an echelon over
-Q(zeta_m).  The reduction primes are the primes p = 1 (mod m) above 2^20
-in ascending order, found in one upward scan once per conductor.
+stays for the benchmark's per-layer wrapper and the tests.  certified_rank
+is the one modular-rank decision: it takes the rank at the first reduction
+prime that reduces the rows and reports it as exact only when it meets an
+exact bound from the other side, the full rank the caller names (a pin) or
+a certificate.  The certificate reconstructs the reduced echelon form E of
+the row space over Q(zeta_m) from its images at every root of Phi_m mod a
+few primes (CRT, then rational reconstruction) and checks in integers that
+every generating row lies in the span of E, so the rank is at most the
+modular one.  The check also proves E exact, and it is returned as int64
+coefficient planes: the codimension engine builds each level W_j of its
+ordered span this way, from the image of integer planes (planes_mod_p) at
+one prime, instead of by an echelon over Q(zeta_m).  The reduction primes
+are the primes p = 1 (mod m) above 2^20 in ascending order, found in one
+upward scan once per conductor.
 """
 
 from __future__ import annotations
@@ -897,13 +899,19 @@ def _with_pivots(d: int, de: np.ndarray, pivots, free) -> np.ndarray:
     return full
 
 
+# entries per block of the integer check: bounds the planes and products
+# it holds at once
+_CHECK_ENTRIES = 1 << 16
+
+
 def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
     """Whether every generating row, and every image of a row of E under
     maps, equals its pivot entries times E, where E is the matrix with the
     unit pivots and de / d in the free columns; False when a guard refuses.
 
     The test is in integers: y[free] * d == y[pivots] @ (d E)[free] over
-    Z[zeta_m], the product in float64 under _exact_in_float64.
+    Z[zeta_m], the product in float64 under _exact_in_float64, on the rows
+    in blocks of about _CHECK_ENTRIES entries.
     """
     big = _lift(de, m)
     if big is None:
@@ -917,30 +925,31 @@ def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
         return rhs is not None and np.array_equal(
             y[:, free].reshape(len(y), -1) * d, rhs)
 
-    blocks = rows()
+    step = max(1, _CHECK_ENTRIES // rows.shape[1])
+    blocks = (rows[lo:lo + step] for lo in range(0, len(rows), step))
     if maps:
         full = _with_pivots(d, de, pivots, free)
         blocks = itertools.chain(blocks, (g(full) for g in maps))
     return all(inside(y) for y in blocks)
 
 
-def certified_rank(m: int, first, images, rows, deg: int, maps=()):
-    """(rank, primes, (d, dE)) for a row space of Q(zeta_m)^ncols whose rank
-    mod the first prime is r, when a certificate shows the exact rank is r
-    too; None when no certificate is found.  E is then the canonical basis
-    of the row space (its reduced echelon form, which is unique), and dE
-    its int64 coefficient planes (r, ncols, deg) over the least common
-    denominator d of its entries.
+def certified_rank(m: int, images, generators, full=None):
+    """(r, primes, basis) for the exact rank r of a row space of
+    Q(zeta_m)^ncols, its rank mod the first reduction prime p whose image
+    does not raise ModReductionError; None when that rank is not shown
+    exact.  A pin (r == full) gives primes (p,) and basis None; a
+    certificate gives basis (d, dE), E the canonical basis of the row space
+    (its reduced echelon form, which is unique) and dE its int64
+    coefficient planes (r, ncols, deg) over the least common denominator d.
 
-    first is (p, w, pivots, E): the caller's image at its first reduction
-    prime p, zeta -> w, in the form echelon_mod_p gives, with r = len(pivots)
-    the lower bound.  images(p, z) gives that form at any other prime and
-    root (or raises ModReductionError).  rows() yields the generating rows
-    as int64 coefficient planes (b, ncols, deg) in blocks, each row scaled by
-    any nonzero integer, deg as fit_planes chooses it: 1 when every
-    entry lies in Q, so one root per prime suffices, and phi(m) otherwise.
-    maps are linear maps on such planes (or None from an overflow guard),
-    and the span must be closed under each.
+    images(p, z) gives (pivots, E) of the row space mod p, zeta -> z, as
+    echelon_mod_p does (E may be None when the rank is full).  Only past
+    the pin, generators() gives (rows, maps), or None when a guard refuses:
+    rows the generating rows as int64 coefficient planes (b, ncols, deg),
+    each row scaled by any nonzero integer, deg as fit_planes chooses it: 1
+    when every entry lies in Q, so one root per prime suffices, and phi(m)
+    otherwise.  maps are linear maps on such planes (or None from an
+    overflow guard), and the span must be closed under each.
 
     The reduced echelon form E of the span is read off its images at every
     root of Phi_m mod each prime, p = 1 (mod m) and at most CERTIFY_PRIMES
@@ -952,14 +961,27 @@ def certified_rank(m: int, first, images, rows, deg: int, maps=()):
     refusal counts as a failed check, and a modulus that would reach 2^62
     ends the search.
     """
-    p1, w1, pivots, image = first
+    primes = reduction_primes(m, CERTIFY_PRIMES)
+    for p1, w1 in primes:
+        try:
+            pivots, image = images(p1, w1)
+        except ModReductionError:
+            continue
+        break
+    else:
+        return None
+    if len(pivots) == full:
+        return len(pivots), (p1,), None
+    got = generators()
+    if got is None:
+        return None
+    rows, maps = got
+    deg = rows.shape[-1]
     free = np.ones(image.shape[1], dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
     used, x, modulus = [], None, 1
-    for p, w in reduction_primes(m, CERTIFY_PRIMES):
-        if p < p1:
-            continue
+    for p, w in itertools.chain([(p1, w1)], primes):
         roots = [pow(w, k, p) for k in range(1, m)
                  if math.gcd(k, m) == 1][:deg]
         try:

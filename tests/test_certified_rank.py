@@ -4,7 +4,7 @@ A modular rank is a lower bound; certified_rank turns it into the exact
 rank when the reduced echelon form reconstructed from modular images passes
 an exact integer check.  The oracle is EchelonBasis over Q(zeta_m), the
 elimination that codim and the operator span fall back to.  The rows reach
-certified_rank the way codimension hands them over (identities._planes_rank:
+certified_rank the way codimension hands them over (identities._span_rank:
 int64 coefficient planes over one common denominator).
 """
 
@@ -51,15 +51,27 @@ def _certify(m, rows):
 
 
 def _arguments(m, rows):
-    """certified_rank's arguments for rows, as _planes_rank builds them."""
+    """certified_rank's images and generators for rows, as _span_rank
+    builds them."""
     d, planes = _common_planes(m, rows)
 
     def images(q, z):
         return echelon_mod_p(planes_mod_p(planes, d, q, z), q)
 
-    p, w = next(reduction_primes(m))
-    return ((p, w) + images(p, w), images, lambda: [planes],
-            planes.shape[-1])
+    return images, lambda: (planes, ())
+
+
+def _after_the_first(images, change):
+    """images with change(pivots, E) applied to every image but the
+    first one asked for, which gives the lower bound."""
+    calls = []
+
+    def changed(p, w):
+        got = images(p, w)
+        calls.append(p)
+        return got if len(calls) == 1 else change(*got)
+
+    return changed
 
 
 def _primes(method):
@@ -262,30 +274,25 @@ def test_pivots_that_differ_across_roots_give_no_certificate():
     z = CycNum.make(m, [0, 1])
     one, zero = CycNum.one(m), CycNum.zero(m)
     rows = [(one, z, zero), (z, z * z, zero)]
-    first, images, rows_of, deg = _arguments(m, rows)
-    assert deg == _degree(m)
-    assert certified_rank(m, first, images, rows_of, deg)[:2] == (
-        1, (first[0],))
-
-    def shifted(p, w):
-        piv, e = images(p, w)
-        return [c + 1 for c in piv], e
-
-    assert certified_rank(m, first, shifted, rows_of, deg) is None
+    images, generators = _arguments(m, rows)
+    assert generators()[0].shape[-1] == _degree(m)
+    assert certified_rank(m, images, generators)[:2] == (
+        1, (modular_prime(m),))
+    shifted = _after_the_first(images, lambda piv, e: (
+        [c + 1 for c in piv], e))
+    assert certified_rank(m, shifted, generators) is None
 
 
 def test_pivots_that_differ_across_primes_give_no_certificate():
     m, rows = _two_prime_rows()
-    first, images, rows_of, deg = _arguments(m, rows)
-    assert deg == 1
-    got = certified_rank(m, first, images, rows_of, deg)
+    images, generators = _arguments(m, rows)
+    assert generators()[0].shape[-1] == 1
+    got = certified_rank(m, images, generators)
     assert got is not None and got[0] == 2 and len(got[1]) == 2
-
-    def second_differs(p, w):
-        piv, e = images(p, w)
-        return (piv if p == first[0] else piv[::-1]), e
-
-    assert certified_rank(m, first, second_differs, rows_of, deg) is None
+    # one root per prime: every image after the first is at a later prime
+    second_differs = _after_the_first(images, lambda piv, e: (
+        piv[::-1], e))
+    assert certified_rank(m, second_differs, generators) is None
 
 
 def test_a_rank_below_the_first_primes_gives_no_certificate():
@@ -294,10 +301,62 @@ def test_a_rank_below_the_first_primes_gives_no_certificate():
     p = modular_prime(m)
     one, zero = CycNum.one(m), CycNum.zero(m)
     rows = [(one, zero, zero), (zero, CycNum.rational(m, p), zero)]
-    first, images, rows_of, deg = _arguments(m, rows)
-    assert len(first[2]) == 1
-    assert certified_rank(m, first, images, rows_of, deg) is None
+    images, generators = _arguments(m, rows)
+    assert len(images(p, root_of_unity_mod(m, p))[0]) == 1
+    assert certified_rank(m, images, generators) is None
     assert _oracle(m, rows) == 2
+
+
+# -- the prime search and the pin -----------------------------------------------
+
+
+def _over(m, den, rows):
+    """rows of small integers, each entry divided by den."""
+    return [tuple(CycNum.rational(m, Fraction(x, den)) for x in row)
+            for row in rows]
+
+
+def test_a_prime_dividing_the_denominator_is_skipped_for_the_pin():
+    m = 2
+    p1 = modular_prime(m)
+    rows = _over(m, p1, [(1, 0, 2), (0, 3, 1), (1, 1, 1)])
+    assert _oracle(m, rows) == 3
+    assert _certify(m, rows) == (3, "modp-pinned(p=%d)" % modular_prime(m, 1))
+
+
+def test_a_prime_dividing_the_denominator_is_skipped_for_the_certificate():
+    m = 2
+    p1 = modular_prime(m)
+    rows = _over(m, p1, [(1, 0, 2), (0, 3, 1), (1, 3, 3)])
+    got = _certify(m, rows)
+    assert got is not None and got[0] == _oracle(m, rows) == 2
+    assert got[1].startswith("modp-certified(p=")
+    assert _primes(got[1])[0] == str(modular_prime(m, 1))
+    assert str(p1) not in _primes(got[1])
+
+
+def test_every_prime_dividing_the_denominator_gives_no_rank():
+    m = 2
+    den = math.prod(modular_prime(m, k) for k in range(CERTIFY_PRIMES))
+    rows = _over(m, den, [(1, 0), (0, 1)])
+    images, generators = _arguments(m, rows)
+    assert certified_rank(m, images, generators, full=2) is None
+    assert _certify(m, rows) is None
+    assert _oracle(m, rows) == 2
+
+
+def test_a_pin_never_asks_for_the_generators():
+    m = 3
+    z = CycNum.make(m, [0, 1])
+    one, zero = CycNum.one(m), CycNum.zero(m)
+    rows = [(one, z, zero), (zero, one, z)]
+    images, _ = _arguments(m, rows)
+
+    def generators():
+        pytest.fail("a pinned rank built its generating rows")
+
+    assert certified_rank(m, images, generators, full=2) == (
+        2, (modular_prime(m),), None)
 
 
 # -- overflow guards ------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import re
 import tracemalloc
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from taftlab.constructions import certify_graded_simple
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import nilext_specs, sweedler_two_dim, trivial_action
-from taftlab import hmodule
+from taftlab import linalg
 from taftlab.hmodule import (CertifiedSimple, HModuleAlgebra, NotSimple,
                              _normal_form_dim, _normal_form_exact,
                              taft_monomials, hma_verify,
@@ -148,11 +149,12 @@ def _action_generators(mod):
 
 @contextmanager
 def _certificates(allowed):
-    """Inside the with block, hmodule finds no certificate unless allowed,
-    so a short span takes the exact fallback."""
+    """Inside the with block, every certificate's integer check fails unless
+    allowed, so a short span takes the exact fallback; a full one is still
+    pinned."""
     with pytest.MonkeyPatch.context() as mp:
         if not allowed:
-            mp.setattr(hmodule, "certified_rank", lambda *a, **k: None)
+            mp.setattr(linalg, "_spans", lambda *a, **k: False)
         yield
 
 
@@ -278,6 +280,26 @@ def test_scaling_v_to_zero_shortens_the_span():
     assert _assert_matches_spin(flat) == \
         (3, "operator span, certified(p=%d)" % modular_prime(2))
     assert _assert_matches_spin(flat, certify=False) == \
+        (3, "operator span, exact")
+
+
+def test_a_prime_in_a_denominator_is_skipped():
+    # the basis (e_0, e_1 / p) puts the first reduction prime p in v's
+    # denominator, and (e_0 / p, e_1) puts it in the table's: the full span
+    # is pinned, and the short one certified, from the second prime on
+    mod = sweedler_two_dim()
+    p, second = modular_prime(2), modular_prime(2, 1)
+    full = _change_basis(mod, Matrix.from_rows(2, [[1, 0],
+                                                   [0, Fraction(1, p)]]))
+    assert _assert_matches_spin(full) == \
+        (4, "operator span mod p=%d" % second)
+    flat = HModuleAlgebra(hopf=mod.hopf, algebra=mod.algebra, c_op=mod.c_op,
+                          v_op=Matrix.zeros(2, 2, 2))
+    short = _change_basis(flat, Matrix.from_rows(2, [[Fraction(1, p), 0],
+                                                     [0, 1]]))
+    assert _assert_matches_spin(short) == \
+        (3, "operator span, certified(p=%d)" % second)
+    assert _assert_matches_spin(short, certify=False) == \
         (3, "operator span, exact")
 
 
