@@ -15,35 +15,40 @@ The evaluation matrix is never written out.  Its rows for sigma = id span
 the ordered space W_n of the maps t -> (h_1 e_{t_1}) ... (h_n e_{t_n}), and
 W_n is built by recursion: W_1 holds the images h_b(e_t), and W_j is spanned
 by t -> f(t_1..t_{j-1}) * h_b(e_{t_j}) for f in the canonical basis of
-W_{j-1} and each of the m^2 labels b.  Under backend "auto" every level is
-built on int64 coefficient planes over Z[zeta_m]: its generating rows are
-one product of the previous level's planes with those of the maps
-e_s -> e_s h_b(e_t), they are reduced mod the first reduction prime, and
-linalg.certified_rank reads the exact canonical basis back from that
+W_{j-1} and each of the m^2 labels b.  The levels are built one of two
+ways, never mixed: on planes, or exactly.  Under backend "auto" every
+level is built on int64 coefficient planes over Z[zeta_m]: its generating
+rows are one product of the previous level's planes with those of the
+maps e_s -> e_s h_b(e_t), they are reduced mod the first reduction prime,
+and linalg.certified_rank reads the exact canonical basis back from that
 echelon form (CRT, rational reconstruction and an integer check that
-every generating row lies in its span), so no CycNum arithmetic runs.
-From a level whose lift an overflow guard or the certificate refuses on,
-and always under backend "exact", the levels are echelonized exactly over
-Q(zeta_m) and read only until they fill their dim^{j+1} columns; both
-ways give the same canonical basis, which is unique.  The row of (sigma, h) is
-the identity-order row of h with its argument columns permuted,
-row_sigma[t] = row[t o sigma] with (t o sigma)_j = t_{sigma(j)}, so the row
-space is the sum of the n! permuted copies P_sigma(W_n).  The rank is taken
+every generating row lies in its span), so no CycNum arithmetic runs.  At
+the first refusal, of an overflow guard, a lift or the final rank, and
+always under backend "exact", W_1, W_2, ... are built afresh by exact
+echelon over Q(zeta_m), each read only until it fills its dim^{j+1}
+columns; both ways give the same canonical basis, which is unique.
+
+The row of (sigma, h) is the identity-order row of h with its argument
+columns permuted, row_sigma[t] = row[t o sigma] with (t o sigma)_j =
+t_{sigma(j)}, so the row space is the sum of the n! permuted copies
+P_sigma(W_n).  The rank is taken
 over the n! permuted blocks of the canonical basis of W_n, exact duplicates
 dropped: at most n! * dim^{n+1} rows, and far fewer where the copies
 coincide, instead of n! * m^{2n}.  ``CodimResult.matrix_shape`` and the
 ``rows`` field of the ``codim`` output still give the nominal evaluation
 matrix (n! * m^{2n}, dim^{n+1}), and the row budget caps that nominal count.
 
-The rank of those rows is taken mod the first reduction prime that keeps
-their common denominator, on the planes of the canonical basis over that
-denominator, permuted and deduplicated as bytes.  That is a lower bound,
-and the value when it fills the shape of the rows or when the certificate
-proves it exact; only without either are the rows eliminated over
-Q(zeta_m) on EchelonBasis.  The level lifts and this rank make one call
-each, _span_rank, into linalg.certified_rank, which owns the choice of
-prime, the pin and the certificate.  codim_growth_report builds W_1, ...,
-W_n once and ranks each level as it is built.
+On planes, the rank of those rows is taken mod the first reduction prime
+that keeps their common denominator, on the planes of the canonical basis
+over that denominator, permuted and deduplicated as bytes.  That is a
+lower bound, and the value when it fills the shape of the rows or when the
+certificate proves it exact.  Without either the degree is ranked exactly:
+the permuted copies of the exactly built basis, deduplicated on integer
+codes of their entries, are eliminated over Q(zeta_m) on EchelonBasis.
+The level lifts and the plane rank make one call each, _span_rank, into
+linalg.certified_rank, which owns the choice of prime, the pin and the
+certificate.  codim_growth_report builds W_1, ..., W_n once and ranks
+each level as it is built.
 
 Orderings are fixed so bases and ranks are bit-reproducible: permutations
 in lexicographic order, labels b = i*m + k in increasing order, every span
@@ -56,7 +61,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -65,8 +69,8 @@ from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra, structure_planes, taft_monomials
 from .linalg import (EchelonBasis, certified_rank, echelon, echelon_mod_p,
-                     fit_planes, integer_planes, planes_mod_p, vec_add,
-                     vec_scale, vec_zero, zmatmul)
+                     fit_planes, planes_mod_p, vec_add, vec_scale, vec_zero,
+                     zmatmul)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -261,10 +265,9 @@ def _products(basis, right, dim: int, zero: CycNum):
             yield tuple(acc)
 
 
-def _exact_spans(mod: HModuleAlgebra, count: int, start=None):
-    """EchelonBasis of `count` levels in turn, each echelonized exactly over
-    Q(zeta_m): W_1, W_2, ... when start is None, else the levels after the
-    one whose EchelonBasis start is."""
+def _exact_spans(mod: HModuleAlgebra, count: int):
+    """EchelonBasis of W_1, ..., W_count in turn, each echelonized exactly
+    over Q(zeta_m)."""
     m, dim = mod.m, mod.algebra.dim
     alg = mod.algebra
     app = _basis_images(mod)
@@ -275,13 +278,10 @@ def _exact_spans(mod: HModuleAlgebra, count: int, start=None):
                if not x.is_zero()]
               for s in range(dim)]
              for images in app]
-    span = start
-    if span is None:
-        span = echelon(m, dim * dim, [tuple(x for img in images for x in img)
-                                      for images in app])
-        yield span
-        count -= 1
-    for _ in range(count):
+    span = echelon(m, dim * dim, [tuple(x for img in images for x in img)
+                                  for images in app])
+    yield span
+    for _ in range(count - 1):
         span = echelon(m, span.ncols * dim,
                        _products(span.rows(), right, dim, CycNum.zero(m)))
         yield span
@@ -312,12 +312,13 @@ def _plane_spans(mod: HModuleAlgebra, n: int):
 
     The inputs come from the integer planes of the table and of c and v
     (hmodule.structure_planes): the operators h_b = c^i v^k as zmatmul
-    products (hmodule.taft_monomials), the images h_b(e_t) that generate
-    W_1, and right[s, (b, t, o)], the planes of (e_s h_b(e_t))_o.  The
-    labels b come in taft_monomials' order, which changes no canonical
-    basis.  The generating rows of W_j are then (d E_{j-1}) times right,
-    one zmatmul, each row of them an integer multiple of the map f * h_b
-    for f a row of E_{j-1}.
+    products (hmodule.taft_monomials), each divided by the gcd of its
+    coefficients, the images h_b(e_t) that generate W_1, and
+    right[s, (b, t, o)], the planes of (e_s h_b(e_t))_o.  The labels b
+    come in taft_monomials' order, which changes no canonical basis.  The
+    generating rows of W_j are then (d E_{j-1}) times right, one zmatmul,
+    each row of them a nonzero rational multiple of the map f * h_b for f
+    a row of E_{j-1}.
     """
     m, dim = mod.m, mod.algebra.dim
     planes = structure_planes(mod.algebra, (mod.c_op, mod.v_op))
@@ -329,7 +330,9 @@ def _plane_spans(mod: HModuleAlgebra, n: int):
     one[..., 0] = np.eye(dim, dtype=np.int64)
 
     def mul(x, y):
-        return None if x is None or y is None else zmatmul(x, y, m)
+        # a generating row may be scaled by any nonzero rational
+        xy = None if x is None or y is None else zmatmul(x, y, m)
+        return None if xy is None else xy // max(1, np.gcd.reduce(xy, None))
 
     ops = [one] + taft_monomials(gens, mul, one, m)
     if any(h is None for h in ops):
@@ -357,45 +360,6 @@ def _plane_spans(mod: HModuleAlgebra, n: int):
         if level is None:
             return
         yield level
-
-
-def _cyc_rows(m: int, d: int, planes: np.ndarray):
-    """The rows planes / d as tuples of CycNum, each distinct entry built
-    once."""
-    deg = planes.shape[-1]
-    uniq, codes = np.unique(planes.reshape(-1, deg), axis=0,
-                            return_inverse=True)
-    pad = (0,) * (len(CycNum.zero(m).num) - deg)
-    scale = CycNum.rational(m, Fraction(1, d))
-    values = [CycNum(m, tuple(u) + pad, 1) * scale for u in uniq.tolist()]
-    for row in codes.reshape(planes.shape[:-1]).tolist():
-        yield tuple(map(values.__getitem__, row))
-
-
-def _ordered_spans(mod: HModuleAlgebra, n: int, backend: str):
-    """Canonical bases of W_1, ..., W_n in turn, W_j the span of
-    t -> (h_1 e_{t_1}) ... (h_j e_{t_j}), each as (rows, planes): the
-    CycNum rows or None, and the int64 planes (d, d E) or None.
-
-    Rows are flattened over (argument tuple, output coordinate) like the
-    columns of the evaluation matrix.  W_1 holds the images h_b(e_t); W_j is
-    spanned by the products of a basis of W_{j-1} with each label.  Under
-    backend "auto" the levels come from _plane_spans; from the first level
-    it refuses on, and always under "exact", they are echelonized exactly
-    (_exact_spans), starting from the last lifted level.
-    """
-    m = mod.m
-    done, last = 0, None
-    if backend == "auto":
-        for last in _plane_spans(mod, n):
-            done += 1
-            yield None, last
-    if done == n:
-        return
-    start = None if last is None else EchelonBasis.from_reduced(
-        m, last[1].shape[1], list(_cyc_rows(m, *last)))
-    for span in _exact_spans(mod, n - done, start):
-        yield span.rows(), None
 
 
 def _argument_permutations(dim: int, n: int):
@@ -426,18 +390,6 @@ def _planes_rank(planes: np.ndarray, d: int, m: int):
                                      ",".join(map(str, primes)))
 
 
-def _exact_rank(m: int, cols: int, rows, r: int):
-    """(rank, "exact-echelon") of rows over Q(zeta_m), the first r of them
-    a canonical basis, adopted as it is."""
-    rows = iter(rows)
-    eb = EchelonBasis.from_reduced(m, cols, list(itertools.islice(rows, r)))
-    for row in rows:
-        if eb.dim == cols:
-            break
-        eb.insert(row)
-    return eb.dim, "exact-echelon"
-
-
 def _nominal_rows(m: int, n: int, budget_rows: int) -> int:
     """n! * m^{2n}, the rows of the degree-n evaluation matrix, checked
     against the budget."""
@@ -449,49 +401,74 @@ def _nominal_rows(m: int, n: int, budget_rows: int) -> int:
     return rows_total
 
 
-def _level_rank(mod: HModuleAlgebra, n: int, level, backend: str):
-    """(value, method): the rank of the n! permuted copies of the canonical
-    basis of W_n, exact duplicates dropped; level is (rows, planes) as
-    _ordered_spans gives it."""
-    m, dim = mod.m, mod.algebra.dim
-    cols = dim ** (n + 1)
-    rows, planes = level
-    if rows is None:
-        d, keys = planes
-        keys, = fit_planes([keys])
-    else:
-        # an exactly built basis: its entries as small ints, equal codes
-        # equal CycNums, so permuting and deduplicating rows is integer work
-        index = {}
-        keys = np.array([[index.setdefault((x.num, x.den), len(index))
-                          for x in row] for row in rows],
-                        dtype=np.intp).reshape(len(rows), cols)
-        values = [CycNum(m, *x) for x in index]
-    distinct = np.frombuffer(b"".join(dict.fromkeys(
+def _distinct_copies(keys: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """The n! permuted copies P_sigma of the rows keys, flattened over the
+    dim^{n+1} columns of degree n (trailing axes ride along), exact
+    duplicates dropped: the identity copy leads, in its order."""
+    return np.frombuffer(b"".join(dict.fromkeys(
         row.tobytes() for perm in _argument_permutations(dim, n)
         for row in keys[:, perm])), dtype=keys.dtype).reshape(
             (-1,) + keys.shape[1:])
-    if backend == "auto" and len(distinct):
-        if rows is None:
-            planes = d, distinct
-        else:
-            # None when a coefficient reaches 2^62: no modular rank then
-            planes = integer_planes(m, [values])
-            if planes is not None:
-                (d, ints), = planes
-                planes = d, ints[distinct]
-        if planes is not None:
-            got = _planes_rank(planes[1], planes[0], m)
-            if got is not None:
-                return got
-    # no pin and no certificate: the identity block leads and is already
-    # canonical
-    if rows is None:
-        copies = _cyc_rows(m, d, distinct)
-    else:
-        copies = (tuple(map(values.__getitem__, codes))
-                  for codes in distinct.tolist())
-    return _exact_rank(m, cols, copies, len(keys))
+
+
+def _plane_rank(mod: HModuleAlgebra, n: int, level):
+    """(value, method) of the n! permuted copies of the canonical basis
+    (d, d E) of W_n, by _planes_rank; None when it neither pins nor
+    certifies.  An empty W_n has nothing to eliminate: rank 0."""
+    d, de = level
+    keys, = fit_planes([de])
+    distinct = _distinct_copies(keys, mod.algebra.dim, n)
+    if not len(distinct):
+        return 0, "exact-echelon"
+    return _planes_rank(distinct, d, mod.m)
+
+
+def _exact_rank(mod: HModuleAlgebra, n: int, basis):
+    """(value, "exact-echelon"): the rank over Q(zeta_m) of the n! permuted
+    copies of the canonical basis of W_n, given as CycNum rows.  The
+    entries become small integer codes, equal codes equal CycNums, so
+    permuting and deduplicating is integer work; the identity copy leads
+    and is adopted as it is."""
+    m = mod.m
+    cols = mod.algebra.dim ** (n + 1)
+    index = {}
+    keys = np.array([[index.setdefault((x.num, x.den), len(index))
+                      for x in row] for row in basis],
+                    dtype=np.intp).reshape(len(basis), cols)
+    values = [CycNum(m, *x) for x in index]
+    eb = EchelonBasis.from_reduced(m, cols, list(basis))
+    for codes in _distinct_copies(keys, mod.algebra.dim, n)[
+            len(basis):].tolist():
+        if eb.dim == cols:
+            break
+        eb.insert(tuple(map(values.__getitem__, codes)))
+    return eb.dim, "exact-echelon"
+
+
+def _ranks(mod: HModuleAlgebra, degrees: Sequence[int], backend: str):
+    """(value, method) of each degree in the increasing degrees, the rank
+    of the n! permuted copies of the canonical basis of W_n.
+
+    Under backend "auto" every level comes from _plane_spans and each
+    degree asked for is ranked by _plane_rank.  At the first refusal, a
+    lift or product guard or a final rank neither pinned nor certified,
+    and always under "exact", _exact_spans builds W_1, W_2, ... afresh and
+    _exact_rank ranks the degrees left.
+    """
+    done = 0
+    if backend == "auto":
+        for j, level in enumerate(_plane_spans(mod, degrees[-1]), 1):
+            if j == degrees[done]:
+                got = _plane_rank(mod, j, level)
+                if got is None:
+                    break
+                yield got
+                done += 1
+    rest = degrees[done:]
+    if rest:
+        for j, span in enumerate(_exact_spans(mod, rest[-1]), 1):
+            if j in rest:
+                yield _exact_rank(mod, j, span.rows())
 
 
 def _check_request(n: int, backend: str, budget_rows: int) -> None:
@@ -516,19 +493,20 @@ def codimension(mod: HModuleAlgebra, n: int, *,
     ``matrix_shape`` still reports the nominal (n! * m^{2n}, dim^{n+1})
     matrix, and ``budget_rows`` caps that nominal row count.
 
-    backend "auto" first takes the rank over a prime field, a lower bound
-    on the exact rank.  It is the value when it reaches min(rows, cols)
-    (method "modp-pinned") or when linalg.certified_rank confirms it from
-    modular images and an exact integer check ("modp-certified", with the
-    primes used).  Without either, and always under backend "exact", the
-    rank is taken by elimination over the cyclotomic field
-    ("exact-echelon").  The reported value is exact every way.
+    backend "auto" runs on planes: it builds every level in integers and
+    takes the rank over a prime field, a lower bound on the exact rank.
+    It is the value when it reaches min(rows, cols) (method "modp-pinned")
+    or when linalg.certified_rank confirms it from modular images and an
+    exact integer check ("modp-certified", with the primes used).  At the
+    first refusal, and always under backend "exact", the computation runs
+    exactly instead: W_n is built and ranked by elimination over the
+    cyclotomic field ("exact-echelon").  The reported value is exact every
+    way.
     """
     _check_request(n, backend, budget_rows)
     rows_total = _nominal_rows(mod.m, n, budget_rows)
     started = time.perf_counter()
-    *_, level = _ordered_spans(mod, n, backend)
-    value, method = _level_rank(mod, n, level, backend)
+    value, method = next(_ranks(mod, (n,), backend))
     wall_ms = (time.perf_counter() - started) * 1000.0
     return CodimResult(n=n, value=value,
                        matrix_shape=(rows_total, mod.algebra.dim ** (n + 1)),
@@ -566,9 +544,8 @@ def codim_growth_report(mod: HModuleAlgebra, n_max: int, *,
     nominal = [_nominal_rows(mod.m, n, budget_rows) for n in degrees]
     report = []
     started = time.perf_counter()
-    for n, rows_total, level in zip(degrees, nominal,
-                                    _ordered_spans(mod, n_max, backend)):
-        value, _ = _level_rank(mod, n, level, backend)
+    for n, rows_total, (value, _) in zip(degrees, nominal,
+                                         _ranks(mod, degrees, backend)):
         now = time.perf_counter()
         report.append(GrowthRow(
             n=n,

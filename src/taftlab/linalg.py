@@ -791,24 +791,35 @@ def _lift(b: np.ndarray, m: int):
     return out.reshape(q * deg, s * deg)
 
 
-def _exact_in_float64(width: int, amax: int, bmax: int) -> bool:
-    """Whether a @ b is exact in float64 (BLAS), for a of the given width
-    and entries up to amax, b up to bmax: every partial sum is an integer
-    of size at most width * amax * bmax, exact below 2^53."""
-    return width * amax * bmax < 1 << 53
+def _exact_in_int64(width: int, amax: int, bmax: int) -> bool:
+    """Whether a @ b is exact in int64, for a of the given width and
+    entries up to amax, b up to bmax: every partial sum is an integer of
+    size at most width * amax * bmax, exact below 2^63."""
+    return width * amax * bmax < 1 << 63
 
 
 def _right_product(big: np.ndarray):
-    """a -> a @ big for int64 matrices a, exactly, as int64, the product in
-    float64; None when _exact_in_float64 refuses."""
+    """a -> a @ big for int64 matrices a, exactly, as int64; None when
+    _exact_in_int64 refuses.  The product runs in float64 (BLAS) on chunks
+    of the inner dimension narrow enough that each chunk's partial sums
+    stay below 2^53, where float64 is exact, and the chunks are summed in
+    int64; where one term alone may reach 2^53 it runs in int64."""
     bmax = int(np.abs(big).max(initial=0))
     as_float = big.astype(np.float64)
 
     def product(a):
-        if not _exact_in_float64(a.shape[1], int(np.abs(a).max(initial=0)),
-                                 bmax):
+        width, amax = a.shape[1], int(np.abs(a).max(initial=0))
+        if not _exact_in_int64(width, amax, bmax):
             return None
-        return (a.astype(np.float64) @ as_float).astype(np.int64)
+        step = ((1 << 53) - 1) // max(1, amax * bmax)
+        if not step:
+            return a @ big
+        out = None
+        for lo in range(0, max(width, 1), step):
+            part = (a[:, lo:lo + step].astype(np.float64)
+                    @ as_float[lo:lo + step]).astype(np.int64)
+            out = part if out is None else np.add(out, part, out=out)
+        return out
 
     return product
 
@@ -910,7 +921,7 @@ def _spans(d: int, de: np.ndarray, pivots, free, rows, maps, m: int) -> bool:
     unit pivots and de / d in the free columns; False when a guard refuses.
 
     The test is in integers: y[free] * d == y[pivots] @ (d E)[free] over
-    Z[zeta_m], the product in float64 under _exact_in_float64, on the rows
+    Z[zeta_m], the product under _exact_in_int64, on the rows
     in blocks of about _CHECK_ENTRIES entries.
     """
     big = _lift(de, m)
@@ -946,7 +957,7 @@ def certified_rank(m: int, images, generators, full=None):
     echelon_mod_p does (E may be None when the rank is full).  Only past
     the pin, generators() gives (rows, maps), or None when a guard refuses:
     rows the generating rows as int64 coefficient planes (b, ncols, deg),
-    each row scaled by any nonzero integer, deg as fit_planes chooses it: 1
+    each row scaled by any nonzero rational, deg as fit_planes chooses it: 1
     when every entry lies in Q, so one root per prime suffices, and phi(m)
     otherwise.  maps are linear maps on such planes (or None from an
     overflow guard), and the span must be closed under each.

@@ -20,9 +20,9 @@ from taftlab import linalg
 from taftlab.constructions import build_semisimple
 from taftlab.cyclotomic import CycNum
 from taftlab.fixtures import ss_specs
-from taftlab.identities import _cyc_rows, _planes_rank, codimension
-from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _exact_in_float64,
-                            _rational_reconstruction, _right_product,
+from taftlab.identities import _planes_rank, codimension
+from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _exact_in_int64,
+                            _lift, _rational_reconstruction, _right_product,
                             certified_rank, echelon, echelon_mod_p,
                             integer_planes, modular_prime, planes_mod_p,
                             reduction_primes, root_of_unity_mod, zmatmul)
@@ -42,6 +42,15 @@ def _common_planes(m, rows):
 
 def _oracle(m, rows):
     return echelon(m, len(rows[0]), rows).dim
+
+
+def cycnum_rows(m, d, planes):
+    """The rows planes / d, int64 coefficient planes over the common
+    denominator d, as tuples of CycNum."""
+    pad = (0,) * (_degree(m) - planes.shape[-1])
+    scale = CycNum.rational(m, Fraction(1, d))
+    return tuple(tuple(CycNum(m, tuple(x) + pad, 1) * scale for x in row)
+                 for row in planes.tolist())
 
 
 def _certify(m, rows):
@@ -227,8 +236,7 @@ def test_the_certified_echelon_form_is_the_exact_one(drawn):
     if got is not None:
         rank, _, (d, de) = got
         assert de.shape[:2] == (rank, len(rows[0]))
-        assert tuple(_cyc_rows(m, d, de)) == echelon(m, len(rows[0]),
-                                                    rows).rows()
+        assert cycnum_rows(m, d, de) == echelon(m, len(rows[0]), rows).rows()
 
 
 # -- refusals -------------------------------------------------------------------
@@ -362,54 +370,73 @@ def test_a_pin_never_asks_for_the_generators():
 # -- overflow guards ------------------------------------------------------------
 
 
-def test_float64_guard_at_2_to_the_53():
-    assert _exact_in_float64(1, 2 ** 26, 2 ** 27 - 1)
-    assert not _exact_in_float64(1, 2 ** 26, 2 ** 27)
-    assert _exact_in_float64(3, 1, (2 ** 53 - 1) // 3)
-    assert not _exact_in_float64(3, 1, (2 ** 53 + 2) // 3)
-    assert not _exact_in_float64(1, 2 ** 31, 2 ** 32)
+def test_int64_guard_at_2_to_the_63():
+    assert _exact_in_int64(1, 2 ** 31, 2 ** 32 - 1)
+    assert not _exact_in_int64(1, 2 ** 31, 2 ** 32)
+    assert _exact_in_int64(3, 1, (2 ** 63 - 1) // 3)
+    assert not _exact_in_int64(3, 1, (2 ** 63 + 2) // 3)
+    assert not _exact_in_int64(1, 2 ** 40, 2 ** 40)
 
 
 @pytest.mark.parametrize("a,b", [
     (2 ** 25, 2 ** 27 - 1), (2 ** 25, 2 ** 27), (2 ** 26, 2 ** 26 + 1),
-    (2 ** 26 - 1, 2 ** 26), (2 ** 31, 2 ** 32)])
+    (2 ** 26 - 1, 2 ** 26), (2 ** 30, 2 ** 32 - 1), (2 ** 31 - 1, 2 ** 31),
+    (2 ** 31, 2 ** 31), (2 ** 31, 2 ** 32)])
 def test_exact_product_never_rounds_or_wraps(a, b):
-    # width 2: every partial sum is at most 2 a b
+    # width 2: every partial sum is at most 2 a b; past 2^53 a single
+    # term of a b no longer fits float64's mantissa
     left = np.array([[a, -a]], dtype=np.int64)
     right = np.array([[b, 1], [0, b]], dtype=np.int64)
     got = _right_product(right)(left)
-    if 2 * a * b >= 1 << 53:
+    if 2 * a * b >= 1 << 63:
         assert got is None
     else:
         assert got.tolist() == [[a * b, a - a * b]]
 
 
-def _rank_one(a, x):
-    """Rows (1, x) and (a, a x) over Q: rank 1, and the check multiplies
-    the pivot entry a by the reconstructed x."""
+@pytest.mark.parametrize("width", [3, 64, 1000])
+def test_wide_products_sum_their_chunks_exactly(width):
+    # a term reaches 2^52, so each chunk holds one, and the sums pass 2^53,
+    # where float64 would round them
+    rng = np.random.default_rng(width)
+    left = rng.integers(-(2 ** 26), 2 ** 26, (3, width), dtype=np.int64)
+    right = rng.integers(-(2 ** 26), 2 ** 26, (width, 2), dtype=np.int64)
+    left[:, 0], right[0] = 2 ** 26, 2 ** 26
+    got = _right_product(right)(left)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col))
+             for col in right.T.tolist()] for row in left.tolist()]
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def _rank_two(a, x):
+    """Rows (1, 0, x), (0, 1, x) and (a, -a, 0) over Q: rank 2, and the
+    check multiplies the pivot entries (a, -a) of the third row by the
+    reconstructed column (x, x), whose partial sums reach 2 a x although
+    the product is 0."""
     m = 2
-    one = CycNum.one(m)
+    one, zero = CycNum.one(m), CycNum.zero(m)
     rat = lambda v: CycNum.rational(m, v)  # noqa: E731
-    return m, [(one, rat(x)), (rat(a), rat(a * x))]
+    return m, [(one, zero, rat(x)), (zero, one, rat(x)),
+               (rat(a), rat(-a), zero)]
 
 
-@pytest.mark.parametrize("a,certified", [(2 ** 44 - 1, True),
-                                         (2 ** 44, False)])
-def test_the_check_refuses_at_2_to_the_53(monkeypatch, a, certified):
-    # the guard bounds the product a * 512 of the pivot entry and x
+@pytest.mark.parametrize("a,certified", [(2 ** 53 - 1, True),
+                                         (2 ** 53, False)])
+def test_the_check_refuses_at_2_to_the_63(monkeypatch, a, certified):
+    # the guard bounds the width 2 times a times x = 512
     seen = []
-    guard = linalg._exact_in_float64
+    guard = linalg._exact_in_int64
 
     def recording(*args):
         seen.append(guard(*args))
         return seen[-1]
 
-    monkeypatch.setattr(linalg, "_exact_in_float64", recording)
-    m, rows = _rank_one(a, 512)
+    monkeypatch.setattr(linalg, "_exact_in_int64", recording)
+    m, rows = _rank_two(a, 512)
     got = _certify(m, rows)
-    assert _oracle(m, rows) == 1
+    assert _oracle(m, rows) == 2
     if certified:
-        assert got is not None and got[0] == 1 and all(seen)
+        assert got is not None and got[0] == 2 and all(seen)
     else:
         # every prime refuses, so no certificate: codim would fall back
         assert got is None and seen and not any(seen)
@@ -538,6 +565,51 @@ def _planes(a):
 def test_zmatmul_matches_the_cyclotomic_product(drawn):
     m, a, b = drawn
     assert np.array_equal(zmatmul(_planes(a), _planes(b), m), _planes(a @ b))
+
+
+def _wide(m, a, b):
+    """The width, a's largest coefficient and that of b's lifted matrix:
+    what zmatmul's product guard sees."""
+    deg = _degree(m)
+    return (len(b.rows) * deg, int(np.abs(_planes(a)).max()),
+            int(np.abs(_lift(_planes(b), m)).max()))
+
+
+@st.composite
+def _large_integer_matrices(draw):
+    # coefficients up to 2^k for 24 <= k <= 31: wide products' partial
+    # sums pass 2^53, single terms do from k = 27 on, and the widest
+    # products' sums pass 2^63 from k = 30 on
+    m = draw(st.sampled_from(CONDUCTORS))
+    p, q, s = (draw(st.integers(1, 4)) for _ in range(3))
+    deg = _degree(m)
+    top = 2 ** draw(st.integers(24, 31))
+    vals = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
+
+    def mat(rows, cols):
+        return Matrix(m, tuple(tuple(CycNum.make(m, [draw(vals)
+                                                     for _ in range(deg)])
+                                     for _ in range(cols))
+                               for _ in range(rows)))
+
+    return m, mat(p, q), mat(q, s)
+
+
+@example((2, Matrix.from_rows(2, [[2 ** 31]]),
+          Matrix.from_rows(2, [[2 ** 32 - 1]])))
+@example((2, Matrix.from_rows(2, [[2 ** 31]]), Matrix.from_rows(2, [[2 ** 32]])))
+@given(_large_integer_matrices())
+@settings(max_examples=100, deadline=None)
+def test_zmatmul_is_exact_up_to_2_to_the_63(drawn):
+    # between 2^53 and 2^63 the product is the cyclotomic one, and from
+    # 2^63 on it is refused
+    m, a, b = drawn
+    got = zmatmul(_planes(a), _planes(b), m)
+    width, amax, bmax = _wide(m, a, b)
+    if width * amax * bmax >= 1 << 63:
+        assert got is None
+    else:
+        assert np.array_equal(got, _planes(a @ b))
 
 
 def test_codim_certifies_the_slow_degree():

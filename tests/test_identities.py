@@ -20,16 +20,18 @@ from taftlab.identities import (
     CodimResult,
     HMonomial,
     MultilinearHPoly,
-    _cyc_rows,
-    _level_rank,
-    _ordered_spans,
+    _exact_spans,
+    _plane_spans,
+    _ranks,
     alternate,
     codim_growth_report,
     codimension,
     evaluate,
     perm_sign,
 )
-from taftlab.linalg import Matrix, echelon
+from taftlab.linalg import EchelonBasis, Matrix, echelon
+from test_certified_rank import cycnum_rows
+from test_law_checks import _dense_copy
 from test_linalg import gauss_det
 
 
@@ -369,14 +371,13 @@ def test_ordered_span_matches_full_matrix_after_basis_change(name, entries, n):
 
 
 def _assert_planes_match_the_exact_build(mod, n, every_level=True):
-    """Every level of the auto build equals the exact one; with
-    every_level, each of them is lifted."""
-    exact = [rows for rows, _ in _ordered_spans(mod, n, "exact")]
-    built = list(_ordered_spans(mod, n, "auto"))
+    """Every level the plane build lifts equals the exact one; with
+    every_level, it lifts all n of them."""
+    exact = [span.rows() for span in _exact_spans(mod, n)]
+    built = [cycnum_rows(mod.m, *level) for level in _plane_spans(mod, n)]
     if every_level:
-        assert [rows for rows, _ in built] == [None] * n
-    assert [rows or tuple(_cyc_rows(mod.m, *planes))
-            for rows, planes in built] == exact
+        assert len(built) == n
+    assert built == exact[:len(built)]
 
 
 @pytest.mark.parametrize("name", SMALL_CORPUS)
@@ -396,7 +397,8 @@ def test_plane_built_spans_match_the_exact_build_at_dim_8(name):
        st.integers(min_value=1, max_value=3))
 @settings(max_examples=12, deadline=None)
 # W_2's canonical basis has the common denominator 1251264 and entries of
-# d E up to 177835896: the float64 span check refuses, and so the lift
+# d E up to 177835896, and its span check's partial sums reach 2^52: the
+# lift holds with the operators' content divided out
 @example("sweedler_p_gamma3",
          [-2, 0, 0, -1, 2, -1, 0, -2, 1, 0, 1, 0, -2, -1, 0, 0], 2)
 def test_plane_built_spans_match_the_exact_build_after_basis_change(
@@ -407,8 +409,8 @@ def test_plane_built_spans_match_the_exact_build_after_basis_change(
     t = Matrix.from_rows(2, [entries[i * dim:(i + 1) * dim]
                              for i in range(dim)])
     assume(not gauss_det(t).is_zero())
-    # a large common denominator can refuse a lift, and the exact build
-    # takes over from that level
+    # a large common denominator can refuse a lift; the levels lifted
+    # before it still equal the exact ones
     _assert_planes_match_the_exact_build(_change_basis(base, t),
                                          min(n, 2) if dim == 4 else n,
                                          every_level=False)
@@ -427,29 +429,64 @@ def test_an_empty_level_stays_empty():
 @pytest.mark.parametrize("refused_at", [1, 2, 3])
 def test_a_refused_lift_falls_back_to_the_exact_build(monkeypatch,
                                                       refused_at):
-    # gamma3 at n = 3 is certified, so the value and the method come from
-    # the final rank whichever way W_1..W_3 were built
+    # a refused lift sends the rest to the exact engine, which builds
+    # W_1, W_2, ... afresh: the same value, by exact echelon, and no plane
+    # level is lifted or ranked after the refusal
     mod = build_semisimple(ss_specs()["sweedler_p_gamma3"])
     want = codimension(mod, 3)
     assert want.method.startswith("modp-certified(p=")
-    lift = identities._lift_level
-    calls = []
+    lift, plane_rank = identities._lift_level, identities._plane_rank
+    exact_spans = identities._exact_spans
+    calls, ranked, built = [], [], []
 
     def refuse(m, rows):
         calls.append(len(calls) + 1)
         return None if len(calls) == refused_at else lift(m, rows)
 
+    def record_rank(mod, n, level):
+        ranked.append(n)
+        return plane_rank(mod, n, level)
+
+    def record_build(mod, count):
+        built.append(count)
+        return exact_spans(mod, count)
+
     monkeypatch.setattr(identities, "_lift_level", refuse)
-    levels = list(_ordered_spans(mod, 3, "auto"))
-    assert calls == list(range(1, refused_at + 1))
-    assert [rows is None for rows, _ in levels] == [
-        j < refused_at for j in range(1, 4)]
-    assert [rows or tuple(_cyc_rows(mod.m, *planes))
-            for rows, planes in levels] == [
-        rows for rows, _ in _ordered_spans(mod, 3, "exact")]
-    calls.clear()
+    monkeypatch.setattr(identities, "_plane_rank", record_rank)
+    monkeypatch.setattr(identities, "_exact_spans", record_build)
     got = codimension(mod, 3)
-    assert (got.value, got.method) == (want.value, want.method)
+    assert (got.value, got.method) == (want.value, "exact-echelon")
+    assert calls == list(range(1, refused_at + 1))
+    assert ranked == [] and built == [3]
+    # the growth report ranks the degrees below the refusal on planes and
+    # the rest exactly, with the values the exact backend gives
+    calls.clear()
+    built.clear()
+    ranks = list(_ranks(mod, range(1, 4), "auto"))
+    assert calls == list(range(1, refused_at + 1))
+    assert ranked == list(range(1, refused_at)) and built == [3]
+    assert [method.startswith("modp-") for _, method in ranks] == [
+        j < refused_at for j in range(1, 4)]
+    assert [value for value, _ in ranks] == [
+        r.value for r in codim_growth_report(mod, 3, backend="exact")]
+
+
+def test_an_unconfirmed_final_rank_falls_back_to_the_exact_build(
+        monkeypatch):
+    # every level lifts, but the final rank is neither pinned nor
+    # certified: the exact engine builds W_1..W_3 afresh and ranks W_3
+    mod = build_semisimple(ss_specs()["sweedler_p_gamma3"])
+    built = []
+    exact_spans = identities._exact_spans
+
+    def record_build(mod, count):
+        built.append(count)
+        return exact_spans(mod, count)
+
+    monkeypatch.setattr(identities, "_planes_rank", lambda *args: None)
+    monkeypatch.setattr(identities, "_exact_spans", record_build)
+    got = codimension(mod, 3)
+    assert (got.value, got.method) == (105, "exact-echelon") and built == [3]
 
 
 @pytest.mark.parametrize("name, n", [("sweedler2dim", 3),
@@ -457,30 +494,60 @@ def test_a_refused_lift_falls_back_to_the_exact_build(monkeypatch,
                                      ("ss_grid_m3_k1_t3", 2)])
 def test_a_basis_without_planes_is_ranked_exactly_without_duplicates(
         monkeypatch, name, n):
-    # a coefficient at or past 2^62 leaves an exactly built basis without
-    # planes: its permuted copies are deduplicated on entry codes and
-    # eliminated over Q(zeta_m)
+    # an exactly built basis has no planes: its permuted copies are
+    # deduplicated on entry codes and eliminated over Q(zeta_m), the
+    # basis adopted as it is and each other distinct copy inserted once
     mod = CORPUS[name]
-    *_, level = _ordered_spans(mod, n, "exact")
-    ranked = []
-    exact_rank = identities._exact_rank
-
-    def record(m, cols, rows, r):
-        ranked.extend(rows)
-        return exact_rank(m, cols, ranked, r)
-
-    monkeypatch.setattr(identities, "integer_planes", lambda m, lists: None)
-    monkeypatch.setattr(identities, "_exact_rank", record)
     want = _oracle_codimension(mod, n)
-    for backend in ("auto", "exact"):
-        ranked.clear()
-        assert _level_rank(mod, n, level, backend) == (want, "exact-echelon")
-        assert len(set(ranked)) == len(ranked)
-        assert ranked[:len(level[0])] == list(level[0])
+    *_, span = _exact_spans(mod, n)
+    basis = span.rows()
+    adopted, inserted = [], []
+    from_reduced, insert = EchelonBasis.from_reduced, EchelonBasis.insert
+
+    def record_adopted(m, ncols, rows):
+        adopted.extend(rows)
+        return from_reduced(m, ncols, rows)
+
+    def record_inserted(self, vec):
+        inserted.append(vec)
+        return insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "from_reduced",
+                        staticmethod(record_adopted))
+    monkeypatch.setattr(EchelonBasis, "insert", record_inserted)
+    assert identities._exact_rank(mod, n, basis) == (want, "exact-echelon")
+    assert adopted == list(basis)
+    assert len(set(inserted)) == len(inserted)
+    assert not set(inserted) & set(basis)
     # the same through codimension, with every lift refused
     monkeypatch.setattr(identities, "_lift_level", lambda m, rows: None)
     got = codimension(mod, n)
     assert (got.value, got.method) == (want, "exact-echelon")
+
+
+# -- dense copies on planes: operator content and chunked products ------------
+
+
+@pytest.mark.parametrize("name, kind, n, want", [
+    ("ss_sweedler_p_gamma3", "rational", 3, 105),
+    ("ss_grid_m4_k2_t2", "cyclotomic", 2, 192)])
+def test_dense_copies_stay_on_planes(name, kind, n, want):
+    # gamma3's final span check sums past 2^53 (D = 23692500), in chunks;
+    # the grid's levels need those chunks and the operators' content
+    # divided out
+    got = codimension(_dense_copy(name, kind), n)
+    assert got.value == want
+    assert got.method.startswith("modp-certified(p=")
+
+
+@pytest.mark.parametrize("name, n", [("grid_m5_k2_t1", 3),
+                                     ("grid_m8_k2_t2", 1)])
+def test_dense_cyclotomic_levels_are_lifted(name, n):
+    # grid_m8_k2_t2's operators fit the product guard only with their
+    # content divided out; grid_m5_k2_t1 lifts W_2 only with that, and W_3
+    # only with the chunked products too
+    mod = _dense_copy(name, "cyclotomic")
+    assert len(list(_plane_spans(mod, n))) == n
 
 
 def test_codimension_beyond_the_full_matrix():
