@@ -12,34 +12,53 @@ computation one exact kernel, with nilpotency and semisimple-quotient as
 checkable properties rather than part of the algorithm.
 
 The laws are decided exactly on the integer view of a table (its structure
-constants' numerators over one common denominator), each sum reduced mod
-Phi_m only at its zero test: associativity on basis triples, the unit, and,
-in one routine, every law of the form T(ab) = sum S(a) U(b) on basis pairs
-(law_witnesses).  That form covers "T is an algebra map", the c and v laws
-of a module algebra over the Taft algebra and derivations; it suffices to
-check such a law on basis pairs, since both sides are bilinear.  The mod-p
-image of a table (_table_modp) is read from the same view, so no other
-module reads it.
+constants' numerators over one common denominator): associativity on basis
+triples, the unit, and, in one routine, every law of the form
+T(ab) = sum S(a) U(b) on basis pairs (law_witnesses).  That form covers
+"T is an algebra map", the c and v laws of a module algebra over the Taft
+algebra and derivations; it suffices to check such a law on basis pairs,
+since both sides are bilinear.  Associativity and law_witnesses each take
+one of two routes, chosen by costs read off the nonzero pattern
+(_takes_planes), and both name the same first failing triple or pair.  A
+loop sums the raw numerator convolutions of the nonzero constants, each sum
+reduced mod Phi_m only at its zero test; it suits sparse tables.  Dense
+tables go to integer planes: both sides are products of the table's
+coefficient planes with itself or with the maps over Z[zeta_m]
+(linalg.zright), run in float64 where a bound computed from the entries
+keeps every partial sum below 2^53, else in int64 below 2^63.  Past that
+bound the loop decides.  The mod-p image of a table (_table_modp) is read
+from the same view, so no other module reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
                          zeta_power)
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, ModReductionError, Subspace, kernel,
-                     solve, subspaces_independent, vec_is_zero, vec_zero)
+from .linalg import (EchelonBasis, Matrix, ModReductionError, Subspace,
+                     at_degree, integer_planes, kernel, solve,
+                     subspaces_independent, vec_is_zero, vec_zero, zright)
+
+# a law check runs on coefficient planes when their products cost at most
+# _PLANE_RATIO multiply-adds per numerator product that the loop forms past
+# its first _PLANE_FIXED, which pay for the plane route's fixed cost (numpy
+# calls and lifts); both measured, see _takes_planes
+_PLANE_RATIO = 256
+_PLANE_FIXED = 256
+
+# entries of the planes one block of a plane check holds at once
+_BLOCK_ENTRIES = 1 << 16
 
 
 class FinDimAlgebra:
     """Associative algebra by structure constants; optionally unital."""
 
-    __slots__ = ("m", "dim", "mult", "unit", "_nz", "_iv")
+    __slots__ = ("m", "dim", "mult", "unit", "_nz", "_iv", "_pl")
 
     def __init__(self, m: int, mult: tuple, unit=None, *,
                  validate: bool = True, autodetect_unit: bool = True):
@@ -61,6 +80,7 @@ class FinDimAlgebra:
         object.__setattr__(self, "mult", tuple(norm))
         object.__setattr__(self, "_nz", None)
         object.__setattr__(self, "_iv", None)
+        object.__setattr__(self, "_pl", None)
         if unit is not None:
             unit = tuple(x if isinstance(x, CycNum) else CycNum.rational(m, x)
                          for x in unit)
@@ -108,6 +128,21 @@ class FinDimAlgebra:
                 for a, c in cell) for cell in row) for row in nz)
             object.__setattr__(self, "_iv", iv)
         return iv
+
+    def _planes(self):
+        """(D, planes) with D the common denominator of the table and
+        planes[i, j, a] the int64 coefficient planes of D mult[i][j][a]
+        (linalg.integer_planes); None when a coefficient reaches 2^62."""
+        pl = self._pl
+        if pl is None:
+            n, pl = self.dim, False
+            got = integer_planes(self.m, [[x for row in self.mult
+                                           for cell in row for x in cell]])
+            if got is not None:
+                (den, flat), = got
+                pl = den, flat.reshape(n, n, n, flat.shape[-1])
+            object.__setattr__(self, "_pl", pl)
+        return pl or None
 
     def multiply(self, x, y) -> tuple:
         nz = self._nonzero()
@@ -185,11 +220,24 @@ class FinDimAlgebra:
 
         Both sides are sums of products of two structure constants, so over
         the table's common denominator D both carry D^2 and the check is an
-        integer identity: the raw numerator convolutions are summed and each
-        nonzero sum is reduced mod Phi_m once.  For each (i, j), the
-        differences for all k at once are summed from the nonzero structure
-        constants only, so the cost is dim^2 plus the products that exist.
+        integer identity, decided one of two ways, as _takes_planes routes
+        it.  The loop sums the raw numerator convolutions of the nonzero
+        structure constants only: for each (i, j), the differences for all
+        k at once, each nonzero sum reduced mod Phi_m once, so it forms P
+        numerator products.  The plane route (_associativity_on_planes)
+        forms the two sides as two products over Z[zeta_m], the r nonzero
+        cells times the table and the table times the cells, each of
+        r n^3 multiply-adds.  Where a guard refuses the planes, the loop
+        decides.
         """
+        if _takes_planes(*_associativity_costs(self)):
+            got = _associativity_on_planes(self)
+            if got is not None:
+                return got[0]
+        return self._associativity_loop()
+
+    def _associativity_loop(self):
+        """_associativity_witness by summing raw numerator convolutions."""
         m, dim = self.m, self.dim
         _, cells = self._integer_view()
         # rows[a]: the (k * dim + c, numerators of the e_c-coefficient of
@@ -223,16 +271,121 @@ class FinDimAlgebra:
             self.m, self.dim, self.unit is not None)
 
 
+# -- the plane route ----------------------------------------------------------
+
+
+def _takes_planes(cost: int, loop: int) -> bool:
+    """Whether a check whose plane products cost `cost` multiply-adds runs
+    on planes rather than by a loop that forms `loop` numerator products:
+    when cost <= _PLANE_RATIO * (loop - _PLANE_FIXED).  Measured on every
+    table the benchmark's workloads check (one thread, 2-CPU Xeon host):
+    planes win by 12-65x on the dense dim-8 tables (cost / loop at most 6),
+    lose by 1.8-2.4x on the sparse tables of dim 25-36 (5800 and above)
+    and break even near 1000; below about 256 loop products their fixed
+    cost loses up to 0.5 ms."""
+    return cost <= _PLANE_RATIO * (loop - _PLANE_FIXED)
+
+
+def _associativity_costs(alg: FinDimAlgebra) -> tuple:
+    """(cost, loop) for _takes_planes: the r n^3 phi(m)^2 multiply-adds of
+    each plane product, r the number of nonzero cells, and the numerator
+    products _associativity_loop forms, one per constant of e_a e_k and of
+    e_i e_a for each constant at e_a."""
+    cells, n = alg._nonzero(), alg.dim
+    # sizes[i, j]: constants of e_i e_j; at[a]: constants at e_a
+    sizes = np.array([[len(cell) for cell in row] for row in cells],
+                     dtype=np.int64).reshape(n, n)
+    at = np.bincount([a for row in cells for cell in row for a, _ in cell],
+                     minlength=n)
+    loop = int(at @ (sizes.sum(axis=0) + sizes.sum(axis=1)))
+    phi = len(CycNum.zero(alg.m).num)
+    return np.count_nonzero(sizes) * n ** 3 * phi ** 2, loop
+
+
+def _first_hit(bad: np.ndarray):
+    """The first index of a True entry of bad in C order, or None."""
+    hit = np.flatnonzero(bad)
+    return None if not hit.size else tuple(
+        int(x) for x in np.unravel_index(hit[0], bad.shape))
+
+
+def _block_rows(n: int, entries: int):
+    """Ascending (lo, hi) blocks of range(n), each of about _BLOCK_ENTRIES
+    entries at `entries` per index."""
+    step = max(1, _BLOCK_ENTRIES // max(1, entries))
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
+def _cell_rows(table: np.ndarray, cells: np.ndarray, lo: int, hi: int,
+               times) -> np.ndarray:
+    """The products times(table rows) of rows lo..hi-1 of the table, indexed
+    (i, j, ...) for i in the block: each nonzero cell (i, j) in cells (flat
+    i * n + j) as a row, zero elsewhere; None when a guard refuses."""
+    n = table.shape[0]
+    sel = cells[(cells >= lo * n) & (cells < hi * n)]
+    flat = table.reshape(n * n, n, -1)
+    got = times(flat[sel])
+    if got is None:
+        return None
+    out = np.zeros(((hi - lo) * n,) + got.shape[1:], dtype=np.int64)
+    out[sel - lo * n] = got
+    return out.reshape((hi - lo, n) + got.shape[1:])
+
+
+def _associativity_on_planes(alg: FinDimAlgebra):
+    """[the witness of _associativity_witness], decided on the table's
+    coefficient planes t (FinDimAlgebra._planes); None when a guard refuses.
+
+    With t[i, j, a] the numerators of the e_a-coefficient of e_i e_j over
+    D, (e_i e_j) e_k is row (i, j) of t times Y[a, (k, c)] = t[a, k, c],
+    and e_i (e_j e_k) is row (i, c) of t[i, b, c] times the nonzero cells
+    Z[b, (j, k)] = t[j, k, b], both over D^2 and folded mod Phi_m by zright.
+    Each product is exact under its guards (_right_product), run over i in
+    ascending blocks, so the first failing triple is the loop's.
+    """
+    got = alg._planes()
+    if got is None:
+        return None
+    t = got[1]
+    n, deg, m = alg.dim, t.shape[-1], alg.m
+    cells = np.flatnonzero(t.any(axis=(2, 3)))
+    times_y = zright(t.reshape(n, n * n, deg), m)
+    times_z = zright(t.reshape(n * n, n, deg)[cells].transpose(1, 0, 2), m)
+    if times_y is None or times_z is None:
+        return None
+    lefts = t.transpose(0, 2, 1, 3)
+    for lo, hi in _block_rows(n, n ** 3 * deg):
+        lhs = _cell_rows(t, cells, lo, hi, times_y)
+        rhs = times_z(lefts[lo:hi].reshape(-1, n, deg))
+        if lhs is None or rhs is None:
+            return None
+        # rhs[(i, c), cell (j, k)] onto [i, j, k, c]
+        full = np.zeros((hi - lo, n, n * n, deg), dtype=np.int64)
+        full[:, :, cells] = rhs.reshape(hi - lo, n, len(cells), deg)
+        full = full.reshape(hi - lo, n, n, n, deg).transpose(0, 2, 3, 1, 4)
+        bad = _first_hit((lhs.reshape(full.shape) != full).any(axis=(3, 4)))
+        if bad is not None:
+            i, j, k = bad
+            return [(lo + i, j, k)]
+    return [None]
+
+
 # -- laws on basis pairs: T(ab) = sum S(a) U(b) ---------------------------------
 
 
-def _columns(op: Matrix, factor: int, big: int) -> list:
-    """cols[a]: the (b, factor * numerators of op[b][a] over big), nonzero
-    only; big must be a multiple of every entry's denominator."""
-    return [[(b, tuple((s, factor * u * (big // row[a].den))
+def _columns(op: Matrix, big: int) -> list:
+    """cols[a]: the (b, numerators of op[b][a] over big), nonzero only; big
+    must be a multiple of every entry's denominator."""
+    return [[(b, tuple((s, u * (big // row[a].den))
                        for s, u in enumerate(row[a].num) if u))
              for b, row in enumerate(op.rows) if any(row[a].num)]
             for a in range(op.ncols)]
+
+
+def _scaled(cols: list, factor: int) -> list:
+    """_columns cols with every numerator times factor."""
+    return [[(b, tuple((s, factor * u) for s, u in y)) for b, y in col]
+            for col in cols]
 
 
 def _left_mult(m: int, table, col) -> list:
@@ -261,25 +414,146 @@ def law_witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, laws) -> list:
     "T is an algebra map" is (T, [(T, T)]); a module algebra's c and v laws
     are (c, [(c, c)]) and (v, [(c, v), (v, 1)]), and a derivation D is
     (D, [(D, 1), (1, D)]), with 1 the identity matrix.  Each pair is decided
-    exactly, in integers.  Let D and D' be the common denominators of the
-    src and dst tables and E that of D and every map.  S(e_i) e_q is folded
-    over E D' as the left multiplication by S(e_i), built once per i and
-    shared by every law with that S, so each S(e_i) U(e_j) carries E^2 D'.
+    exactly, in integers, one of two ways, as _takes_planes routes it.
+
+    The loop: let D and D' be the common denominators of the src and dst
+    tables and E that of D and every map.  S(e_i) e_q is folded over E D'
+    as the left multiplication by S(e_i), built once per i and shared by
+    every law with that S, so each S(e_i) U(e_j) carries E^2 D'.
     T(e_i e_j) carries D E and is scaled by E D' / D, so each difference is
     a sum of raw numerator convolutions (cyclotomic.add_products), reduced
-    mod Phi_m only at its zero test.
+    mod Phi_m only at its zero test.  The plane route (_laws_on_planes)
+    forms both sides as products of coefficient planes; where a guard
+    refuses it, the loop decides.
     """
+    maps = _distinct_maps(laws)
+    big = lcm(src._integer_view()[0], *(x.den for op in maps.values()
+                                        for row in op.rows for x in row))
+    cols = {key: _columns(op, big) for key, op in maps.items()}
+    if _takes_planes(*_law_costs(src, dst, laws, cols)):
+        got = _laws_on_planes(src, dst, laws, maps)
+        if got is not None:
+            return got
+    return _laws_loop(src, dst, laws, big, cols)
+
+
+def _distinct_maps(laws) -> dict:
+    """Every map of the laws, once, keyed by its id."""
+    return {id(x): x for t, terms in laws
+            for x in (t, *(y for pair in terms for y in pair))}
+
+
+def _law_costs(src: FinDimAlgebra, dst: FinDimAlgebra, laws, cols) -> tuple:
+    """(cost, loop) for _takes_planes: the multiply-adds of
+    _laws_on_planes's products at phi(m) planes, and the numerator products
+    _laws_loop forms when every law holds, counted as if the nonzero
+    constants of each table and the nonzero entries of each map's columns
+    cols were spread evenly."""
+    n1, n2 = src.dim, dst.dim
+    if not n1 or not n2:
+        return 0, 0
+    lens = [len(cell) for row in src._nonzero() for cell in row]
+    size1, cells = sum(lens), len(lens) - lens.count(0)
+    size2 = sum(len(cell) for row in dst._nonzero() for cell in row)
+    nonzero = {key: sum(map(len, c)) for key, c in cols.items()}
+    lefts = {id(s) for _, terms in laws for s, _ in terms}
+    # each nonzero S[p, i] meets the constants of row p of dst
+    loop = sum(nonzero[key] for key in lefts) * size2 / n2
+    cost = len(lefts) * n1 * n2 ** 3
+    for t, terms in laws:
+        # each constant of src at e_a meets column a of T
+        loop += size1 * nonzero[id(t)] / n1
+        cost += cells * n1 * n2
+        for s, u in terms:
+            # each nonzero U[q, j] meets the constants of S(e_i) e_q, each i
+            width = min(n2, nonzero[id(s)] * size2 / (n1 * n2 * n2))
+            loop += n1 * nonzero[id(u)] * width
+            cost += n1 * n1 * n2 * n2
+    return cost * len(CycNum.zero(src.m).num) ** 2, loop
+
+
+def _laws_on_planes(src: FinDimAlgebra, dst: FinDimAlgebra, laws, maps):
+    """law_witnesses decided on coefficient planes; None when a guard
+    refuses.
+
+    With t and t' the planes of the src and dst tables over D and D'
+    (FinDimAlgebra._planes) and every map over one common denominator E,
+    T(e_i e_j) is row (i, j) of t times T^T, over D E, and S(e_i) U(e_j)
+    is row i of S^T times t'[p, (q, c)], then row (i, c) of that times U,
+    over E^2 D'.  The sides are compared scaled to one denominator.  Each
+    product is exact under its guards (_right_product), run over i in
+    ascending blocks, so each law's first failing pair is the loop's.
+    """
+    m, n1, n2 = src.m, src.dim, dst.dim
+    tabs = src._planes(), dst._planes()
+    ops = integer_planes(m, [[x for op in maps.values() for row in op.rows
+                              for x in row]])
+    if None in tabs or ops is None:
+        return None
+    (d1, t1), (d2, t2) = tabs
+    (big, ops), = ops
+    deg = max(t1.shape[-1], t2.shape[-1], ops.shape[-1])
+    t1, t2 = at_degree(t1, deg), at_degree(t2, deg)
+    # each map's planes over big, (n2, n1, deg)
+    ops = at_degree(ops, deg).reshape(len(maps), n2, n1, deg)
+    planes = dict(zip(maps, ops))
+    # lhs * scale_l and rhs * scale_r over one denominator
+    g = gcd(big * d2, d1)
+    scale_l, scale_r = big * d2 // g, d1 // g
+    times_t2 = zright(t2.reshape(n2, n2 * n2, deg), m)
+    lhs_by = {id(t): zright(planes[id(t)].transpose(1, 0, 2), m)
+              for t, _ in laws}
+    rhs_by = {id(u): zright(planes[id(u)], m)
+              for _, terms in laws for _, u in terms}
+    if times_t2 is None or None in lhs_by.values() or None in rhs_by.values():
+        return None
+    cells = np.flatnonzero(t1.any(axis=(2, 3)))
+    found = [None] * len(laws)
+    for lo, hi in _block_rows(n1, n2 * max(n1, n2) * deg):
+        todo = [k for k, w in enumerate(found) if w is None]
+        if not todo:
+            break
+        # S(e_i) e_q for i in the block, as rows (i, c) over q
+        lefts = {}
+        for k in todo:
+            for s, _ in laws[k][1]:
+                if id(s) not in lefts:
+                    got = times_t2(planes[id(s)][:, lo:hi].transpose(1, 0, 2))
+                    if got is None:
+                        return None
+                    lefts[id(s)] = got.reshape(hi - lo, n2, n2, deg).transpose(
+                        0, 2, 1, 3).reshape(-1, n2, deg)
+        for k in todo:
+            t, terms = laws[k]
+            lhs = _cell_rows(t1, cells, lo, hi, lhs_by[id(t)])
+            # each term [(i, c), j]
+            parts = [rhs_by[id(u)](lefts[id(s)]) for s, u in terms]
+            if lhs is None or any(x is None for x in parts):
+                return None
+            # every sum below stays below 2^63
+            if max(int(np.abs(lhs).max(initial=0)) * scale_l,
+                   sum(int(np.abs(x).max(initial=0)) for x in parts) * scale_r,
+                   scale_l, scale_r) >= 1 << 63:
+                return None
+            rhs = sum(parts[1:], parts[0]) * scale_r
+            rhs = rhs.reshape(hi - lo, n2, n1, deg).transpose(0, 2, 1, 3)
+            bad = _first_hit((lhs * scale_l != rhs).any(axis=(2, 3)))
+            if bad is not None:
+                found[k] = (lo + bad[0], bad[1])
+    return found
+
+
+def _laws_loop(src: FinDimAlgebra, dst: FinDimAlgebra, laws, big: int,
+               cols: dict) -> list:
+    """law_witnesses by summing raw numerator convolutions, with cols the
+    maps' _columns over big."""
     m = src.m
     den1, cells1 = src._integer_view()
     den2, cells2 = dst._integer_view()
-    maps = {id(x): x for t, terms in laws
-            for x in (t, *(y for pair in terms for y in pair))}
-    big = lcm(den1, *(x.den for op in maps.values() for row in op.rows
-                      for x in row))
-    cols = {key: _columns(op, 1, big) for key, op in maps.items()}
-    neg = {key: _columns(op, -1, big) for key, op in maps.items()}
+    neg = {id(u): _scaled(cols[id(u)], -1)
+           for _, terms in laws for _, u in terms}
     # per law: T's columns scaled to E^2 D', and (id of S, -U's columns)
-    checks = [(_columns(t, big * den2 // den1, big),
+    checks = [(_scaled(cols[id(t)], big * den2 // den1),
                [(id(s), neg[id(u)]) for s, u in terms]) for t, terms in laws]
     found = [None] * len(laws)
     for i in range(src.dim):

@@ -66,10 +66,10 @@ import numpy as np
 from .cyclotomic import CycNum, add_products, fold, raw_sums, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
-                     Subspace, certified_rank, combination, cyc_to_modp,
-                     integer_planes, intertwiner_space, kernel, matrix_to_modp,
-                     rank, reduction_primes, small_coefficients, vec_is_zero,
-                     zmatmul)
+                     Subspace, at_degree, certified_rank, combination,
+                     cyc_to_modp, integer_planes, intertwiner_space, kernel,
+                     matrix_to_modp, rank, reduction_primes,
+                     small_coefficients, vec_is_zero, zmatmul)
 from .algebra_core import (FinDimAlgebra, _columns, _table_modp,
                            ideal_generated_by, law_witnesses)
 from .taft_hopf import HopfElement, TaftAlgebra
@@ -207,7 +207,7 @@ def _operator_relations(mod: HModuleAlgebra) -> list:
     m, n = mod.m, mod.algebra.dim
     big = lcm(1, *(x.den for op in (mod.c_op, mod.v_op)
                    for row in op.rows for x in row))
-    c, v = _columns(mod.c_op, 1, big), _columns(mod.v_op, 1, big)
+    c, v = _columns(mod.c_op, big), _columns(mod.v_op, big)
     zeta = tuple((s, u) for s, u in enumerate(zeta_power(m, 1).num) if u)
     zv = _int_matmul(m, [[(a, zeta)] for a in range(n)], v)
     return [("c_order", _int_power(m, c, m)
@@ -320,20 +320,20 @@ def taft_monomials(gens, mul, one, m: int) -> list:
 
 
 def structure_planes(A: FinDimAlgebra, gens):
-    """(table, [g, ...]) as int64 planes at one degree (integer_planes):
-    table[i, j, a] those of the coefficient of e_a in e_i e_j, and each g
-    (n, n, deg) those of one of the matrices gens, every array over its own
-    common denominator; None when a coefficient reaches 2^62."""
+    """(table, [g, ...]) as int64 planes at one degree: table[i, j, a]
+    those of the coefficient of e_a in e_i e_j (FinDimAlgebra._planes),
+    and each g (n, n, deg) those of one of the matrices gens
+    (integer_planes), every array over its own common denominator; None
+    when a coefficient reaches 2^62."""
     n = A.dim
-    consts = [x for plane in A.mult for row in plane for x in row]
-    got = integer_planes(A.m, [consts] + [[x for row in g.rows for x in row]
-                                          for g in gens])
-    if got is None:
+    planes = A._planes()
+    hs = integer_planes(A.m, [[x for row in g.rows for x in row] for g in gens])
+    if planes is None or hs is None:
         return None
-    (_, table), *hs = got
-    deg = table.shape[-1]
-    return (table.reshape(n, n, n, deg),
-            [h.reshape(n, n, deg) for _, h in hs])
+    table = planes[1]
+    deg = max([table.shape[-1]] + [h.shape[-1] for _, h in hs])
+    return (at_degree(table, deg),
+            [at_degree(h, deg).reshape(n, n, deg) for _, h in hs])
 
 
 def _span_generators(A: FinDimAlgebra, gens):
@@ -582,9 +582,10 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
     The intertwiner conditions T c1 = c2 T and T v1 = v2 T are linear, so the
     candidate space is solved exactly; multiplicativity is not linear, so
     candidates are drawn from that space: the identity first when it is
-    equivariant, then the combinations with coefficients from
-    linalg.small_coefficients over 0, 1, -1, 2, -2, 3, -3 (basis elements,
-    prefix sums, then that grid), at most budget + 2 dim(space) of them.
+    equivariant (decided before the space is solved), then the combinations
+    with coefficients from linalg.small_coefficients over 0, 1, -1, 2, -2,
+    3, -3 (basis elements, prefix sums, then that grid), at most
+    budget + 2 dim(space) of them.
     Each is rescaled to send unit to unit when possible and checked exactly
     (algebra_core.law_witnesses).  A None answer is a budget statement, not a
     proof.  A negative budget raises InputError.
@@ -605,13 +606,6 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
     if A1.dim != A2.dim:
         return None
     m, n = mod1.m, A1.dim
-    one = CycNum.one(m)
-    space = intertwiner_space(m, n, n, [
-        (mod1.c_op, mod2.c_op, one),
-        (mod1.v_op, mod2.v_op, one),
-    ])
-    if not space:
-        return None
 
     def decide(T):
         T = _scale_to_unit(mod1, mod2, T)
@@ -619,15 +613,24 @@ def hma_isomorphic_generic(mod1: HModuleAlgebra, mod2: HModuleAlgebra, *,
             return None
         return T if law_witnesses(A1, A2, [(T, [(T, T)])]) == [None] else None
 
-    limit = budget + 2 * len(space)
-    # the identity first when it is equivariant: it settles every
-    # self-comparison immediately; later candidates are equivariant by
-    # construction, so this is the only one needing its own check
-    if mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op:
-        limit -= 1
+    # the identity first when it is equivariant: it lies in the intertwiner
+    # space, so deciding it before solving for that space settles every
+    # self-comparison at once; later candidates are equivariant by
+    # construction, so this is the only one needing its own check (at dim
+    # 0 the space is empty, and the answer None)
+    tried = n > 0 and mod1.c_op == mod2.c_op and mod1.v_op == mod2.v_op
+    if tried:
         T = decide(Matrix.identity(m, n))
         if T is not None:
             return T
+    one = CycNum.one(m)
+    space = intertwiner_space(m, n, n, [
+        (mod1.c_op, mod2.c_op, one),
+        (mod1.v_op, mod2.v_op, one),
+    ])
+    if not space:
+        return None
+    limit = budget + 2 * len(space) - tried
     keep = _algebra_map_screen(mod1, mod2, space)
     grid = itertools.islice(
         small_coefficients(len(space), (0, 1, -1, 2, -2, 3, -3)), limit)

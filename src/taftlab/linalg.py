@@ -728,6 +728,15 @@ def fit_planes(planes: list) -> list:
     return [x[..., :1] for x in planes]
 
 
+def at_degree(x: np.ndarray, deg: int) -> np.ndarray:
+    """Coefficient planes x with deg planes, zero past its own."""
+    if x.shape[-1] == deg:
+        return x
+    out = np.zeros(x.shape[:-1] + (deg,), dtype=np.int64)
+    out[..., :x.shape[-1]] = x
+    return out
+
+
 def integer_planes(m: int, value_lists):
     """[(D, planes)] for each list of values: D the lcm of that list's
     denominators, and planes[i] the coefficients of D * values[i] as int64,
@@ -764,22 +773,30 @@ def planes_mod_p(planes: np.ndarray, den: int, p: int,
     return np.remainder(out, p, out=out)
 
 
+@functools.lru_cache(maxsize=None)
+def _shifts(m: int) -> np.ndarray:
+    """shifts[i, t] is zeta^(i + t) mod Phi_m, as phi(m) ints, for i and t
+    below phi(m): the fold of a product of two coefficient planes."""
+    deg = len(CycNum.zero(m).num)
+    out = np.array([[fold(m, [int(j == i + t) for j in range(2 * deg - 1)])
+                     for t in range(deg)] for i in range(deg)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _lift(b: np.ndarray, m: int):
     """The integer matrix of right multiplication by b over Z[zeta_m].
 
     b holds the coefficient planes (q, s, deg) of a q x s matrix; row
     (k, i), column (j, l) of the result is coefficient l of zeta^i b[k, j].
     So a row vector's planes, flattened over (k, i), times the result are
-    the planes of the vector times b, folded mod Phi_m.  deg = 1 is plain
-    integers.  None when an entry would reach 2^62.
+    the planes of the vector times b, folded mod Phi_m (_shifts).  deg = 1
+    is plain integers.  None when an entry would reach 2^62.
     """
     q, s, deg = b.shape
     if deg == 1:
         return b.reshape(q, s)
-    # shifts[i, t] is zeta^(i + t) mod Phi_m
-    shifts = np.array([[fold(m, [int(j == i + t) for j in range(2 * deg - 1)])
-                        for t in range(deg)] for i in range(deg)],
-                      dtype=np.int64)
+    shifts = _shifts(m)
     growth = int(np.abs(shifts).sum(axis=1).max())
     if int(np.abs(b).max(initial=0)) * growth >= _INT_LIMIT:
         return None
@@ -824,14 +841,29 @@ def _right_product(big: np.ndarray):
     return product
 
 
-def zmatmul(a: np.ndarray, b: np.ndarray, m: int):
-    """a @ b over Z[zeta_m] on coefficient planes, (p, q, deg) @ (q, s, deg)
-    -> (p, s, deg), exact; None when an overflow guard refuses."""
+def zright(b: np.ndarray, m: int):
+    """a -> a @ b over Z[zeta_m] on coefficient planes, (p, q, deg) @
+    (q, s, deg) -> (p, s, deg), exact, the function returning None when
+    _exact_in_int64 refuses a; None when b's lift refuses.  b is lifted
+    once, so one b may multiply many a."""
     big = _lift(b, m)
     if big is None:
         return None
-    out = _right_product(big)(a.reshape(len(a), a.shape[1] * a.shape[2]))
-    return None if out is None else out.reshape(len(a), b.shape[1], b.shape[2])
+    product = _right_product(big)
+    s, deg = b.shape[1], b.shape[2]
+
+    def times(a):
+        out = product(a.reshape(len(a), a.shape[1] * a.shape[2]))
+        return None if out is None else out.reshape(len(a), s, deg)
+
+    return times
+
+
+def zmatmul(a: np.ndarray, b: np.ndarray, m: int):
+    """a @ b over Z[zeta_m] on coefficient planes, (p, q, deg) @ (q, s, deg)
+    -> (p, s, deg), exact; None when an overflow guard refuses."""
+    times = zright(b, m)
+    return None if times is None else times(a)
 
 
 def _coefficients(images, roots, p: int) -> np.ndarray:

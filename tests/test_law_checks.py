@@ -13,11 +13,12 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftlab import algebra_core, hmodule
+from taftlab import algebra_core, hmodule, linalg
 from taftlab.algebra_core import FinDimAlgebra, law_witnesses, subalgebra_on
 from taftlab.constructions import (NilpotentExtensionSpec, aut_compose,
                                    aut_module_map, aut_pair,
@@ -35,7 +36,7 @@ from taftlab.linalg import (Matrix, ModReductionError, combination,
                             intertwiner_space, rank, small_coefficients,
                             vec_is_zero)
 from taftlab.qcombinatorics import QBinomTable
-from taftlab.taft_hopf import TaftAlgebra, hopf_verify_axioms
+from taftlab.taft_hopf import TaftAlgebra, _product_table, hopf_verify_axioms
 
 
 # -- the oracles: the CycNum loops the integer checks replaced ---------------
@@ -360,8 +361,28 @@ def _scaled_m2(m, scale):
 
 
 def _without_fold(monkeypatch, module):
-    # the zero test a check would make if it skipped the fold mod Phi_m
+    # the zero test a check would make if it skipped the fold mod Phi_m,
+    # on both routes: the loop tests the raw sum, and the planes fold
+    # through a shift table without the rows past zeta^(phi(m) - 1)
     monkeypatch.setattr(module, "vanishes", lambda m, raw: not any(raw))
+    monkeypatch.setattr(linalg, "_shifts", _unfolded_shifts)
+
+
+def _unfolded_shifts(m):
+    deg = len(zeta_power(m, 0).num)
+    out = np.zeros((deg, deg, deg), dtype=np.int64)
+    for i, t in itertools.product(range(deg), repeat=2):
+        if i + t < deg:
+            out[i, t, i + t] = 1
+    return out
+
+
+def _route(monkeypatch, planes):
+    # decide every law check on one route, planes or the loop; None leaves
+    # the choice to the costs
+    if planes is not None:
+        monkeypatch.setattr(algebra_core, "_takes_planes",
+                            lambda cost, loop: planes)
 
 
 def test_associative_table_whose_raw_sums_vanish_only_after_folding(monkeypatch):
@@ -369,11 +390,14 @@ def test_associative_table_whose_raw_sums_vanish_only_after_folding(monkeypatch)
     # (f01 f10) f01 = z * z f01, f01 (f10 f01) = 1 * z^2 f01: equal in the
     # field, but z * z is the raw zeta^2 and z^2 is stored as -1 - zeta
     table = _scaled_m2(3, ((z, z), (z, z * z)))
-    assert _assert_associativity_matches(3, table) is None
-    with monkeypatch.context() as patch:
-        _without_fold(patch, algebra_core)
-        with pytest.raises(InputError, match="not associative"):
-            FinDimAlgebra(3, table, autodetect_unit=False)
+    for planes in (None, False, True):
+        with monkeypatch.context() as route:
+            _route(route, planes)
+            assert _assert_associativity_matches(3, table) is None
+            with monkeypatch.context() as patch:
+                _without_fold(patch, algebra_core)
+                with pytest.raises(InputError, match="not associative"):
+                    FinDimAlgebra(3, table, autodetect_unit=False)
 
     # a near copy: one constant moved by a factor zeta is not associative
     near = [list(map(list, row)) for row in table]
@@ -391,17 +415,21 @@ def test_valid_module_whose_raw_sums_vanish_only_after_folding(monkeypatch):
     t = Matrix(4, tuple(tuple(diag[i] if i == j else CycNum.zero(4)
                               for j in range(4)) for i in range(4)))
     mod = _change_basis(base, t)
-    assert _assert_report_matches(mod).ok
-    with monkeypatch.context() as patch:
-        _without_fold(patch, algebra_core)
-        failed = {name for name, _ in hma_verify(mod).failed()}
-        assert failed and failed <= {"c_multiplicative", "v_skew_derivation"}
+    for planes in (None, False, True):
+        with monkeypatch.context() as route:
+            _route(route, planes)
+            assert _assert_report_matches(mod).ok
+            with monkeypatch.context() as patch:
+                _without_fold(patch, algebra_core)
+                failed = {name for name, _ in hma_verify(mod).failed()}
+                assert failed and failed <= {"c_multiplicative",
+                                             "v_skew_derivation"}
 
-    assert _assert_associativity_matches(4, mod.algebra.mult) is None
-    with monkeypatch.context() as patch:
-        _without_fold(patch, algebra_core)
-        with pytest.raises(InputError, match="not associative"):
-            FinDimAlgebra(4, mod.algebra.mult)
+            assert _assert_associativity_matches(4, mod.algebra.mult) is None
+            with monkeypatch.context() as patch:
+                _without_fold(patch, algebra_core)
+                with pytest.raises(InputError, match="not associative"):
+                    FinDimAlgebra(4, mod.algebra.mult)
 
 
 # -- the unit check -------------------------------------------------------------
@@ -1069,3 +1097,184 @@ def test_perturbed_recovery_inputs_match_the_qbinom_loop(name, data):
         except InputError:
             return
     _assert_qbinom_matches(rebuilt, A, phi, hom)
+
+
+# -- the two routes of the law checks: loop and coefficient planes -------------
+
+
+def _dense_entries(m):
+    deg = len(zeta_power(m, 0).num)
+    dense = st.tuples(st.lists(st.integers(-3, 3), min_size=deg, max_size=deg),
+                      st.integers(1, 4)).map(
+        lambda p: CycNum.make(m, [Fraction(c, p[1]) for c in p[0]]))
+    power = st.integers(0, m - 1).map(lambda e: zeta_power(m, e))
+    return st.one_of(power, power.map(lambda x: -x), dense)
+
+
+@st.composite
+def _route_inputs(draw):
+    """(m, src, dst, laws): random dense or sparse tables of dims 1-5 and
+    laws of every shape law_witnesses takes, over random maps."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 6]))
+
+    def table(n):
+        entry = draw(st.sampled_from([_entries, _dense_entries]))(m)
+        cell = st.lists(entry, min_size=n, max_size=n).map(tuple)
+        return FinDimAlgebra(m, tuple(tuple(draw(cell) for _ in range(n))
+                                      for _ in range(n)),
+                             validate=False, autodetect_unit=False)
+
+    def square(rows, cols):
+        entry = draw(st.sampled_from([_entries, _dense_entries]))(m)
+        return Matrix(m, tuple(tuple(draw(entry) for _ in range(cols))
+                               for _ in range(rows)))
+
+    src = table(draw(st.integers(1, 5)))
+    n = src.dim
+    one = Matrix.identity(m, n)
+    c, v = square(n, n), square(n, n)
+    laws = [(c, [(c, c)]), (v, [(c, v), (v, one)]),
+            _derivation_law(square(n, n))]
+    dst = src
+    if draw(st.booleans()):
+        dst = table(draw(st.integers(1, 5)))
+        T = square(dst.dim, n)
+        laws = [(T, [(T, T)])]
+    return m, src, dst, laws
+
+
+def _law_routes(src, dst, laws):
+    """[law_witnesses on the loop, the same on planes, never refused]."""
+    with pytest.MonkeyPatch.context() as patch:
+        _route(patch, False)
+        loop = law_witnesses(src, dst, laws)
+    return [loop, algebra_core._laws_on_planes(
+        src, dst, laws, algebra_core._distinct_maps(laws))]
+
+
+@given(_route_inputs())
+@settings(max_examples=150, deadline=None)
+def test_both_routes_give_the_oracles_witnesses(drawn):
+    m, src, dst, laws = drawn
+    for alg in {id(x): x for x in (src, dst)}.values():
+        expect = _cycnum_first_failure(alg)
+        assert alg._associativity_loop() == expect
+        assert algebra_core._associativity_on_planes(alg) == [expect]
+    assert _law_routes(src, dst, laws) == [_cycnum_law_witnesses(src, dst,
+                                                                 laws)] * 2
+
+
+@given(st.sampled_from(SOURCES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_both_routes_give_the_oracles_witnesses_on_perturbed_copies(source,
+                                                                   data):
+    mod = _source(*source)
+    alg, m, n = mod.algebra, mod.m, mod.algebra.dim
+    delta = data.draw(st.sampled_from([1, -1, CycNum.rational(m, "1/2")])) * \
+        zeta_power(m, data.draw(st.integers(0, m - 1)))
+    i, j, a = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    if data.draw(st.booleans()):
+        table = [list(map(list, row)) for row in alg.mult]
+        table[i][j][a] = table[i][j][a] + delta
+        alg = FinDimAlgebra(m, tuple(tuple(map(tuple, row)) for row in table),
+                            validate=False, autodetect_unit=False)
+    else:
+        mod = _perturbed(mod, data.draw(st.sampled_from("cv")), i, a, delta)
+    expect = _cycnum_first_failure(alg)
+    assert alg._associativity_loop() == expect
+    assert algebra_core._associativity_on_planes(alg) == [expect]
+    c, v = mod.c_op, mod.v_op
+    laws = [(c, [(c, c)]), (v, [(c, v), (v, Matrix.identity(m, n))])]
+    assert _law_routes(alg, alg, laws) == [_cycnum_law_witnesses(alg, alg,
+                                                                 laws)] * 2
+
+
+def _huge_m2(k, bump):
+    """M_2 over Q in the basis f_01 = 2^k E_01, so that f_01 f_10 = 2^k f_00,
+    with bump added to the e_1-coefficient of f_00 f_01 (a failing triple
+    when nonzero)."""
+    big = CycNum.rational(2, 2 ** k)
+    one = CycNum.one(2)
+    rows = [list(map(list, row)) for row in _scaled_m2(2, ((one, big),
+                                                            (one, one)))]
+    rows[0][1][1] = rows[0][1][1] + bump
+    return tuple(tuple(map(tuple, row)) for row in rows)
+
+
+@pytest.mark.parametrize("k", [26, 27, 30])
+@pytest.mark.parametrize("bump", [0, 1])
+def test_plane_products_past_2_to_the_53_stay_exact(k, bump):
+    # a product of two constants reaches 2^(2k) >= 2^52: the sums run in
+    # float64 chunks of one term, or in int64 once a term passes 2^53
+    alg = FinDimAlgebra(2, _huge_m2(k, bump), validate=False,
+                        autodetect_unit=False)
+    expect = _cycnum_first_failure(alg)
+    assert (expect is None) == (bump == 0)
+    assert algebra_core._associativity_on_planes(alg) == [expect]
+
+
+@pytest.mark.parametrize("bump", [0, 1])
+def test_a_refused_plane_product_is_decided_by_the_loop(monkeypatch, bump):
+    # 4 terms of 2^31 * 2^31 pass 2^63: the product's guard refuses
+    table = _huge_m2(31, bump)
+    alg = FinDimAlgebra(2, table, validate=False, autodetect_unit=False)
+    assert algebra_core._associativity_on_planes(alg) is None
+    _route(monkeypatch, True)
+    assert (_assert_associativity_matches(2, table) is None) == (bump == 0)
+    # T = 2^40 times the identity: T(e_i) T(e_j) reaches 2^80
+    T = Matrix.identity(2, 4) * CycNum.rational(2, 2 ** 40)
+    laws = [(T, [(T, T)])]
+    assert algebra_core._laws_on_planes(
+        alg, alg, laws, algebra_core._distinct_maps(laws)) is None
+    assert law_witnesses(alg, alg, laws) == \
+        _cycnum_law_witnesses(alg, alg, laws) != [None]
+
+
+def _spy_routes(monkeypatch):
+    """The plane checks that decide, by name, in call order."""
+    calls = []
+    for name in ("_associativity_on_planes", "_laws_on_planes"):
+        def spy(*args, real=getattr(algebra_core, name), name=name):
+            got = real(*args)
+            if got is not None:
+                calls.append(name)
+            return got
+        monkeypatch.setattr(algebra_core, name, spy)
+    return calls
+
+
+DENSE_DIM_8 = [(name, kind) for name, kind in DENSE_COPIES
+               if _corpus()[name].algebra.dim == 8]
+
+
+@pytest.mark.parametrize("name,kind", DENSE_DIM_8)
+def test_dense_dim_8_copies_take_the_planes(monkeypatch, name, kind):
+    mod = _dense_copy(name, kind)
+    calls = _spy_routes(monkeypatch)
+    FinDimAlgebra(mod.m, mod.algebra.mult, unit=mod.algebra.unit)
+    assert hma_verify(mod).ok
+    assert calls == ["_associativity_on_planes", "_laws_on_planes"]
+
+
+def test_sparse_dim_36_tables_take_the_loop(monkeypatch):
+    calls = _spy_routes(monkeypatch)
+    mod = build_semisimple(grid_spec(4, 3, 4))
+    FinDimAlgebra(mod.m, mod.algebra.mult, unit=mod.algebra.unit)
+    assert hma_verify(mod).ok
+    assert _product_table(TaftAlgebra(6))._associativity_witness() is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,kind", [("ss_grid_m4_k2_t2", None),
+                                       ("ss_grid_m4_k2_t2", "cyclotomic"),
+                                       ("ext_base_mat2_elem_m2", "rational")])
+def test_a_self_comparison_returns_the_identity_before_the_intertwiners(
+        monkeypatch, name, kind):
+    mod = _corpus()[name] if kind is None else _dense_copy(name, kind)
+
+    def unsolved(*args):
+        raise AssertionError("intertwiner_space called")
+
+    monkeypatch.setattr(hmodule, "intertwiner_space", unsolved)
+    got = hma_isomorphic_generic(mod, mod)
+    assert got == Matrix.identity(mod.m, mod.algebra.dim)
