@@ -22,8 +22,9 @@ one of two routes, chosen by costs read off the nonzero pattern
 (_takes_planes), and both name the same first failing triple or pair.  A
 loop sums the raw numerator convolutions of the nonzero constants, each sum
 reduced mod Phi_m only at its zero test; it suits sparse tables.  Dense
-tables go to integer planes: both sides are products of the table's
-coefficient planes with itself or with the maps over Z[zeta_m]
+tables go to integer planes, where associativity is the laws
+L_i(ab) = L_i(a) b (_laws_on_planes): both sides are products of whole
+tables' coefficient planes with the stacked maps over Z[zeta_m]
 (linalg.zright), run in float64 where a bound computed from the entries
 keeps every partial sum below 2^53, else in int64 below 2^63.  Past that
 bound the loop decides.  The mod-p image of a table (_table_modp) is read
@@ -33,7 +34,7 @@ from the same view, so no other module reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -224,16 +225,22 @@ class FinDimAlgebra:
         it.  The loop sums the raw numerator convolutions of the nonzero
         structure constants only: for each (i, j), the differences for all
         k at once, each nonzero sum reduced mod Phi_m once, so it forms P
-        numerator products.  The plane route (_associativity_on_planes)
-        forms the two sides as two products over Z[zeta_m], the r nonzero
-        cells times the table and the table times the cells, each of
-        r n^3 multiply-adds.  Where a guard refuses the planes, the loop
-        decides.
+        numerator products.  The plane route is the law engine's
+        (_laws_on_planes) on the n laws L_i(ab) = L_i(a) b, with L_i the
+        left multiplication by e_i read off the table's planes: the least
+        i whose law fails, at its first failing pair (j, k), is the first
+        failing triple.  Where a guard refuses the planes, the loop decides.
         """
         if _takes_planes(*_associativity_costs(self)):
-            got = _associativity_on_planes(self)
+            got = self._planes()
             if got is not None:
-                return got[0]
+                # the laws (L_i, [(L_i, 1)]) with L_i[a, j] = t[i, j, a]
+                ops = got[0], got[1].transpose(0, 2, 1, 3)
+                got = _laws_on_planes(self.m, got, got, ops, [
+                    (i, [(i, None)]) for i in range(self.dim)])
+            if got is not None:
+                return next(((i,) + w for i, w in enumerate(got)
+                             if w is not None), None)
         return self._associativity_loop()
 
     def _associativity_loop(self):
@@ -287,10 +294,10 @@ def _takes_planes(cost: int, loop: int) -> bool:
 
 
 def _associativity_costs(alg: FinDimAlgebra) -> tuple:
-    """(cost, loop) for _takes_planes: the r n^3 phi(m)^2 multiply-adds of
-    each plane product, r the number of nonzero cells, and the numerator
-    products _associativity_loop forms, one per constant of e_a e_k and of
-    e_i e_a for each constant at e_a."""
+    """(cost, loop) for _takes_planes: the n^5 phi(m)^2 multiply-adds of
+    each plane product, n^2 rows of n entries times n^2 columns, and the
+    numerator products _associativity_loop forms, one per constant of
+    e_a e_k and of e_i e_a for each constant at e_a."""
     cells, n = alg._nonzero(), alg.dim
     # sizes[i, j]: constants of e_i e_j; at[a]: constants at e_a
     sizes = np.array([[len(cell) for cell in row] for row in cells],
@@ -299,14 +306,7 @@ def _associativity_costs(alg: FinDimAlgebra) -> tuple:
                      minlength=n)
     loop = int(at @ (sizes.sum(axis=0) + sizes.sum(axis=1)))
     phi = len(CycNum.zero(alg.m).num)
-    return np.count_nonzero(sizes) * n ** 3 * phi ** 2, loop
-
-
-def _first_hit(bad: np.ndarray):
-    """The first index of a True entry of bad in C order, or None."""
-    hit = np.flatnonzero(bad)
-    return None if not hit.size else tuple(
-        int(x) for x in np.unravel_index(hit[0], bad.shape))
+    return n ** 5 * phi ** 2, loop
 
 
 def _block_rows(n: int, entries: int):
@@ -314,60 +314,6 @@ def _block_rows(n: int, entries: int):
     entries at `entries` per index."""
     step = max(1, _BLOCK_ENTRIES // max(1, entries))
     return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-
-
-def _cell_rows(table: np.ndarray, cells: np.ndarray, lo: int, hi: int,
-               times) -> np.ndarray:
-    """The products times(table rows) of rows lo..hi-1 of the table, indexed
-    (i, j, ...) for i in the block: each nonzero cell (i, j) in cells (flat
-    i * n + j) as a row, zero elsewhere; None when a guard refuses."""
-    n = table.shape[0]
-    sel = cells[(cells >= lo * n) & (cells < hi * n)]
-    flat = table.reshape(n * n, n, -1)
-    got = times(flat[sel])
-    if got is None:
-        return None
-    out = np.zeros(((hi - lo) * n,) + got.shape[1:], dtype=np.int64)
-    out[sel - lo * n] = got
-    return out.reshape((hi - lo, n) + got.shape[1:])
-
-
-def _associativity_on_planes(alg: FinDimAlgebra):
-    """[the witness of _associativity_witness], decided on the table's
-    coefficient planes t (FinDimAlgebra._planes); None when a guard refuses.
-
-    With t[i, j, a] the numerators of the e_a-coefficient of e_i e_j over
-    D, (e_i e_j) e_k is row (i, j) of t times Y[a, (k, c)] = t[a, k, c],
-    and e_i (e_j e_k) is row (i, c) of t[i, b, c] times the nonzero cells
-    Z[b, (j, k)] = t[j, k, b], both over D^2 and folded mod Phi_m by zright.
-    Each product is exact under its guards (_right_product), run over i in
-    ascending blocks, so the first failing triple is the loop's.
-    """
-    got = alg._planes()
-    if got is None:
-        return None
-    t = got[1]
-    n, deg, m = alg.dim, t.shape[-1], alg.m
-    cells = np.flatnonzero(t.any(axis=(2, 3)))
-    times_y = zright(t.reshape(n, n * n, deg), m)
-    times_z = zright(t.reshape(n * n, n, deg)[cells].transpose(1, 0, 2), m)
-    if times_y is None or times_z is None:
-        return None
-    lefts = t.transpose(0, 2, 1, 3)
-    for lo, hi in _block_rows(n, n ** 3 * deg):
-        lhs = _cell_rows(t, cells, lo, hi, times_y)
-        rhs = times_z(lefts[lo:hi].reshape(-1, n, deg))
-        if lhs is None or rhs is None:
-            return None
-        # rhs[(i, c), cell (j, k)] onto [i, j, k, c]
-        full = np.zeros((hi - lo, n, n * n, deg), dtype=np.int64)
-        full[:, :, cells] = rhs.reshape(hi - lo, n, len(cells), deg)
-        full = full.reshape(hi - lo, n, n, n, deg).transpose(0, 2, 3, 1, 4)
-        bad = _first_hit((lhs.reshape(full.shape) != full).any(axis=(3, 4)))
-        if bad is not None:
-            i, j, k = bad
-            return [(lo + i, j, k)]
-    return [None]
 
 
 # -- laws on basis pairs: T(ab) = sum S(a) U(b) ---------------------------------
@@ -431,7 +377,12 @@ def law_witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, laws) -> list:
                                         for row in op.rows for x in row))
     cols = {key: _columns(op, big) for key, op in maps.items()}
     if _takes_planes(*_law_costs(src, dst, laws, cols)):
-        got = _laws_on_planes(src, dst, laws, maps)
+        got = _map_planes(src, dst, maps)
+        if got is not None:
+            at = {key: k for k, key in enumerate(maps)}
+            got = _laws_on_planes(src.m, *got, [
+                (at[id(t)], [(at[id(s)], at[id(u)]) for s, u in terms])
+                for t, terms in laws])
         if got is not None:
             return got
     return _laws_loop(src, dst, laws, big, cols)
@@ -445,15 +396,14 @@ def _distinct_maps(laws) -> dict:
 
 def _law_costs(src: FinDimAlgebra, dst: FinDimAlgebra, laws, cols) -> tuple:
     """(cost, loop) for _takes_planes: the multiply-adds of
-    _laws_on_planes's products at phi(m) planes, and the numerator products
-    _laws_loop forms when every law holds, counted as if the nonzero
-    constants of each table and the nonzero entries of each map's columns
-    cols were spread evenly."""
+    _laws_on_planes's products over whole tables at phi(m) planes, and the
+    numerator products _laws_loop forms when every law holds, counted as if
+    the nonzero constants of each table and the nonzero entries of each
+    map's columns cols were spread evenly."""
     n1, n2 = src.dim, dst.dim
     if not n1 or not n2:
         return 0, 0
-    lens = [len(cell) for row in src._nonzero() for cell in row]
-    size1, cells = sum(lens), len(lens) - lens.count(0)
+    size1 = sum(len(cell) for row in src._nonzero() for cell in row)
     size2 = sum(len(cell) for row in dst._nonzero() for cell in row)
     nonzero = {key: sum(map(len, c)) for key, c in cols.items()}
     lefts = {id(s) for _, terms in laws for s, _ in terms}
@@ -463,7 +413,7 @@ def _law_costs(src: FinDimAlgebra, dst: FinDimAlgebra, laws, cols) -> tuple:
     for t, terms in laws:
         # each constant of src at e_a meets column a of T
         loop += size1 * nonzero[id(t)] / n1
-        cost += cells * n1 * n2
+        cost += n1 ** 3 * n2
         for s, u in terms:
             # each nonzero U[q, j] meets the constants of S(e_i) e_q, each i
             width = min(n2, nonzero[id(s)] * size2 / (n1 * n2 * n2))
@@ -472,74 +422,120 @@ def _law_costs(src: FinDimAlgebra, dst: FinDimAlgebra, laws, cols) -> tuple:
     return cost * len(CycNum.zero(src.m).num) ** 2, loop
 
 
-def _laws_on_planes(src: FinDimAlgebra, dst: FinDimAlgebra, laws, maps):
-    """law_witnesses decided on coefficient planes; None when a guard
-    refuses.
-
-    With t and t' the planes of the src and dst tables over D and D'
-    (FinDimAlgebra._planes) and every map over one common denominator E,
-    T(e_i e_j) is row (i, j) of t times T^T, over D E, and S(e_i) U(e_j)
-    is row i of S^T times t'[p, (q, c)], then row (i, c) of that times U,
-    over E^2 D'.  The sides are compared scaled to one denominator.  Each
-    product is exact under its guards (_right_product), run over i in
-    ascending blocks, so each law's first failing pair is the loop's.
-    """
-    m, n1, n2 = src.m, src.dim, dst.dim
+def _map_planes(src: FinDimAlgebra, dst: FinDimAlgebra, maps: dict):
+    """_laws_on_planes's src, dst and maps (E, ops) for law_witnesses, ops
+    the maps' planes over their common denominator E, all at one degree;
+    None when a coefficient reaches 2^62."""
     tabs = src._planes(), dst._planes()
-    ops = integer_planes(m, [[x for op in maps.values() for row in op.rows
-                              for x in row]])
+    ops = integer_planes(src.m, [[x for op in maps.values() for row in op.rows
+                                  for x in row]])
     if None in tabs or ops is None:
         return None
     (d1, t1), (d2, t2) = tabs
     (big, ops), = ops
     deg = max(t1.shape[-1], t2.shape[-1], ops.shape[-1])
-    t1, t2 = at_degree(t1, deg), at_degree(t2, deg)
-    # each map's planes over big, (n2, n1, deg)
-    ops = at_degree(ops, deg).reshape(len(maps), n2, n1, deg)
-    planes = dict(zip(maps, ops))
-    # lhs * scale_l and rhs * scale_r over one denominator
-    g = gcd(big * d2, d1)
-    scale_l, scale_r = big * d2 // g, d1 // g
-    times_t2 = zright(t2.reshape(n2, n2 * n2, deg), m)
-    lhs_by = {id(t): zright(planes[id(t)].transpose(1, 0, 2), m)
-              for t, _ in laws}
-    rhs_by = {id(u): zright(planes[id(u)], m)
-              for _, terms in laws for _, u in terms}
-    if times_t2 is None or None in lhs_by.values() or None in rhs_by.values():
+    ops = at_degree(ops, deg).reshape(len(maps), dst.dim, src.dim, deg)
+    return (d1, at_degree(t1, deg)), (d2, at_degree(t2, deg)), (big, ops)
+
+
+def _laws_on_planes(m: int, src, dst, maps, laws):
+    """law_witnesses decided on coefficient planes; None when a guard
+    refuses.
+
+    src and dst are (D, t) and (D', t'), the planes of two tables
+    (FinDimAlgebra._planes), and maps is (E, ops), ops[k] the (n2, n1)
+    planes of the k-th map over one denominator E, all at one degree.
+    Each law (T, [(S, U), ...]) names its maps by index, U = None being
+    the identity.  T(e_i e_j) is row (i, j) of t times T^T, over D E;
+    S(e_i) e_q is row i of S^T times t'[p, (q, c)], over E D'; a term
+    S(e_i) U(e_j) is row (i, c) of that times U, over E^2 D', and an
+    identity term is S(e_i) e_j itself, with no product.  The sides are
+    compared scaled to one denominator.  Each role's maps are stacked into
+    one product: the laws' T maps side by side, their distinct S maps, and
+    for each S the U maps it meets.  Each product is exact under its guards
+    (_right_product), run over i in ascending blocks, so each law's first
+    failing pair is the loop's.
+    """
+    (d1, t1), (d2, t2) = src, dst
+    big, ops = maps
+    n1, n2, deg = len(t1), len(t2), t1.shape[-1]
+    # us[s]: the U maps that S meets, None among them for the identity
+    us = {}
+    for _, terms in laws:
+        for s, u in terms:
+            us.setdefault(s, {})[u] = None
+    ss = list(us)
+    # the slots of the terms' values: S(e_i) e_j for each S when some term
+    # is an identity one, then S(e_i) U(e_j) for each S and each U it meets
+    ones = any(None in x for x in us.values())
+    slot = {(s, None): k for k, s in enumerate(ss)} if ones else {}
+    for s in ss:
+        us[s] = [u for u in us[s] if u is not None]
+        for u in us[s]:
+            slot[s, u] = len(slot)
+    # lhs * scale_l and each term * scales[its slot] over one denominator
+    dens = [big * d2 * (1 if u is None else big) for _, u in slot]
+    common = lcm(d1 * big, *dens)
+    scale_l, scales = common // (d1 * big), [common // d for d in dens]
+    groups = [[slot[term] for term in terms] for _, terms in laws]
+    index = [k for group in groups for k in group]
+    # one term per law, every scale 1: nothing is summed or scaled
+    plain = len(index) == len(laws) and {scale_l, *scales} == {1}
+    times_t = zright(ops[[t for t, _ in laws]].transpose(2, 0, 1, 3).reshape(
+        n1, -1, deg), m)
+    times_s = zright(t2.reshape(n2, n2 * n2, deg), m)
+    times_u = {s: zright(ops[us[s]].transpose(1, 0, 2, 3).reshape(
+        n2, -1, deg), m) for s in ss if us[s]}
+    if times_t is None or times_s is None or None in times_u.values():
         return None
-    cells = np.flatnonzero(t1.any(axis=(2, 3)))
     found = [None] * len(laws)
-    for lo, hi in _block_rows(n1, n2 * max(n1, n2) * deg):
-        todo = [k for k, w in enumerate(found) if w is None]
-        if not todo:
+    for lo, hi in _block_rows(n1, max(len(laws), len(ss), len(index)) * n2
+                              * max(n1, n2) * deg):
+        if None not in found:
             break
-        # S(e_i) e_q for i in the block, as rows (i, c) over q
-        lefts = {}
-        for k in todo:
-            for s, _ in laws[k][1]:
-                if id(s) not in lefts:
-                    got = times_t2(planes[id(s)][:, lo:hi].transpose(1, 0, 2))
-                    if got is None:
-                        return None
-                    lefts[id(s)] = got.reshape(hi - lo, n2, n2, deg).transpose(
-                        0, 2, 1, 3).reshape(-1, n2, deg)
-        for k in todo:
-            t, terms = laws[k]
-            lhs = _cell_rows(t1, cells, lo, hi, lhs_by[id(t)])
-            # each term [(i, c), j]
-            parts = [rhs_by[id(u)](lefts[id(s)]) for s, u in terms]
-            if lhs is None or any(x is None for x in parts):
-                return None
+        b = hi - lo
+        # lhs[(i, j), (law, a)]: coefficient a of T(e_i e_j)
+        lhs = times_t(t1[lo:hi].reshape(-1, n1, deg))
+        # rows S(e_i), then lefts[s, i, q, c]: coefficient c of S(e_i) e_q
+        lefts = times_s(ops[ss, :, lo:hi].transpose(0, 2, 1, 3).reshape(
+            -1, n2, deg))
+        if lhs is None or lefts is None:
+            return None
+        lefts = lefts.reshape(len(ss), b, n2, n2, deg)
+        pool = [lefts] if ones else []
+        for k, s in enumerate(ss):
+            if us[s]:
+                got = times_u[s](lefts[k].transpose(0, 2, 1, 3).reshape(
+                    -1, n2, deg))
+                if got is None:
+                    return None
+                # [(i, c), (u, j)] onto [u, i, j, c]
+                pool.append(got.reshape(b, n2, len(us[s]), n1, deg).transpose(
+                    2, 0, 3, 1, 4))
+        pool = np.concatenate(pool) if len(pool) > 1 else pool[0]
+        if plain:
+            rhs = pool[index]
+        else:
             # every sum below stays below 2^63
-            if max(int(np.abs(lhs).max(initial=0)) * scale_l,
-                   sum(int(np.abs(x).max(initial=0)) for x in parts) * scale_r,
-                   scale_l, scale_r) >= 1 << 63:
+            tops = [int(x) * y for x, y in
+                    zip(np.abs(pool).max(axis=(1, 2, 3, 4)), scales)]
+            if max([int(np.abs(lhs).max()) * scale_l, scale_l, *scales]
+                   + [sum(tops[k] for k in group) for group in groups]) \
+                    >= 1 << 63:
                 return None
-            rhs = sum(parts[1:], parts[0]) * scale_r
-            rhs = rhs.reshape(hi - lo, n2, n1, deg).transpose(0, 2, 1, 3)
-            bad = _first_hit((lhs * scale_l != rhs).any(axis=(2, 3)))
-            if bad is not None:
-                found[k] = (lo + bad[0], bad[1])
+            rhs = np.add.reduceat(pool[index] * np.array(scales)[index].reshape(
+                -1, 1, 1, 1, 1), np.cumsum([0] + list(map(len, groups[:-1]))),
+                axis=0)
+            lhs = lhs * scale_l
+        # each differing coefficient's law * b n1 + (i - lo) n1 + j, ascending
+        hit = np.flatnonzero(
+            lhs.reshape(b * n1, len(laws), -1).transpose(1, 0, 2)
+            != rhs.reshape(len(laws), b * n1, -1)) // (n2 * deg)
+        if hit.size:
+            ks, first = np.unique(hit // (b * n1), return_index=True)
+            for k, x in zip(ks.tolist(), (hit[first] % (b * n1)).tolist()):
+                if found[k] is None:
+                    found[k] = (lo + x // n1, x % n1)
     return found
 
 

@@ -12,15 +12,15 @@ each matrix product folded mod Phi_m.  The two laws c(ab) = c(a)c(b) and
 v(ab) = c(a)v(b) + v(a)b have the form T(ab) = sum S(a)U(b), as has
 "T: A -> B is an algebra map", T(ab) = T(a)T(b).  One routine,
 algebra_core.law_witnesses, decides all of them exactly on every basis
-pair, in integers: the structure constants and the maps are written over
-common denominators, each side becomes a sum of raw integer convolutions of
-their numerators, and a sum is reduced mod Phi_m only at its zero test.
-The left multiplication by S(e_i) is built once per i and shared by the
-laws that use it, so a dense table costs O(dim^4) numerator products
-instead of O(dim^5) field products per law.  hma_verify checks both module
-laws in one call, and _verify_module_iso and the generic isomorphism search
-check T; a failing law is reported at its first failing pair in row-major
-order.
+pair, in integers, with the structure constants and the maps over common
+denominators, on one of two routes chosen by cost: on sparse tables a loop
+of raw integer convolutions of the numerators, each sum reduced mod Phi_m
+only at its zero test and each left multiplication by S(e_i) built once
+per i, so O(dim^4) numerator products instead of O(dim^5) field products
+per law; on dense tables a few exact products of coefficient planes.
+hma_verify checks both module laws in one call, and _verify_module_iso
+and the generic isomorphism search check T; a failing law is reported at
+its first failing pair in row-major order.
 
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
 density): rank the unital operator algebra O generated by all left/right

@@ -8,6 +8,7 @@ of recover_structure) and derivations."""
 
 import itertools
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -189,6 +190,19 @@ def _dense_basis(m, n, kind):
                            for i in range(n)))
 
 
+def _seed_basis(m, n, name):
+    """(I + J) S with S the signed permutation that perfbench/dense.py draws
+    for the module `name` from seed 1: the basis of the benchmark's dense
+    copy of that module."""
+    rng = random.Random("1/" + name)
+    order = list(range(n))
+    rng.shuffle(order)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return Matrix(m, tuple(tuple(CycNum.rational(m, signs[k] * (1 + (i == k)))
+                                 for j in range(n) for k in [order.index(j)])
+                           for i in range(n)))
+
+
 # the corpus modules of dim 2-4 get both copies (a dim-1 copy is only a
 # rescaled basis vector); of the dim-8 ones, three
 DENSE_COPIES = sorted(
@@ -203,7 +217,9 @@ DENSE_COPIES = sorted(
 @cache
 def _dense_copy(name, kind):
     mod = _corpus()[name]
-    return _change_basis(mod, _dense_basis(mod.m, mod.algebra.dim, kind))
+    n = mod.algebra.dim
+    return _change_basis(mod, _seed_basis(mod.m, n, name) if kind == "seed 1"
+                         else _dense_basis(mod.m, n, kind))
 
 
 # -- corpus modules and their dense copies -------------------------------------
@@ -1143,13 +1159,53 @@ def _route_inputs(draw):
     return m, src, dst, laws
 
 
+def _on_planes(decide, owner, loop):
+    """[decide()] with every law check sent to the planes, or None when a
+    guard refuses them and owner.loop would decide."""
+    refused = object()
+    with pytest.MonkeyPatch.context() as patch:
+        _route(patch, True)
+        patch.setattr(owner, loop, lambda *args: refused)
+        got = decide()
+    return None if got is refused else [got]
+
+
+def _plane_witness(alg):
+    """[alg's first failing triple] decided on planes, or None when a guard
+    refuses them."""
+    return _on_planes(alg._associativity_witness, FinDimAlgebra,
+                      "_associativity_loop")
+
+
+def _plane_laws(src, dst, laws):
+    """law_witnesses decided on planes, or None when a guard refuses them."""
+    got = _on_planes(lambda: law_witnesses(src, dst, laws), algebra_core,
+                     "_laws_loop")
+    return None if got is None else got[0]
+
+
+def _identity_without_product(src, dst, laws):
+    """_laws_on_planes on the laws with every identity U given as None, the
+    form associativity uses, so that its terms take no product."""
+    maps = algebra_core._distinct_maps(laws)
+    at = {key: k for k, key in enumerate(maps)}
+    one = Matrix.identity(src.m, src.dim)
+
+    def key(u):
+        return None if src.dim == dst.dim and u == one else at[id(u)]
+
+    return algebra_core._laws_on_planes(
+        src.m, *algebra_core._map_planes(src, dst, maps),
+        [(at[id(t)], [(at[id(s)], key(u)) for s, u in terms])
+         for t, terms in laws])
+
+
 def _law_routes(src, dst, laws):
     """[law_witnesses on the loop, the same on planes, never refused]."""
     with pytest.MonkeyPatch.context() as patch:
         _route(patch, False)
         loop = law_witnesses(src, dst, laws)
-    return [loop, algebra_core._laws_on_planes(
-        src, dst, laws, algebra_core._distinct_maps(laws))]
+    return [loop, _plane_laws(src, dst, laws)]
 
 
 @given(_route_inputs())
@@ -1159,12 +1215,19 @@ def test_both_routes_give_the_oracles_witnesses(drawn):
     for alg in {id(x): x for x in (src, dst)}.values():
         expect = _cycnum_first_failure(alg)
         assert alg._associativity_loop() == expect
-        assert algebra_core._associativity_on_planes(alg) == [expect]
-    assert _law_routes(src, dst, laws) == [_cycnum_law_witnesses(src, dst,
-                                                                 laws)] * 2
+        assert _plane_witness(alg) == [expect]
+    expect = _cycnum_law_witnesses(src, dst, laws)
+    assert _law_routes(src, dst, laws) == [expect] * 2
+    assert _identity_without_product(src, dst, laws) == expect
 
 
-@given(st.sampled_from(SOURCES), st.data())
+# the benchmark's seed-1 dense copies of dim 4 and 8
+SEED_COPIES = [("dense", (name, "seed 1")) for name in (
+    "ss_mat2_trivial", "ss_sweedler_p_gamma3", "ext_base_mat2_elem_m2",
+    "ss_grid_m4_k2_t2")]
+
+
+@given(st.sampled_from(SOURCES + SEED_COPIES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_both_routes_give_the_oracles_witnesses_on_perturbed_copies(source,
                                                                    data):
@@ -1182,7 +1245,7 @@ def test_both_routes_give_the_oracles_witnesses_on_perturbed_copies(source,
         mod = _perturbed(mod, data.draw(st.sampled_from("cv")), i, a, delta)
     expect = _cycnum_first_failure(alg)
     assert alg._associativity_loop() == expect
-    assert algebra_core._associativity_on_planes(alg) == [expect]
+    assert _plane_witness(alg) == [expect]
     c, v = mod.c_op, mod.v_op
     laws = [(c, [(c, c)]), (v, [(c, v), (v, Matrix.identity(m, n))])]
     assert _law_routes(alg, alg, laws) == [_cycnum_law_witnesses(alg, alg,
@@ -1210,7 +1273,7 @@ def test_plane_products_past_2_to_the_53_stay_exact(k, bump):
                         autodetect_unit=False)
     expect = _cycnum_first_failure(alg)
     assert (expect is None) == (bump == 0)
-    assert algebra_core._associativity_on_planes(alg) == [expect]
+    assert _plane_witness(alg) == [expect]
 
 
 @pytest.mark.parametrize("bump", [0, 1])
@@ -1218,28 +1281,29 @@ def test_a_refused_plane_product_is_decided_by_the_loop(monkeypatch, bump):
     # 4 terms of 2^31 * 2^31 pass 2^63: the product's guard refuses
     table = _huge_m2(31, bump)
     alg = FinDimAlgebra(2, table, validate=False, autodetect_unit=False)
-    assert algebra_core._associativity_on_planes(alg) is None
+    assert _plane_witness(alg) is None
     _route(monkeypatch, True)
     assert (_assert_associativity_matches(2, table) is None) == (bump == 0)
     # T = 2^40 times the identity: T(e_i) T(e_j) reaches 2^80
     T = Matrix.identity(2, 4) * CycNum.rational(2, 2 ** 40)
     laws = [(T, [(T, T)])]
-    assert algebra_core._laws_on_planes(
-        alg, alg, laws, algebra_core._distinct_maps(laws)) is None
+    assert _plane_laws(alg, alg, laws) is None
     assert law_witnesses(alg, alg, laws) == \
         _cycnum_law_witnesses(alg, alg, laws) != [None]
 
 
 def _spy_routes(monkeypatch):
-    """The plane checks that decide, by name, in call order."""
+    """The checks that the plane route decides, by the name of the check
+    that called it, in call order."""
     calls = []
-    for name in ("_associativity_on_planes", "_laws_on_planes"):
-        def spy(*args, real=getattr(algebra_core, name), name=name):
-            got = real(*args)
-            if got is not None:
-                calls.append(name)
-            return got
-        monkeypatch.setattr(algebra_core, name, spy)
+
+    def spy(*args, real=algebra_core._laws_on_planes):
+        got = real(*args)
+        if got is not None:
+            calls.append(sys._getframe(1).f_code.co_name)
+        return got
+
+    monkeypatch.setattr(algebra_core, "_laws_on_planes", spy)
     return calls
 
 
@@ -1253,7 +1317,7 @@ def test_dense_dim_8_copies_take_the_planes(monkeypatch, name, kind):
     calls = _spy_routes(monkeypatch)
     FinDimAlgebra(mod.m, mod.algebra.mult, unit=mod.algebra.unit)
     assert hma_verify(mod).ok
-    assert calls == ["_associativity_on_planes", "_laws_on_planes"]
+    assert calls == ["_associativity_witness", "law_witnesses"]
 
 
 def test_sparse_dim_36_tables_take_the_loop(monkeypatch):
