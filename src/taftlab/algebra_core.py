@@ -454,7 +454,7 @@ def _laws_on_planes(m: int, src, dst, maps, laws):
     one product: the laws' T maps side by side, their distinct S maps, and
     for each S the U maps it meets.  Each product is exact under its guards
     (_right_product), run over i in ascending blocks, so each law's first
-    failing pair is the loop's.
+    failing pair is the loop's; the blocks stop once every law has failed.
     """
     (d1, t1), (d2, t2) = src, dst
     big, ops = maps
@@ -477,10 +477,16 @@ def _laws_on_planes(m: int, src, dst, maps, laws):
     dens = [big * d2 * (1 if u is None else big) for _, u in slot]
     common = lcm(d1 * big, *dens)
     scale_l, scales = common // (d1 * big), [common // d for d in dens]
+    if max(scale_l, *scales) >= 1 << 63:
+        return None
     groups = [[slot[term] for term in terms] for _, terms in laws]
     index = [k for group in groups for k in group]
-    # one term per law, every scale 1: nothing is summed or scaled
-    plain = len(index) == len(laws) and {scale_l, *scales} == {1}
+    # nth[p]: the slot and scale of each law's p-th term; a law with fewer
+    # terms gets slot 0 at scale 0
+    nth = [([g[p] if p < len(g) else 0 for g in groups],
+            np.array([scales[g[p]] if p < len(g) else 0 for g in groups],
+                     dtype=np.int64)[:, None])
+           for p in range(max(map(len, groups)))]
     times_t = zright(ops[[t for t, _ in laws]].transpose(2, 0, 1, 3).reshape(
         n1, -1, deg), m)
     times_s = zright(t2.reshape(n2, n2 * n2, deg), m)
@@ -512,21 +518,18 @@ def _laws_on_planes(m: int, src, dst, maps, laws):
                 # [(i, c), (u, j)] onto [u, i, j, c]
                 pool.append(got.reshape(b, n2, len(us[s]), n1, deg).transpose(
                     2, 0, 3, 1, 4))
-        pool = np.concatenate(pool) if len(pool) > 1 else pool[0]
-        if plain:
-            rhs = pool[index]
-        else:
-            # every sum below stays below 2^63
-            tops = [int(x) * y for x, y in
-                    zip(np.abs(pool).max(axis=(1, 2, 3, 4)), scales)]
-            if max([int(np.abs(lhs).max()) * scale_l, scale_l, *scales]
-                   + [sum(tops[k] for k in group) for group in groups]) \
-                    >= 1 << 63:
-                return None
-            rhs = np.add.reduceat(pool[index] * np.array(scales)[index].reshape(
-                -1, 1, 1, 1, 1), np.cumsum([0] + list(map(len, groups[:-1]))),
-                axis=0)
-            lhs = lhs * scale_l
+        pool = (np.concatenate(pool) if len(pool) > 1 else pool[0]).reshape(
+            len(slot), -1)
+        # every sum below stays below 2^63
+        tops = [int(x) * y for x, y in zip(np.abs(pool).max(axis=1), scales)]
+        if max([int(np.abs(lhs).max()) * scale_l]
+               + [sum(tops[k] for k in group) for group in groups]) >= 1 << 63:
+            return None
+        # rhs[law]: the sum of its terms, the p-th terms of all laws at once
+        rhs = pool[nth[0][0]] * nth[0][1]
+        for at, weight in nth[1:]:
+            rhs += pool[at] * weight
+        lhs = lhs * scale_l
         # each differing coefficient's law * b n1 + (i - lo) n1 + j, ascending
         hit = np.flatnonzero(
             lhs.reshape(b * n1, len(laws), -1).transpose(1, 0, 2)

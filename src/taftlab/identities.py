@@ -318,7 +318,7 @@ def _plane_spans(mod: HModuleAlgebra, n: int):
     come in taft_monomials' order, which changes no canonical basis.  The
     generating rows of W_j are then (d E_{j-1}) times right, one zmatmul,
     each row of them a nonzero rational multiple of the map f * h_b for f
-    a row of E_{j-1}, and divided by the gcd of its coefficients as well.
+    a row of E_{j-1}.
     """
     m, dim = mod.m, mod.algebra.dim
     planes = structure_planes(mod.algebra, (mod.c_op, mod.v_op))
@@ -356,9 +356,6 @@ def _plane_spans(mod: HModuleAlgebra, n: int):
             rows = rows.reshape(len(de), prefixes, m * m, dim * dim, deg)
             rows = rows.transpose(0, 2, 1, 3, 4).reshape(
                 len(de) * m * m, prefixes * dim * dim, deg)
-            # as in mul: each row divided by its content, a zero row by 1
-            content = np.gcd.reduce(rows, axis=(1, 2))
-            rows //= np.maximum(content, 1)[:, None, None]
         level = _lift_level(m, rows)
         if level is None:
             return
