@@ -76,23 +76,36 @@ class FinDimAlgebra:
                     raise InputError("structure constant vectors must have length dim")
                 cells.append(vec)
             norm.append(tuple(cells))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "mult", tuple(norm))
-        object.__setattr__(self, "_nz", None)
-        object.__setattr__(self, "_iv", None)
-        object.__setattr__(self, "_pl", None)
         if unit is not None:
             unit = tuple(x if isinstance(x, CycNum) else CycNum.rational(m, x)
                          for x in unit)
             if len(unit) != dim:
                 raise InputError("unit vector must have length dim")
+        self._settle(m, tuple(norm), unit, None, validate, autodetect_unit)
+
+    @classmethod
+    def _of_cells(cls, m: int, mult: tuple, unit, nz: tuple) -> "FinDimAlgebra":
+        """The algebra of a table read by serialize: mult a dim x dim tuple
+        of tuples of dim CycNums of conductor m, unit None or such a tuple,
+        and nz the table's _nonzero index.  Checked, and its unit found, as
+        by the constructor with its defaults."""
+        alg = cls.__new__(cls)
+        alg._settle(m, mult, unit, nz, True, True)
+        return alg
+
+    def _settle(self, m, mult, unit, nz, validate, autodetect_unit):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "dim", len(mult))
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "_nz", nz)
+        object.__setattr__(self, "_iv", None)
+        object.__setattr__(self, "_pl", None)
         object.__setattr__(self, "unit", unit)
         if validate:
             self._check_associative()
         if unit is not None:
             self._check_unit(unit)
-        elif autodetect_unit and dim:
+        elif autodetect_unit and self.dim:
             found = self.find_unit()
             if found is not None:
                 object.__setattr__(self, "unit", found)

@@ -27,7 +27,8 @@ coefficient planes: the codimension engine builds each level W_j of its
 ordered span this way, from the image of integer planes (planes_mod_p) at
 one prime, instead of by an echelon over Q(zeta_m).  The reduction primes
 are the primes p = 1 (mod m) above 2^20 in ascending order, found in one
-upward scan once per conductor.
+upward scan once per conductor, each candidate tested by deterministic
+Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -501,17 +502,38 @@ def combination(coeffs, basis):
 # prime-field reduction
 
 
+# Miller-Rabin to the bases 2, 3, 5 and 7 decides every n below the first
+# strong pseudoprime to all four, 3215031751 (Pomerance, Selfridge and
+# Wagstaff, Math. Comp. 35, 1980)
+_PRIME_BASES = (2, 3, 5, 7)
+_PRIME_TEST_LIMIT = 3215031751
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; n must be below
+    _PRIME_TEST_LIMIT, far past any reduction prime of a usable conductor."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise OverflowError("the prime test decides n < %d, not %d"
+                            % (_PRIME_TEST_LIMIT, n))
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % p == 0:
-            return n == p
-    d = 37
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

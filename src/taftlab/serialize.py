@@ -19,22 +19,42 @@ host (medians of 11, three runs) the 5.9 MB dim-36 M_3(F)^4 module takes
 0.014-0.023 s (json.dumps: 0.55-0.62 s), and a dim-20 table whose entries
 are all distinct 0.045-0.060 s (json.dumps: 0.09-0.10 s).
 
-Decoders validate against a JSON schema first, then rebuild the domain
+Decoders read a table-holding document in one walk (``_Walk``) that
+checks, parses and indexes each distinct entry once, then rebuild the domain
 object, whose own constructor re-checks the semantic invariants
-(associativity, Hopf relations, grading compatibility, and so on).  Each
-schema is compiled once into a plain-Python predicate with the Draft 2020-12
-verdict for the keywords these schemas use; ``jsonschema`` is imported and
-run only when that predicate rejects a document, to word the InputError with
-the offending path.  Each ``validate`` call, and each decoder call, keeps one
-memo for its document, keyed on an entry's content ``(m, *coeffs)`` when it
-has just those two keys, an int m and a list of coefficients (``validate``
-also asks for exact ``str`` coefficients): each distinct entry is
-schema-checked once and parsed once, and every other entry costs one key and
-one dict lookup.  Equal keys give equal verdicts, so nothing is sampled;
-any other entry is checked and parsed on its own.  The memo dies with the
-call, so no state carries from one document to the next.  Draft 2020-12
-counts an integral float such as ``2.0`` as an integer; the decoders read
-every schema integer as an int, so such a document reads as its int twin.
+(associativity, grading compatibility, and so on).  The walk accepts only
+what a valid document holds in the exact types json.loads gives it: dicts
+with the schema's keys, ints where it asks for integers, lists for arrays
+and field elements.  It keys each entry on its content ``(m, *coeffs)`` and
+keeps the parsed CycNum only once the entry has passed the entry schema
+(just the keys m and coeffs, an int m equal to the document's conductor,
+str coefficients matching the rational pattern); a later entry with an
+equal key needs no check, since a str equals only a str, and costs one key
+and one dict lookup.  Cells are built as tuples of those CycNums, every
+zero entry the field's one zero, so the same walk gives the algebra its
+nonzero index.  ``validate`` runs only on the first thing the walk does not
+accept, and before any InputError leaves a decoder: a schema error anywhere
+in the document is raised first, as when every document was validated
+before it was decoded, and a semantic error only for a valid document, in
+the order the walk meets it (the table and the algebra's own checks before
+c and v).  A valid document the walk does not accept reads on in the
+schema's other forms: Draft 2020-12 counts an integral float such as
+``2.0`` as an integer, and the decoders read every schema integer as an
+int, so such a document reads as its int twin.  The memo dies with the
+call, so no state carries from one document to the next.  On a 2-CPU Xeon
+host the 34 module algebras of the benchmark's certify workload read in
+0.012-0.015 s, against 0.023-0.025 s when each was validated and then
+decoded (in process, best of 7 to 9 passes, seven alternating runs).  A
+Hopf element, a short list of terms, is validated and then decoded.
+
+``validate`` is the one schema authority.  Each schema is compiled once
+into a plain-Python predicate with the Draft 2020-12 verdict for the
+keywords these schemas use; ``jsonschema`` is imported and run only when
+that predicate rejects a document, to word the InputError with the
+offending path.  Each call keeps one memo for its document, keyed on an
+entry's ``(m, *coeffs)`` when it has just those two keys, an int m and a
+list of exact ``str`` coefficients, so each distinct entry is checked once;
+equal keys give equal verdicts, so nothing is sampled.
 """
 
 from __future__ import annotations
@@ -508,25 +528,197 @@ def _parse_cyc(m, coeffs: tuple) -> CycNum:
     return CycNum.make(m, fracs)
 
 
+# ---------------------------------------------------------------- reading
+
+_RATIONAL_SEARCH = re.compile(_RATIONAL["pattern"]).search
+_ALGEBRA_KEYS = frozenset(ALGEBRA_SCHEMA["required"])
+_UNIT = frozenset(("unit",))
+_BODY_KEYS = frozenset(_ALGEBRA_OBJ["required"])
+_HMA_KEYS = frozenset(HMA_SCHEMA["required"])
+_SS_SPEC_KEYS = frozenset(SS_SPEC_SCHEMA["required"])
+_NILEXT_KEYS = frozenset(NILEXT_SCHEMA["required"])
+_MATRIX_KEYS = frozenset(MATRIX_SCHEMA["required"])
+
+
+class _Walk:
+    """One decoding walk over one document (see the module docstring).
+
+    Used as ``with walk:`` around a decoder's body.  Reading checks what
+    it reads, in the order the decoder reads it, and accepts only what a
+    valid document holds in the exact types json.loads gives it.  At the
+    first thing it does not accept it calls ``check``, which validates the
+    whole document once and so raises the schema's error; a valid
+    document then reads on in the schema's other forms (an integral float
+    where an integer is asked for).  An InputError leaving the body also
+    calls ``check`` first, so a semantic error is raised only for a valid
+    document.
+    """
+
+    __slots__ = ("doc", "schema", "what", "checked", "m", "memo")
+
+    def __init__(self, doc, schema, what: str):
+        self.doc, self.schema, self.what = doc, schema, what
+        self.checked = False
+        # the document's conductor, set by the decoder or, for an algebra
+        # document, read off its first entry
+        self.m = None
+        # (m, *coeffs) of each exact entry read -> its CycNum
+        self.memo = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, InputError):
+            self.check()
+        return False
+
+    def check(self) -> None:
+        if not self.checked:
+            validate(self.doc, self.schema, self.what)
+            self.checked = True
+
+    def fields(self, obj, keys, optional=frozenset()) -> None:
+        """obj a dict with keys and perhaps some of optional; where keys
+        hold the format, its tag."""
+        if (type(obj) is not dict or not obj.keys() >= keys
+                or not obj.keys() <= keys | optional
+                or ("format" in keys and obj["format"] != FORMAT_TAG)):
+            self.check()
+
+    def integer(self, x, low: int) -> int:
+        if type(x) is not int or x < low:
+            self.check()
+            return _integer(x)
+        return x
+
+    def entry(self, x) -> CycNum:
+        """A field element the memo does not hold.  One of exact types
+        that the entry schema accepts with the document's conductor is
+        parsed and kept under its key; any other first has the document
+        checked.  A zero entry reads as the field's one zero, which the
+        nonzero index of the algebra tests by identity."""
+        m = self.m
+        if type(x) is dict and len(x) == 2:
+            own, coeffs = x.get("m"), x.get("coeffs")
+            if (type(own) is int and own == m and type(coeffs) is list
+                    and all(type(s) is str and _RATIONAL_SEARCH(s)
+                            for s in coeffs)):
+                y = self.memo[(m, *coeffs)] = json_to_cyc(x, m) or CycNum.zero(m)
+                return y
+        self.check()
+        return json_to_cyc(x, m) or CycNum.zero(m)
+
+    def vector(self, obj) -> tuple:
+        """The field elements of the list obj.  An exact entry met before
+        costs one key and one lookup: its key equals only the key of an
+        entry the schema accepted, since a str equals only a str."""
+        get = self.memo.get
+        out = []
+        try:
+            for x in obj:
+                if type(x) is dict and len(x) == 2:
+                    own = x["m"]
+                    coeffs = x["coeffs"]
+                    if type(own) is int and type(coeffs) is list:
+                        y = get((own, *coeffs))
+                        if y is not None:
+                            out.append(y)
+                            continue
+                out.append(self.entry(x))
+        except (KeyError, TypeError):
+            # a two-key entry missing m or coeffs, or an unhashable
+            # coefficient: no valid document has either
+            self.check()
+            raise
+        return tuple(out)
+
+    def matrix(self, obj, what: str) -> Matrix:
+        if type(obj) is not list:
+            self.check()
+        if not obj:
+            raise InputError("%s must have at least one row" % what)
+        if type(obj[0]) is not list:
+            self.check()
+        width = len(obj[0])
+        rows = []
+        for i, row in enumerate(obj):
+            if type(row) is not list:
+                self.check()
+            if len(row) != width:
+                raise InputError("%s row %d has length %d; expected %d"
+                                 % (what, i, len(row), width))
+            rows.append(self.vector(row))
+        return Matrix(self.m, tuple(rows))
+
+    def algebra(self, body, keys) -> FinDimAlgebra:
+        """The algebra of an object with keys, dim and mult among them, and
+        perhaps unit; its conductor the walk's or, if none is set, its
+        first entry's."""
+        self.fields(body, keys, _UNIT)
+        dim = self.integer(body["dim"], 1)
+        mult = body["mult"]
+        if type(mult) is not list:
+            self.check()
+        if len(mult) != dim:
+            raise InputError("mult table has %d rows; dim is %d"
+                             % (len(mult), dim))
+        if self.m is None:
+            self.m = self.first_conductor(mult)
+        table = []
+        for i, row in enumerate(mult):
+            if type(row) is not list:
+                self.check()
+            if len(row) != dim:
+                raise InputError("mult row %d has %d cells; dim is %d"
+                                 % (i, len(row), dim))
+            cells = []
+            for j, cell in enumerate(row):
+                if type(cell) is not list:
+                    self.check()
+                if len(cell) != dim:
+                    raise InputError("mult entry (%d, %d) has length %d; "
+                                     "dim is %d" % (i, j, len(cell), dim))
+                cells.append(self.vector(cell))
+            table.append(tuple(cells))
+        unit = body.get("unit")
+        if unit is not None:
+            if type(unit) is not list:
+                self.check()
+            if len(unit) != dim:
+                raise InputError("unit has length %d; dim is %d"
+                                 % (len(unit), dim))
+            unit = self.vector(unit)
+        # every zero entry is the one zero, so an all-zero cell compares
+        # equal by identity alone
+        zero = CycNum.zero(self.m)
+        zeros = (zero,) * dim
+        nz = tuple(tuple(() if cell == zeros else tuple(
+            [(a, x) for a, x in enumerate(cell) if x is not zero])
+            for cell in row) for row in table)
+        return FinDimAlgebra._of_cells(self.m, tuple(table), unit, nz)
+
+    def first_conductor(self, mult) -> int:
+        """The conductor of the table's first entry."""
+        for row in mult:
+            if type(row) is not list:
+                self.check()
+            for cell in row:
+                if type(cell) is not list:
+                    self.check()
+                for entry in cell:
+                    m = entry.get("m") if type(entry) is dict else None
+                    if type(m) is not int or m < 2:
+                        self.check()
+                        m = _integer(entry["m"])
+                    return m
+        raise InputError("cannot infer the conductor from an empty table")
+
+
 def matrix_to_json(mat: Matrix, memo: _EntryDicts | None = None) -> list:
     """Row-major entry dicts; equal entries share one (see vector_to_json)."""
     memo = _EntryDicts() if memo is None else memo
     return [vector_to_json(row, memo) for row in mat.rows]
-
-
-def json_to_matrix(obj, m: int, *, what: str = "matrix",
-                   memo: dict | None = None) -> Matrix:
-    if not obj:
-        raise InputError("%s must have at least one row" % what)
-    memo = {} if memo is None else memo
-    width = len(obj[0])
-    rows = []
-    for i, row in enumerate(obj):
-        if len(row) != width:
-            raise InputError("%s row %d has length %d; expected %d"
-                             % (what, i, len(row), width))
-        rows.append(json_to_vector(row, m, memo))
-    return Matrix.from_rows(m, rows)
 
 
 def matrix_doc_to_json(mat: Matrix) -> dict:
@@ -534,8 +726,10 @@ def matrix_doc_to_json(mat: Matrix) -> dict:
 
 
 def json_to_matrix_doc(doc) -> Matrix:
-    validate(doc, MATRIX_SCHEMA, "matrix")
-    return json_to_matrix(doc["rows"], _integer(doc["m"]))
+    with _Walk(doc, MATRIX_SCHEMA, "matrix") as walk:
+        walk.fields(doc, _MATRIX_KEYS)
+        walk.m = walk.integer(doc["m"], 2)
+        return walk.matrix(doc["rows"], "matrix")
 
 
 class _EntryDicts:
@@ -570,32 +764,6 @@ def vector_to_json(vec, memo: _EntryDicts | None = None) -> list:
     return out
 
 
-def json_to_vector(obj, m: int, memo: dict | None = None) -> tuple:
-    """The entries as CycNums.  memo maps the key ``(m, *coeffs)`` of each
-    entry of conductor m already read from the document to its CycNum, so
-    each distinct entry is parsed once; any other entry (a bool or float m,
-    another conductor, a key besides "m" and "coeffs") goes through
-    json_to_cyc.  Unlike ``_entry_key`` this does not test the coefficients'
-    types, which costs more than the memo saves: a key holding a
-    non-``str`` coefficient equals no key of strings, and equal keys parse
-    to equal values."""
-    memo = {} if memo is None else memo
-    out = []
-    for x in obj:
-        if type(x) is dict and len(x) == 2:
-            own = x.get("m")
-            coeffs = x.get("coeffs")
-            if own == m and type(own) is int and type(coeffs) is list:
-                key = (own, *coeffs)
-                y = memo.get(key)
-                if y is None:
-                    y = memo[key] = json_to_cyc(x, m)
-                out.append(y)
-                continue
-        out.append(json_to_cyc(x, m))
-    return tuple(out)
-
-
 # --------------------------------------------------------------- algebras
 
 def _algebra_body(a: FinDimAlgebra, memo: _EntryDicts) -> dict:
@@ -612,49 +780,9 @@ def algebra_to_json(a: FinDimAlgebra) -> dict:
     return doc
 
 
-def _algebra_from_body(obj, m: int | None = None,
-                       memo: dict | None = None) -> FinDimAlgebra:
-    memo = {} if memo is None else memo
-    dim = _integer(obj["dim"])
-    mult = obj["mult"]
-    if len(mult) != dim:
-        raise InputError("mult table has %d rows; dim is %d" % (len(mult), dim))
-    if m is None:
-        # conductor lives on the entries; find any one of them
-        for row in mult:
-            for cell in row:
-                for entry in cell:
-                    m = _integer(entry["m"])
-                    break
-                if m is not None:
-                    break
-            if m is not None:
-                break
-        if m is None:
-            raise InputError("cannot infer the conductor from an empty table")
-    table = []
-    for i, row in enumerate(mult):
-        if len(row) != dim:
-            raise InputError("mult row %d has %d cells; dim is %d"
-                             % (i, len(row), dim))
-        cells = []
-        for j, cell in enumerate(row):
-            if len(cell) != dim:
-                raise InputError("mult entry (%d, %d) has length %d; dim is %d"
-                                 % (i, j, len(cell), dim))
-            cells.append(json_to_vector(cell, m, memo))
-        table.append(tuple(cells))
-    unit = obj.get("unit")
-    if unit is not None:
-        if len(unit) != dim:
-            raise InputError("unit has length %d; dim is %d" % (len(unit), dim))
-        unit = json_to_vector(unit, m, memo)
-    return FinDimAlgebra(m, tuple(table), unit=unit)
-
-
 def json_to_algebra(doc) -> FinDimAlgebra:
-    validate(doc, ALGEBRA_SCHEMA, "algebra")
-    return _algebra_from_body(doc)
+    with _Walk(doc, ALGEBRA_SCHEMA, "algebra") as walk:
+        return walk.algebra(doc, _ALGEBRA_KEYS)
 
 
 # ---------------------------------------------------------- module algebras
@@ -671,14 +799,14 @@ def hma_to_json(mod: HModuleAlgebra) -> dict:
 
 
 def json_to_hma(doc) -> HModuleAlgebra:
-    validate(doc, HMA_SCHEMA, "module algebra")
-    m = _integer(doc["m"])
-    memo = {}
-    algebra = _algebra_from_body(doc["algebra"], m, memo)
-    c_op = json_to_matrix(doc["c"], m, what="c operator", memo=memo)
-    v_op = json_to_matrix(doc["v"], m, what="v operator", memo=memo)
-    return HModuleAlgebra(hopf=TaftAlgebra(m), algebra=algebra,
-                          c_op=c_op, v_op=v_op)
+    with _Walk(doc, HMA_SCHEMA, "module algebra") as walk:
+        walk.fields(doc, _HMA_KEYS)
+        m = walk.m = walk.integer(doc["m"], 2)
+        algebra = walk.algebra(doc["algebra"], _BODY_KEYS)
+        c_op = walk.matrix(doc["c"], "c operator")
+        v_op = walk.matrix(doc["v"], "v operator")
+        return HModuleAlgebra(hopf=TaftAlgebra(m), algebra=algebra,
+                              c_op=c_op, v_op=v_op)
 
 
 # ------------------------------------------------------------------- specs
@@ -697,20 +825,18 @@ def ss_spec_to_json(spec: SemisimpleSpec) -> dict:
 
 
 def json_to_ss_spec(doc) -> SemisimpleSpec:
-    validate(doc, SS_SPEC_SCHEMA, "semisimple spec")
-    m = _integer(doc["m"])
-    memo = {}
-    spec = SemisimpleSpec(
-        m=m, k=_integer(doc["k"]), t=_integer(doc["t"]),
-        P=json_to_matrix(doc["P"], m, what="P", memo=memo),
-        Q=json_to_matrix(doc["Q"], m, what="Q", memo=memo),
-    )
-    if "alpha" in doc:
-        claimed = json_to_cyc(doc["alpha"], m)
-        if claimed != spec.alpha:
-            raise InputError("document claims alpha = %r but P^m gives %r"
-                             % (claimed, spec.alpha))
-    return spec
+    with _Walk(doc, SS_SPEC_SCHEMA, "semisimple spec") as walk:
+        walk.fields(doc, _SS_SPEC_KEYS, frozenset(("alpha",)))
+        m = walk.m = walk.integer(doc["m"], 2)
+        spec = SemisimpleSpec(
+            m=m, k=walk.integer(doc["k"], 1), t=walk.integer(doc["t"], 1),
+            P=walk.matrix(doc["P"], "P"), Q=walk.matrix(doc["Q"], "Q"))
+        if "alpha" in doc:
+            claimed, = walk.vector([doc["alpha"]])
+            if claimed != spec.alpha:
+                raise InputError("document claims alpha = %r but P^m gives %r"
+                                 % (claimed, spec.alpha))
+        return spec
 
 
 def nilext_spec_to_json(spec: NilpotentExtensionSpec, c_op: Matrix) -> dict:
@@ -741,13 +867,13 @@ def grading_to_c_matrix(grading: GradingDecomposition) -> Matrix:
 
 
 def json_to_nilext_spec(doc) -> NilpotentExtensionSpec:
-    validate(doc, NILEXT_SCHEMA, "base algebra")
-    m = _integer(doc["m"])
-    memo = {}
-    B = _algebra_from_body(doc["algebra"], m, memo)
-    c_op = json_to_matrix(doc["c"], m, what="grading operator", memo=memo)
-    grading = grading_from_c(B, c_op)
-    return NilpotentExtensionSpec(m=m, B=B, grading=grading)
+    with _Walk(doc, NILEXT_SCHEMA, "base algebra") as walk:
+        walk.fields(doc, _NILEXT_KEYS)
+        m = walk.m = walk.integer(doc["m"], 2)
+        B = walk.algebra(doc["algebra"], _BODY_KEYS)
+        c_op = walk.matrix(doc["c"], "grading operator")
+        grading = grading_from_c(B, c_op)
+        return NilpotentExtensionSpec(m=m, B=B, grading=grading)
 
 
 # ------------------------------------------------------------ Hopf elements

@@ -8,6 +8,7 @@ certified_rank the way codimension hands them over (identities._span_rank:
 int64 coefficient planes over one common denominator).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -490,6 +491,33 @@ def test_reduction_primes_match_the_restarting_search(m):
     want = _restarting_primes(m)
     assert list(reduction_primes(m)) == want
     assert [modular_prime(m, k) for k in range(3)] == [p for p, _ in want]
+
+
+# every n above 2^20 up to the first eight reduction primes of each
+# conductor m <= 12, and up to 2^12 below
+_PRIME_WINDOW = range(1 << 20, (1 << 20) + (1 << 12))
+
+
+def test_prime_test_matches_trial_division():
+    assert all(p in _PRIME_WINDOW for m in range(2, 13)
+               for p, _ in reduction_primes(m, 8))
+    for n in itertools.chain(range(1 << 12), _PRIME_WINDOW):
+        assert linalg._is_prime(n) == _trial_prime(n), n
+
+
+@given(st.integers(0, linalg._PRIME_TEST_LIMIT - 1))
+@example(3215031749)
+@settings(max_examples=100, deadline=None)
+def test_prime_test_matches_trial_division_below_its_limit(n):
+    assert linalg._is_prime(n) == _trial_prime(n)
+
+
+def test_prime_test_refuses_past_its_limit():
+    # the least strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+    for n in (2047, 1373653, 25326001):
+        assert not linalg._is_prime(n)
+    with pytest.raises(OverflowError):
+        linalg._is_prime(linalg._PRIME_TEST_LIMIT)
 
 
 def _modulus_near(limit, p):

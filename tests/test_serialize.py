@@ -2,23 +2,28 @@
 
 import copy
 import gc
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taftlab
 from taftlab import serialize
-from taftlab.algebra_core import FinDimAlgebra
+from taftlab.algebra_core import FinDimAlgebra, grading_from_c
 from taftlab.cli import main as cli_main
-from taftlab.constructions import build_nilpotent_extension, build_semisimple
+from taftlab.constructions import (NilpotentExtensionSpec, SemisimpleSpec,
+                                   build_nilpotent_extension, build_semisimple)
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import (negative_modules, nilext_specs,
@@ -48,7 +53,6 @@ from taftlab.serialize import (
     json_to_matrix_doc,
     json_to_nilext_spec,
     json_to_ss_spec,
-    json_to_vector,
     loads,
     matrix_doc_to_json,
     nilext_spec_to_json,
@@ -526,77 +530,331 @@ def test_compiled_schemas_agree_when_the_last_copy_is_edited(drawn, edit,
         assert got.startswith("bad rational coefficient")
 
 
-def _old_json_to_vector(obj, m):
-    """The decoder before the per-document memo: one json_to_cyc per entry."""
+# ------------------------------ the one walk against the two-walk oracle
+
+
+def _oracle_vector(obj, m):
+    """The decoder before the walk: validate, then one json_to_cyc per
+    entry (its per-document memo gave what json_to_cyc gives)."""
     return tuple(json_to_cyc(x, m) for x in obj)
 
 
-def _dense_copy(mod):
-    """mod in the basis of the columns of I + J, or of I + zeta J for m > 2:
-    every table entry of the copy is dense."""
-    m, A = mod.m, mod.algebra
-    off = CycNum.one(m) if m == 2 else zeta_power(m, 1)
-    t = Matrix(m, tuple(tuple(off + 1 if i == j else off
-                              for j in range(A.dim)) for i in range(A.dim)))
-    t_inv = t.inverse()
-    cols = [t.col(i) for i in range(A.dim)]
-    mult = tuple(tuple(t_inv.apply(A.multiply(x, y)) for y in cols)
-                 for x in cols)
-    unit = None if A.unit is None else t_inv.apply(A.unit)
-    algebra = FinDimAlgebra(m, mult, unit=unit, validate=False)
-    return HModuleAlgebra(hopf=mod.hopf, algebra=algebra,
-                          c_op=t_inv @ mod.c_op @ t, v_op=t_inv @ mod.v_op @ t)
+def _oracle_matrix(obj, m, what):
+    if not obj:
+        raise InputError("%s must have at least one row" % what)
+    width = len(obj[0])
+    rows = []
+    for i, row in enumerate(obj):
+        if len(row) != width:
+            raise InputError("%s row %d has length %d; expected %d"
+                             % (what, i, len(row), width))
+        rows.append(_oracle_vector(row, m))
+    return Matrix.from_rows(m, rows)
 
 
+def _oracle_algebra(obj, m=None):
+    dim = serialize._integer(obj["dim"])
+    mult = obj["mult"]
+    if len(mult) != dim:
+        raise InputError("mult table has %d rows; dim is %d" % (len(mult), dim))
+    if m is None:
+        # conductor lives on the entries; find any one of them
+        for row in mult:
+            for cell in row:
+                for entry in cell:
+                    m = serialize._integer(entry["m"])
+                    break
+                if m is not None:
+                    break
+            if m is not None:
+                break
+        if m is None:
+            raise InputError("cannot infer the conductor from an empty table")
+    table = []
+    for i, row in enumerate(mult):
+        if len(row) != dim:
+            raise InputError("mult row %d has %d cells; dim is %d"
+                             % (i, len(row), dim))
+        cells = []
+        for j, cell in enumerate(row):
+            if len(cell) != dim:
+                raise InputError("mult entry (%d, %d) has length %d; dim is %d"
+                                 % (i, j, len(cell), dim))
+            cells.append(_oracle_vector(cell, m))
+        table.append(tuple(cells))
+    unit = obj.get("unit")
+    if unit is not None:
+        if len(unit) != dim:
+            raise InputError("unit has length %d; dim is %d" % (len(unit), dim))
+        unit = _oracle_vector(unit, m)
+    return FinDimAlgebra(m, tuple(table), unit=unit)
+
+
+def _oracle_hma(doc):
+    validate(doc, HMA_SCHEMA, "module algebra")
+    m = serialize._integer(doc["m"])
+    algebra = _oracle_algebra(doc["algebra"], m)
+    c_op = _oracle_matrix(doc["c"], m, "c operator")
+    v_op = _oracle_matrix(doc["v"], m, "v operator")
+    return HModuleAlgebra(hopf=TaftAlgebra(m), algebra=algebra,
+                          c_op=c_op, v_op=v_op)
+
+
+def _oracle_algebra_doc(doc):
+    validate(doc, ALGEBRA_SCHEMA, "algebra")
+    return _oracle_algebra(doc)
+
+
+def _oracle_ss_spec(doc):
+    validate(doc, SS_SPEC_SCHEMA, "semisimple spec")
+    m = serialize._integer(doc["m"])
+    spec = SemisimpleSpec(
+        m=m, k=serialize._integer(doc["k"]), t=serialize._integer(doc["t"]),
+        P=_oracle_matrix(doc["P"], m, "P"), Q=_oracle_matrix(doc["Q"], m, "Q"))
+    if "alpha" in doc:
+        claimed = json_to_cyc(doc["alpha"], m)
+        if claimed != spec.alpha:
+            raise InputError("document claims alpha = %r but P^m gives %r"
+                             % (claimed, spec.alpha))
+    return spec
+
+
+def _oracle_nilext_spec(doc):
+    validate(doc, NILEXT_SCHEMA, "base algebra")
+    m = serialize._integer(doc["m"])
+    B = _oracle_algebra(doc["algebra"], m)
+    c_op = _oracle_matrix(doc["c"], m, "grading operator")
+    return NilpotentExtensionSpec(m=m, B=B, grading=grading_from_c(B, c_op))
+
+
+def _oracle_matrix_doc(doc):
+    validate(doc, MATRIX_SCHEMA, "matrix")
+    return _oracle_matrix(doc["rows"], serialize._integer(doc["m"]), "matrix")
+
+
+_ORACLES = {"module algebra": _oracle_hma, "algebra": _oracle_algebra_doc,
+            "semisimple spec": _oracle_ss_spec,
+            "base algebra": _oracle_nilext_spec, "matrix": _oracle_matrix_doc}
+
+
+def _algebras(obj):
+    if isinstance(obj, HModuleAlgebra):
+        return [obj.algebra]
+    if isinstance(obj, FinDimAlgebra):
+        return [obj]
+    if isinstance(obj, NilpotentExtensionSpec):
+        return [obj.B]
+    return []
+
+
+def _outcome_of(read, what, doc):
+    """The canonical text of what read gives, or its exception's type and
+    text, and the algebras read."""
+    try:
+        got = read(doc)
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return (type(exc).__name__, str(exc)), []
+    return dumps_canonical(_CODECS[what][1](got)), _algebras(got)
+
+
+def _assert_walk_matches_the_oracle(what, doc):
+    """The walk and the oracle give the same object or the same error; an
+    algebra read by the walk has the indexes of one built directly."""
+    got, mine = _outcome_of(_CODECS[what][0], what, doc)
+    want, theirs = _outcome_of(_ORACLES[what], what, doc)
+    assert got == want
+    for a, b in zip(mine, theirs):
+        assert (a.m, a.mult, a.unit) == (b.m, b.mult, b.unit)
+        assert a._nonzero() == b._nonzero()
+        assert a._integer_view() == b._integer_view()
+        pa, pb = a._planes(), b._planes()
+        assert (pa is None) == (pb is None)
+        if pa is not None:
+            assert pa[0] == pb[0] and np.array_equal(pa[1], pb[1])
+    return got
+
+
+@cache
+def _benchmark_dense():
+    """perfbench/dense.py, loaded from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "dense.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_dense", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@cache
 def _module_documents():
+    """Every corpus module, as a canonical document."""
     mods = dict(positive_modules())
     mods.update(negative_modules())
-    docs = {name: hma_to_json(mod) for name, mod in mods.items()}
-    docs.update(("dense_" + name, hma_to_json(_dense_copy(mod)))
-                for name, mod in mods.items() if 2 <= mod.algebra.dim <= 9)
-    return {name: loads(dumps_canonical(doc)) for name, doc in docs.items()}
+    return {name: loads(dumps_canonical(hma_to_json(mod)))
+            for name, mod in sorted(mods.items())}
 
 
-def test_memo_decoder_matches_the_per_entry_oracle():
-    docs = _module_documents()
-    assert sum(name.startswith("dense_") for name in docs) >= 20
-    for name, doc in sorted(docs.items()):
-        mod = json_to_hma(doc)
-        m, body = doc["m"], doc["algebra"]
-        mult = tuple(tuple(_old_json_to_vector(cell, m) for cell in row)
-                     for row in body["mult"])
-        assert mod.algebra.mult == mult, name
-        unit = body["unit"]
-        assert mod.algebra.unit == (
-            None if unit is None else _old_json_to_vector(unit, m)), name
-        for key, op in (("c", mod.c_op), ("v", mod.v_op)):
-            assert op.rows == tuple(_old_json_to_vector(row, m)
-                                    for row in doc[key]), name
+def _dense_sources():
+    """The modules whose dense copies the walk reads; a dim-1 copy is only
+    a rescaled basis vector."""
+    return sorted(name for name, doc in _module_documents().items()
+                  if 2 <= doc["algebra"]["dim"] <= 9)
+
+
+def _dense_document(name, seed):
+    """The dense copy of a corpus module that perfbench/dense.py writes for
+    seed: every structure constant over denominators dim + 1."""
+    dense = _benchmark_dense()
+    return json.loads(dense.dumps(dense.dense_copy(
+        _module_documents()[name], seed, name)))
+
+
+def test_walk_matches_the_oracle_on_every_document():
     for what, doc in DOCS:
-        if what == "semisimple spec":
-            spec = json_to_ss_spec(doc)
-            for key in ("P", "Q"):
-                assert getattr(spec, key).rows == tuple(
-                    _old_json_to_vector(row, doc["m"]) for row in doc[key])
-        elif what == "base algebra":
-            body, m = doc["algebra"], doc["m"]
-            assert json_to_nilext_spec(doc).B.mult == tuple(
-                tuple(_old_json_to_vector(cell, m) for cell in row)
-                for row in body["mult"])
+        if what != "Hopf element":
+            assert not _assert_walk_matches_the_oracle(what, doc)[0] \
+                .startswith("InputError")
+    for name, doc in _module_documents().items():
+        _assert_walk_matches_the_oracle("module algebra", doc)
+        algebra = {"format": FORMAT_TAG}
+        algebra.update(doc["algebra"])
+        _assert_walk_matches_the_oracle("algebra", algebra)
+    assert len(_dense_sources()) >= 20
+    for name in _dense_sources():
+        doc = _dense_document(name, 1)
+        assert any(x["coeffs"][0].count("/")
+                   for row in doc["algebra"]["mult"] for cell in row
+                   for x in cell)
+        _assert_walk_matches_the_oracle("module algebra", doc)
 
 
-def test_memo_decoder_keeps_each_entry_check():
+@given(st.deferred(lambda: st.sampled_from(_dense_sources())),
+       st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_walk_matches_the_oracle_on_dense_copies(name, seed):
+    _assert_walk_matches_the_oracle("module algebra",
+                                    _dense_document(name, seed))
+
+
+@given(_mutated())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_walk_matches_the_oracle_on_mutated_documents(drawn):
+    what, doc = drawn
+    if what != "Hopf element":
+        _assert_walk_matches_the_oracle(what, doc)
+
+
+def _edited(doc, path, value):
+    doc = copy.deepcopy(doc)
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _dropped(doc, path):
+    doc = copy.deepcopy(doc)
+    del _at(doc, path[:-1])[path[-1]]
+    return doc
+
+
+def test_walk_matches_the_oracle_on_rejections():
+    hma = loads(dumps_canonical(hma_to_json(sweedler_two_dim())))
+    first = ("algebra", "mult", 0, 0, 0)
+    two = {"m": 2, "coeffs": ["2"]}
+    # e_0 e_1 = 2 e_1 with e_0 e_0 = e_0: (e_0 e_0) e_1 = 2 e_1 but
+    # e_0 (e_0 e_1) = 4 e_1
+    assoc = _edited(hma, ("algebra", "mult", 0, 1, 1), two)
+    cases = {
+        "wrong conductor": (
+            _edited(hma, first, {"m": 3, "coeffs": ["1"]}),
+            "field element has conductor 3; expected 2"),
+        "1/0": (_edited(hma, first, {"m": 2, "coeffs": ["1/0"]}),
+                "bad rational coefficient: Fraction(1, 0)"),
+        "3/-4 in c": (_edited(hma, ("c", 1, 1), {"m": 2, "coeffs": ["3/-4"]}),
+                      "bad rational coefficient: Invalid literal for "
+                      "Fraction: '3/-4'"),
+        "m = 2.0": (_edited(hma, ("m",), 2.0), ""),
+        "entry m = 2.0": (_edited(hma, first + ("m",), 2.0), ""),
+        "m = true": (_edited(hma, ("m",), True), None),
+        "entry m = true": (_edited(hma, first + ("m",), True), None),
+        "extra entry key": (_edited(hma, first + ("extra",), 1), None),
+        "extra top key": (_edited(hma, ("extra",), 1), None),
+        "no unit key": (_dropped(hma, ("algebra", "unit")), ""),
+        "ragged mult row": (
+            _edited(hma, ("algebra", "mult", 1), hma["algebra"]["mult"][1][:1]),
+            "mult row 1 has 1 cells; dim is 2"),
+        "short mult cell": (
+            _edited(hma, ("algebra", "mult", 1, 0), [two]),
+            "mult entry (1, 0) has length 1; dim is 2"),
+        "bad unit length": (
+            _edited(hma, ("algebra", "unit"), hma["algebra"]["unit"] * 2),
+            "unit has length 4; dim is 2"),
+        "ragged c": (_edited(hma, ("c", 1), [two]),
+                     "c operator row 1 has length 1; expected 2"),
+        "empty v": (_edited(hma, ("v",), []), "v operator must have at least one row"),
+        "3 x 3 c": (_edited(hma, ("c",), [[two] * 3] * 3),
+                    "c operator must be 2 x 2 over Q(zeta_2)"),
+        "non-associative": (
+            assoc, "structure constants are not associative at basis "
+                   "triple (0, 0, 1)"),
+        # the table's error comes before c's, as it did before the walk
+        "non-associative, bad conductor in c": (
+            _edited(assoc, ("c", 0, 0), {"m": 3, "coeffs": ["1"]}),
+            "structure constants are not associative at basis triple (0, 0, 1)"),
+        "non-associative, 1/0 in c": (
+            _edited(assoc, ("c", 0, 0), {"m": 2, "coeffs": ["1/0"]}),
+            "structure constants are not associative at basis triple (0, 0, 1)"),
+        # ... but a schema error anywhere comes first
+        "non-associative, extra key in c": (
+            _edited(assoc, ("c", 0, 0, "extra"), 1), None),
+        "non-associative, ragged c, bad v": (
+            _edited(_edited(assoc, ("c", 1), [two]), ("v", 0, 0), "x"), None),
+        "unhashable coefficient": (
+            _edited(hma, first + ("coeffs",), [["1"]]), None),
+    }
+    for name, (doc, message) in cases.items():
+        got = _assert_walk_matches_the_oracle("module algebra", doc)
+        if message is None:
+            assert got[0] == "InputError" and got[1].startswith(
+                "invalid module algebra document: "), name
+        elif message:
+            assert got == ("InputError", message), name
+        else:
+            assert got == dumps_canonical(hma_to_json(json_to_hma(hma))), name
+    # an algebra document takes its conductor from its first entry
+    algebra = loads(dumps_canonical(algebra_to_json(sweedler_two_dim().algebra)))
+    for doc, message in (
+            (_edited(algebra, ("mult",), [[]] * 2),
+             "cannot infer the conductor from an empty table"),
+            (_edited(algebra, ("mult", 0, 0, 0, "m"), 3),
+             "field element has conductor 2; expected 3"),
+            (_edited(algebra, ("mult", 0, 0, 0, "m"), 2.0), "")):
+        got = _assert_walk_matches_the_oracle("algebra", doc)
+        assert got == (("InputError", message) if message else
+                       dumps_canonical(algebra_to_json(json_to_algebra(algebra))))
+
+
+def test_walk_keeps_each_entry_check(monkeypatch):
     one = {"m": 3, "coeffs": ["1", "0"]}
-    cells = [one, dict(one), {"m": 3.0, "coeffs": ["1", "0"]},
-             {"m": 3, "coeffs": ["1", "0"], "extra": 1}]
-    memo = {}
-    assert json_to_vector(cells, 3, memo) == (CycNum.one(3),) * 4
-    assert list(memo) == [(3, "1", "0")]
-    # a memo met under another conductor answers for nothing
+    parsed = []
+    real = serialize.json_to_cyc
+    monkeypatch.setattr(serialize, "json_to_cyc",
+                        lambda obj, m=None: parsed.append(obj) or real(obj, m))
+
+    def doc(*rows, m=3):
+        return {"format": FORMAT_TAG, "m": m, "rows": [list(r) for r in rows]}
+
+    got = json_to_matrix_doc(doc([one, dict(one), {"m": 3.0, "coeffs": ["1", "0"]}]))
+    assert got.rows == ((CycNum.one(3),) * 3,)
+    # the copy of the first entry is looked up; the float conductor is read
+    # on its own
+    assert parsed == [one, {"m": 3.0, "coeffs": ["1", "0"]}]
     with pytest.raises(InputError, match="conductor 3; expected 4"):
-        json_to_vector([one], 4, memo)
+        json_to_matrix_doc(doc([one], m=4))
     with pytest.raises(InputError, match="bad rational coefficient"):
-        json_to_vector([one, {"m": 3, "coeffs": ["3/-4"]}], 3, memo)
+        json_to_matrix_doc(doc([one, {"m": 3, "coeffs": ["3/-4"]}]))
+    with pytest.raises(InputError, match="Additional properties"):
+        json_to_matrix_doc(doc([one, dict(one, extra=1)]))
 
 
 def test_no_memo_state_leaks_between_documents(monkeypatch):

@@ -4,7 +4,7 @@ the axiom battery against its exhaustive oracle."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taftlab.cyclotomic import CycNum, zeta_power
@@ -246,9 +246,12 @@ def test_broken_relation_witnesses():
 
 
 @st.composite
-def _generator_values(draw, H):
-    """Delta, eps and S on c and v: each value the Taft one or, half the time,
-    a random sparse element with coefficients in {-1, 1, zeta}."""
+def _generator_values(draw):
+    """(m, values): Delta, eps and S on c and v, each value the Taft one or,
+    half the time, a random sparse element with coefficients in
+    {-1, 1, zeta}."""
+    m = draw(st.sampled_from([2, 3]))
+    H = TaftAlgebra(m)
     keys = H.basis_keys()
     coeffs = st.sampled_from([-1, 1, zeta_power(H.m, 1)])
 
@@ -269,13 +272,22 @@ def _generator_values(draw, H):
         if draw(st.booleans()):
             out[attr] = draw(st.sampled_from(
                 [CycNum.zero(H.m), CycNum.one(H.m), zeta_power(H.m, 1)]))
-    return out
+    return m, out
+
+
+# Delta(v) = e_(0,2) (x) e_(0,2) keeps Delta an algebra map but fails the
+# counit, and S(v) = -c^2 v^2 breaks v c = zeta c v while the antipode axiom
+# holds on every basis key
+_H3 = TaftAlgebra(3)
+_COUNIT_FAILS = (3, {"_delta_v": _H3.tensor2({((0, 2), (0, 2)): 1}),
+                     "_s_v": _H3.monomial(2, 2, -1)})
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3]), st.data())
-def test_battery_matches_the_oracle_on_random_generator_values(m, data):
-    values = data.draw(_generator_values(TaftAlgebra(m)))
+@given(_generator_values())
+@example(_COUNIT_FAILS)
+def test_battery_matches_the_oracle_on_random_generator_values(drawn):
+    m, values = drawn
     H, G = TaftAlgebra(m), TaftAlgebra(m)
     for attr, value in values.items():
         setattr(H, attr, value)
