@@ -84,13 +84,16 @@ class FinDimAlgebra:
         self._settle(m, tuple(norm), unit, None, validate, autodetect_unit)
 
     @classmethod
-    def _of_cells(cls, m: int, mult: tuple, unit, nz: tuple) -> "FinDimAlgebra":
-        """The algebra of a table read by serialize: mult a dim x dim tuple
-        of tuples of dim CycNums of conductor m, unit None or such a tuple,
-        and nz the table's _nonzero index.  Checked, and its unit found, as
-        by the constructor with its defaults."""
+    def _of_cells(cls, m: int, mult: tuple, unit, nz: tuple,
+                  checked: bool = True) -> "FinDimAlgebra":
+        """The algebra of a table built together with its nonzero index, as
+        serialize's walk and the constructions build theirs: mult a
+        dim x dim tuple of tuples of dim CycNums of conductor m, unit None
+        or such a tuple, and nz the table's _nonzero index.  Checked, and
+        its unit found, as by the constructor with its defaults; with
+        checked False, as with validate and autodetect_unit False."""
         alg = cls.__new__(cls)
-        alg._settle(m, mult, unit, nz, True, True)
+        alg._settle(m, mult, unit, nz, checked, checked)
         return alg
 
     def _settle(self, m, mult, unit, nz, validate, autodetect_unit):
@@ -256,8 +259,10 @@ class FinDimAlgebra:
                              if w is not None), None)
         return self._associativity_loop()
 
-    def _associativity_loop(self):
-        """_associativity_witness by summing raw numerator convolutions."""
+    def _associativity_loop(self, lefts=None):
+        """_associativity_witness by summing raw numerator convolutions;
+        with lefts, an ascending list of basis indices, the first failing
+        triple (i, j, k) with i among them."""
         m, dim = self.m, self.dim
         _, cells = self._integer_view()
         # rows[a]: the (k * dim + c, numerators of the e_c-coefficient of
@@ -267,7 +272,7 @@ class FinDimAlgebra:
         # minus[j]: (k * dim, the (b, -numerators) of e_j e_k) per nonzero cell
         minus = [[(k * dim, [(b, tuple((s, -u) for s, u in y)) for b, y in cell])
                   for k, cell in enumerate(row) if cell] for row in cells]
-        for i in range(dim):
+        for i in range(dim) if lefts is None else lefts:
             row_i = cells[i]
             for j in range(dim):
                 # diff[k * dim + c]: e_c-coefficient of (e_i e_j) e_k - e_i (e_j e_k)

@@ -141,52 +141,80 @@ def semisimple_operators(m: int, k: int, t: int, P: Matrix, Q: Matrix):
 
 def _rotation_operators(m: int, k: int, t: int, P: Matrix, Q: Matrix,
                         qinv: Matrix):
-    """semisimple_operators on data _check_rotation_data has passed."""
-    n = t * k * k
-    zero_k = Matrix.zeros(m, k, k)
-    units = _block_matrix_units(m, k)
+    """semisimple_operators on data _check_rotation_data has passed.
 
-    # structure constants: block-diagonal product of matrix units
-    zero_row = tuple(CycNum.zero(m) for _ in range(n))
-    mult = [[zero_row] * n for _ in range(n)]
+    The basis is E_ij in block s at index s k^2 + i k + j.  The table is
+    built with its nonzero index, every zero product one shared all-zero
+    cell and the products equal to one E_ij one shared cell, and checked
+    as a table read from a document is.  The operator columns are read off
+    closed forms, with O(k^2) field products per E_ij in block s:
+      c: E_ij in block s + 1, or Q E_ij Q^{-1} = Q[:, i] (x) Q^{-1}[j, :]
+         in block 0 when s = t - 1;
+      v: zeta^s P E_ij in block s, plus -zeta^{s+1} E_ij P in block s + 1,
+         or -Q E_ij Q^{-1} P in block 0 when s = t - 1 (for t = 1 both
+         terms land in block 0).
+    """
+    n, kk = t * k * k, k * k
+    zero, one = CycNum.zero(m), CycNum.one(m)
+
+    # structure constants: block-diagonal product of matrix units,
+    # E_ij E_jl = E_il in each block
+    zeros = (zero,) * n
+    units = [(zeros[:a] + (one,) + zeros[a + 1:], ((a, one),))
+             for a in range(n)]
+    mult = [[zeros] * n for _ in range(n)]
+    nz = [[()] * n for _ in range(n)]
+    unit = list(zeros)
+    for base in range(0, n, kk):
+        for i in range(k):
+            unit[base + i * k + i] = one
+            for j in range(k):
+                row, index = mult[base + i * k + j], nz[base + i * k + j]
+                for l in range(k):
+                    row[base + j * k + l], index[base + j * k + l] = \
+                        units[base + i * k + l]
+    algebra = FinDimAlgebra._of_cells(m, tuple(map(tuple, mult)), tuple(unit),
+                                      tuple(map(tuple, nz)))
+
+    # c_rows[r][col], v_rows[r][col]: entry r of the image of basis col
+    c_rows = [[zero] * n for _ in range(n)]
+    v_rows = [[zero] * n for _ in range(n)]
+
+    def add(r, col, x):
+        cur = v_rows[r][col]
+        v_rows[r][col] = x if cur is zero else cur + x
+
+    # columns i of Q, rows j of Q^{-1} and of -Q^{-1} P, nonzero only
+    qcols = [[(p, row[i]) for p, row in enumerate(Q.rows) if row[i]]
+             for i in range(k)]
+    qinv_rows = [[(q, x) for q, x in enumerate(row) if x] for row in qinv.rows]
+    neg_qp = [[(q, -x) for q, x in enumerate(row) if x]
+              for row in (qinv @ P).rows]
     for s in range(t):
+        last = s == t - 1
+        zs, zn = zeta_power(m, s), -zeta_power(m, s + 1)
+        # columns i of zeta^s P and rows j of -zeta^{s+1} P, nonzero only
+        pcols = [[(p, zs * row[i]) for p, row in enumerate(P.rows) if row[i]]
+                 for i in range(k)]
+        prows = [[(q, zn * x) for q, x in enumerate(row) if x]
+                 for row in P.rows]
         for i in range(k):
             for j in range(k):
-                a_idx = s * k * k + i * k + j
-                for jj in range(k):
-                    b_idx = s * k * k + j * k + jj
-                    row = [CycNum.zero(m)] * n
-                    row[s * k * k + i * k + jj] = CycNum.one(m)
-                    mult[a_idx][b_idx] = tuple(row)
-    unit = [CycNum.zero(m)] * n
-    for s in range(t):
-        for i in range(k):
-            unit[s * k * k + i * k + i] = CycNum.one(m)
-    algebra = FinDimAlgebra(m, tuple(tuple(r) for r in mult), unit=tuple(unit))
-
-    def op_columns(block_fn):
-        cols = []
-        for s in range(t):
-            for u in units:
-                blocks = [zero_k] * t
-                blocks[s] = u
-                cols.append(blocks_to_vec(block_fn(blocks)))
-        rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        return Matrix(m, rows)
-
-    def c_blocks(a):
-        return tuple([Q @ a[t - 1] @ qinv] + [a[s] for s in range(t - 1)])
-
-    def v_blocks(a):
-        prev = Q @ a[t - 1] @ qinv
-        out = []
-        for s in range(t):
-            term = P @ a[s] - prev @ P
-            out.append(term * zeta_power(m, s))
-            prev = a[s]
-        return tuple(out)
-
-    return algebra, op_columns(c_blocks), op_columns(v_blocks)
+                col = s * kk + i * k + j
+                for p, x in pcols[i]:
+                    add(s * kk + p * k + j, col, x)
+                if not last:
+                    c_rows[col + kk][col] = one
+                    for q, x in prows[j]:
+                        add((s + 1) * kk + i * k + q, col, x)
+                    continue
+                for p, x in qcols[i]:
+                    for q, y in qinv_rows[j]:
+                        c_rows[p * k + q][col] = x * y
+                    for q, y in neg_qp[j]:
+                        add(p * k + q, col, x * y)
+    return (algebra, Matrix(m, tuple(map(tuple, c_rows))),
+            Matrix(m, tuple(map(tuple, v_rows))))
 
 
 def build_semisimple(spec: SemisimpleSpec, hopf: TaftAlgebra | None = None) -> HModuleAlgebra:
@@ -521,29 +549,38 @@ def build_nilpotent_extension(spec: NilpotentExtensionSpec,
     zero = CycNum.zero(m)
     one = CycNum.one(m)
 
-    mult = []
+    # the table with its nonzero index, every zero product one shared cell
+    zeros = (zero,) * n
+    mult, nz = [], []
     for p in range(m):
         for s in range(d):
-            row = []
+            row, index = [], []
             for l in range(m):
                 for u in range(d):
-                    out = [zero] * n
+                    hits = ()
                     if p + l < m:
                         coeff = qtable.value(p + l, p) * zeta_seq[(l * degrees[s]) % m]
                         if not coeff.is_zero():
                             base = (p + l) * d
-                            for w in range(d):
-                                cw = prod_coords[s][u][w]
-                                if not cw.is_zero():
-                                    out[base + w] = coeff * cw
-                    row.append(tuple(out))
+                            hits = tuple((base + w, coeff * cw) for w, cw
+                                         in enumerate(prod_coords[s][u])
+                                         if not cw.is_zero())
+                    cell = zeros
+                    if hits:
+                        cell = list(zeros)
+                        for a, x in hits:
+                            cell[a] = x
+                        cell = tuple(cell)
+                    row.append(cell)
+                    index.append(hits)
             mult.append(tuple(row))
+            nz.append(tuple(index))
 
     unit_b = cob_inv.apply(B.unit)
     unit = [zero] * n
     for w in range(d):
         unit[w] = unit_b[w]
-    algebra = FinDimAlgebra(m, tuple(mult), unit=tuple(unit))
+    algebra = FinDimAlgebra._of_cells(m, tuple(mult), tuple(unit), tuple(nz))
 
     c_rows = [[zero] * n for _ in range(n)]
     v_rows = [[zero] * n for _ in range(n)]

@@ -5,19 +5,21 @@ elements are ``{"m": m, "coeffs": ["p/q", ...]}`` with exact rational
 strings (the coefficient list is the canonical residue, shortest first);
 matrices are row-major nested lists of those.  The ``*_to_json`` writers
 give each distinct field element of one document a single dict that all its
-entries share, so a caller edits only a copy rebuilt through
-``loads(dumps_canonical(doc))`` (``copy.deepcopy`` keeps the sharing).
-``dumps_canonical`` emits sorted-key two-space-indented JSON so parse ->
-emit -> parse is the identity on canonical files.  Its bytes are those of
+entries share, and each distinct cell object of a table a single list, so a
+caller edits only a copy rebuilt through ``loads(dumps_canonical(doc))``
+(``copy.deepcopy`` keeps the sharing).  ``dumps_canonical`` emits
+sorted-key two-space-indented JSON so parse -> emit -> parse is the identity
+on canonical files.  Its bytes are those of
 ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, but it does not run
 json's generator-based Python encoder (which ``indent`` selects): it appends
 the pieces of one walk to a list, joins once, and renders each field element
-dict once per indentation level.  The text of an entry is found by the entry
-dict's identity, so a table of shared dicts costs one dict lookup per entry;
-a new entry's text is built in one expression.  On a 2-CPU Xeon
-host (medians of 11, three runs) the 5.9 MB dim-36 M_3(F)^4 module takes
-0.014-0.023 s (json.dumps: 0.55-0.62 s), and a dim-20 table whose entries
-are all distinct 0.045-0.060 s (json.dumps: 0.09-0.10 s).
+dict and each list once per indentation level.  The text of an entry or a
+list met before is found by its identity, so a table of shared cells costs
+one dict lookup per cell; a new entry's text is built in one expression.
+On a 2-CPU Xeon host (medians of 11, three runs) the 5.9 MB dim-36
+M_3(F)^4 module takes 1.9 ms (9-17 ms with one text per entry,
+json.dumps: 0.55-0.62 s), and a dim-20 table whose entries are all
+distinct 0.045-0.060 s (json.dumps: 0.09-0.10 s).
 
 Decoders read a table-holding document in one walk (``_Walk``) that
 checks, parses and indexes each distinct entry once, then rebuild the domain
@@ -355,13 +357,18 @@ def dumps_canonical(doc) -> str:
     rendered once per dict and indentation level and its text reused: a
     table repeats a handful of distinct entries thousands of times, and the
     ``*_to_json`` writers give those a handful of shared dicts, so the text
-    is found by the dict's identity.  The document keeps every dict alive
-    for the call, so no id is reused.
+    is found by the dict's identity.  A list or tuple met again at the same
+    indentation level is written as the text of its first rendering, joined
+    from its pieces at the first repeat: the writers give each distinct
+    cell object of a table one shared list.  The document keeps every dict
+    and list alive for the call, so no id is reused.
     """
     out = []
     append = out.append
     # level -> {id of a two-key dict: its text, or False if no entry}
     by_id = defaultdict(dict)
+    # level -> {id of a list or tuple: its (start, end) in out, or its text}
+    lists = defaultdict(dict)
 
     def write(value, level):
         # an exact dict is no other JSON type, so the entry test can go first
@@ -409,9 +416,19 @@ def dumps_canonical(doc) -> str:
                 + int.__repr__(value["m"]) + "\n" + "  " * level + "}")
 
     def write_list(items, level):
+        # a list met before at this level: its text, joined from its pieces
+        # in out at the first repeat
+        met = lists[level]
+        got = met.get(id(items))
+        if got is not None:
+            if type(got) is tuple:
+                got = met[id(items)] = "".join(out[got[0]:got[1]])
+            append(got)
+            return
         if not items:
             append("[]")
             return
+        start = len(out)
         inner = "\n" + "  " * (level + 1)
         sep = "[" + inner
         between = "," + inner
@@ -431,6 +448,7 @@ def dumps_canonical(doc) -> str:
             else:
                 write(item, level + 1)
         append("\n" + "  " * level + "]")
+        met[id(items)] = start, len(out)
 
     def write_dict(dct, level):
         if not dct:
@@ -767,9 +785,21 @@ def vector_to_json(vec, memo: _EntryDicts | None = None) -> list:
 # --------------------------------------------------------------- algebras
 
 def _algebra_body(a: FinDimAlgebra, memo: _EntryDicts) -> dict:
+    """dim, mult and unit of a; each distinct cell object of the table is
+    written once, as one list that every place it stands shares."""
+    lists = {}
+    mult = []
+    for row in a.mult:
+        out = []
+        for cell in row:
+            got = lists.get(id(cell))
+            if got is None:
+                got = lists[id(cell)] = vector_to_json(cell, memo)
+            out.append(got)
+        mult.append(out)
     return {
         "dim": a.dim,
-        "mult": [[vector_to_json(cell, memo) for cell in row] for row in a.mult],
+        "mult": mult,
         "unit": None if a.unit is None else vector_to_json(a.unit, memo),
     }
 

@@ -4,12 +4,15 @@ extensions, and structure recovery."""
 import itertools
 import random
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taftlab.algebra_core import (
+    FinDimAlgebra,
     direct_sum,
     field_algebra,
     grading_from_c,
@@ -48,6 +51,7 @@ from taftlab.errors import InputError
 from taftlab.fixtures import nilext_specs, ss_specs
 from taftlab.hmodule import hma_verify
 from taftlab.linalg import Matrix, combination, intertwiner_space
+from taftlab.taft_hopf import TaftAlgebra, _product_table
 
 
 def _mat(m, rows):
@@ -194,6 +198,131 @@ def test_operators_satisfy_module_algebra_laws():
         mod = build_semisimple(spec)
         rep = hma_verify(mod)
         assert rep.ok, (name, rep.failed())
+
+
+# -- the closed-form operator columns against block products -----------------
+
+
+def _oracle_operators(m, k, t, P, Q):
+    """(c_op, v_op) by block matrix products, as the operators were built
+    before their columns were read off closed forms: the column of E_ij in
+    block s is the image of that block tuple, three k x k products each."""
+    qinv = Q.inverse()
+    n = t * k * k
+    zero_k = Matrix.zeros(m, k, k)
+    units = constructions._block_matrix_units(m, k)
+
+    def op_columns(block_fn):
+        cols = []
+        for s in range(t):
+            for u in units:
+                blocks = [zero_k] * t
+                blocks[s] = u
+                cols.append(blocks_to_vec(block_fn(blocks)))
+        return Matrix(m, tuple(tuple(cols[j][i] for j in range(n))
+                               for i in range(n)))
+
+    def c_blocks(a):
+        return tuple([Q @ a[t - 1] @ qinv] + [a[s] for s in range(t - 1)])
+
+    def v_blocks(a):
+        prev = Q @ a[t - 1] @ qinv
+        out = []
+        for s in range(t):
+            out.append((P @ a[s] - prev @ P) * zeta_power(m, s))
+            prev = a[s]
+        return tuple(out)
+
+    return op_columns(c_blocks), op_columns(v_blocks)
+
+
+def _assert_operators_match_the_oracle(m, k, t, P, Q):
+    _, c_op, v_op = semisimple_operators(m, k, t, P, Q)
+    want_c, want_v = _oracle_operators(m, k, t, P, Q)
+    for got, want in ((c_op, want_c), (v_op, want_v)):
+        assert got.m == m
+        assert [[(type(x), x) for x in row] for row in got.rows] == \
+            [[(CycNum, x) for x in row] for row in want.rows], (m, k, t)
+
+
+def test_operators_match_the_oracle_on_every_spec():
+    specs = ss_specs()
+    assert len(specs) == 32
+    for name, spec in specs.items():
+        _assert_operators_match_the_oracle(spec.m, spec.k, spec.t, spec.P,
+                                           spec.Q)
+
+
+def test_operators_match_the_oracle_on_non_scalar_p_powers():
+    tried = 0
+    for m in (2, 3, 4):
+        for k in (1, 2, 3):
+            for t in (x for x in range(1, m + 1) if m % x == 0):
+                Q = grid_spec(m, k, t).Q
+                P = mutate_p_nonscalar(m, k, t, Q)
+                if P is not None:
+                    assert (P ** m).is_scalar() is None
+                    _assert_operators_match_the_oracle(m, k, t, P, Q)
+                    tried += 1
+    assert tried == 8
+
+
+@st.composite
+def _rotation_data(draw):
+    """(m, k, t, P, Q): a grid point's Q and a P from the space that
+    QPQ^{-1} = zeta^{-t} P allows, P^m scalar or not, both conjugated by
+    g = L U with L, U unitriangular of small integers."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 3))
+    t = draw(st.sampled_from([x for x in range(1, m + 1) if m % x == 0]))
+    Q = grid_spec(m, k, t).Q
+    space = intertwiner_space(m, k, k, [(Q, Q, zeta_power(m, t))])
+    coeffs = st.sampled_from([0, 1, -2, Fraction(1, 3), zeta_power(m, 1)])
+    P = combination([draw(coeffs) for _ in space], space) or Matrix.zeros(m, k, k)
+    small = st.integers(-2, 2)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(k)]
+             for i in range(k)]
+    upper = [[1 if i == j else draw(small) if j > i else 0 for j in range(k)]
+             for i in range(k)]
+    g = _mat(m, lower) @ _mat(m, upper)
+    ginv = g.inverse()
+    return m, k, t, g @ P @ ginv, g @ Q @ ginv
+
+
+@given(_rotation_data())
+@settings(max_examples=40, deadline=None)
+def test_operators_match_the_oracle_on_drawn_rotation_data(data):
+    m, k, t, P, Q = data
+    constructions._check_rotation_data(m, k, t, P, Q)
+    _assert_operators_match_the_oracle(m, k, t, P, Q)
+
+
+# -- the nonzero index each construction hands over ---------------------------
+
+
+def _constructed_tables():
+    out = {"ss_" + name: build_semisimple(spec).algebra
+           for name, spec in ss_specs().items()}
+    out.update(("ext_" + name, build_nilpotent_extension(spec).module.algebra)
+               for name, spec in nilext_specs().items())
+    out.update(("taft_%d" % m, _product_table(TaftAlgebra(m)))
+               for m in range(2, 9))
+    return out
+
+
+def test_constructions_hand_over_the_nonzero_index_of_their_table():
+    tables = _constructed_tables()
+    assert len(tables) == 32 + 4 + 7
+    for name, alg in tables.items():
+        handed = alg._nz
+        assert handed is not None, name
+        # the constructor scans the table for its own index
+        fresh = FinDimAlgebra(alg.m, alg.mult, alg.unit, validate=False,
+                              autodetect_unit=False)
+        assert handed == fresh._nonzero(), name
+        assert alg._integer_view() == fresh._integer_view(), name
+        (den, planes), (want_den, want) = alg._planes(), fresh._planes()
+        assert den == want_den and np.array_equal(planes, want), name
 
 
 def test_closed_form_matches_iterated_action():

@@ -124,6 +124,14 @@ def test_writers_share_one_dict_per_distinct_entry():
     entries += [e for key in ("c", "v") for row in doc[key] for e in row]
     assert len({id(e) for e in entries}) == len(
         {json.dumps(e, sort_keys=True) for e in entries}) < len(entries)
+    # one list per distinct cell object of the table, shared where it stands
+    mod = build_semisimple(ss_specs()["grid_m4_k3_t4"])
+    doc = hma_to_json(mod)
+    pairs = {(id(x), id(y)) for row, lists in zip(mod.algebra.mult,
+                                                  doc["algebra"]["mult"])
+             for x, y in zip(row, lists)}
+    assert len(pairs) == len({x for x, _ in pairs}) == len({y for _, y in pairs}) \
+        == 37
     # sharing does not change the bytes
     fresh = json.loads(json.dumps(doc))
     assert dumps_canonical(doc) == dumps_canonical(fresh) == \
@@ -1120,6 +1128,10 @@ def test_canonical_writer_on_aliased_documents():
             looks + looks + [looks, [looks], {"x": looks}],
             # one list object repeated
             [row, row, [row, row], {"r": row, "s": row}],
+            # as the writers share a table's cells: one cell list repeated
+            # within a row, across rows, and at two indentation levels
+            {"mult": [[row, row, [entry]], [row, [row]], [[[row]]]],
+             "unit": row},
             # entries that share one coefficient list
             [{"m": 2, "coeffs": coeffs}, {"m": 3, "coeffs": coeffs},
              [{"m": 2, "coeffs": coeffs}], coeffs]):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.qcombinatorics import q_binom
 from taftlab.taft_hopf import (AxiomReport, TaftAlgebra, _coassoc_sides,
-                               _product_table, hopf_verify_axioms)
+                               _generated, _product_table, hopf_verify_axioms)
 
 FLAGS = ("associativity", "coassociativity", "counit", "bialgebra", "antipode")
 
@@ -243,6 +243,78 @@ def test_broken_relation_witnesses():
                                    "bialgebra: counit breaks v c = zeta c v"]
     report = hopf_verify_axioms(_broken(3, "s_c = 1"))
     assert report.failures[0] == "antipode: antipode breaks v c = zeta c v"
+
+
+# -- broken products: associativity decided on c and v, else on every triple ----
+
+
+def _off_the_generators(H):
+    """For m >= 3, the products of positive v-degrees that land in degree
+    m - 1 are zero, which keeps the table associative but leaves the
+    degree m - 1 keys unreached from e_(0,0), and then v^(m-1) c is doubled:
+    the first failing triple is (v^(m-1), c, c).  For m = 2, c v = v,
+    v c = -v and c (cv) = cv leave cv unreached, with the first failing
+    triple (cv, c, c)."""
+    m, keys = H.m, H.basis_keys()
+    c, v = (1, 0), (0, 1)
+    if m == 2:
+        one = CycNum.one(m)
+        return {(c, v): (v, one), (v, c): (v, -one), (c, (1, 1)): ((1, 1), one)}
+    edits = {(a, b): None for a in keys for b in keys
+             if a[1] and b[1] and a[1] + b[1] == m - 1}
+    key, factor = H.key_product((0, m - 1), c)
+    edits[(0, m - 1), c] = key, factor * 2
+    return edits
+
+
+def _c_misses_a_key(H):
+    """c c^(m-2) = 0, so c^(m-1) is reached from no key; for m = 2, c v and
+    v c miss cv (the edits of _off_the_generators)."""
+    if H.m == 2:
+        return _off_the_generators(H)
+    return {((1, 0), (H.m - 2, 0)): None}
+
+
+BROKEN_PRODUCTS = {
+    "first failure off c and v": _off_the_generators,
+    "c misses a key": _c_misses_a_key,
+    "e_(0,0) no unit": lambda H: {((0, 0), (0, 0)): None},
+    "c v doubled": lambda H: {((1, 0), (0, 1)): ((1, 1), CycNum.rational(H.m, 2))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_PRODUCTS))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_battery_matches_the_oracle_on_broken_products(monkeypatch, m, case):
+    edits = BROKEN_PRODUCTS[case](TaftAlgebra(m))
+    plain = TaftAlgebra.key_product
+
+    def key_product(self, a, b):
+        return edits[a, b] if (a, b) in edits else plain(self, a, b)
+
+    monkeypatch.setattr(TaftAlgebra, "key_product", key_product)
+    H = TaftAlgebra(m)
+    keys = H.basis_keys()
+    table = _product_table(H)
+    first = table._associativity_witness()
+    assert first is not None
+    unit = table._unit_witness(table.basis_vector(0))
+    reached = _generated(table._nonzero(), 0, [keys.index((0, 1)),
+                                               keys.index((1, 0))])
+    if case == "first failure off c and v":
+        assert keys[first[0]] not in ((1, 0), (0, 1)) and unit is None
+    elif case == "c misses a key":
+        assert not reached and unit is None
+    elif case == "e_(0,0) no unit":
+        assert unit is not None
+    else:
+        assert reached and unit is None
+    report, expect = hopf_verify_axioms(H), exhaustive_axioms(H)
+    # the coalgebra checks on c and v presume the Taft product, so only
+    # the product's flag and witnesses are the oracle's here
+    assert not report.associativity and not expect.associativity
+    assert [f for f in report.failures if f.startswith("associativity")] == \
+        [f for f in expect.failures if f.startswith("associativity")]
 
 
 @st.composite
