@@ -11,24 +11,19 @@ y, with L the left regular representation of the hull.  That keeps the
 computation one exact kernel, with nilpotency and semisimple-quotient as
 checkable properties rather than part of the algorithm.
 
-The laws are decided exactly on the integer view of a table (its structure
-constants' numerators over one common denominator): associativity on basis
-triples, the unit, and, in one routine, every law of the form
-T(ab) = sum S(a) U(b) on basis pairs (law_witnesses).  That form covers
-"T is an algebra map", the c and v laws of a module algebra over the Taft
-algebra and derivations; it suffices to check such a law on basis pairs,
-since both sides are bilinear.  Associativity and law_witnesses each take
-one of two routes, chosen by costs read off the nonzero pattern
-(_takes_planes), and both name the same first failing triple or pair.  A
-loop sums the raw numerator convolutions of the nonzero constants, each sum
-reduced mod Phi_m only at its zero test; it suits sparse tables.  Dense
-tables go to integer planes, where associativity is the laws
-L_i(ab) = L_i(a) b (_laws_on_planes): both sides are products of whole
-tables' coefficient planes with the stacked maps over Z[zeta_m]
-(linalg.zright), run in float64 where a bound computed from the entries
-keeps every partial sum below 2^53, else in int64 below 2^63.  Past that
-bound the loop decides.  The mod-p image of a table (_table_modp) is read
-from the same view, so no other module reads it.
+The laws are decided exactly in integers: associativity on basis triples,
+the unit, and, in one routine, every law T(ab) = sum S(a) U(b) on basis
+pairs (law_witnesses), which covers algebra maps, the c and v laws of a
+module algebra over the Taft algebra and derivations (both sides are
+bilinear, so basis pairs suffice).  A table's one integer form is its
+entries (FinDimAlgebra._entries): the key (i dim + j) dim + a and the
+numerators over one common denominator of each nonzero structure
+constant.  A sparse check joins entries into sparse products over
+Z[zeta_m] (_sum), both sides of a law in one sum, whose least key is the
+first failing triple or pair.  Dense tables go to coefficient planes
+(_laws_on_planes), as _takes_planes routes them; where a guard refuses the
+planes, the join decides.  The mod-p image of a table (_table_modp) is read
+from the entries too.
 """
 
 from __future__ import annotations
@@ -38,28 +33,26 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import (CycNum, add_products, fold, raw_sums, vanishes,
-                         zeta_power)
+from . import linalg
+from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, ModReductionError, Subspace,
-                     at_degree, integer_planes, kernel, solve,
+from .linalg import (EchelonBasis, Matrix, Subspace, at_degree,
+                     integer_planes, kernel, planes_mod_p, solve,
                      subspaces_independent, vec_is_zero, vec_zero, zright)
 
-# a law check runs on coefficient planes when their products cost at most
-# _PLANE_RATIO multiply-adds per numerator product that the loop forms past
-# its first _PLANE_FIXED, which pay for the plane route's fixed cost (numpy
-# calls and lifts); both measured, see _takes_planes
-_PLANE_RATIO = 256
-_PLANE_FIXED = 256
+# a law check runs on coefficient planes when their products form fewer
+# than _PLANE_RATIO products per pair that the join forms (_takes_planes)
+_PLANE_RATIO = 2
 
-# entries of the planes one block of a plane check holds at once
+# entries of the planes one block of a plane check holds at once, and
+# pairs one block of a join forms
 _BLOCK_ENTRIES = 1 << 16
 
 
 class FinDimAlgebra:
     """Associative algebra by structure constants; optionally unital."""
 
-    __slots__ = ("m", "dim", "mult", "unit", "_nz", "_iv", "_pl")
+    __slots__ = ("m", "dim", "mult", "unit", "_nz", "_ent")
 
     def __init__(self, m: int, mult: tuple, unit=None, *,
                  validate: bool = True, autodetect_unit: bool = True):
@@ -101,8 +94,7 @@ class FinDimAlgebra:
         object.__setattr__(self, "dim", len(mult))
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "_nz", nz)
-        object.__setattr__(self, "_iv", None)
-        object.__setattr__(self, "_pl", None)
+        object.__setattr__(self, "_ent", None)
         object.__setattr__(self, "unit", unit)
         if validate:
             self._check_associative()
@@ -131,35 +123,28 @@ class FinDimAlgebra:
             object.__setattr__(self, "_nz", nz)
         return nz
 
-    def _integer_view(self) -> tuple:
-        """(D, cells): D the common denominator of the nonzero structure
-        constants, cells[i][j] the (a, numerators) of each nonzero
-        mult[i][j][a] = numerators / D, ascending in a, with numerators the
-        nonzero (slot, int) pairs of the zeta-power coefficients."""
-        iv = self._iv
-        if iv is None:
-            nz = self._nonzero()
-            den = lcm(1, *(c.den for row in nz for cell in row for _, c in cell))
-            iv = den, tuple(tuple(tuple(
-                (a, tuple((s, u * (den // c.den)) for s, u in enumerate(c.num) if u))
-                for a, c in cell) for cell in row) for row in nz)
-            object.__setattr__(self, "_iv", iv)
-        return iv
+    def _entries(self) -> tuple:
+        """(D, keys, x): mult[i][j][a] = x[k] / D for each nonzero constant,
+        at the ascending keys[k] = (i dim + j) dim + a (_numerators)."""
+        ent = self._ent
+        if ent is None:
+            n = self.dim
+            ent = _numerators(self.m, [
+                ((i * n + j) * n + a, c) for i, row in enumerate(self._nonzero())
+                for j, cell in enumerate(row) for a, c in cell])
+            object.__setattr__(self, "_ent", ent)
+        return ent
 
     def _planes(self):
-        """(D, planes) with D the common denominator of the table and
-        planes[i, j, a] the int64 coefficient planes of D mult[i][j][a]
-        (linalg.integer_planes); None when a coefficient reaches 2^62."""
-        pl = self._pl
-        if pl is None:
-            n, pl = self.dim, False
-            got = integer_planes(self.m, [[x for row in self.mult
-                                           for cell in row for x in cell]])
-            if got is not None:
-                (den, flat), = got
-                pl = den, flat.reshape(n, n, n, flat.shape[-1])
-            object.__setattr__(self, "_pl", pl)
-        return pl or None
+        """(D, planes): planes[i, j, a] the int64 coefficients of
+        D mult[i][j][a], scattered from the entries; None past 2^62."""
+        den, keys, x = self._entries()
+        if x.dtype == object:
+            return None
+        n = self.dim
+        planes = np.zeros((n ** 3, x.shape[1]), dtype=np.int64)
+        planes[keys] = x
+        return den, planes.reshape(n, n, n, x.shape[1])
 
     def multiply(self, x, y) -> tuple:
         nz = self._nonzero()
@@ -206,24 +191,22 @@ class FinDimAlgebra:
     def _unit_witness(self, unit):
         """The first basis index j with u e_j != e_j or e_j u != e_j, or None.
 
-        Over the common denominator U of u and D of the table both products
-        carry U D, so e_j is scaled by U D and each difference (keys a for
-        u e_j, dim + a for e_j u) is a sum of raw numerator convolutions.
+        Over the common denominator U of u and D of the table, u e_j and
+        e_j u less U D e_j go into one sum at the keys (2 j + side) dim + a.
         """
-        m, dim = self.m, self.dim
-        den, cells = self._integer_view()
-        uden = lcm(1, *(x.den for x in unit))
-        us = [(i, tuple((s, u * (uden // x.den)) for s, u in enumerate(x.num) if u))
-              for i, x in enumerate(unit) if any(x.num)]
-        for j in range(dim):
-            acc = raw_sums(m)
-            acc[j][0] = acc[dim + j][0] = -uden * den
-            for i, x in us:
-                add_products(acc, x, cells[i][j])
-                add_products(acc, x, cells[j][i], dim)
-            if not all(vanishes(m, raw) for raw in acc.values()):
-                return j
-        return None
+        m, n = self.m, self.dim
+        den, keys, x = self._entries()
+        uden, at, ux = _numerators(m, [(i, c) for i, c in enumerate(unit) if c])
+        # u e_j = sum_i u_i t[i, j, a]; e_j u = sum_i t[j, i, a] u_i
+        ia, ib = _join(at, _groups(keys // (n * n), n))
+        ja, jb = _join(keys // n % n, _groups(at, n))
+        got, _ = _sum(m, [
+            (keys[ib] // n % n * 2 * n + keys[ib] % n, 1, ((ux, ia), (x, ib))),
+            ((keys[ja] // (n * n) * 2 + 1) * n + keys[ja] % n, 1,
+             ((x, ja), (ux, jb))),
+            (np.arange(2 * n) * n + np.arange(2 * n) // 2, -uden * den,
+             ((np.ones((2 * n, 1), dtype=np.int64), None),))])
+        return int(got[0]) // (2 * n) if len(got) else None
 
     def _check_associative(self):
         triple = self._associativity_witness()
@@ -231,61 +214,31 @@ class FinDimAlgebra:
             raise InputError("structure constants are not associative at basis "
                              "triple (%d, %d, %d)" % triple)
 
-    def _associativity_witness(self):
+    def _associativity_witness(self, lefts=None):
         """The first basis triple (i, j, k) in lexicographic order with
-        (e_i e_j) e_k != e_i (e_j e_k), or None.
+        (e_i e_j) e_k != e_i (e_j e_k), or None; with lefts, an ascending
+        list of basis indices, the first such triple with i among them.
 
-        Both sides are sums of products of two structure constants, so over
-        the table's common denominator D both carry D^2 and the check is an
-        integer identity, decided one of two ways, as _takes_planes routes
-        it.  The loop sums the raw numerator convolutions of the nonzero
-        structure constants only: for each (i, j), the differences for all
-        k at once, each nonzero sum reduced mod Phi_m once, so it forms P
-        numerator products.  The plane route is the law engine's
-        (_laws_on_planes) on the n laws L_i(ab) = L_i(a) b, with L_i the
-        left multiplication by e_i read off the table's planes: the least
-        i whose law fails, at its first failing pair (j, k), is the first
-        failing triple.  Where a guard refuses the planes, the loop decides.
+        Over the table's denominator D both sides carry D^2.  The check runs
+        on the join (_associativity_join) or, as _takes_planes routes it, on
+        the planes of the laws L_i(ab) = L_i(a) b, L_i = left multiplication
+        by e_i: the least failing i at its first failing pair (j, k).
         """
-        if _takes_planes(*_associativity_costs(self)):
+        n = self.dim
+        rows = list(range(n)) if lefts is None else list(lefts)
+        pairs, decide = _associativity_join(self, rows)
+        # each law's plane products form n^4 products of two coefficients
+        if _takes_planes(len(rows) * n ** 4, pairs):
             got = self._planes()
             if got is not None:
                 # the laws (L_i, [(L_i, 1)]) with L_i[a, j] = t[i, j, a]
                 ops = got[0], got[1].transpose(0, 2, 1, 3)
                 got = _laws_on_planes(self.m, got, got, ops, [
-                    (i, [(i, None)]) for i in range(self.dim)])
+                    (i, [(i, None)]) for i in rows])
             if got is not None:
-                return next(((i,) + w for i, w in enumerate(got)
+                return next(((i,) + w for i, w in zip(rows, got)
                              if w is not None), None)
-        return self._associativity_loop()
-
-    def _associativity_loop(self, lefts=None):
-        """_associativity_witness by summing raw numerator convolutions;
-        with lefts, an ascending list of basis indices, the first failing
-        triple (i, j, k) with i among them."""
-        m, dim = self.m, self.dim
-        _, cells = self._integer_view()
-        # rows[a]: the (k * dim + c, numerators of the e_c-coefficient of
-        # e_a e_k), one entry per nonzero structure constant in row a
-        rows = [[(k * dim + c, y) for k, cell in enumerate(row) for c, y in cell]
-                for row in cells]
-        # minus[j]: (k * dim, the (b, -numerators) of e_j e_k) per nonzero cell
-        minus = [[(k * dim, [(b, tuple((s, -u) for s, u in y)) for b, y in cell])
-                  for k, cell in enumerate(row) if cell] for row in cells]
-        for i in range(dim) if lefts is None else lefts:
-            row_i = cells[i]
-            for j in range(dim):
-                # diff[k * dim + c]: e_c-coefficient of (e_i e_j) e_k - e_i (e_j e_k)
-                diff = raw_sums(m)
-                for a, x in row_i[j]:
-                    add_products(diff, x, rows[a])
-                for base, cell in minus[j]:
-                    for b, y in cell:
-                        add_products(diff, y, row_i[b], base)
-                bad = [key for key, raw in diff.items() if not vanishes(m, raw)]
-                if bad:
-                    return i, j, min(bad) // dim
-        return None
+        return decide()
 
     def square_is_zero(self) -> bool:
         return all(vec_is_zero(self.mult[i][j])
@@ -296,77 +249,160 @@ class FinDimAlgebra:
             self.m, self.dim, self.unit is not None)
 
 
+# -- the join: sparse products over Z[zeta_m] -----------------------------------
+
+
+def _numerators(m: int, pairs: list) -> tuple:
+    """(D, at, x) for (index, value) pairs of nonzero CycNums: D the lcm of
+    their denominators, at the indices, and x[k] the coefficients of D times
+    value k, int64 below 2^62 in size, else Python ints (object dtype), cut
+    to the constant column when no other is nonzero."""
+    deg = len(CycNum.zero(m).num)
+    den = lcm(1, *(c.den for _, c in pairs))
+    at = np.array([k for k, _ in pairs], dtype=np.int64)
+    rows = [c.num if c.den == den else [u * (den // c.den) for u in c.num]
+            for _, c in pairs]
+    try:
+        x = np.array(rows, dtype=np.int64).reshape(len(rows), deg)
+        if len(x) and not -linalg._INT_LIMIT < x.min() <= x.max() \
+                < linalg._INT_LIMIT:
+            raise OverflowError
+    except OverflowError:
+        x = np.array(rows, dtype=object).reshape(len(rows), deg)
+    return den, at, x if deg == 1 or x[:, 1:].any() else x[:, :1]
+
+
+def _groups(rows: np.ndarray, n: int) -> tuple:
+    """(starts, counts): entries with ascending rows in range(n) grouped by
+    row, row r at starts[r], ..., starts[r] + counts[r] - 1."""
+    counts = np.bincount(rows, minlength=n)
+    return counts.cumsum() - counts, counts
+
+
+def _join(at: np.ndarray, groups: tuple) -> tuple:
+    """(ia, ib): each left entry e, in order, paired with every right entry
+    of the group at[e] (_groups)."""
+    starts, counts = groups
+    cnt = counts[at]
+    ia = np.arange(len(at)).repeat(cnt)
+    ib = np.arange(len(ia)) - (cnt.cumsum() - cnt - starts[at]).repeat(cnt)
+    return ia, ib
+
+
+def _sum(m: int, pieces: list) -> tuple:
+    """(keys, x): the ascending distinct keys of the pieces and the sum of
+    their coefficient rows at each, zero rows dropped.  A piece (keys,
+    scale, factors) holds scale times the products over Z[zeta_m] of its
+    factors (x, at), the rows x[at] (x when at is None), folded through
+    linalg._shifts; a one-column row is a rational.  The sums run in int64
+    when the most terms at one key times the largest term, bounded from the
+    factors' largest entries and the fold's growth, stays below 2^63, and
+    on Python ints otherwise.
+    """
+    keys = np.concatenate([p[0] for p in pieces])
+    if not len(keys):
+        return keys, np.zeros((0, 1), dtype=np.int64)
+    order = keys.argsort()
+    keys = keys[order]
+    starts = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+    tops, top, exact = {}, 0, True
+    deg = max(x.shape[1] for _, _, factors in pieces for x, _ in factors)
+    for _, scale, factors in pieces:
+        bound, wide = abs(scale), -1
+        for x, _ in factors:
+            exact = exact and x.dtype != object
+            if exact and id(x) not in tops:
+                tops[id(x)] = int(np.abs(x).max()) if len(x) else 0
+            bound *= tops.get(id(x), 0)
+            wide += x.shape[1] > 1
+        if wide > 0:
+            bound *= int(np.abs(linalg._shifts(m)).sum(axis=(0, 1)).max()) ** wide
+        top = max(top, bound, abs(scale))
+    if exact and len(keys) * top >= 1 << 63:
+        exact = int(np.diff(starts, append=len(keys)).max()) * top < 1 << 63
+    values = []
+    for _, scale, factors in pieces:
+        v = None
+        for x, at in factors:
+            x = x if at is None else x[at]
+            x = x if exact else x.astype(object)
+            if v is None:
+                v = x
+            elif min(v.shape[1], x.shape[1]) == 1:
+                v = v * x
+            else:
+                v = (v[:, :, None] * x[:, None, :]).reshape(len(x), deg * deg) \
+                    @ linalg._shifts(m).reshape(deg * deg, deg)
+        v = v if scale == 1 else v * scale
+        if v.shape[1] < deg:
+            v = np.concatenate([v, np.zeros((len(v), deg - v.shape[1]),
+                                            dtype=v.dtype)], axis=1)
+        values.append(v)
+    values = np.add.reduceat(np.concatenate(values)[order], starts, axis=0)
+    live = (values != 0).any(axis=1)
+    return keys[starts[live]], values[live]
+
+
+def _blocks(per: np.ndarray) -> list:
+    """Ascending (lo, hi) ranges of range(len(per)), a new one at each
+    multiple of _BLOCK_ENTRIES pairs by per: each holds at most
+    _BLOCK_ENTRIES pairs past its first index."""
+    start = (per.cumsum() - per) // _BLOCK_ENTRIES
+    cuts = [0] + ((start[1:] != start[:-1]).nonzero()[0] + 1).tolist()
+    return list(zip(cuts, cuts[1:] + [len(per)]))
+
+
+def _associativity_join(alg: FinDimAlgebra, rows: list) -> tuple:
+    """(pairs, decide): the pairs the join forms, and decide(), the first
+    failing triple (i, j, k) with i in rows, or None.  (e_i e_j) e_k pairs
+    each entry (i, j, a) with row a of the table, e_i (e_j e_k) each entry
+    (i, a, b) with the entries (j, k, a); both go into one sum at the keys
+    ((i n + j) n + k) n + b, i in ascending blocks.
+    """
+    m, n = alg.m, alg.dim
+    _, keys, x = alg._entries()
+    first, mid, last = keys // (n * n), keys // n % n, keys % n
+    regroup = last.argsort(kind="stable")
+    by_first, by_last = _groups(first, n), _groups(last[regroup], n)
+    left = np.isin(first, rows).nonzero()[0] if len(rows) < n \
+        else np.arange(len(keys))
+    per = np.bincount(first[left], weights=by_first[1][last[left]]
+                      + by_last[1][mid[left]], minlength=n)
+
+    def decide():
+        for lo, hi in _blocks(per):
+            e = left[first[left].searchsorted(lo):first[left].searchsorted(hi)]
+            ia, ib = _join(last[e], by_first)
+            ja, jb = _join(mid[e], by_last)
+            ia, ja, jb = e[ia], e[ja], regroup[jb]
+            got, _ = _sum(m, [
+                (keys[ia] // n * n * n + keys[ib] % (n * n), 1,
+                 ((x, ia), (x, ib))),
+                ((first[ja] * n * n + keys[jb] // n) * n + last[ja], -1,
+                 ((x, ja), (x, jb)))])
+            if len(got):
+                i, rest = divmod(int(got[0]) // n, n * n)
+                return (i,) + divmod(rest, n)
+        return None
+
+    return int(per.sum()), decide
+
+
 # -- the plane route ----------------------------------------------------------
 
 
-def _takes_planes(cost: int, loop: int) -> bool:
-    """Whether a check whose plane products cost `cost` multiply-adds runs
-    on planes rather than by a loop that forms `loop` numerator products:
-    when cost <= _PLANE_RATIO * (loop - _PLANE_FIXED).  Measured on every
-    table the benchmark's workloads check (one thread, 2-CPU Xeon host):
-    planes win by 12-65x on the dense dim-8 tables (cost / loop at most 6),
-    lose by 1.8-2.4x on the sparse tables of dim 25-36 (5800 and above)
-    and break even near 1000; below about 256 loop products their fixed
-    cost loses up to 0.5 ms."""
-    return cost <= _PLANE_RATIO * (loop - _PLANE_FIXED)
-
-
-def _associativity_costs(alg: FinDimAlgebra) -> tuple:
-    """(cost, loop) for _takes_planes: the n^5 phi(m)^2 multiply-adds of
-    each plane product, n^2 rows of n entries times n^2 columns, and the
-    numerator products _associativity_loop forms, one per constant of
-    e_a e_k and of e_i e_a for each constant at e_a."""
-    cells, n = alg._nonzero(), alg.dim
-    # sizes[i, j]: constants of e_i e_j; at[a]: constants at e_a
-    sizes = np.array([[len(cell) for cell in row] for row in cells],
-                     dtype=np.int64).reshape(n, n)
-    at = np.bincount([a for row in cells for cell in row for a, _ in cell],
-                     minlength=n)
-    loop = int(at @ (sizes.sum(axis=0) + sizes.sum(axis=1)))
-    phi = len(CycNum.zero(alg.m).num)
-    return n ** 5 * phi ** 2, loop
-
-
-def _block_rows(n: int, entries: int):
-    """Ascending (lo, hi) blocks of range(n), each of about _BLOCK_ENTRIES
-    entries at `entries` per index."""
-    step = max(1, _BLOCK_ENTRIES // max(1, entries))
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+def _takes_planes(cost: int, pairs: int) -> bool:
+    """Whether a check whose plane products form `cost` products of two
+    coefficients runs on planes rather than by the join, which forms
+    `pairs`.  Measured on every table the benchmark's workloads check (one
+    thread, 2-CPU Xeon host): planes win 6-16x on the dense dim-8 copies
+    (cost / pairs at most 0.7), the join 1.1-51x on the sparse constructed
+    and Taft tables (16 and above); only tables of dim <= 4 are misrouted,
+    by at most 0.04 ms."""
+    return cost < _PLANE_RATIO * pairs
 
 
 # -- laws on basis pairs: T(ab) = sum S(a) U(b) ---------------------------------
-
-
-def _columns(op: Matrix, big: int) -> list:
-    """cols[a]: the (b, numerators of op[b][a] over big), nonzero only; big
-    must be a multiple of every entry's denominator."""
-    return [[(b, tuple((s, u * (big // row[a].den))
-                       for s, u in enumerate(row[a].num) if u))
-             for b, row in enumerate(op.rows) if any(row[a].num)]
-            for a in range(op.ncols)]
-
-
-def _scaled(cols: list, factor: int) -> list:
-    """_columns cols with every numerator times factor."""
-    return [[(b, tuple((s, factor * u) for s, u in y)) for b, y in col]
-            for col in cols]
-
-
-def _left_mult(m: int, table, col) -> list:
-    """out[q]: the (b, numerators over E D) of x e_q, for x the vector col
-    over E and table the cells of an integer view over D."""
-    n = len(table)
-    acc = raw_sums(m)
-    for p, x in col:
-        for q, cell in enumerate(table[p]):
-            add_products(acc, x, cell, q * n)
-    out = [[] for _ in range(n)]
-    for key, raw in acc.items():
-        y = tuple((s, u) for s, u in enumerate(fold(m, raw)) if u)
-        if y:
-            q, b = divmod(key, n)
-            out[q].append((b, y))
-    return out
 
 
 def law_witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, laws) -> list:
@@ -378,32 +414,32 @@ def law_witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, laws) -> list:
     "T is an algebra map" is (T, [(T, T)]); a module algebra's c and v laws
     are (c, [(c, c)]) and (v, [(c, v), (v, 1)]), and a derivation D is
     (D, [(D, 1), (1, D)]), with 1 the identity matrix.  Each pair is decided
-    exactly, in integers, one of two ways, as _takes_planes routes it.
-
-    The loop: let D and D' be the common denominators of the src and dst
-    tables and E that of D and every map.  S(e_i) e_q is folded over E D'
-    as the left multiplication by S(e_i), built once per i and shared by
-    every law with that S, so each S(e_i) U(e_j) carries E^2 D'.
-    T(e_i e_j) carries D E and is scaled by E D' / D, so each difference is
-    a sum of raw numerator convolutions (cyclotomic.add_products), reduced
-    mod Phi_m only at its zero test.  The plane route (_laws_on_planes)
-    forms both sides as products of coefficient planes; where a guard
-    refuses it, the loop decides.
+    exactly, in integers, by the join on the nonzero entries of the tables
+    and the maps (_law_join) or, as _takes_planes routes it, on coefficient
+    planes (_laws_on_planes); where a guard refuses the planes, the join
+    decides.
     """
     maps = _distinct_maps(laws)
-    big = lcm(src._integer_view()[0], *(x.den for op in maps.values()
-                                        for row in op.rows for x in row))
-    cols = {key: _columns(op, big) for key, op in maps.items()}
-    if _takes_planes(*_law_costs(src, dst, laws, cols)):
+    n1, n2 = src.dim, dst.dim
+    at = {key: k for k, key in enumerate(maps)}
+    laws = [(at[id(t)], [(at[id(s)], at[id(u)]) for s, u in terms])
+            for t, terms in laws]
+    # every map's entries over one denominator, map k's entry (b, a) at
+    # the key (k n2 + b) n1 + a
+    pairs, decide = _law_join(src, dst, _numerators(src.m, [
+        ((k * n2 + b) * n1 + a, v) for k, op in enumerate(maps.values())
+        for b, row in enumerate(op.rows) for a, v in enumerate(row)
+        if any(v.num)]), len(maps), laws)
+    # the plane products' products of two coefficients
+    cost = len({s for _, terms in laws for s, _ in terms}) * n1 * n2 ** 3 \
+        + sum(n1 ** 3 * n2 + len(terms) * n1 * n1 * n2 * n2 for _, terms in laws)
+    if _takes_planes(cost, pairs):
         got = _map_planes(src, dst, maps)
         if got is not None:
-            at = {key: k for k, key in enumerate(maps)}
-            got = _laws_on_planes(src.m, *got, [
-                (at[id(t)], [(at[id(s)], at[id(u)]) for s, u in terms])
-                for t, terms in laws])
+            got = _laws_on_planes(src.m, *got, laws)
         if got is not None:
             return got
-    return _laws_loop(src, dst, laws, big, cols)
+    return decide()
 
 
 def _distinct_maps(laws) -> dict:
@@ -412,32 +448,84 @@ def _distinct_maps(laws) -> dict:
             for x in (t, *(y for pair in terms for y in pair))}
 
 
-def _law_costs(src: FinDimAlgebra, dst: FinDimAlgebra, laws, cols) -> tuple:
-    """(cost, loop) for _takes_planes: the multiply-adds of
-    _laws_on_planes's products over whole tables at phi(m) planes, and the
-    numerator products _laws_loop forms when every law holds, counted as if
-    the nonzero constants of each table and the nonzero entries of each
-    map's columns cols were spread evenly."""
-    n1, n2 = src.dim, dst.dim
-    if not n1 or not n2:
-        return 0, 0
-    size1 = sum(len(cell) for row in src._nonzero() for cell in row)
-    size2 = sum(len(cell) for row in dst._nonzero() for cell in row)
-    nonzero = {key: sum(map(len, c)) for key, c in cols.items()}
-    lefts = {id(s) for _, terms in laws for s, _ in terms}
-    # each nonzero S[p, i] meets the constants of row p of dst
-    loop = sum(nonzero[key] for key in lefts) * size2 / n2
-    cost = len(lefts) * n1 * n2 ** 3
-    for t, terms in laws:
-        # each constant of src at e_a meets column a of T
-        loop += size1 * nonzero[id(t)] / n1
-        cost += n1 ** 3 * n2
-        for s, u in terms:
-            # each nonzero U[q, j] meets the constants of S(e_i) e_q, each i
-            width = min(n2, nonzero[id(s)] * size2 / (n1 * n2 * n2))
-            loop += n1 * nonzero[id(u)] * width
-            cost += n1 * n1 * n2 * n2
-    return cost * len(CycNum.zero(src.m).num) ** 2, loop
+def _law_join(src: FinDimAlgebra, dst: FinDimAlgebra, maps: tuple,
+              count: int, laws):
+    """(pairs, decide) for law_witnesses on the join: the pairs it forms,
+    and decide(), each law's first failing pair or None.
+
+    maps is (E, at, y), the entries of count maps src -> dst over one
+    denominator E, entry (b, a) of map k at the ascending key
+    (k n2 + b) n1 + a; each law (t, [(s, u), ...]) names its maps by index.
+    With D, D' the tables' denominators, T(e_i e_j) = sum t[i, j, a] T[b, a]
+    e_b pairs each src entry with column a of T, over D E, and a term
+    S(e_i) U(e_j) = sum S[p, i] t'[p, q, c] U[q, j] e_c each entry of S with
+    row p of the dst table, then row q of U, over E^2 D'.  All laws go into
+    one sum, law k at the keys ((k n1 + i) n1 + j) n2 + c, so its least key
+    is its first failing pair; i runs in ascending blocks.
+    """
+    m, n1, n2 = src.m, src.dim, dst.dim
+    if not n1 or not n2 or not laws:
+        return 0, lambda: [None] * len(laws)
+    d1, k1, x1 = src._entries()
+    d2, k2, x2 = dst._entries()
+    big, at, y = maps
+    rows, cols = at // n1 % n2, at % n1
+    # the maps' entries by (map, row), and in the order of (map, column)
+    by_row, key = _groups(at // n1, count * n2), at // (n2 * n1) * n1 + cols
+    order = key.argsort(kind="stable")
+    by_col = _groups(key[order], count * n1)
+    first1, last1 = k1 // (n1 * n1), k1 % n1
+    first2, mid2, last2 = k2 // (n2 * n2), k2 // n2 % n2, k2 % n2
+    dst_rows = _groups(first2, n2)
+    # each law's T, and each term's law, S and U
+    ts = np.array([t for t, _ in laws])
+    ks, ss, us = np.array([(k, s, u) for k, (_, terms) in enumerate(laws)
+                           for s, u in terms], dtype=np.int64).reshape(-1, 3).T
+    # the pairs per i: column a of T per src entry (i, j, a), and per entry
+    # (p, i) of S, row q of U per entry (p, q, c) of the dst table
+    spread = by_row[1].reshape(count, n2) @ np.bincount(
+        mid2 * n2 + first2, minlength=n2 * n2).reshape(n2, n2)
+    # every term with every entry of its S
+    task, s_all = _join(ss, _groups(at // (n2 * n1), count))
+    per = np.bincount(first1, minlength=n1, weights=by_col[1].reshape(
+        count, n1)[ts].sum(axis=0)[last1]) + np.bincount(
+        cols[s_all], weights=spread[us[task], rows[s_all]], minlength=n1)
+    common = lcm(d1 * big, big * big * d2)
+    scale_l, scale_r = common // (d1 * big), common // (big * big * d2)
+    span = n1 * n1 * n2
+
+    def decide():
+        found = [None] * len(laws)
+        for lo, hi in _blocks(per):
+            pending = np.array([w is None for w in found])
+            todo = pending.nonzero()[0]
+            if not len(todo):
+                break
+            # T(e_i e_j) for each pending law and src entry of the block
+            e = np.arange(first1.searchsorted(lo), first1.searchsorted(hi))
+            law, src_at = todo.repeat(len(e)), np.tile(e, len(todo))
+            ia, ib = _join(ts[law] * n1 + last1[src_at], by_col)
+            law, src_at, t_at = law[ia], src_at[ia], order[ib]
+            # each pending term's entries (p, i) of S with i in the block,
+            # each with row p of the dst table, then with row q of U
+            keep = (pending[ks[task]] & (cols[s_all] >= lo)
+                    & (cols[s_all] < hi)).nonzero()[0]
+            ja, d_at = _join(rows[s_all[keep]], dst_rows)
+            term, s_at = task[keep][ja], s_all[keep][ja]
+            ja, u_at = _join(us[term] * n2 + mid2[d_at], by_row)
+            term, s_at, d_at = term[ja], s_at[ja], d_at[ja]
+            got, _ = _sum(m, [
+                (law * span + k1[src_at] // n1 * n2 + rows[t_at], scale_l,
+                 ((x1, src_at), (y, t_at))),
+                (((ks[term] * n1 + cols[s_at]) * n1 + cols[u_at]) * n2
+                 + last2[d_at], -scale_r, ((y, s_at), (x2, d_at), (y, u_at)))])
+            heads = got.searchsorted(todo * span).tolist()
+            for k, h in zip(todo.tolist(), heads):
+                if h < len(got) and got[h] < (k + 1) * span:
+                    found[k] = divmod(int(got[h]) % span // n2, n1)
+        return found
+
+    return int(per.sum()), decide
 
 
 def _map_planes(src: FinDimAlgebra, dst: FinDimAlgebra, maps: dict):
@@ -513,8 +601,8 @@ def _laws_on_planes(m: int, src, dst, maps, laws):
     if times_t is None or times_s is None or None in times_u.values():
         return None
     found = [None] * len(laws)
-    for lo, hi in _block_rows(n1, max(len(laws), len(ss), len(index)) * n2
-                              * max(n1, n2) * deg):
+    for lo, hi in _blocks(np.full(n1, max(len(laws), len(ss), len(index))
+                                  * n2 * max(n1, n2) * deg)):
         if None not in found:
             break
         b = hi - lo
@@ -560,67 +648,18 @@ def _laws_on_planes(m: int, src, dst, maps, laws):
     return found
 
 
-def _laws_loop(src: FinDimAlgebra, dst: FinDimAlgebra, laws, big: int,
-               cols: dict) -> list:
-    """law_witnesses by summing raw numerator convolutions, with cols the
-    maps' _columns over big."""
-    m = src.m
-    den1, cells1 = src._integer_view()
-    den2, cells2 = dst._integer_view()
-    neg = {id(u): _scaled(cols[id(u)], -1)
-           for _, terms in laws for _, u in terms}
-    # per law: T's columns scaled to E^2 D', and (id of S, -U's columns)
-    checks = [(_scaled(cols[id(t)], big * den2 // den1),
-               [(id(s), neg[id(u)]) for s, u in terms]) for t, terms in laws]
-    found = [None] * len(laws)
-    for i in range(src.dim):
-        todo = [k for k, w in enumerate(found) if w is None]
-        if not todo:
-            break
-        lefts = {}
-        for k in todo:
-            for s, _ in checks[k][1]:
-                if s not in lefts:
-                    lefts[s] = _left_mult(m, cells2, cols[s][i])
-        for j in range(src.dim):
-            prod = cells1[i][j]
-            for k in todo:
-                if found[k] is not None:
-                    continue
-                lhs, terms = checks[k]
-                acc = raw_sums(m)
-                for a, x in prod:
-                    add_products(acc, x, lhs[a])
-                for s, u in terms:
-                    left = lefts[s]
-                    for q, x in u[j]:
-                        add_products(acc, x, left[q])
-                if not all(vanishes(m, raw) for raw in acc.values()):
-                    found[k] = (i, j)
-    return found
-
-
 def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
-    """T[i, j, a] = mult[i][j][a] over F_p, read from the integer view.
+    """T[i, j, a] = mult[i][j][a] over F_p, read from the entries
+    (linalg.planes_mod_p).
 
     Raises ModReductionError exactly when cyc_to_modp would on some
     structure constant: the common denominator D is divisible by the prime
     p just when one of their denominators is.
     """
-    den, cells = A._integer_view()
-    if den % p == 0:
-        raise ModReductionError("denominator divisible by %d" % p)
+    den, keys, x = A._entries()
     n = A.dim
-    zpow = [pow(zeta_mod, s, p) for s in range(A.m)]
-    dinv = pow(den, p - 2, p)
-    index, values = [], []
-    for i, row in enumerate(cells):
-        for j, cell in enumerate(row):
-            for a, nums in cell:
-                index.append((i * n + j) * n + a)
-                values.append(sum(u * zpow[s] for s, u in nums) * dinv % p)
     table = np.zeros(n ** 3, dtype=np.int64)
-    table[index] = values
+    table[keys] = planes_mod_p(x, den, p, zeta_mod)
     return table.reshape(n, n, n)
 
 

@@ -13,9 +13,6 @@ test suite exact.  No floating point anywhere.  Phi_m is monic with integer
 coefficients, so a product is an integer convolution folded through an
 integral table of x^j mod Phi_m, and every result is normalised by a single
 gcd pass.  The per-coefficient Fraction view is available as ``coeffs``.
-Exact identity checks over many products skip that pass: ``add_products``
-sums raw, unfolded convolutions of numerators over a shared denominator,
-and ``vanishes`` folds such a sum mod Phi_m before testing it for zero.
 
 Arithmetic is ordinary field arithmetic through operators (+, -, *, /, **
 with negative exponents allowed).  ints and Fractions are promoted to
@@ -29,7 +26,6 @@ so x^-1 = den * prod sigma_k(a) / N(a) needs integer arithmetic only.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -88,27 +84,6 @@ def _field(m: int):
     return deg, tuple(table), fold
 
 
-def raw_sums(m: int) -> defaultdict:
-    """An empty map from keys to raw product sums for ``add_products``."""
-    width = 2 * _field(m)[0] - 1
-    return defaultdict(lambda: [0] * width)
-
-
-def add_products(acc: defaultdict, x, terms, base: int = 0) -> None:
-    """acc[base + key] += x * y, unfolded, for each (key, y) in terms.
-
-    x and every y are the nonzero (slot, numerator) pairs of an element's
-    integer numerators.  acc comes from ``raw_sums``: each value is the raw
-    convolution sum, 2*phi(m) - 1 ints not yet reduced mod Phi_m, so adding
-    a product costs no gcd pass and no fold until ``fold`` is called.
-    """
-    for key, y in terms:
-        raw = acc[base + key]
-        for s, u in x:
-            for t, w in y:
-                raw[s + t] += u * w
-
-
 def fold(m: int, raw) -> list:
     """The phi(m) numerators of a raw product sum (2*phi(m) - 1 slots)
     reduced mod Phi_m."""
@@ -120,13 +95,6 @@ def fold(m: int, raw) -> list:
             for i, r in row:
                 out[i] += c * r
     return out
-
-
-def vanishes(m: int, raw) -> bool:
-    """Whether a raw product sum is 0 in Q(zeta_m).  The sum is folded mod
-    Phi_m before the test: 1 + zeta + zeta^2 is the nonzero raw sum [1, 1, 1]
-    and is 0 for m = 3."""
-    return not any(raw) or not any(fold(m, raw))
 
 
 def _reduce_poly(m, coeffs) -> list:

@@ -6,21 +6,15 @@ generators c and v is enough: c and v generate H as an algebra, and the law
 h(ab) = sum (h_1 a)(h_2 b) is multiplicative in h (if it holds for g and h
 it holds for gh, because Delta is an algebra map).  hma_verify spells the
 generator checks out and records that derivation in its report.  The
-operator relations c^m = 1, v^m = 0 and vc = zeta cv are checked on the
-integer numerators of the two operators over their common denominator,
-each matrix product folded mod Phi_m.  The two laws c(ab) = c(a)c(b) and
-v(ab) = c(a)v(b) + v(a)b have the form T(ab) = sum S(a)U(b), as has
-"T: A -> B is an algebra map", T(ab) = T(a)T(b).  One routine,
-algebra_core.law_witnesses, decides all of them exactly on every basis
-pair, in integers, with the structure constants and the maps over common
-denominators, on one of two routes chosen by cost: on sparse tables a loop
-of raw integer convolutions of the numerators, each sum reduced mod Phi_m
-only at its zero test and each left multiplication by S(e_i) built once
-per i, so O(dim^4) numerator products instead of O(dim^5) field products
-per law; on dense tables a few exact products of coefficient planes.
-hma_verify checks both module laws in one call, and _verify_module_iso
-and the generic isomorphism search check T; a failing law is reported at
-its first failing pair in row-major order.
+operator relations c^m = 1, v^m = 0 and vc = zeta cv, and the two laws
+c(ab) = c(a)c(b) and v(ab) = c(a)v(b) + v(a)b, are decided exactly in
+integers on the nonzero entries of the operators and the table.  The laws
+have the form T(ab) = sum S(a)U(b), as has "T: A -> B is an algebra map",
+and one routine, algebra_core.law_witnesses, decides all of them on every
+basis pair: by sparse products of the entries, or, on dense tables, by
+products of coefficient planes.  hma_verify checks both module laws in one
+call, and _verify_module_iso and the generic isomorphism search check T; a
+failing law is reported at its first failing pair in row-major order.
 
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
 density): rank the unital operator algebra O generated by all left/right
@@ -59,19 +53,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycNum, add_products, fold, raw_sums, zeta_power
+from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
                      Subspace, at_degree, certified_rank, combination,
                      cyc_to_modp, integer_planes, intertwiner_space, kernel,
                      matrix_to_modp, rank, reduction_primes,
                      small_coefficients, vec_is_zero, zmatmul)
-from .algebra_core import (FinDimAlgebra, _columns, _table_modp,
-                           ideal_generated_by, law_witnesses)
+from .algebra_core import (FinDimAlgebra, _groups, _join, _numerators, _sum,
+                           _table_modp, ideal_generated_by, law_witnesses)
 from .taft_hopf import HopfElement, TaftAlgebra
 
 
@@ -169,51 +162,50 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
     return rep
 
 
-def _int_matmul(m: int, x, y) -> list:
-    """The columns of x y for column lists as _columns gives them, each
-    entry folded mod Phi_m, so equal products have equal columns: column j
-    is the sum of y[k][j] times column k of x."""
-    out = []
-    for col in y:
-        acc = raw_sums(m)
-        for k, a in col:
-            add_products(acc, a, x[k])
-        entries = []
-        for b in sorted(acc):
-            num = tuple((s, u) for s, u in enumerate(fold(m, acc[b])) if u)
-            if num:
-                entries.append((b, num))
-        out.append(entries)
-    return out
-
-
-def _int_power(m: int, x, e: int) -> list:
-    """x^e (e >= 1) by repeated squaring on _int_matmul."""
-    result = None
-    while True:
-        if e & 1:
-            result = x if result is None else _int_matmul(m, result, x)
-        e >>= 1
-        if not e:
-            return result
-        x = _int_matmul(m, x, x)
-
-
 def _operator_relations(mod: HModuleAlgebra) -> list:
-    """(name, holds) for c^m = 1, v^m = 0 and v c = zeta c v, decided on
-    integer numerators: over the common denominator E of both operators,
-    C = E c and V = E v, the relations read C^m = E^m 1, V^m = 0 and
-    V C = C (zeta V)."""
+    """(name, holds) for c^m = 1, v^m = 0 and v c = zeta c v: over the
+    common denominator E of both operators' entries, C^m = E^m 1, V^m = 0
+    and V C = C (zeta V) for C = E c and V = E v, powers by repeated
+    squaring, the k-th difference at the keys k n^2 + r n + c of one sum
+    (algebra_core._sum)."""
     m, n = mod.m, mod.algebra.dim
-    big = lcm(1, *(x.den for op in (mod.c_op, mod.v_op)
-                   for row in op.rows for x in row))
-    c, v = _columns(mod.c_op, big), _columns(mod.v_op, big)
-    zeta = tuple((s, u) for s, u in enumerate(zeta_power(m, 1).num) if u)
-    zv = _int_matmul(m, [[(a, zeta)] for a in range(n)], v)
-    return [("c_order", _int_power(m, c, m)
-             == [[(a, ((0, big ** m),))] for a in range(n)]),
-            ("v_nilpotent", not any(_int_power(m, v, m))),
-            ("vc_commutation", _int_matmul(m, v, c) == _int_matmul(m, c, zv))]
+    big, at, x = _numerators(m, [
+        ((k * n + b) * n + a, v) for k, op in enumerate((mod.c_op, mod.v_op))
+        for b, row in enumerate(op.rows) for a, v in enumerate(row)
+        if any(v.num)])
+    split = int(at.searchsorted(n * n))
+    c, v = (at[:split], x[:split]), (at[split:] - n * n, x[split:])
+    zeta = np.array([zeta_power(m, 1).num], dtype=np.int64)
+    got, _ = _sum(m, [
+        _power(m, c, m, n), (np.arange(n) * (n + 1), -big ** m,
+                             ((np.ones((n, 1), dtype=np.int64), None),)),
+        _power(m, v, m, n, 1), _product(v, c, n, 2),
+        _product(c, v, n, 2, -1, zeta)])
+    hit = set((got // (n * n)).tolist())
+    return [(name, k not in hit) for k, name in enumerate(
+        ("c_order", "v_nilpotent", "vc_commutation"))]
+
+
+def _product(a, b, n: int, shift: int = 0, scale: int = 1, z=None) -> tuple:
+    """The piece (algebra_core._sum) of the product a b of two n x n
+    matrices, each the keys r n + c and coefficient rows of its nonzero
+    entries in row order, at the keys shift n^2 + r n + c, times scale and
+    the coefficient row z, when given."""
+    (ak, ax), (bk, bx) = a, b
+    ia, ib = _join(ak % n, _groups(bk // n, n))
+    factors = ((ax, ia), (bx, ib))
+    if z is not None:
+        factors += ((z, np.zeros(len(ia), dtype=np.int64)),)
+    return (shift * n + ak[ia] // n) * n + bk[ib] % n, scale, factors
+
+
+def _power(m: int, a, e: int, n: int, shift: int = 0) -> tuple:
+    """The piece of a^e (e >= 2) as _product gives it: every power before
+    the last product summed, by repeated squaring."""
+    half = a if e < 4 else _sum(m, [_power(m, a, e // 2, n)])
+    if e % 2:
+        return _product(_sum(m, [_product(half, half, n)]), a, n, shift)
+    return _product(half, half, n, shift)
 
 
 def _verify_module_iso(src: HModuleAlgebra, dst: HModuleAlgebra, T: Matrix):

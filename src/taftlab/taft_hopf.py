@@ -421,7 +421,7 @@ def hopf_verify_axioms(H: TaftAlgebra) -> AxiomReport:
     triple, the coalgebra maps on c and v.
 
     The unit e_(0,0) and associativity are checked on the product table by
-    FinDimAlgebra's integer checks.  The table is associative when e_(0,0)
+    FinDimAlgebra's sparse joins.  The table is associative when e_(0,0)
     is a unit, every basis key is reached from it by left multiplication by
     c or v up to a nonzero scalar (read off the table's nonzero index), and
     (c a) b = c (ab), (v a) b = v (ab) on all basis pairs: the left nucleus
@@ -454,7 +454,7 @@ def hopf_verify_axioms(H: TaftAlgebra) -> AxiomReport:
     bad = table._unit_witness(table.basis_vector(0))
     gens = [keys.index((0, 1)), keys.index((1, 0))]
     if (bad is not None or not _generated(table._nonzero(), 0, gens)
-            or table._associativity_loop(gens) is not None):
+            or table._associativity_witness(gens) is not None):
         triple = table._associativity_witness()
         if triple is not None:
             fail("associativity",

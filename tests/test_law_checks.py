@@ -27,8 +27,7 @@ from taftlab.constructions import (NilpotentExtensionSpec, aut_compose,
                                    build_nilpotent_extension, build_semisimple,
                                    grid_spec, iso_block_map, iso_semisimple,
                                    recover_structure)
-from taftlab.cyclotomic import (CycNum, add_products, fold, raw_sums,
-                                vanishes, zeta_power)
+from taftlab.cyclotomic import CycNum, fold, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import (negative_modules, nilext_specs, positive_modules,
                               ss_specs)
@@ -335,24 +334,19 @@ def test_random_tables_and_operators_match_the_oracles(drawn):
 # -- sums that only the fold mod Phi_m makes vanish ------------------------------
 
 
-ONE, ZETA = ((0, 1),), ((1, 1),)
-
-
 def test_fold_makes_one_plus_zeta_plus_zeta_squared_vanish():
-    acc = raw_sums(3)
-    add_products(acc, ONE, [(0, ONE), (0, ZETA)])
-    add_products(acc, ZETA, [(0, ZETA)])
-    assert acc[0] == [1, 1, 1]
-    assert fold(3, acc[0]) == [0, 0] and vanishes(3, acc[0])
+    assert fold(3, [1, 1, 1]) == [0, 0]
+    # 1 * 1 + 1 * zeta + zeta * zeta through the shift table
+    shifts = linalg._shifts(3)
+    assert (shifts[0, 0] + shifts[0, 1] + shifts[1, 1]).tolist() == [0, 0]
 
 
 def test_fold_makes_zeta_squared_plus_one_vanish():
-    acc = raw_sums(4)
-    add_products(acc, ZETA, [(0, ZETA)])
-    add_products(acc, ONE, [(0, ONE)])
-    assert acc[0] == [1, 0, 1]
-    assert fold(4, acc[0]) == [0, 0] and vanishes(4, acc[0])
-    assert not vanishes(4, [1, 0, -1])
+    assert fold(4, [1, 0, 1]) == [0, 0]
+    assert fold(4, [1, 0, -1]) != [0, 0]
+    shifts = linalg._shifts(4)
+    assert (shifts[1, 1] + shifts[0, 0]).tolist() == [0, 0]
+    assert (shifts[1, 1] - shifts[0, 0]).any()
 
 
 @given(st.sampled_from([2, 3, 4, 5, 8, 12]), st.data())
@@ -361,10 +355,16 @@ def test_fold_of_the_raw_product_is_the_cycnum_product(m, data):
     deg = len(zeta_power(m, 0).num)
     nums = st.lists(st.integers(-5, 5), min_size=deg, max_size=deg)
     x, y = data.draw(nums), data.draw(nums)
-    acc = raw_sums(m)
-    add_products(acc, [(s, u) for s, u in enumerate(x) if u],
-                 [(7, [(t, w) for t, w in enumerate(y) if w])])
-    assert CycNum.make(m, fold(m, acc[7])) == CycNum.make(m, x) * CycNum.make(m, y)
+    raw = [0] * (2 * deg - 1)
+    for s, u in enumerate(x):
+        for t, w in enumerate(y):
+            raw[s + t] += u * w
+    want = CycNum.make(m, x) * CycNum.make(m, y)
+    assert CycNum.make(m, fold(m, raw)) == want
+    # the same product as the join forms it, one coefficient row each
+    _, got = algebra_core._sum(m, [(np.array([0]), 1, (
+        (np.array([x]), None), (np.array([y]), None)))])
+    assert CycNum.make(m, got[0].tolist() if len(got) else [0]) == want
 
 
 def _scaled_m2(m, scale):
@@ -383,11 +383,10 @@ def _scaled_m2(m, scale):
     return tuple(table)
 
 
-def _without_fold(monkeypatch, module):
+def _without_fold(monkeypatch):
     # the zero test a check would make if it skipped the fold mod Phi_m,
-    # on both routes: the loop tests the raw sum, and the planes fold
-    # through a shift table without the rows past zeta^(phi(m) - 1)
-    monkeypatch.setattr(module, "vanishes", lambda m, raw: not any(raw))
+    # on both routes: the join and the planes fold through a shift table
+    # without the rows past zeta^(phi(m) - 1)
     monkeypatch.setattr(linalg, "_shifts", _unfolded_shifts)
 
 
@@ -401,11 +400,11 @@ def _unfolded_shifts(m):
 
 
 def _route(monkeypatch, planes):
-    # decide every law check on one route, planes or the loop; None leaves
+    # decide every law check on one route, planes or the join; None leaves
     # the choice to the costs
     if planes is not None:
         monkeypatch.setattr(algebra_core, "_takes_planes",
-                            lambda cost, loop: planes)
+                            lambda cost, pairs: planes)
 
 
 def test_associative_table_whose_raw_sums_vanish_only_after_folding(monkeypatch):
@@ -418,7 +417,7 @@ def test_associative_table_whose_raw_sums_vanish_only_after_folding(monkeypatch)
             _route(route, planes)
             assert _assert_associativity_matches(3, table) is None
             with monkeypatch.context() as patch:
-                _without_fold(patch, algebra_core)
+                _without_fold(patch)
                 with pytest.raises(InputError, match="not associative"):
                     FinDimAlgebra(3, table, autodetect_unit=False)
 
@@ -443,14 +442,16 @@ def test_valid_module_whose_raw_sums_vanish_only_after_folding(monkeypatch):
             _route(route, planes)
             assert _assert_report_matches(mod).ok
             with monkeypatch.context() as patch:
-                _without_fold(patch, algebra_core)
+                _without_fold(patch)
                 failed = {name for name, _ in hma_verify(mod).failed()}
-                assert failed and failed <= {"c_multiplicative",
-                                             "v_skew_derivation"}
+                # the operator relations fold through the same shift table
+                assert failed & {"c_multiplicative", "v_skew_derivation"}
+                assert failed <= {"c_multiplicative", "v_skew_derivation",
+                                  "c_order", "vc_commutation"}
 
             assert _assert_associativity_matches(4, mod.algebra.mult) is None
             with monkeypatch.context() as patch:
-                _without_fold(patch, algebra_core)
+                _without_fold(patch)
                 with pytest.raises(InputError, match="not associative"):
                     FinDimAlgebra(4, mod.algebra.mult)
 
@@ -1122,7 +1123,7 @@ def test_perturbed_recovery_inputs_match_the_qbinom_loop(name, data):
     _assert_qbinom_matches(rebuilt, A, phi, hom)
 
 
-# -- the two routes of the law checks: loop and coefficient planes -------------
+# -- the two routes of the law checks: join and coefficient planes -------------
 
 
 def _dense_entries(m):
@@ -1166,29 +1167,39 @@ def _route_inputs(draw):
     return m, src, dst, laws
 
 
-def _on_planes(decide, owner, loop):
+def _on_planes(decide):
     """[decide()] with every law check sent to the planes, or None when a
-    guard refuses them and owner.loop would decide."""
-    refused = object()
+    guard refuses them and the join decides."""
+    done = []
+
+    def spy(*args, real=algebra_core._laws_on_planes):
+        done.append(real(*args))
+        return done[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         _route(patch, True)
-        patch.setattr(owner, loop, lambda *args: refused)
+        patch.setattr(algebra_core, "_laws_on_planes", spy)
         got = decide()
-    return None if got is refused else [got]
+    return [got] if done and done[-1] is not None else None
 
 
 def _plane_witness(alg):
     """[alg's first failing triple] decided on planes, or None when a guard
     refuses them."""
-    return _on_planes(alg._associativity_witness, FinDimAlgebra,
-                      "_associativity_loop")
+    return _on_planes(alg._associativity_witness)
 
 
 def _plane_laws(src, dst, laws):
     """law_witnesses decided on planes, or None when a guard refuses them."""
-    got = _on_planes(lambda: law_witnesses(src, dst, laws), algebra_core,
-                     "_laws_loop")
+    got = _on_planes(lambda: law_witnesses(src, dst, laws))
     return None if got is None else got[0]
+
+
+def _join_witness(alg):
+    """alg's first failing triple decided by the join."""
+    with pytest.MonkeyPatch.context() as patch:
+        _route(patch, False)
+        return alg._associativity_witness()
 
 
 def _identity_without_product(src, dst, laws):
@@ -1208,11 +1219,11 @@ def _identity_without_product(src, dst, laws):
 
 
 def _law_routes(src, dst, laws):
-    """[law_witnesses on the loop, the same on planes, never refused]."""
+    """[law_witnesses by the join, the same on planes, never refused]."""
     with pytest.MonkeyPatch.context() as patch:
         _route(patch, False)
-        loop = law_witnesses(src, dst, laws)
-    return [loop, _plane_laws(src, dst, laws)]
+        join = law_witnesses(src, dst, laws)
+    return [join, _plane_laws(src, dst, laws)]
 
 
 @given(_route_inputs())
@@ -1221,11 +1232,41 @@ def test_both_routes_give_the_oracles_witnesses(drawn):
     m, src, dst, laws = drawn
     for alg in {id(x): x for x in (src, dst)}.values():
         expect = _cycnum_first_failure(alg)
-        assert alg._associativity_loop() == expect
+        assert _join_witness(alg) == expect
         assert _plane_witness(alg) == [expect]
     expect = _cycnum_law_witnesses(src, dst, laws)
     assert _law_routes(src, dst, laws) == [expect] * 2
     assert _identity_without_product(src, dst, laws) == expect
+
+
+def _copy(alg):
+    """A fresh algebra on alg's cells, with no entries built yet."""
+    return FinDimAlgebra(alg.m, alg.mult, validate=False, autodetect_unit=False)
+
+
+@given(_route_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_join_on_python_ints_gives_the_int64_witnesses(drawn, data):
+    m, src, dst, laws = drawn
+    unit = tuple(data.draw(_entries(m)) for _ in range(src.dim))
+
+    def witnesses(a, b):
+        with pytest.MonkeyPatch.context() as patch:
+            _route(patch, False)
+            return ([x._associativity_witness() for x in (a, b)],
+                    a._unit_witness(unit), law_witnesses(a, b, laws))
+
+    small = witnesses(src, dst)
+    assert all(x.dtype == np.int64 for alg in (src, dst)
+               for x in alg._entries()[2:])
+    with pytest.MonkeyPatch.context() as patch:
+        # every nonzero coefficient counts as past 2^62
+        patch.setattr(linalg, "_INT_LIMIT", 1)
+        a = _copy(src)
+        b = a if dst is src else _copy(dst)
+        assert witnesses(a, b) == small
+        assert all(x.dtype == object for alg in (a, b)
+                   for x in alg._entries()[2:] if len(x))
 
 
 # the benchmark's seed-1 dense copies of dim 4 and 8
@@ -1251,7 +1292,7 @@ def test_both_routes_give_the_oracles_witnesses_on_perturbed_copies(source,
     else:
         mod = _perturbed(mod, data.draw(st.sampled_from("cv")), i, a, delta)
     expect = _cycnum_first_failure(alg)
-    assert alg._associativity_loop() == expect
+    assert _join_witness(alg) == expect
     assert _plane_witness(alg) == [expect]
     c, v = mod.c_op, mod.v_op
     laws = [(c, [(c, c)]), (v, [(c, v), (v, Matrix.identity(m, n))])]
@@ -1283,26 +1324,80 @@ def test_plane_products_past_2_to_the_53_stay_exact(k, bump):
     assert _plane_witness(alg) == [expect]
 
 
+def _spy_sums(monkeypatch):
+    """The dtypes of the sums the join forms, in call order."""
+    kinds = []
+
+    def spy(m, pieces, real=algebra_core._sum):
+        got = real(m, pieces)
+        kinds.append(got[1].dtype)
+        return got
+
+    monkeypatch.setattr(algebra_core, "_sum", spy)
+    monkeypatch.setattr(hmodule, "_sum", spy)
+    return kinds
+
+
 @pytest.mark.parametrize("bump", [0, 1])
-def test_a_refused_plane_product_is_decided_by_the_loop(monkeypatch, bump):
-    # 4 terms of 2^31 * 2^31 pass 2^63: the product's guard refuses
+def test_a_refused_plane_product_is_decided_by_the_join(monkeypatch, bump):
+    # 4 terms of 2^31 * 2^31 pass 2^63: the product's guard refuses, and
+    # the join sums them as Python ints
     table = _huge_m2(31, bump)
     alg = FinDimAlgebra(2, table, validate=False, autodetect_unit=False)
     assert _plane_witness(alg) is None
     _route(monkeypatch, True)
+    kinds = _spy_sums(monkeypatch)
     assert (_assert_associativity_matches(2, table) is None) == (bump == 0)
+    assert object in kinds
     # T = 2^40 times the identity: T(e_i) T(e_j) reaches 2^80
     T = Matrix.identity(2, 4) * CycNum.rational(2, 2 ** 40)
     laws = [(T, [(T, T)])]
     assert _plane_laws(alg, alg, laws) is None
+    kinds.clear()
     assert law_witnesses(alg, alg, laws) == \
         _cycnum_law_witnesses(alg, alg, laws) != [None]
+    assert object in kinds
+    # a claimed unit with an entry of 2^40 meets the entry 2^31
+    one, zero = CycNum.one(2), CycNum.zero(2)
+    for unit in ((one, CycNum.rational(2, 2 ** 40), zero, one),
+                 (one, zero, CycNum.rational(2, 2 ** 40), one)):
+        kinds.clear()
+        assert _assert_unit_matches(2, table, unit) is not None
+        assert object in kinds
+
+
+@pytest.mark.parametrize("value,python", [
+    (2 ** 62 - 1, False), (-(2 ** 62) + 1, False), (2 ** 62, True),
+    (-(2 ** 62), True), (-(2 ** 63), True), (2 ** 80, True)])
+def test_entries_hold_python_ints_from_2_to_the_62(value, python):
+    # -2^63 fits an int64, but its size does not fit the bound
+    _, _, x = algebra_core._numerators(2, [(0, CycNum.one(2)),
+                                           (1, CycNum.rational(2, value))])
+    assert (x.dtype == object) == python
+    assert x[:, 0].tolist() == [1, value]
+
+
+@pytest.mark.parametrize("name", ["sweedler2dim", "ss_grid_m3_k1_t3",
+                                  "ss_grid_m4_k2_t2"])
+@pytest.mark.parametrize("entry", [2 ** 62 - 1, -(2 ** 62) + 3])
+def test_operator_relations_past_2_to_the_63_match_the_oracle(monkeypatch,
+                                                              name, entry):
+    # c with one entry near 2^62: the entries stay int64, and C^m passes
+    # 2^63, so the powers are summed as Python ints
+    mod = _perturbed(_corpus()[name], "c", 0, 0, entry)
+    kinds = _spy_sums(monkeypatch)
+    got = dict((name, ok) for name, ok in hmodule._operator_relations(mod))
+    assert object in kinds
+    want = {name: ok for name, ok, _ in _cycnum_hma_verify(mod).checks}
+    assert got == {key: want[key] for key in got}
+    assert not got["c_order"]
+    assert _assert_report_matches(mod).failed()
 
 
 def _spy_routes(monkeypatch):
-    """The number of laws of each check that the plane route decides, in
-    call order: associativity passes one law per basis vector, a module's
-    c and v laws are two."""
+    """The number of laws of each check that the plane route decides, and
+    the number of checks the join decides, in call order: associativity
+    passes one law per basis vector, a module's c and v laws are two."""
     calls = []
 
     def spy(m, src, dst, maps, laws, real=algebra_core._laws_on_planes):
@@ -1311,7 +1406,22 @@ def _spy_routes(monkeypatch):
             calls.append(len(laws))
         return got
 
+    def joined(real):
+        def prepare(*args):
+            pairs, decide = real(*args)
+
+            def counted():
+                calls.append("join")
+                return decide()
+
+            return pairs, counted
+
+        return prepare
+
     monkeypatch.setattr(algebra_core, "_laws_on_planes", spy)
+    for name in ("_associativity_join", "_law_join"):
+        monkeypatch.setattr(algebra_core, name,
+                            joined(getattr(algebra_core, name)))
     return calls
 
 
@@ -1328,13 +1438,79 @@ def test_dense_dim_8_copies_take_the_planes(monkeypatch, name, kind):
     assert calls == [mod.algebra.dim, 2]
 
 
-def test_sparse_dim_36_tables_take_the_loop(monkeypatch):
-    calls = _spy_routes(monkeypatch)
+def test_sparse_dim_36_tables_take_the_join(monkeypatch):
     mod = build_semisimple(grid_spec(4, 3, 4))
+    calls = _spy_routes(monkeypatch)
     FinDimAlgebra(mod.m, mod.algebra.mult, unit=mod.algebra.unit)
     assert hma_verify(mod).ok
     assert _product_table(TaftAlgebra(6))._associativity_witness() is None
-    assert calls == []
+    assert calls == ["join"] * 3
+
+
+@given(_route_inputs(), st.sampled_from([1, 3, 40]))
+@settings(max_examples=60, deadline=None)
+def test_the_join_in_small_blocks_gives_the_oracles_witnesses(drawn, budget):
+    # blocks of at most `budget` pairs, or of one basis index each
+    m, src, dst, laws = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        _route(patch, False)
+        patch.setattr(algebra_core, "_BLOCK_ENTRIES", budget)
+        assert _copy(src)._associativity_witness() == _cycnum_first_failure(src)
+        assert law_witnesses(src, dst, laws) == \
+            _cycnum_law_witnesses(src, dst, laws)
+
+
+@cache
+def _large_sparse(name):
+    """The dim-27 and dim-36 constructed modules, and the m = 8 Taft
+    table (dim 64) with its unit e_(0,0)."""
+    if name == "taft_8":
+        table = _product_table(TaftAlgebra(8))
+        return None, table, table.basis_vector(0)
+    m, k, t = (int(x[1:]) for x in name.split("_")[1:])
+    mod = build_semisimple(grid_spec(m, k, t))
+    return mod, mod.algebra, mod.algebra.unit
+
+
+@given(st.sampled_from(["grid_m3_k3_t3", "grid_m4_k3_t4", "taft_8"]),
+       st.data())
+@settings(max_examples=24, deadline=None)
+def test_perturbed_large_sparse_tables_match_the_oracles(name, data):
+    # keys reach n^4 = 1.7e7 at dim 64; one structure constant, or one c or
+    # v entry, moved by 1, -1 or zeta
+    mod, alg, unit = _large_sparse(name)
+    m, n = alg.m, alg.dim
+    delta = data.draw(st.sampled_from([1, -1, zeta_power(m, 1)]))
+    which = "t" if mod is None else data.draw(st.sampled_from("tcv"))
+    if which == "t":
+        # an existing constant, or any cell
+        keys = alg._entries()[1].tolist()
+        key = data.draw(st.one_of(st.sampled_from(keys),
+                                  st.integers(0, n ** 3 - 1)))
+        i, j, a = key // (n * n), key // n % n, key % n
+        table = [list(row) for row in alg.mult]
+        cell = list(table[i][j])
+        cell[a] = cell[a] + delta
+        table[i][j] = tuple(cell)
+        alg = FinDimAlgebra(m, tuple(map(tuple, table)), validate=False,
+                            autodetect_unit=False)
+    else:
+        b, a = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        mod = _perturbed(mod, which, b, a, delta)
+    assert alg._associativity_witness() == _cycnum_first_failure(alg)
+    assert alg._unit_witness(unit) == _cycnum_unit_failure(alg, unit)
+    if mod is not None:
+        c, v = mod.c_op, mod.v_op
+        laws = [(c, [(c, c)]), (v, [(c, v), (v, Matrix.identity(m, n))])]
+        assert law_witnesses(alg, alg, laws) == \
+            _cycnum_law_witnesses(alg, alg, laws)
+        if which != "t":
+            got = dict((name, ok) for name, ok in
+                       hmodule._operator_relations(mod))
+            assert got["c_order"] == (mod.c_op ** m == Matrix.identity(m, n))
+            assert got["v_nilpotent"] == (mod.v_op ** m).is_zero()
+            assert got["vc_commutation"] == (
+                mod.v_op @ mod.c_op == (mod.c_op @ mod.v_op) * zeta_power(m, 1))
 
 
 @pytest.mark.parametrize("name,kind", [("ss_grid_m4_k2_t2", None),
