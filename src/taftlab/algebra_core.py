@@ -11,19 +11,20 @@ y, with L the left regular representation of the hull.  That keeps the
 computation one exact kernel, with nilpotency and semisimple-quotient as
 checkable properties rather than part of the algorithm.
 
-The laws are decided exactly in integers: associativity on basis triples,
-the unit, and, in one routine, every law T(ab) = sum S(a) U(b) on basis
-pairs (law_witnesses), which covers algebra maps, the c and v laws of a
-module algebra over the Taft algebra and derivations (both sides are
-bilinear, so basis pairs suffice).  A table's one integer form is its
-entries (FinDimAlgebra._entries): the key (i dim + j) dim + a and the
-numerators over one common denominator of each nonzero structure
-constant.  A sparse check joins entries into sparse products over
-Z[zeta_m] (_sum), both sides of a law in one sum, whose least key is the
-first failing triple or pair.  Dense tables go to coefficient planes
-(_laws_on_planes), as _takes_planes routes them; where a guard refuses the
-planes, the join decides.  The mod-p image of a table (_table_modp) is read
-from the entries too.
+The laws are decided exactly in integers: the unit, and, in one engine
+(_witnesses), every law T(ab) = sum S(a) U(b) on basis pairs, which covers
+associativity (the laws L_i(ab) = L_i(a) b for L_i left multiplication by
+e_i), algebra maps, the c and v laws of a module algebra over the Taft
+algebra and derivations (both sides are bilinear, so basis pairs
+suffice).  A table's and a matrix's one integer form is its entries
+(linalg._numerators): the key and the numerators over one common
+denominator of each nonzero value.  A sparse check joins entries into
+sparse products over Z[zeta_m] (_sum), both sides of a law in one sum,
+whose least key is the first failing triple or pair.  Dense tables go to
+coefficient planes scattered from the entries (_laws_on_planes), as
+_takes_planes routes them; where a guard refuses the planes, the join
+decides.  The mod-p image of a table (_table_modp) is read from the
+entries too.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ import numpy as np
 from . import linalg
 from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
-from .linalg import (EchelonBasis, Matrix, Subspace, at_degree,
-                     integer_planes, kernel, planes_mod_p, solve,
-                     subspaces_independent, vec_is_zero, vec_zero, zright)
+from .linalg import (EchelonBasis, Matrix, Subspace, _numerators,
+                     entries_mod_p, entry_planes, kernel, solve,
+                     stacked_entries, subspaces_independent, vec_is_zero,
+                     vec_zero, zright)
 
 # a law check runs on coefficient planes when their products form fewer
 # than _PLANE_RATIO products per pair that the join forms (_takes_planes)
@@ -125,7 +127,7 @@ class FinDimAlgebra:
 
     def _entries(self) -> tuple:
         """(D, keys, x): mult[i][j][a] = x[k] / D for each nonzero constant,
-        at the ascending keys[k] = (i dim + j) dim + a (_numerators)."""
+        at the ascending keys[k] = (i dim + j) dim + a (linalg._numerators)."""
         ent = self._ent
         if ent is None:
             n = self.dim
@@ -135,16 +137,14 @@ class FinDimAlgebra:
             object.__setattr__(self, "_ent", ent)
         return ent
 
-    def _planes(self):
+    def _planes(self, deg: int = 0):
         """(D, planes): planes[i, j, a] the int64 coefficients of
-        D mult[i][j][a], scattered from the entries; None past 2^62."""
-        den, keys, x = self._entries()
-        if x.dtype == object:
-            return None
+        D mult[i][j][a] at deg planes, or the entries' width
+        (linalg.entry_planes); None past 2^62."""
+        ent = self._entries()
         n = self.dim
-        planes = np.zeros((n ** 3, x.shape[1]), dtype=np.int64)
-        planes[keys] = x
-        return den, planes.reshape(n, n, n, x.shape[1])
+        planes = entry_planes(ent, (n, n, n), deg or ent[2].shape[1])
+        return None if planes is None else (ent[0], planes)
 
     def multiply(self, x, y) -> tuple:
         nz = self._nonzero()
@@ -219,26 +219,20 @@ class FinDimAlgebra:
         (e_i e_j) e_k != e_i (e_j e_k), or None; with lefts, an ascending
         list of basis indices, the first such triple with i among them.
 
-        Over the table's denominator D both sides carry D^2.  The check runs
-        on the join (_associativity_join) or, as _takes_planes routes it, on
-        the planes of the laws L_i(ab) = L_i(a) b, L_i = left multiplication
-        by e_i: the least failing i at its first failing pair (j, k).
+        These are the laws L_i(ab) = L_i(a) b, L_i left multiplication by
+        e_i, decided by the law engine (_witnesses): the triple is the least
+        failing i at its first failing pair (j, k).  L_i[a, j] = t[i, j, a],
+        so the maps' entries are the table's, in its order, at the keys
+        (i dim + a) dim + j.
         """
         n = self.dim
-        rows = list(range(n)) if lefts is None else list(lefts)
-        pairs, decide = _associativity_join(self, rows)
-        # each law's plane products form n^4 products of two coefficients
-        if _takes_planes(len(rows) * n ** 4, pairs):
-            got = self._planes()
-            if got is not None:
-                # the laws (L_i, [(L_i, 1)]) with L_i[a, j] = t[i, j, a]
-                ops = got[0], got[1].transpose(0, 2, 1, 3)
-                got = _laws_on_planes(self.m, got, got, ops, [
-                    (i, [(i, None)]) for i in rows])
-            if got is not None:
-                return next(((i,) + w for i, w in zip(rows, got)
-                             if w is not None), None)
-        return decide()
+        rows = range(n) if lefts is None else lefts
+        den, keys, x = self._entries()
+        keys = keys - keys % (n * n) + keys % n * n + keys // n % n
+        found = _witnesses(self, self, (den, keys, x), n,
+                           [(i, [(i, None)]) for i in rows])
+        return next(((i,) + w for i, w in zip(rows, found) if w is not None),
+                    None)
 
     def square_is_zero(self) -> bool:
         return all(vec_is_zero(self.mult[i][j])
@@ -250,26 +244,6 @@ class FinDimAlgebra:
 
 
 # -- the join: sparse products over Z[zeta_m] -----------------------------------
-
-
-def _numerators(m: int, pairs: list) -> tuple:
-    """(D, at, x) for (index, value) pairs of nonzero CycNums: D the lcm of
-    their denominators, at the indices, and x[k] the coefficients of D times
-    value k, int64 below 2^62 in size, else Python ints (object dtype), cut
-    to the constant column when no other is nonzero."""
-    deg = len(CycNum.zero(m).num)
-    den = lcm(1, *(c.den for _, c in pairs))
-    at = np.array([k for k, _ in pairs], dtype=np.int64)
-    rows = [c.num if c.den == den else [u * (den // c.den) for u in c.num]
-            for _, c in pairs]
-    try:
-        x = np.array(rows, dtype=np.int64).reshape(len(rows), deg)
-        if len(x) and not -linalg._INT_LIMIT < x.min() <= x.max() \
-                < linalg._INT_LIMIT:
-            raise OverflowError
-    except OverflowError:
-        x = np.array(rows, dtype=object).reshape(len(rows), deg)
-    return den, at, x if deg == 1 or x[:, 1:].any() else x[:, :1]
 
 
 def _groups(rows: np.ndarray, n: int) -> tuple:
@@ -352,42 +326,6 @@ def _blocks(per: np.ndarray) -> list:
     return list(zip(cuts, cuts[1:] + [len(per)]))
 
 
-def _associativity_join(alg: FinDimAlgebra, rows: list) -> tuple:
-    """(pairs, decide): the pairs the join forms, and decide(), the first
-    failing triple (i, j, k) with i in rows, or None.  (e_i e_j) e_k pairs
-    each entry (i, j, a) with row a of the table, e_i (e_j e_k) each entry
-    (i, a, b) with the entries (j, k, a); both go into one sum at the keys
-    ((i n + j) n + k) n + b, i in ascending blocks.
-    """
-    m, n = alg.m, alg.dim
-    _, keys, x = alg._entries()
-    first, mid, last = keys // (n * n), keys // n % n, keys % n
-    regroup = last.argsort(kind="stable")
-    by_first, by_last = _groups(first, n), _groups(last[regroup], n)
-    left = np.isin(first, rows).nonzero()[0] if len(rows) < n \
-        else np.arange(len(keys))
-    per = np.bincount(first[left], weights=by_first[1][last[left]]
-                      + by_last[1][mid[left]], minlength=n)
-
-    def decide():
-        for lo, hi in _blocks(per):
-            e = left[first[left].searchsorted(lo):first[left].searchsorted(hi)]
-            ia, ib = _join(last[e], by_first)
-            ja, jb = _join(mid[e], by_last)
-            ia, ja, jb = e[ia], e[ja], regroup[jb]
-            got, _ = _sum(m, [
-                (keys[ia] // n * n * n + keys[ib] % (n * n), 1,
-                 ((x, ia), (x, ib))),
-                ((first[ja] * n * n + keys[jb] // n) * n + last[ja], -1,
-                 ((x, ja), (x, jb)))])
-            if len(got):
-                i, rest = divmod(int(got[0]) // n, n * n)
-                return (i,) + divmod(rest, n)
-        return None
-
-    return int(per.sum()), decide
-
-
 # -- the plane route ----------------------------------------------------------
 
 
@@ -409,139 +347,167 @@ def law_witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, laws) -> list:
     """For each law (T, [(S, U), ...]) of linear maps src -> dst (matrices),
     the first basis pair (i, j) in row-major order where
     T(e_i e_j) != sum S(e_i) U(e_j), products taken in dst; None where
-    the law holds.
+    the law holds.  U may be None, the identity map (src and dst of one
+    dim), whose terms S(e_i) e_j take no product with U.
 
     "T is an algebra map" is (T, [(T, T)]); a module algebra's c and v laws
-    are (c, [(c, c)]) and (v, [(c, v), (v, 1)]), and a derivation D is
-    (D, [(D, 1), (1, D)]), with 1 the identity matrix.  Each pair is decided
-    exactly, in integers, by the join on the nonzero entries of the tables
-    and the maps (_law_join) or, as _takes_planes routes it, on coefficient
-    planes (_laws_on_planes); where a guard refuses the planes, the join
-    decides.
+    are (c, [(c, c)]) and (v, [(c, v), (v, None)]), and a derivation D is
+    (D, [(D, None), (1, D)]), with 1 the identity matrix.  Each pair is
+    decided exactly, in integers, on the maps' entries (Matrix._entries)
+    by _witnesses.
     """
-    maps = _distinct_maps(laws)
-    n1, n2 = src.dim, dst.dim
+    maps = {id(x): x for t, terms in laws
+            for x in (t, *(y for pair in terms for y in pair))
+            if x is not None}
     at = {key: k for k, key in enumerate(maps)}
-    laws = [(at[id(t)], [(at[id(s)], at[id(u)]) for s, u in terms])
-            for t, terms in laws]
-    # every map's entries over one denominator, map k's entry (b, a) at
-    # the key (k n2 + b) n1 + a
-    pairs, decide = _law_join(src, dst, _numerators(src.m, [
-        ((k * n2 + b) * n1 + a, v) for k, op in enumerate(maps.values())
-        for b, row in enumerate(op.rows) for a, v in enumerate(row)
-        if any(v.num)]), len(maps), laws)
-    # the plane products' products of two coefficients
-    cost = len({s for _, terms in laws for s, _ in terms}) * n1 * n2 ** 3 \
-        + sum(n1 ** 3 * n2 + len(terms) * n1 * n1 * n2 * n2 for _, terms in laws)
+    laws = [(at[id(t)], [(at[id(s)], None if u is None else at[id(u)])
+                         for s, u in terms]) for t, terms in laws]
+    # map k's entry (b, a) at the key (k n2 + b) n1 + a
+    return _witnesses(src, dst, stacked_entries(
+        [op._entries() for op in maps.values()], src.dim * dst.dim),
+        len(maps), laws)
+
+
+def _witnesses(src: FinDimAlgebra, dst: FinDimAlgebra, maps: tuple,
+               count: int, laws) -> list:
+    """law_witnesses on count maps given by their entries (E, at, y), entry
+    (b, a) of map k at the key (k n2 + b) n1 + a, ascending in k, and within
+    each map some term takes as U; a law (t, [(s, u), ...]) names its maps
+    by index, u None the identity.  Decided by the join (_law_join) or, as
+    _takes_planes routes it, on coefficient planes (_laws_on_planes); where
+    a guard refuses the planes, the join decides."""
+    n1, n2 = src.dim, dst.dim
+    if not n1 or not n2 or not laws:
+        return [None] * len(laws)
+    pairs, decide = _law_join(src, dst, maps, count, laws)
+    # the plane products' products of two coefficients: S(e_i) e_q for
+    # each distinct S, T(e_i e_j) per law, and one product per term with a
+    # map U
+    terms = [term for _, group in laws for term in group]
+    cost = len({s for s, _ in terms}) * n1 * n2 ** 3 + len(laws) * n1 ** 3 \
+        * n2 + sum(u is not None for _, u in terms) * n1 * n1 * n2 * n2
     if _takes_planes(cost, pairs):
-        got = _map_planes(src, dst, maps)
-        if got is not None:
-            got = _laws_on_planes(src.m, *got, laws)
+        # the tables' and the maps' planes at one degree
+        deg = max(x.shape[1] for _, _, x in (src._entries(), dst._entries(),
+                                             maps))
+        ops = entry_planes(maps, (count, n2, n1), deg)
+        tab = src._planes(deg)
+        tabs = tab, tab if dst is src else dst._planes(deg)
+        got = None if ops is None or None in tabs else _laws_on_planes(
+            src.m, *tabs, (maps[0], ops), laws)
         if got is not None:
             return got
     return decide()
 
 
-def _distinct_maps(laws) -> dict:
-    """Every map of the laws, once, keyed by its id."""
-    return {id(x): x for t, terms in laws
-            for x in (t, *(y for pair in terms for y in pair))}
-
-
 def _law_join(src: FinDimAlgebra, dst: FinDimAlgebra, maps: tuple,
               count: int, laws):
-    """(pairs, decide) for law_witnesses on the join: the pairs it forms,
-    and decide(), each law's first failing pair or None.
+    """(pairs, decide) for _witnesses on the join: the pairs it forms, and
+    decide(), each law's first failing pair or None.
 
-    maps is (E, at, y), the entries of count maps src -> dst over one
-    denominator E, entry (b, a) of map k at the ascending key
-    (k n2 + b) n1 + a; each law (t, [(s, u), ...]) names its maps by index.
     With D, D' the tables' denominators, T(e_i e_j) = sum t[i, j, a] T[b, a]
-    e_b pairs each src entry with column a of T, over D E, and a term
-    S(e_i) U(e_j) = sum S[p, i] t'[p, q, c] U[q, j] e_c each entry of S with
-    row p of the dst table, then row q of U, over E^2 D'.  All laws go into
-    one sum, law k at the keys ((k n1 + i) n1 + j) n2 + c, so its least key
-    is its first failing pair; i runs in ascending blocks.
+    e_b pairs each entry (b, a) of T with the src entries (i, j, a), over
+    D E, and a term S(e_i) U(e_j) = sum S[p, i] t'[p, q, c] U[q, j] e_c
+    each entry of S with row p of the dst table, then row q of U, over
+    E^2 D'; an identity term S(e_i) e_j, q = j, stops after the dst table,
+    over E D'.  All laws go into one sum, law k at the keys
+    ((k n1 + i) n1 + j) n2 + c, so its least key is its first failing pair;
+    i runs in ascending blocks, one when it holds every pair.
     """
     m, n1, n2 = src.m, src.dim, dst.dim
-    if not n1 or not n2 or not laws:
-        return 0, lambda: [None] * len(laws)
     d1, k1, x1 = src._entries()
     d2, k2, x2 = dst._entries()
     big, at, y = maps
     rows, cols = at // n1 % n2, at % n1
-    # the maps' entries by (map, row), and in the order of (map, column)
-    by_row, key = _groups(at // n1, count * n2), at // (n2 * n1) * n1 + cols
-    order = key.argsort(kind="stable")
-    by_col = _groups(key[order], count * n1)
+    by_map = _groups(at // (n2 * n1), count)
     first1, last1 = k1 // (n1 * n1), k1 % n1
-    first2, mid2, last2 = k2 // (n2 * n2), k2 // n2 % n2, k2 % n2
-    dst_rows = _groups(first2, n2)
-    # each law's T, and each term's law, S and U
-    ts = np.array([t for t, _ in laws])
-    ks, ss, us = np.array([(k, s, u) for k, (_, terms) in enumerate(laws)
-                           for s, u in terms], dtype=np.int64).reshape(-1, 3).T
-    # the pairs per i: column a of T per src entry (i, j, a), and per entry
-    # (p, i) of S, row q of U per entry (p, q, c) of the dst table
-    spread = by_row[1].reshape(count, n2) @ np.bincount(
-        mid2 * n2 + first2, minlength=n2 * n2).reshape(n2, n2)
-    # every term with every entry of its S
-    task, s_all = _join(ss, _groups(at // (n2 * n1), count))
-    per = np.bincount(first1, minlength=n1, weights=by_col[1].reshape(
-        count, n1)[ts].sum(axis=0)[last1]) + np.bincount(
-        cols[s_all], weights=spread[us[task], rows[s_all]], minlength=n1)
-    common = lcm(d1 * big, big * big * d2)
+    # the src entries in the order of their last index a
+    by_last = last1.argsort(kind="stable")
+    last_groups = _groups(last1[by_last], n1)
+    dst_rows = _groups(k2 // (n2 * n2), n2)
+    # each law's T, and each term's law, S and U, the identity as U = -1
+    ts = [t for t, _ in laws]
+    terms = [(k, s, -1 if u is None else u)
+             for k, (_, group) in enumerate(laws) for s, u in group]
+    some_ones = any(u < 0 for _, _, u in terms)
+    all_ones = all(u < 0 for _, _, u in terms)
+    same = [s for _, s, _ in terms] == ts
+    ks, ss, us = np.array(terms, dtype=np.int64).reshape(-1, 3).T
+    ones = us < 0
+    # the pairs a term forms per entry (p, i) of its S: row p of the dst
+    # table, then row q of U per entry (p, q, c); the identity's row last
+    spread = dst_rows[1][None]
+    if not all_ones:
+        by_row, mid2 = _groups(at // n1, count * n2), k2 // n2 % n2
+        spread = np.concatenate([by_row[1].reshape(count, n2) @ np.bincount(
+            mid2 * n2 + k2 // (n2 * n2), minlength=n2 * n2).reshape(n2, n2),
+            spread])
+    # every law with every entry of its T (map k's entries when law k's T
+    # is map k), every term with every entry of its S (the same when each
+    # law's one term has S = T), and their pairs
+    law_t, t_all = (at // (n2 * n1), np.arange(len(at))) if ts == list(
+        range(count)) else _join(np.array(ts), by_map)
+    task, s_all = (law_t, t_all) if same else _join(ss, by_map)
+    rhs = spread[us[task], rows[s_all]]
+    pairs = int(last_groups[1][cols[t_all]].sum() + rhs.sum())
+    common = lcm(d1 * big, 1 if all_ones else big * big * d2,
+                 big * d2 if some_ones else 1)
     scale_l, scale_r = common // (d1 * big), common // (big * big * d2)
-    span = n1 * n1 * n2
+    scale_one, span = common // (big * d2), n1 * n1 * n2
+    blocks = [(0, n1)] if pairs <= _BLOCK_ENTRIES else _blocks(
+        np.bincount(first1, minlength=n1, weights=np.bincount(
+            cols[t_all], minlength=n1)[last1])
+        + np.bincount(cols[s_all], weights=rhs, minlength=n1))
 
     def decide():
         found = [None] * len(laws)
-        for lo, hi in _blocks(per):
-            pending = np.array([w is None for w in found])
-            todo = pending.nonzero()[0]
-            if not len(todo):
+        for lo, hi in blocks:
+            todo = [k for k, w in enumerate(found) if w is None]
+            if not todo:
                 break
-            # T(e_i e_j) for each pending law and src entry of the block
-            e = np.arange(first1.searchsorted(lo), first1.searchsorted(hi))
-            law, src_at = todo.repeat(len(e)), np.tile(e, len(todo))
-            ia, ib = _join(ts[law] * n1 + last1[src_at], by_col)
-            law, src_at, t_at = law[ia], src_at[ia], order[ib]
+            whole, every = hi - lo == n1, len(todo) == len(laws)
+            pending = np.array([w is None for w in found])
+            # T(e_i e_j): each pending law's T entries (b, a) with the src
+            # entries (i, j, a) of the block
+            order, groups = by_last, last_groups
+            if not whole:
+                e = np.arange(first1.searchsorted(lo), first1.searchsorted(hi))
+                order = e[last1[e].argsort(kind="stable")]
+                groups = _groups(last1[order], n1)
+            keep = slice(None) if every else pending[law_t]
+            ia, ib = _join(cols[t_all[keep]], groups)
+            law, t_at, src_at = law_t[keep][ia], t_all[keep][ia], order[ib]
+            pieces = [(law * span + k1[src_at] // n1 * n2 + rows[t_at],
+                       scale_l, ((x1, src_at), (y, t_at)))]
             # each pending term's entries (p, i) of S with i in the block,
             # each with row p of the dst table, then with row q of U
-            keep = (pending[ks[task]] & (cols[s_all] >= lo)
-                    & (cols[s_all] < hi)).nonzero()[0]
+            keep = slice(None) if whole and every else pending[ks[task]] & (
+                cols[s_all] >= lo) & (cols[s_all] < hi)
             ja, d_at = _join(rows[s_all[keep]], dst_rows)
             term, s_at = task[keep][ja], s_all[keep][ja]
-            ja, u_at = _join(us[term] * n2 + mid2[d_at], by_row)
-            term, s_at, d_at = term[ja], s_at[ja], d_at[ja]
-            got, _ = _sum(m, [
-                (law * span + k1[src_at] // n1 * n2 + rows[t_at], scale_l,
-                 ((x1, src_at), (y, t_at))),
-                (((ks[term] * n1 + cols[s_at]) * n1 + cols[u_at]) * n2
-                 + last2[d_at], -scale_r, ((y, s_at), (x2, d_at), (y, u_at)))])
-            heads = got.searchsorted(todo * span).tolist()
-            for k, h in zip(todo.tolist(), heads):
+            if some_ones:
+                one = slice(None) if all_ones else ones[term]
+                s_one, d_one = s_at[one], d_at[one]
+                pieces.append(((ks[term[one]] * n1 + cols[s_one]) * n1 * n2
+                               + k2[d_one] % (n2 * n2), -scale_one,
+                               ((y, s_one), (x2, d_one))))
+                if not all_ones:
+                    term, s_at, d_at = term[~one], s_at[~one], d_at[~one]
+            if not all_ones:
+                ja, u_at = _join(us[term] * n2 + mid2[d_at], by_row)
+                term, s_at, d_at = term[ja], s_at[ja], d_at[ja]
+                pieces.append((
+                    ((ks[term] * n1 + cols[s_at]) * n1 + cols[u_at]) * n2
+                    + k2[d_at] % n2, -scale_r,
+                    ((y, s_at), (x2, d_at), (y, u_at))))
+            got, _ = _sum(m, pieces)
+            heads = got.searchsorted([k * span for k in todo]).tolist()
+            for k, h in zip(todo, heads):
                 if h < len(got) and got[h] < (k + 1) * span:
                     found[k] = divmod(int(got[h]) % span // n2, n1)
         return found
 
-    return int(per.sum()), decide
-
-
-def _map_planes(src: FinDimAlgebra, dst: FinDimAlgebra, maps: dict):
-    """_laws_on_planes's src, dst and maps (E, ops) for law_witnesses, ops
-    the maps' planes over their common denominator E, all at one degree;
-    None when a coefficient reaches 2^62."""
-    tabs = src._planes(), dst._planes()
-    ops = integer_planes(src.m, [[x for op in maps.values() for row in op.rows
-                                  for x in row]])
-    if None in tabs or ops is None:
-        return None
-    (d1, t1), (d2, t2) = tabs
-    (big, ops), = ops
-    deg = max(t1.shape[-1], t2.shape[-1], ops.shape[-1])
-    ops = at_degree(ops, deg).reshape(len(maps), dst.dim, src.dim, deg)
-    return (d1, at_degree(t1, deg)), (d2, at_degree(t2, deg)), (big, ops)
+    return pairs, decide
 
 
 def _laws_on_planes(m: int, src, dst, maps, laws):
@@ -649,18 +615,9 @@ def _laws_on_planes(m: int, src, dst, maps, laws):
 
 
 def _table_modp(A: FinDimAlgebra, p: int, zeta_mod: int) -> np.ndarray:
-    """T[i, j, a] = mult[i][j][a] over F_p, read from the entries
-    (linalg.planes_mod_p).
-
-    Raises ModReductionError exactly when cyc_to_modp would on some
-    structure constant: the common denominator D is divisible by the prime
-    p just when one of their denominators is.
-    """
-    den, keys, x = A._entries()
+    """T[i, j, a] = mult[i][j][a] over F_p (linalg.entries_mod_p)."""
     n = A.dim
-    table = np.zeros(n ** 3, dtype=np.int64)
-    table[keys] = planes_mod_p(x, den, p, zeta_mod)
-    return table.reshape(n, n, n)
+    return entries_mod_p(A._entries(), n ** 3, p, zeta_mod).reshape(n, n, n)
 
 
 # -- canonical small algebras -------------------------------------------------

@@ -8,13 +8,14 @@ it holds for gh, because Delta is an algebra map).  hma_verify spells the
 generator checks out and records that derivation in its report.  The
 operator relations c^m = 1, v^m = 0 and vc = zeta cv, and the two laws
 c(ab) = c(a)c(b) and v(ab) = c(a)v(b) + v(a)b, are decided exactly in
-integers on the nonzero entries of the operators and the table.  The laws
-have the form T(ab) = sum S(a)U(b), as has "T: A -> B is an algebra map",
-and one routine, algebra_core.law_witnesses, decides all of them on every
-basis pair: by sparse products of the entries, or, on dense tables, by
-products of coefficient planes.  hma_verify checks both module laws in one
-call, and _verify_module_iso and the generic isomorphism search check T; a
-failing law is reported at its first failing pair in row-major order.
+integers on the entries of the operators and the table, each operator
+turned into integers once (Matrix._entries) for the relations, the laws,
+its images mod p and its coefficient planes.  The laws have the form
+T(ab) = sum S(a)U(b), as has "T: A -> B is an algebra map", and
+algebra_core.law_witnesses decides all of them on every basis pair.
+hma_verify checks both module laws in one call, and _verify_module_iso and
+the generic isomorphism search check T; a failing law is reported at its
+first failing pair in row-major order.
 
 is_h_simple is a decision with three honest outcomes.  Tier 1 (Burnside
 density): rank the unital operator algebra O generated by all left/right
@@ -59,12 +60,12 @@ import numpy as np
 from .cyclotomic import CycNum, zeta_power
 from .errors import InputError
 from .linalg import (EchelonBasis, Matrix, ModpEchelon, ModReductionError,
-                     Subspace, at_degree, certified_rank, combination,
-                     cyc_to_modp, integer_planes, intertwiner_space, kernel,
-                     matrix_to_modp, rank, reduction_primes,
-                     small_coefficients, vec_is_zero, zmatmul)
-from .algebra_core import (FinDimAlgebra, _groups, _join, _numerators, _sum,
-                           _table_modp, ideal_generated_by, law_witnesses)
+                     Subspace, certified_rank, combination, cyc_to_modp,
+                     entry_planes, intertwiner_space, kernel, matrix_to_modp,
+                     rank, reduction_primes, small_coefficients,
+                     vec_is_zero, zmatmul)
+from .algebra_core import (FinDimAlgebra, _groups, _join, _sum, _table_modp,
+                           ideal_generated_by, law_witnesses)
 from .taft_hopf import HopfElement, TaftAlgebra
 
 
@@ -151,8 +152,8 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
         rep.add(name, ok)
 
     c, v = mod.c_op, mod.v_op
-    c_wit, v_wit = law_witnesses(A, A, [
-        (c, [(c, c)]), (v, [(c, v), (v, Matrix.identity(mod.m, A.dim))])])
+    c_wit, v_wit = law_witnesses(A, A, [(c, [(c, c)]),
+                                        (v, [(c, v), (v, None)])])
     rep.add("c_multiplicative", c_wit is None, c_wit)
     rep.add("v_skew_derivation", v_wit is None, v_wit)
 
@@ -164,17 +165,12 @@ def hma_verify(mod: HModuleAlgebra) -> HmaReport:
 
 def _operator_relations(mod: HModuleAlgebra) -> list:
     """(name, holds) for c^m = 1, v^m = 0 and v c = zeta c v: over the
-    common denominator E of both operators' entries, C^m = E^m 1, V^m = 0
-    and V C = C (zeta V) for C = E c and V = E v, powers by repeated
-    squaring, the k-th difference at the keys k n^2 + r n + c of one sum
-    (algebra_core._sum)."""
+    denominators E and F of the operators' entries (Matrix._entries),
+    C^m = E^m 1, V^m = 0 and V C = C (zeta V) for C = E c and V = F v,
+    powers by repeated squaring, the k-th difference at the keys
+    k n^2 + r n + c of one sum (algebra_core._sum)."""
     m, n = mod.m, mod.algebra.dim
-    big, at, x = _numerators(m, [
-        ((k * n + b) * n + a, v) for k, op in enumerate((mod.c_op, mod.v_op))
-        for b, row in enumerate(op.rows) for a, v in enumerate(row)
-        if any(v.num)])
-    split = int(at.searchsorted(n * n))
-    c, v = (at[:split], x[:split]), (at[split:] - n * n, x[split:])
+    (big, *c), (_, *v) = mod.c_op._entries(), mod.v_op._entries()
     zeta = np.array([zeta_power(m, 1).num], dtype=np.int64)
     got, _ = _sum(m, [
         _power(m, c, m, n), (np.arange(n) * (n + 1), -big ** m,
@@ -312,20 +308,18 @@ def taft_monomials(gens, mul, one, m: int) -> list:
 
 
 def structure_planes(A: FinDimAlgebra, gens):
-    """(table, [g, ...]) as int64 planes at one degree: table[i, j, a]
-    those of the coefficient of e_a in e_i e_j (FinDimAlgebra._planes),
-    and each g (n, n, deg) those of one of the matrices gens
-    (integer_planes), every array over its own common denominator; None
-    when a coefficient reaches 2^62."""
+    """(table, [g, ...]) as int64 planes at one degree (linalg.entry_planes):
+    table[i, j, a] those of the coefficient of e_a in e_i e_j, and each g
+    (n, n, deg) those of one of the matrices gens, every array over its own
+    denominator; None when a coefficient reaches 2^62."""
     n = A.dim
-    planes = A._planes()
-    hs = integer_planes(A.m, [[x for row in g.rows for x in row] for g in gens])
-    if planes is None or hs is None:
+    ents = [g._entries() for g in gens]
+    deg = max(x.shape[1] for _, _, x in [A._entries()] + ents)
+    planes = A._planes(deg)
+    hs = [entry_planes(ent, (n, n), deg) for ent in ents]
+    if planes is None or any(h is None for h in hs):
         return None
-    table = planes[1]
-    deg = max([table.shape[-1]] + [h.shape[-1] for _, h in hs])
-    return (at_degree(table, deg),
-            [at_degree(h, deg).reshape(n, n, deg) for _, h in hs])
+    return planes[1], hs
 
 
 def _span_generators(A: FinDimAlgebra, gens):

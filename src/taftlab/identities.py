@@ -45,10 +45,10 @@ lower bound, and the value when it fills the shape of the rows or when the
 certificate proves it exact.  Without either the degree is ranked exactly:
 the permuted copies of the exactly built basis, deduplicated on integer
 codes of their entries, are eliminated over Q(zeta_m) on EchelonBasis.
-The level lifts and the plane rank make one call each, _span_rank, into
-linalg.certified_rank, which owns the choice of prime, the pin and the
-certificate.  codim_growth_report builds W_1, ..., W_n once and ranks
-each level as it is built.
+Each level's lift in _plane_spans and the final rank in _plane_rank make
+one call each, _span_rank, into linalg.certified_rank, which owns the
+choice of prime, the pin and the certificate.  codim_growth_report builds
+W_1, ..., W_n once and ranks each level as it is built.
 
 Orderings are fixed so bases and ranks are bit-reproducible: permutations
 in lexicographic order, labels b = i*m + k in increasing order, every span
@@ -69,8 +69,7 @@ from .cyclotomic import CycNum
 from .errors import BudgetExceeded, InputError
 from .hmodule import HModuleAlgebra, structure_planes, taft_monomials
 from .linalg import (EchelonBasis, certified_rank, echelon, echelon_mod_p,
-                     fit_planes, planes_mod_p, vec_add, vec_scale, vec_zero,
-                     zmatmul)
+                     planes_mod_p, vec_add, vec_scale, vec_zero, zmatmul)
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -297,18 +296,12 @@ def _span_rank(planes: np.ndarray, d: int, m: int, full=None):
     return certified_rank(m, images, lambda: (planes, ()), full)
 
 
-def _lift_level(m: int, rows: np.ndarray):
-    """(d, d E) for E the canonical basis of the span of the int64 planes
-    rows, read back by certified_rank from their reduced echelon form mod
-    the first reduction prime; None when the lift is refused."""
-    got = _span_rank(rows, 1, m)
-    return None if got is None else got[2]
-
-
 def _plane_spans(mod: HModuleAlgebra, n: int):
     """Canonical bases of W_1, ..., W_n in turn as planes (d, d E), built
-    in integers and lifted level by level (_lift_level); stops before the
-    first level whose products or lift a guard or certificate refuses.
+    in integers and lifted level by level: certified_rank reads each back
+    from the reduced echelon form of its generating rows mod the first
+    reduction prime (_span_rank).  Stops before the first level whose
+    products or lift a guard or certificate refuses.
 
     The inputs come from the integer planes of the table and of c and v
     (hmodule.structure_planes): the operators h_b = c^i v^k as zmatmul
@@ -356,9 +349,10 @@ def _plane_spans(mod: HModuleAlgebra, n: int):
             rows = rows.reshape(len(de), prefixes, m * m, dim * dim, deg)
             rows = rows.transpose(0, 2, 1, 3, 4).reshape(
                 len(de) * m * m, prefixes * dim * dim, deg)
-        level = _lift_level(m, rows)
+        level = _span_rank(rows, 1, m)
         if level is None:
             return
+        level = level[2]
         yield level
 
 
@@ -375,19 +369,6 @@ def _argument_permutations(dim: int, n: int):
     for sigma in itertools.permutations(range(n)):
         source = digits[:, list(sigma)] @ place
         yield (source[:, None] * dim + out).ravel()
-
-
-def _planes_rank(planes: np.ndarray, d: int, m: int):
-    """(rank, method) of the rows planes / d when their mod-p rank at the
-    first reduction prime that keeps d fills their shape or certified_rank
-    confirms it; None when neither does."""
-    got = _span_rank(planes, d, m, min(planes.shape[:2]))
-    if got is None:
-        return None
-    value, primes, basis = got
-    return value, "modp-%s(p=%s)" % ("pinned" if basis is None
-                                     else "certified",
-                                     ",".join(map(str, primes)))
 
 
 def _nominal_rows(m: int, n: int, budget_rows: int) -> int:
@@ -413,14 +394,22 @@ def _distinct_copies(keys: np.ndarray, dim: int, n: int) -> np.ndarray:
 
 def _plane_rank(mod: HModuleAlgebra, n: int, level):
     """(value, method) of the n! permuted copies of the canonical basis
-    (d, d E) of W_n, by _planes_rank; None when it neither pins nor
-    certifies.  An empty W_n has nothing to eliminate: rank 0."""
+    (d, d E) of W_n, cut to its constant plane when no other is nonzero:
+    their rank mod the first reduction prime that keeps d, when it fills
+    their shape or certified_rank confirms it (_span_rank); None when
+    neither does.  An empty W_n has nothing to eliminate: rank 0."""
     d, de = level
-    keys, = fit_planes([de])
+    keys = de if de[..., 1:].any() else de[..., :1]
     distinct = _distinct_copies(keys, mod.algebra.dim, n)
     if not len(distinct):
         return 0, "exact-echelon"
-    return _planes_rank(distinct, d, mod.m)
+    got = _span_rank(distinct, d, mod.m, min(distinct.shape[:2]))
+    if got is None:
+        return None
+    value, primes, basis = got
+    return value, "modp-%s(p=%s)" % ("pinned" if basis is None
+                                     else "certified",
+                                     ",".join(map(str, primes)))
 
 
 def _exact_rank(mod: HModuleAlgebra, n: int, basis):

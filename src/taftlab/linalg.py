@@ -7,6 +7,12 @@ bit-reproducible run to run.  Every exact elimination runs on that echelon
 basis (EchelonBasis / echelon): rank, kernel, solve, Subspace and
 Matrix.inverse, which reads A^{-1} off the echelon basis of [A | I].
 
+Exact values have one integer form, their entries (_numerators): the key
+and the numerators over one common denominator of each nonzero value, kept
+once per Matrix (Matrix._entries) and per table.  Integer coefficient
+planes are scattered from the entries (entry_planes), and so is the image
+over F_p (entries_mod_p, through planes_mod_p).
+
 The modular half maps Q(zeta_m) into a prime field F_p with p = 1 (mod m),
 sending zeta to an element of multiplicative order m.  Ranks computed there
 are exact lower bounds for the true rank (a nonzero minor mod p lifts to a
@@ -71,14 +77,27 @@ def _support(a) -> list:
 class Matrix:
     """Immutable exact matrix over Q(zeta_m)."""
 
-    __slots__ = ("m", "rows")
+    __slots__ = ("m", "rows", "_ent")
 
     def __init__(self, m: int, rows: tuple):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_ent", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
+
+    def _entries(self) -> tuple:
+        """(D, keys, x): rows[r][c] = x[k] / D for each nonzero entry, at
+        the ascending keys[k] = r ncols + c (_numerators); built once."""
+        ent = self._ent
+        if ent is None:
+            n = self.ncols
+            ent = _numerators(self.m, [
+                (r * n + c, x) for r, row in enumerate(self.rows)
+                for c, x in enumerate(row) if any(x.num)])
+            object.__setattr__(self, "_ent", ent)
+        return ent
 
     @staticmethod
     def from_rows(m: int, rows) -> "Matrix":
@@ -596,8 +615,9 @@ def cyc_to_modp(x: CycNum, p: int, zeta_mod: int) -> int:
 
 
 def matrix_to_modp(mat: Matrix, p: int, zeta_mod: int) -> np.ndarray:
-    return np.array([[cyc_to_modp(x, p, zeta_mod) for x in row] for row in mat.rows],
-                    dtype=np.int64)
+    """cyc_to_modp on every entry of mat, read from its entries."""
+    return entries_mod_p(mat._entries(), mat.nrows * mat.ncols, p,
+                         zeta_mod).reshape(mat.nrows, mat.ncols)
 
 
 def _row_reduce(a: np.ndarray, p: int) -> list:
@@ -741,46 +761,68 @@ _INT_LIMIT = 1 << 62
 CERTIFY_PRIMES = 3
 
 
-def fit_planes(planes: list) -> list:
-    """The int64 coefficient arrays planes, all cut to their constant plane
-    when no other coefficient of any of them is nonzero: rational values
-    keep one plane, and cyclotomic ones all phi(m)."""
-    if any(x[..., 1:].any() for x in planes):
-        return planes
-    return [x[..., :1] for x in planes]
-
-
-def at_degree(x: np.ndarray, deg: int) -> np.ndarray:
-    """Coefficient planes x with deg planes, zero past its own."""
-    if x.shape[-1] == deg:
-        return x
-    out = np.zeros(x.shape[:-1] + (deg,), dtype=np.int64)
-    out[..., :x.shape[-1]] = x
-    return out
-
-
-def integer_planes(m: int, value_lists):
-    """[(D, planes)] for each list of values: D the lcm of that list's
-    denominators, and planes[i] the coefficients of D * values[i] as int64,
-    all lists at one degree (fit_planes).  None when a coefficient reaches
-    2^62."""
+def _numerators(m: int, pairs: list) -> tuple:
+    """(D, at, x), the entries of (index, value) pairs of nonzero CycNums:
+    D the lcm of their denominators, at the indices, and x[k] the
+    coefficients of D times value k, int64 below 2^62 in size, else Python
+    ints (object dtype), cut to the constant column when no other is
+    nonzero."""
     deg = len(CycNum.zero(m).num)
-    dens, out = [], []
-    for values in value_lists:
-        den = math.lcm(1, *(x.den for x in values))
-        rows = [[u * (den // x.den) for u in x.num] for x in values]
-        if any(abs(u) >= _INT_LIMIT for row in rows for u in row):
-            return None
-        dens.append(den)
-        out.append(np.array(rows, dtype=np.int64).reshape(len(rows), deg))
-    return list(zip(dens, fit_planes(out)))
+    den = math.lcm(1, *(c.den for _, c in pairs))
+    at = np.array([k for k, _ in pairs], dtype=np.int64)
+    rows = [c.num if c.den == den else [u * (den // c.den) for u in c.num]
+            for _, c in pairs]
+    try:
+        x = np.array(rows, dtype=np.int64).reshape(len(rows), deg)
+        if len(x) and not -_INT_LIMIT < x.min() <= x.max() < _INT_LIMIT:
+            raise OverflowError
+    except OverflowError:
+        x = np.array(rows, dtype=object).reshape(len(rows), deg)
+    return den, at, x if deg == 1 or x[:, 1:].any() else x[:, :1]
+
+
+def stacked_entries(parts: list, size: int) -> tuple:
+    """The entries of lists of `size` values each, list k's keys moved up
+    by k size, over one denominator: _numerators on all the values."""
+    big = math.lcm(1, *(d for d, _, _ in parts))
+    deg = max(x.shape[1] for _, _, x in parts)
+    xs = []
+    for d, _, x in parts:
+        wide = x.dtype == object or \
+            int(np.abs(x).max(initial=0)) * (big // d) >= _INT_LIMIT
+        xs.append(np.zeros((len(x), deg), dtype=object if wide else np.int64))
+        xs[-1][:, :x.shape[1]] = (x.astype(object) if wide else x) * (big // d)
+    return big, np.concatenate([at + k * size for k, (_, at, _)
+                                in enumerate(parts)]), np.concatenate(xs)
+
+
+def entry_planes(ent: tuple, shape: tuple, deg: int):
+    """The int64 coefficient planes (shape + (deg,)) of the values whose
+    entries are ent, deg at least their width: x[k] at the flat row keys[k],
+    zero elsewhere; None when a coefficient reaches 2^62 (object dtype)."""
+    _, keys, x = ent
+    if x.dtype == object:
+        return None
+    out = np.zeros((math.prod(shape), deg), dtype=np.int64)
+    out[keys, :x.shape[1]] = x
+    return out.reshape(shape + (deg,))
+
+
+def entries_mod_p(ent: tuple, size: int, p: int, zeta_mod: int) -> np.ndarray:
+    """The `size` values whose entries are ent over F_p, zeta -> zeta_mod,
+    as int64 (planes_mod_p); raises ModReductionError exactly when
+    cyc_to_modp would on some value: p divides their denominator."""
+    den, keys, x = ent
+    out = np.zeros(size, dtype=np.int64)
+    out[keys] = planes_mod_p(x, den, p, zeta_mod)
+    return out
 
 
 def planes_mod_p(planes: np.ndarray, den: int, p: int,
                  zeta_mod: int) -> np.ndarray:
     """Image over F_p, zeta -> zeta_mod, of the values planes / den, planes
-    int64 coefficient planes as integer_planes gives them; raises
-    ModReductionError when p divides den, as cyc_to_modp does."""
+    integer coefficient planes (entry_planes, or the rows x of entries);
+    raises ModReductionError when p divides den, as cyc_to_modp does."""
     if den % p == 0:
         raise ModReductionError("denominator divisible by %d" % p)
     scale = pow(den, -1, p)
@@ -1011,10 +1053,10 @@ def certified_rank(m: int, images, generators, full=None):
     echelon_mod_p does (E may be None when the rank is full).  Only past
     the pin, generators() gives (rows, maps), or None when a guard refuses:
     rows the generating rows as int64 coefficient planes (b, ncols, deg),
-    each row scaled by any nonzero rational, deg as fit_planes chooses it: 1
-    when every entry lies in Q, so one root per prime suffices, and phi(m)
-    otherwise.  maps are linear maps on such planes (or None from an
-    overflow guard), and the span must be closed under each.
+    each row scaled by any nonzero rational, deg 1 when every entry lies in
+    Q, so one root per prime suffices, and phi(m) otherwise.  maps are
+    linear maps on such planes (or None from an overflow guard), and the
+    span must be closed under each.
 
     The reduced echelon form E of the span is read off its images at every
     root of Phi_m mod each prime, p = 1 (mod m) and at most CERTIFY_PRIMES

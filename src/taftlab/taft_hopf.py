@@ -208,21 +208,22 @@ class TensorElement:
 
 
 class TaftAlgebra:
-    """Structure constants and the coalgebra generator values."""
+    """Structure constants and the coalgebra generator values, each value
+    built on first use (_GENERATOR_VALUES): a module document needs m and
+    dim alone."""
 
     def __init__(self, m: int):
         if m < 2:
             raise InputError("Taft algebra needs m >= 2, got %r" % (m,))
         self.m = m
-        self.zeta = zeta(m)
         self.dim = m * m
-        self._delta_c = self.tensor2({((1, 0), (1, 0)): CycNum.one(m)})
-        self._delta_v = self.tensor2(
-            {((1, 0), (0, 1)): CycNum.one(m), ((0, 1), (0, 0)): CycNum.one(m)})
-        self._eps_c = CycNum.one(m)
-        self._eps_v = CycNum.zero(m)
-        self._s_c = self.monomial(m - 1, 0)
-        self._s_v = self.monomial(m - 1, 1, -1)
+
+    def __getattr__(self, name):
+        if name not in _GENERATOR_VALUES:
+            raise AttributeError(name)
+        value = _GENERATOR_VALUES[name](self)
+        setattr(self, name, value)
+        return value
 
     # -- element constructors ------------------------------------------------
 
@@ -312,6 +313,18 @@ class TaftAlgebra:
 
     def __repr__(self):
         return "TaftAlgebra(m=%d)" % self.m
+
+
+# zeta and the values of Delta, eps and S on c and v, by attribute name
+_GENERATOR_VALUES = {
+    "zeta": lambda H: zeta(H.m),
+    "_delta_c": lambda H: H.tensor2({((1, 0), (1, 0)): 1}),
+    "_delta_v": lambda H: H.tensor2({((1, 0), (0, 1)): 1,
+                                     ((0, 1), (0, 0)): 1}),
+    "_eps_c": lambda H: CycNum.one(H.m),
+    "_eps_v": lambda H: CycNum.zero(H.m),
+    "_s_c": lambda H: H.monomial(H.m - 1, 0),
+    "_s_v": lambda H: H.monomial(H.m - 1, 1, -1)}
 
 
 @dataclass

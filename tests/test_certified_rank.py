@@ -21,18 +21,39 @@ from taftlab import linalg
 from taftlab.constructions import build_semisimple
 from taftlab.cyclotomic import CycNum
 from taftlab.fixtures import ss_specs
-from taftlab.identities import _planes_rank, codimension
+from taftlab.identities import _span_rank, codimension
 from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _exact_in_int64,
                             _lift, _rational_reconstruction, _right_product,
                             certified_rank, echelon, echelon_mod_p,
-                            integer_planes, modular_prime, planes_mod_p,
-                            reduction_primes, root_of_unity_mod, zmatmul)
+                            modular_prime, planes_mod_p, reduction_primes,
+                            root_of_unity_mod, zmatmul)
 
 CONDUCTORS = (2, 3, 4, 5, 8, 12)
 
 
 def _degree(m):
     return len(CycNum.zero(m).num)
+
+
+def integer_planes(m, value_lists):
+    """[(D, planes)] for each list of values: D the lcm of that list's
+    denominators, and planes[i] the coefficients of D * values[i] as int64,
+    all lists cut to their constant plane when no other coefficient of any
+    of them is nonzero.  None when a coefficient reaches 2^62.  The
+    conversion linalg had before Matrix kept its entries: the oracle of
+    linalg.entry_planes."""
+    deg = _degree(m)
+    dens, out = [], []
+    for values in value_lists:
+        den = math.lcm(1, *(x.den for x in values))
+        rows = [[u * (den // x.den) for u in x.num] for x in values]
+        if any(abs(u) >= 1 << 62 for row in rows for u in row):
+            return None
+        dens.append(den)
+        out.append(np.array(rows, dtype=np.int64).reshape(len(rows), deg))
+    if not any(x[..., 1:].any() for x in out):
+        out = [x[..., :1] for x in out]
+    return list(zip(dens, out))
 
 
 def _common_planes(m, rows):
@@ -55,9 +76,16 @@ def cycnum_rows(m, d, planes):
 
 
 def _certify(m, rows):
-    """_planes_rank on rows: (rank, method) or None."""
+    """(rank, method) of rows as codimension's final rank words them, the
+    rank pinned at their shape or certified by _span_rank, or None."""
     d, planes = _common_planes(m, rows)
-    return _planes_rank(planes, d, m)
+    got = _span_rank(planes, d, m, min(planes.shape[:2]))
+    if got is None:
+        return None
+    value, primes, basis = got
+    return value, "modp-%s(p=%s)" % ("pinned" if basis is None
+                                     else "certified",
+                                     ",".join(map(str, primes)))
 
 
 def _arguments(m, rows):
@@ -647,3 +675,89 @@ def test_codim_certifies_the_slow_degree():
     assert res.value == 105
     assert not res.method.startswith("modp-pinned")
     assert res.method != "exact-echelon"
+
+
+# -- the integer form: one scatter into planes, one reduction mod p -----------
+
+
+@st.composite
+def _exact_matrices(draw):
+    """(m, [matrices]): one to three matrices of one shape over Q(zeta_m),
+    rational-only or cyclotomic, with zero entries, small fractions, some
+    of denominator 7, and coefficients at or just below 2^62 in size."""
+    m = draw(st.sampled_from(CONDUCTORS))
+    deg = _degree(m)
+    slots = 1 if draw(st.booleans()) else deg
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff = st.builds(Fraction, st.integers(-5, 5),
+                      st.sampled_from([1, 2, 3, 7]))
+    huge = st.sampled_from([2 ** 62 - 1, 2 ** 62, -(2 ** 62), -(2 ** 62) + 1])
+    nonzero = st.lists(st.one_of(coeff, coeff, coeff, huge), min_size=slots,
+                       max_size=slots).map(lambda c: CycNum.make(m, c))
+    entry = st.one_of(st.just(CycNum.zero(m)), nonzero)
+    return m, [Matrix(m, tuple(tuple(draw(entry) for _ in range(cols))
+                               for _ in range(rows)))
+               for _ in range(draw(st.integers(1, 3)))]
+
+
+@example((4, [Matrix.from_rows(4, [[2 ** 62, 1]]),
+              Matrix.from_rows(4, [[1, 0]])]))
+@given(_exact_matrices())
+@settings(max_examples=200, deadline=None)
+def test_the_entry_scatter_gives_the_integer_planes(drawn):
+    # each matrix alone and all of them at one degree, as structure_planes
+    # and the law engine's map planes take them
+    m, mats = drawn
+    flat = [[x for row in a.rows for x in row] for a in mats]
+    for values, a in zip(flat, mats):
+        want = integer_planes(m, [values])
+        got = linalg.entry_planes(a._entries(), (a.nrows, a.ncols),
+                                  a._entries()[2].shape[1])
+        assert (got is None) == (want is None)
+        if want is not None:
+            (den, planes), = want
+            assert a._entries()[0] == den
+            assert got.dtype == np.int64
+            assert np.array_equal(got, planes.reshape(got.shape))
+    want = integer_planes(m, flat)
+    ents = [a._entries() for a in mats]
+    deg = max(x.shape[1] for _, _, x in ents)
+    got = [linalg.entry_planes(e, (a.nrows * a.ncols,), deg)
+           for e, a in zip(ents, mats)]
+    assert (None in [g if g is None else 0 for g in got]) == (want is None)
+    if want is not None:
+        for (den, planes), g, e in zip(want, got, ents):
+            assert e[0] == den and np.array_equal(g, planes)
+    # stacked over one denominator: _numerators on every value at once
+    size = mats[0].nrows * mats[0].ncols
+    stacked = linalg.stacked_entries(ents, size)
+    direct = linalg._numerators(m, [(k * size + i, x)
+                                    for k, values in enumerate(flat)
+                                    for i, x in enumerate(values) if x])
+    assert stacked[0] == direct[0]
+    assert np.array_equal(stacked[1], direct[1])
+    assert stacked[2].dtype == direct[2].dtype
+    assert stacked[2].shape == direct[2].shape
+    assert stacked[2].tolist() == direct[2].tolist()
+
+
+@example((2, [Matrix.from_rows(2, [[0, Fraction(1, 7)]])]), 1)
+@given(_exact_matrices(), st.integers(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_matrix_to_modp_reduces_each_entry_as_cyc_to_modp(drawn, which):
+    # at a reduction prime, and, over Q(zeta_2) and Q(zeta_3), at 7, which
+    # divides some denominators
+    m, mats = drawn
+    p, w = (next(reduction_primes(m)) if which == 0 else
+            (7, linalg.root_of_unity_mod(m, 7)) if 6 % m == 0 else
+            next(reduction_primes(m)))
+    for a in mats:
+        try:
+            want = [[linalg.cyc_to_modp(x, p, w) for x in row]
+                    for row in a.rows]
+        except linalg.ModReductionError:
+            with pytest.raises(linalg.ModReductionError):
+                linalg.matrix_to_modp(a, p, w)
+            continue
+        got = linalg.matrix_to_modp(a, p, w)
+        assert got.dtype == np.int64 and got.tolist() == want

@@ -435,13 +435,16 @@ def test_a_refused_lift_falls_back_to_the_exact_build(monkeypatch,
     mod = build_semisimple(ss_specs()["sweedler_p_gamma3"])
     want = codimension(mod, 3)
     assert want.method.startswith("modp-certified(p=")
-    lift, plane_rank = identities._lift_level, identities._plane_rank
+    span_rank, plane_rank = identities._span_rank, identities._plane_rank
     exact_spans = identities._exact_spans
     calls, ranked, built = [], [], []
 
-    def refuse(m, rows):
+    def refuse(planes, d, m, full=None):
+        # a level's lift names no full rank; the final rank does
+        if full is not None:
+            return span_rank(planes, d, m, full)
         calls.append(len(calls) + 1)
-        return None if len(calls) == refused_at else lift(m, rows)
+        return None if len(calls) == refused_at else span_rank(planes, d, m)
 
     def record_rank(mod, n, level):
         ranked.append(n)
@@ -451,7 +454,7 @@ def test_a_refused_lift_falls_back_to_the_exact_build(monkeypatch,
         built.append(count)
         return exact_spans(mod, count)
 
-    monkeypatch.setattr(identities, "_lift_level", refuse)
+    monkeypatch.setattr(identities, "_span_rank", refuse)
     monkeypatch.setattr(identities, "_plane_rank", record_rank)
     monkeypatch.setattr(identities, "_exact_spans", record_build)
     got = codimension(mod, 3)
@@ -477,13 +480,17 @@ def test_an_unconfirmed_final_rank_falls_back_to_the_exact_build(
     # certified: the exact engine builds W_1..W_3 afresh and ranks W_3
     mod = build_semisimple(ss_specs()["sweedler_p_gamma3"])
     built = []
-    exact_spans = identities._exact_spans
+    exact_spans, span_rank = identities._exact_spans, identities._span_rank
 
     def record_build(mod, count):
         built.append(count)
         return exact_spans(mod, count)
 
-    monkeypatch.setattr(identities, "_planes_rank", lambda *args: None)
+    def unconfirmed(planes, d, m, full=None):
+        # the lifts, which name no full rank, pass
+        return span_rank(planes, d, m) if full is None else None
+
+    monkeypatch.setattr(identities, "_span_rank", unconfirmed)
     monkeypatch.setattr(identities, "_exact_spans", record_build)
     got = codimension(mod, 3)
     assert (got.value, got.method) == (105, "exact-echelon") and built == [3]
@@ -520,7 +527,7 @@ def test_a_basis_without_planes_is_ranked_exactly_without_duplicates(
     assert len(set(inserted)) == len(inserted)
     assert not set(inserted) & set(basis)
     # the same through codimension, with every lift refused
-    monkeypatch.setattr(identities, "_lift_level", lambda m, rows: None)
+    monkeypatch.setattr(identities, "_span_rank", lambda *args: None)
     got = codimension(mod, n)
     assert (got.value, got.method) == (want, "exact-echelon")
 

@@ -43,14 +43,14 @@ from taftlab.taft_hopf import TaftAlgebra, _product_table, hopf_verify_axioms
 # -- the oracles: the CycNum loops the integer checks replaced ---------------
 
 
-def _cycnum_first_failure(alg):
+def _cycnum_first_failure(alg, lefts=None):
     """The lexicographically first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
-    or None: the sparse CycNum sum FinDimAlgebra used before it summed
-    integer numerators."""
+    i among lefts when given, or None: the sparse CycNum sum FinDimAlgebra
+    used before it summed integer numerators."""
     dim = alg.dim
     nz = alg._nonzero()
     by_row = [[(k, cell) for k, cell in enumerate(row) if cell] for row in nz]
-    for i in range(dim):
+    for i in range(dim) if lefts is None else lefts:
         row_i = nz[i]
         for j in range(dim):
             diff = {}
@@ -1202,20 +1202,12 @@ def _join_witness(alg):
         return alg._associativity_witness()
 
 
-def _identity_without_product(src, dst, laws):
-    """_laws_on_planes on the laws with every identity U given as None, the
-    form associativity uses, so that its terms take no product."""
-    maps = algebra_core._distinct_maps(laws)
-    at = {key: k for k, key in enumerate(maps)}
+def _identity_as_none(src, dst, laws):
+    """The laws with every identity U given as None, so that its terms
+    take no product with U."""
     one = Matrix.identity(src.m, src.dim)
-
-    def key(u):
-        return None if src.dim == dst.dim and u == one else at[id(u)]
-
-    return algebra_core._laws_on_planes(
-        src.m, *algebra_core._map_planes(src, dst, maps),
-        [(at[id(t)], [(at[id(s)], key(u)) for s, u in terms])
-         for t, terms in laws])
+    return [(t, [(s, None if src.dim == dst.dim and u == one else u)
+                 for s, u in terms]) for t, terms in laws]
 
 
 def _law_routes(src, dst, laws):
@@ -1236,12 +1228,77 @@ def test_both_routes_give_the_oracles_witnesses(drawn):
         assert _plane_witness(alg) == [expect]
     expect = _cycnum_law_witnesses(src, dst, laws)
     assert _law_routes(src, dst, laws) == [expect] * 2
-    assert _identity_without_product(src, dst, laws) == expect
+    assert _law_routes(src, dst, _identity_as_none(src, dst, laws)) == \
+        [expect] * 2
 
 
 def _copy(alg):
     """A fresh algebra on alg's cells, with no entries built yet."""
     return FinDimAlgebra(alg.m, alg.mult, validate=False, autodetect_unit=False)
+
+
+def _associativity_join(alg, rows):
+    """(pairs, decide): the pairs the join forms, and decide(), the first
+    failing triple (i, j, k) with i in rows, or None.  (e_i e_j) e_k pairs
+    each entry (i, j, a) with row a of the table, e_i (e_j e_k) each entry
+    (i, a, b) with the entries (j, k, a); both go into one sum at the keys
+    ((i n + j) n + k) n + b, i in ascending blocks.  Associativity's own
+    join before it became the laws L_i(ab) = L_i(a) b on the law engine.
+    """
+    m, n = alg.m, alg.dim
+    _groups, _join, _sum = (algebra_core._groups, algebra_core._join,
+                            algebra_core._sum)
+    _, keys, x = alg._entries()
+    first, mid, last = keys // (n * n), keys // n % n, keys % n
+    regroup = last.argsort(kind="stable")
+    by_first, by_last = _groups(first, n), _groups(last[regroup], n)
+    left = np.isin(first, rows).nonzero()[0] if len(rows) < n \
+        else np.arange(len(keys))
+    per = np.bincount(first[left], weights=by_first[1][last[left]]
+                      + by_last[1][mid[left]], minlength=n)
+
+    def decide():
+        for lo, hi in algebra_core._blocks(per):
+            e = left[first[left].searchsorted(lo):first[left].searchsorted(hi)]
+            ia, ib = _join(last[e], by_first)
+            ja, jb = _join(mid[e], by_last)
+            ia, ja, jb = e[ia], e[ja], regroup[jb]
+            got, _ = _sum(m, [
+                (keys[ia] // n * n * n + keys[ib] % (n * n), 1,
+                 ((x, ia), (x, ib))),
+                ((first[ja] * n * n + keys[jb] // n) * n + last[ja], -1,
+                 ((x, ja), (x, jb)))])
+            if len(got):
+                i, rest = divmod(int(got[0]) // n, n * n)
+                return (i,) + divmod(rest, n)
+        return None
+
+    return int(per.sum()), decide
+
+
+@given(_route_inputs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_associativity_as_laws_names_the_old_joins_triple(drawn, data):
+    # on lefts subsets, in blocks of 1, 3 and 40 pairs, and with every
+    # nonzero coefficient past 2^62, on both routes and as routed
+    _, src, dst, _ = drawn
+    alg = data.draw(st.sampled_from([src, dst]))
+    n = alg.dim
+    lefts = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(0, n - 1), unique=True).map(sorted)))
+    rows = list(range(n)) if lefts is None else lefts
+    with pytest.MonkeyPatch.context() as patch:
+        budget = data.draw(st.sampled_from([None, 1, 3, 40]))
+        if budget is not None:
+            patch.setattr(algebra_core, "_BLOCK_ENTRIES", budget)
+        if data.draw(st.booleans()):
+            patch.setattr(linalg, "_INT_LIMIT", 1)
+        want = _associativity_join(_copy(alg), rows)[1]()
+        assert want == _cycnum_first_failure(alg, rows)
+        for planes in (None, False, True):
+            with pytest.MonkeyPatch.context() as route:
+                _route(route, planes)
+                assert _copy(alg)._associativity_witness(lefts) == want
 
 
 @given(_route_inputs(), st.data())
@@ -1371,8 +1428,8 @@ def test_a_refused_plane_product_is_decided_by_the_join(monkeypatch, bump):
     (-(2 ** 62), True), (-(2 ** 63), True), (2 ** 80, True)])
 def test_entries_hold_python_ints_from_2_to_the_62(value, python):
     # -2^63 fits an int64, but its size does not fit the bound
-    _, _, x = algebra_core._numerators(2, [(0, CycNum.one(2)),
-                                           (1, CycNum.rational(2, value))])
+    _, _, x = linalg._numerators(2, [(0, CycNum.one(2)),
+                                     (1, CycNum.rational(2, value))])
     assert (x.dtype == object) == python
     assert x[:, 0].tolist() == [1, value]
 
@@ -1419,7 +1476,7 @@ def _spy_routes(monkeypatch):
         return prepare
 
     monkeypatch.setattr(algebra_core, "_laws_on_planes", spy)
-    for name in ("_associativity_join", "_law_join"):
+    for name in ("_law_join",):
         monkeypatch.setattr(algebra_core, name,
                             joined(getattr(algebra_core, name)))
     return calls
@@ -1526,3 +1583,28 @@ def test_a_self_comparison_returns_the_identity_before_the_intertwiners(
     monkeypatch.setattr(hmodule, "intertwiner_space", unsolved)
     got = hma_isomorphic_generic(mod, mod)
     assert got == Matrix.identity(mod.m, mod.algebra.dim)
+
+
+@pytest.mark.parametrize("name,method", [
+    ("trivial_sum_mat2", "operator span, certified(p="),
+    ("sweedler2dim", "operator span mod p="),
+    ("grid_m5_k2_t1", "operator span mod p=")])
+def test_a_module_check_converts_c_and_v_once(monkeypatch, name, method):
+    # hma_verify's relations and laws, and the operator span's reductions
+    # mod p and certificate planes, all read c's and v's kept entries
+    mod = _corpus()[name]
+    mod = replace(mod, c_op=Matrix(mod.m, mod.c_op.rows),
+                  v_op=Matrix(mod.m, mod.v_op.rows))
+    mod.algebra._entries()
+    calls = []
+    real = linalg._numerators
+
+    def counted(m, pairs):
+        calls.append(sorted(k for k, _ in pairs))
+        return real(m, pairs)
+
+    monkeypatch.setattr(linalg, "_numerators", counted)
+    assert hma_verify(mod).ok
+    assert hmodule.operator_span_dim(mod)[1].startswith(method)
+    assert calls == [op._entries()[1].tolist()
+                     for op in (mod.c_op, mod.v_op)]
