@@ -565,11 +565,6 @@ def _primes_one_mod(m: int):
             yield p
 
 
-def modular_prime(m: int, skip: int = 0) -> int:
-    """Deterministic prime p = 1 (mod m), p > 2**20; skip steps to the next ones."""
-    return _reduction_primes(m, skip + 1)[skip][0]
-
-
 def root_of_unity_mod(m: int, p: int) -> int:
     """An element of exact multiplicative order m in F_p (needs m | p-1)."""
     if (p - 1) % m != 0:

@@ -25,8 +25,8 @@ from taftlab.identities import _span_rank, codimension
 from taftlab.linalg import (CERTIFY_PRIMES, Matrix, _crt, _exact_in_int64,
                             _lift, _rational_reconstruction, _right_product,
                             certified_rank, echelon, echelon_mod_p,
-                            modular_prime, planes_mod_p, reduction_primes,
-                            root_of_unity_mod, zmatmul)
+                            planes_mod_p, reduction_primes, root_of_unity_mod,
+                            zmatmul)
 
 CONDUCTORS = (2, 3, 4, 5, 8, 12)
 
@@ -278,7 +278,7 @@ def _gamma3():
 def test_a_corrupted_entry_is_rejected_and_codim_falls_back(monkeypatch):
     mod = _gamma3()
     assert codimension(mod, 2).method == "modp-certified(p=%d)" \
-        % modular_prime(2)
+        % next(reduction_primes(2))[0]
     cleared = linalg._cleared
 
     def corrupt(x, modulus):
@@ -314,7 +314,7 @@ def test_pivots_that_differ_across_roots_give_no_certificate():
     images, generators = _arguments(m, rows)
     assert generators()[0].shape[-1] == _degree(m)
     assert certified_rank(m, images, generators)[:2] == (
-        1, (modular_prime(m),))
+        1, (next(reduction_primes(m))[0],))
     shifted = _after_the_first(images, lambda piv, e: (
         [c + 1 for c in piv], e))
     assert certified_rank(m, shifted, generators) is None
@@ -335,7 +335,7 @@ def test_pivots_that_differ_across_primes_give_no_certificate():
 def test_a_rank_below_the_first_primes_gives_no_certificate():
     # a row that is zero mod the first prime: its rank there is 1 of 2
     m = 2
-    p = modular_prime(m)
+    p = next(reduction_primes(m))[0]
     one, zero = CycNum.one(m), CycNum.zero(m)
     rows = [(one, zero, zero), (zero, CycNum.rational(m, p), zero)]
     images, generators = _arguments(m, rows)
@@ -355,26 +355,26 @@ def _over(m, den, rows):
 
 def test_a_prime_dividing_the_denominator_is_skipped_for_the_pin():
     m = 2
-    p1 = modular_prime(m)
+    p1, p2 = (p for p, _ in reduction_primes(m, 2))
     rows = _over(m, p1, [(1, 0, 2), (0, 3, 1), (1, 1, 1)])
     assert _oracle(m, rows) == 3
-    assert _certify(m, rows) == (3, "modp-pinned(p=%d)" % modular_prime(m, 1))
+    assert _certify(m, rows) == (3, "modp-pinned(p=%d)" % p2)
 
 
 def test_a_prime_dividing_the_denominator_is_skipped_for_the_certificate():
     m = 2
-    p1 = modular_prime(m)
+    p1, p2 = (p for p, _ in reduction_primes(m, 2))
     rows = _over(m, p1, [(1, 0, 2), (0, 3, 1), (1, 3, 3)])
     got = _certify(m, rows)
     assert got is not None and got[0] == _oracle(m, rows) == 2
     assert got[1].startswith("modp-certified(p=")
-    assert _primes(got[1])[0] == str(modular_prime(m, 1))
+    assert _primes(got[1])[0] == str(p2)
     assert str(p1) not in _primes(got[1])
 
 
 def test_every_prime_dividing_the_denominator_gives_no_rank():
     m = 2
-    den = math.prod(modular_prime(m, k) for k in range(CERTIFY_PRIMES))
+    den = math.prod(p for p, _ in reduction_primes(m, CERTIFY_PRIMES))
     rows = _over(m, den, [(1, 0), (0, 1)])
     images, generators = _arguments(m, rows)
     assert certified_rank(m, images, generators, full=2) is None
@@ -393,7 +393,7 @@ def test_a_pin_never_asks_for_the_generators():
         pytest.fail("a pinned rank built its generating rows")
 
     assert certified_rank(m, images, generators, full=2) == (
-        2, (modular_prime(m),), None)
+        2, (next(reduction_primes(m))[0],), None)
 
 
 # -- overflow guards ------------------------------------------------------------
@@ -518,7 +518,6 @@ def _restarting_primes(m, count=3):
 def test_reduction_primes_match_the_restarting_search(m):
     want = _restarting_primes(m)
     assert list(reduction_primes(m)) == want
-    assert [modular_prime(m, k) for k in range(3)] == [p for p, _ in want]
 
 
 # every n above 2^20 up to the first eight reduction primes of each
@@ -556,7 +555,7 @@ def _modulus_near(limit, p):
 
 
 def test_crt_just_below_2_to_the_62_stays_exact():
-    p = modular_prime(2)
+    p = next(reduction_primes(2))[0]
     modulus = _modulus_near((1 << 62) - 1, p)
     x = np.array([modulus - 1, 0, 12345], dtype=np.int64)
     y = np.array([p - 1, 1, 7], dtype=np.int64)
@@ -568,7 +567,7 @@ def test_crt_just_below_2_to_the_62_stays_exact():
 
 
 def test_crt_past_2_to_the_62_refuses_instead_of_wrapping():
-    p = modular_prime(2)
+    p = next(reduction_primes(2))[0]
     modulus = _modulus_near(1 << 62, p) + p
     while math.gcd(modulus, p) != 1:
         modulus += 1
@@ -578,8 +577,8 @@ def test_crt_past_2_to_the_62_refuses_instead_of_wrapping():
 
 
 @pytest.mark.parametrize("modulus", [
-    modular_prime(2),
-    math.prod(modular_prime(2, k) for k in range(CERTIFY_PRIMES))])
+    next(reduction_primes(2))[0],
+    math.prod(p for p, _ in reduction_primes(2, CERTIFY_PRIMES))])
 def test_rational_reconstruction(modulus):
     fracs = [Fraction(0), Fraction(1), Fraction(-5, 7), Fraction(300, 301),
              Fraction(-700, 3)]

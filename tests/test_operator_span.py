@@ -36,7 +36,7 @@ from taftlab.hmodule import (CertifiedSimple, HModuleAlgebra, NotSimple,
                              is_h_simple, operator_span_dim)
 from taftlab.linalg import (EchelonBasis, Matrix, ModpEchelon,
                             ModReductionError, Subspace, matrix_to_modp,
-                            modular_prime, rank_mod_p, root_of_unity_mod)
+                            rank_mod_p, reduction_primes, root_of_unity_mod)
 from taftlab.serialize import dumps_canonical, hma_to_json
 from test_law_checks import (DENSE_COPIES, _change_basis, _corpus,
                              _dense_copy, _random_modules)
@@ -124,8 +124,7 @@ def _spin_span_dim(gens, n, m, certify=True):
     was, and a short one at its exact dim, certified at the first prime
     that reduces the generators or else ranked exactly."""
     first = None
-    for skip in range(3):
-        p = modular_prime(m, skip)
+    for p, _ in reduction_primes(m):
         try:
             d = _spin_dim_modp(gens, n, m, p)
         except ModReductionError:
@@ -188,7 +187,8 @@ def test_corpus_matches_the_spin(name):
     if n > SPIN_MAX_DIM:
         d, method = operator_span_dim(mod)
         assert d == n * n
-        assert method == "operator span mod p=%d" % modular_prime(mod.m)
+        p, _ = next(reduction_primes(mod.m))
+        assert method == "operator span mod p=%d" % p
         return
     d, method = _assert_matches_spin(mod)
     # the certified rank and the exact fallback agree with the spin too
@@ -278,7 +278,7 @@ def test_scaling_v_to_zero_shortens_the_span():
     flat = HModuleAlgebra(hopf=mod.hopf, algebra=mod.algebra, c_op=mod.c_op,
                           v_op=Matrix.zeros(2, 2, 2))
     assert _assert_matches_spin(flat) == \
-        (3, "operator span, certified(p=%d)" % modular_prime(2))
+        (3, "operator span, certified(p=%d)" % next(reduction_primes(2))[0])
     assert _assert_matches_spin(flat, certify=False) == \
         (3, "operator span, exact")
 
@@ -288,7 +288,7 @@ def test_a_prime_in_a_denominator_is_skipped():
     # denominator, and (e_0 / p, e_1) puts it in the table's: the full span
     # is pinned, and the short one certified, from the second prime on
     mod = sweedler_two_dim()
-    p, second = modular_prime(2), modular_prime(2, 1)
+    p, second = (q for q, _ in reduction_primes(2, 2))
     full = _change_basis(mod, Matrix.from_rows(2, [[1, 0],
                                                    [0, Fraction(1, p)]]))
     assert _assert_matches_spin(full) == \
@@ -337,9 +337,8 @@ def _assert_tables_match(A):
     """Over the three primes operator_span_dim tries (the first never fails
     on these) and small primes, some of which divide a denominator; returns
     the small primes refused."""
-    for skip in range(3):
-        p = modular_prime(A.m, skip)
-        assert _assert_table_matches(A, p, root_of_unity_mod(A.m, p))
+    for p, w in reduction_primes(A.m):
+        assert _assert_table_matches(A, p, w)
     return [q for q in SMALL_PRIMES if not _assert_table_matches(A, q, 2 % q)]
 
 
@@ -449,7 +448,7 @@ def sweep_rank_mod_p(a, p):
 
 @st.composite
 def _blocks(draw):
-    p = draw(st.sampled_from([2, 3, 7, 101, modular_prime(4)]))
+    p = draw(st.sampled_from([2, 3, 7, 101, next(reduction_primes(4))[0]]))
     kind = draw(st.sampled_from(["dense", "sparse", "zero", "tall", "wide"]))
     if kind == "tall":
         k, w = draw(st.integers(30, 120)), draw(st.integers(1, 20))
@@ -508,7 +507,7 @@ def test_block_insert_matches_rank_mod_p(drawn):
 
 
 def test_block_insert_chunks_a_tall_block():
-    p = modular_prime(3)
+    p = next(reduction_primes(3))[0]
     rng = np.random.default_rng(5)
     a = rng.integers(0, p, (150, 40)) @ rng.integers(0, p, (40, 90)) % p
     eb = ModpEchelon(90, p)
@@ -529,7 +528,7 @@ def test_block_insert_chunks_a_tall_block():
 
 def test_rank_mod_p_ranks_a_wide_block():
     # no width x width buffer: at 2^20 columns it would be 8 TiB
-    p, width = modular_prime(4), 1 << 20
+    p, width = next(reduction_primes(4))[0], 1 << 20
     a = np.zeros((4, width), dtype=np.int64)
     a[0, width - 1] = 1
     a[1, 5] = 3
@@ -547,7 +546,7 @@ def test_rank_mod_p_ranks_a_wide_block():
 
 def test_full_rank_insert_fills_the_rows_in_place():
     # every row a basis can hold is allocated once; filling them copies none
-    p = modular_prime(4)
+    p = next(reduction_primes(4))[0]
     rng = np.random.default_rng(7)
     eb = ModpEchelon(70, p)
     rows = eb._rows
@@ -569,7 +568,7 @@ def test_products_are_exact_up_to_the_overflow_bound():
 
 
 def test_overflow_guard_refuses_before_allocating():
-    p = modular_prime(2)
+    p = next(reduction_primes(2))[0]
     width = (1 << 63) // (p * p) + 1
     tracemalloc.start()
     try:
@@ -634,7 +633,7 @@ def test_the_spin_of_a_lawless_module_is_no_normal_form():
     # reach End(A), and the word spin certified this document as simple
     mod = _fields_with_bad_v()
     assert _spin_span_dim(_action_generators(mod), 3, 2) == \
-        (9, "operator span mod p=%d" % modular_prime(2))
+        (9, "operator span mod p=%d" % next(reduction_primes(2))[0])
     assert _normal_form_dim(
         mod.algebra, (mod.c_op, mod.v_op),
         lambda gens, mul, one: taft_monomials(gens, mul, one, 2),
@@ -679,7 +678,7 @@ def test_lawful_short_span_still_reaches_tier_two():
     mod = trivial_action(direct_sum(matrix_algebra(3, 2), matrix_algebra(3, 2)))
     assert hma_verify(mod).ok
     assert operator_span_dim(mod) == \
-        (32, "operator span, certified(p=%d)" % modular_prime(3))
+        (32, "operator span, certified(p=%d)" % next(reduction_primes(3))[0])
     got = is_h_simple(mod)
     assert isinstance(got, NotSimple) and got.witness.dim == 4
 
@@ -692,7 +691,8 @@ def test_short_span_past_dim_ten_is_exact():
                                     matrix_algebra(2, 2)))
     assert mod.algebra.dim == 13
     got = operator_span_dim(mod)
-    assert got == (97, "operator span, certified(p=%d)" % modular_prime(2))
+    p, _ = next(reduction_primes(2))
+    assert got == (97, "operator span, certified(p=%d)" % p)
     with _certificates(False):
         assert operator_span_dim(mod) == (97, "operator span, exact")
     assert is_h_simple(mod).method == got[1]

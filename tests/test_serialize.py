@@ -5,7 +5,6 @@ import gc
 import importlib.util
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,7 +39,6 @@ from taftlab.serialize import (
     NILEXT_SCHEMA,
     SS_SPEC_SCHEMA,
     algebra_to_json,
-    compile_schema,
     cyc_to_json,
     dumps_canonical,
     grading_to_c_matrix,
@@ -248,7 +246,7 @@ def test_format_tag_enforced():
         json_to_algebra(doc)
 
 
-# ------------------------------------------- compiled schema check vs jsonschema
+# --------------------------------------------- validate, the one schema check
 
 SCHEMAS = {"algebra": ALGEBRA_SCHEMA, "module algebra": HMA_SCHEMA,
            "semisimple spec": SS_SPEC_SCHEMA, "base algebra": NILEXT_SCHEMA,
@@ -279,16 +277,18 @@ DOCS = _fixture_documents()
 
 
 def _jsonschema_message(doc, schema, what):
-    """The InputError text of the validator before schemas were compiled."""
+    """The InputError text: jsonschema's best match among the document's
+    errors sorted by path."""
     errors = sorted(jsonschema.Draft202012Validator(schema).iter_errors(doc),
                     key=lambda e: list(e.absolute_path))
     err = jsonschema.exceptions.best_match(errors)
     return "invalid %s document: %s (at %s)" % (what, err.message, err.json_path)
 
 
-def _agrees(doc, schema, what):
+def _validates(doc, schema, what):
+    """Whether validate accepts doc: exactly when jsonschema does, a
+    rejection worded by jsonschema's best match."""
     valid = jsonschema.Draft202012Validator(schema).is_valid(doc)
-    assert compile_schema(schema)(doc) == valid
     if valid:
         validate(doc, schema, what)
     else:
@@ -298,10 +298,11 @@ def _agrees(doc, schema, what):
     return valid
 
 
-def test_compiled_schemas_agree_on_every_fixture_document():
+def test_each_fixture_document_passes_its_own_schema_only():
+    assert len(DOCS) == 42
     for own, doc in DOCS:
         for what, schema in SCHEMAS.items():
-            assert _agrees(doc, schema, what) or what != own
+            assert _validates(doc, schema, what) == (what == own)
 
 
 _LEAVES = st.one_of(
@@ -353,12 +354,12 @@ def _mutated(draw):
 @given(_mutated())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_schemas_agree_on_mutated_documents(drawn):
+def test_validate_words_mutated_documents_as_jsonschema(drawn):
     what, doc = drawn
-    _agrees(doc, SCHEMAS[what], what)
+    _validates(doc, SCHEMAS[what], what)
 
 
-def test_compiled_schemas_agree_on_edge_cases():
+def test_validate_words_the_edge_cases_as_jsonschema():
     hma = loads(dumps_canonical(hma_to_json(sweedler_two_dim())))
     hopf = next(d for what, d in DOCS if what == "Hopf element")
     cases = []
@@ -407,7 +408,7 @@ def test_compiled_schemas_agree_on_edge_cases():
         cases.append((doc, "module algebra"))
     for top in ([], [hma], "taftlab/1", 3, None, True):
         cases.append((top, "module algebra"))
-    verdicts = [_agrees(doc, SCHEMAS[what], what) for doc, what in cases]
+    verdicts = [_validates(doc, SCHEMAS[what], what) for doc, what in cases]
     assert True in verdicts and False in verdicts
 
 
@@ -417,13 +418,6 @@ def test_schema_accepts_what_fraction_rejects():
     validate(doc, HMA_SCHEMA, "module algebra")
     with pytest.raises(InputError, match="bad rational coefficient"):
         json_to_hma(doc)
-
-
-def test_compiled_schema_refuses_keywords_it_does_not_cover():
-    for schema in ({"type": "number"}, {"maxItems": 2},
-                   {"additionalProperties": {"type": "string"}}, {}):
-        with pytest.raises(ValueError):
-            compile_schema(schema)
 
 
 def test_cli_import_leaves_jsonschema_unloaded():
@@ -513,8 +507,8 @@ def _read_back(what, doc):
        st.data())
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_schemas_agree_when_the_last_copy_is_edited(drawn, edit,
-                                                             data):
+def test_an_edited_last_copy_of_an_entry_is_read_on_its_own(drawn, edit,
+                                                            data):
     what, doc, paths = drawn
     texts = [json.dumps(_at(doc, p), sort_keys=True) for p in paths]
     repeated = sorted({t for t in texts if texts.count(t) > 1})
@@ -523,7 +517,7 @@ def test_compiled_schemas_agree_when_the_last_copy_is_edited(drawn, edit,
     edited = copy.deepcopy(doc)
     apply, accepted = _LAST_COPY_EDITS[edit]
     apply(_at(edited, paths[last]))
-    assert _agrees(edited, SCHEMAS[what], what) == accepted
+    assert _validates(edited, SCHEMAS[what], what) == accepted
     if not accepted:
         return
     # the decoder reads the edited copy on its own, not as the good ones;
@@ -873,6 +867,39 @@ def test_walk_keeps_each_entry_check(monkeypatch):
         json_to_matrix_doc(doc([one, dict(one, extra=1)]))
 
 
+def test_validate_runs_only_on_rejected_documents(monkeypatch):
+    def refuse(doc, schema, what):
+        raise AssertionError("validate called on a %s document" % what)
+
+    monkeypatch.setattr(serialize, "validate", refuse)
+    for what, doc in DOCS:
+        if what != "Hopf element":
+            _CODECS[what][0](doc)
+    for doc in _module_documents().values():
+        json_to_hma(doc)
+        algebra = {"format": FORMAT_TAG}
+        algebra.update(doc["algebra"])
+        json_to_algebra(algebra)
+        for key in ("c", "v"):
+            json_to_matrix_doc(
+                {"format": FORMAT_TAG, "m": doc["m"], "rows": doc[key]})
+    for name in _dense_sources():
+        json_to_hma(_dense_document(name, 1))
+    # a semantic rejection and a schema rejection each validate once
+    hma = loads(dumps_canonical(hma_to_json(sweedler_two_dim())))
+    assoc = _edited(hma, ("algebra", "mult", 0, 1, 1),
+                    {"m": 2, "coeffs": ["2"]})
+    for doc, message in (
+            (assoc, "structure constants are not associative"),
+            (_edited(hma, ("extra",), 1), "invalid module algebra document")):
+        calls = []
+        monkeypatch.setattr(serialize, "validate", lambda *args: calls.append(
+            args[2]) or validate(*args))
+        with pytest.raises(InputError, match=message):
+            json_to_hma(doc)
+        assert calls == ["module algebra"]
+
+
 def test_no_memo_state_leaks_between_documents(monkeypatch):
     doc = loads(dumps_canonical(hma_to_json(
         build_semisimple(ss_specs()["grid_m3_k2_t3"]))))
@@ -885,28 +912,6 @@ def test_no_memo_state_leaks_between_documents(monkeypatch):
         parsed.clear()
         json_to_hma(doc)
         assert len(parsed) == len(distinct)
-    # the verdicts: one pattern search per coefficient of each distinct
-    # entry, in every call
-    searched = []
-
-    class Pattern:
-        def __init__(self, pattern):
-            self.real = re.compile(pattern)
-
-        def search(self, text):
-            searched.append(text)
-            return self.real.search(text)
-
-    monkeypatch.setattr(serialize, "re", type(
-        "re", (), {"compile": staticmethod(Pattern)}))
-    schema = copy.deepcopy(HMA_SCHEMA)
-    coeffs = sum(len(json.loads(e)["coeffs"]) for e in distinct)
-    for check in (lambda d: validate(d, schema, "module algebra"),
-                  compile_schema(schema)):
-        for _ in range(2):
-            searched.clear()
-            check(doc)
-            assert len(searched) == coeffs
 
 
 # ------------------------------------------ integral floats are integers
