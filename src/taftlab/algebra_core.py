@@ -7,9 +7,13 @@ linear algebra from linalg.
 
 The Jacobson radical uses the characteristic-zero trace-form criterion on
 the unital hull: x lies in the radical iff trace(L_x L_y) vanishes for all
-y, with L the left regular representation of the hull.  That keeps the
-computation one exact kernel, with nilpotency and semisimple-quotient as
-checkable properties rather than part of the algorithm.
+y, with L the left regular representation of the hull.  The hull's trace
+form has a closed form in the structure constants c_ij^a: trace(L_i) =
+sum_a c_ia^a against the adjoined unit, and trace(L_j L_i) =
+sum_{a, b} c_ja^b c_ib^a, one join of the table's entries with
+themselves.  So the hull is never built, and the radical is one exact
+kernel of an (n + 1) x n matrix, with nilpotency and semisimple-quotient
+as checkable properties rather than part of the algorithm.
 
 The laws are decided exactly in integers: the unit, and, in one engine
 (_witnesses), every law T(ab) = sum S(a) U(b) on basis pairs, which covers
@@ -698,34 +702,41 @@ def unital_hull(a: FinDimAlgebra) -> FinDimAlgebra:
 
 
 def jacobson_radical(a: FinDimAlgebra) -> Subspace:
-    """Kernel of the regular trace form, taken in the unital hull.
+    """J(A): the kernel of the trace form of the unital hull F 1 + A.
 
-    Characteristic-zero criterion: x in J(A) iff trace(L_x L_y) = 0 for all
-    y in the hull.  The hull keeps the criterion valid for non-unital input,
-    and J(hull) automatically lands inside A (no nilpotent element carries a
-    component of the adjoined unit).
+    Characteristic-zero criterion (Dickson): x in J(A) iff
+    trace(L_x L_y) = 0 for all y in the hull, L the hull's left regular
+    representation.  The hull keeps the criterion valid for non-unital
+    input, and J(hull) lands inside A (no nilpotent element carries a
+    component of the adjoined unit), so the form is taken on the columns
+    e_i of A.  With c_ij^a = mult[i][j][a], its row y = 1 is
+    trace(L_i) = sum_a c_ia^a, and its row y = e_j is
+    trace(L_j L_i) = sum_{a, b} c_ja^b c_ib^a, because the hull's
+    L_{e_j} L_{e_i} is [[0, 0], [L_j e_i, L_j L_i]].  Both are read off
+    the table's entries in one sum (_sum), so no hull is built: the
+    diagonal entries (i, a, a), and each entry (j, a, b) joined with the
+    entries (i, b, a).  The unit's row is taken over the table's
+    denominator D and the others over D^2; scaling rows leaves the kernel
+    as it is, and linalg.kernel's rows are already its canonical basis.
     """
-    hull = unital_hull(a)
-    n = hull.dim
-    lops = [hull.left_mult_basis(i) for i in range(n)]
-    rows = []
-    for y in range(n):
-        ly = lops[y]
-        row = []
-        for i in range(1, n):
-            li = lops[i]
-            acc = CycNum.zero(a.m)
-            for p in range(n):
-                for q in range(n):
-                    u = li.entry(p, q)
-                    if not u.is_zero():
-                        w = ly.entry(q, p)
-                        if not w.is_zero():
-                            acc = acc + u * w
-            row.append(acc)
-        rows.append(tuple(row))
-    ker = kernel(Matrix(a.m, tuple(rows)))
-    return Subspace.from_vectors(a.m, a.dim, ker)
+    m, n = a.m, a.dim
+    _, keys, x = a._entries()
+    first, pair = keys // (n * n), keys % (n * n)
+    mid, last = pair // n, pair % n
+    # each entry (j, a, b) with the entries (i, b, a), grouped on (b, a)
+    by_pair = pair.argsort()
+    ia, ib = _join(last * n + mid, _groups(pair[by_pair], n * n))
+    ib = by_pair[ib]
+    diag = (mid == last).nonzero()[0]
+    at, form = _sum(m, [(first[diag], 1, ((x, diag),)),
+                        ((first[ia] + 1) * n + first[ib], 1,
+                         ((x, ia), (x, ib)))])
+    zero = CycNum.zero(m)
+    pad = (0,) * (len(zero.num) - form.shape[1])
+    rows = [[zero] * n for _ in range(n + 1)]
+    for k, num in zip(at.tolist(), form.tolist()):
+        rows[k // n][k % n] = CycNum(m, tuple(num) + pad, 1)
+    return Subspace(m, n, kernel(Matrix(m, tuple(map(tuple, rows)))))
 
 
 def subspace_product(a: FinDimAlgebra, s: Subspace, t: Subspace) -> Subspace:
@@ -868,7 +879,7 @@ def grading_from_c(a: FinDimAlgebra, c_op: Matrix) -> GradingDecomposition:
     ident = Matrix.identity(m, n)
     for i in range(m):
         shifted = c_op - ident * zeta_power(m, i)
-        comps.append(Subspace.from_vectors(m, n, kernel(shifted)))
+        comps.append(Subspace(m, n, kernel(shifted)))
     total = sum(c.dim for c in comps)
     if total != n or not subspaces_independent(comps):
         raise InputError(

@@ -701,7 +701,7 @@ def recover_structure(mod: HModuleAlgebra) -> RecoveredStructure:
     if not (phi ** m).is_zero():
         raise InputError("shift map is not nilpotent of index m")
 
-    b_space = Subspace.from_vectors(m, n, kernel(mod.v_op))
+    b_space = Subspace(m, n, kernel(mod.v_op))
     if b_space.dim != d:
         raise InputError("ker v has dimension %d, expected the layer "
                          "dimension %d" % (b_space.dim, d))

@@ -28,9 +28,11 @@ from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import (nilext_specs, ss_specs, sweedler_two_dim,
                               trivial_action)
-from taftlab.linalg import Matrix, Subspace
+from taftlab.linalg import Matrix, Subspace, kernel
 from taftlab.serialize import (algebra_to_json, dumps_canonical, hma_to_json,
                                json_to_algebra)
+from test_law_checks import DENSE_COPIES, SEED_COPIES, _dense_copy
+from test_law_checks import _entries as _cyclotomic_entries
 
 
 def jet_algebra(m, d):
@@ -392,3 +394,138 @@ def test_sampling_hole_is_closed(capsys, tmp_path):
     assert code == 2 and captured.out == ""
     diag = json.loads(captured.err)
     assert diag["error"] == "invalid-input" and message in diag["message"]
+
+
+# -- the radical against the hull and the loop ----------------------------------
+
+
+def _old_radical(alg):
+    """jacobson_radical before the trace form's closed form: the unital
+    hull, its left multiplication matrices and the four-deep loop for
+    trace(L_y L_i), y over the hull and i over A."""
+    hull = unital_hull(alg)
+    n = hull.dim
+    lops = [hull.left_mult_basis(i) for i in range(n)]
+    rows = []
+    for y in range(n):
+        ly = lops[y]
+        row = []
+        for i in range(1, n):
+            li = lops[i]
+            acc = CycNum.zero(alg.m)
+            for p in range(n):
+                for q in range(n):
+                    u = li.entry(p, q)
+                    if not u.is_zero():
+                        w = ly.entry(q, p)
+                        if not w.is_zero():
+                            acc = acc + u * w
+            row.append(acc)
+        rows.append(tuple(row))
+    return Subspace.from_vectors(alg.m, alg.dim,
+                                 kernel(Matrix(alg.m, tuple(rows))))
+
+
+def _assert_radical_matches(alg):
+    got = jacobson_radical(alg)
+    assert (got.m, got.ambient, got.basis) == \
+        (alg.m, alg.dim, _old_radical(alg).basis)
+    return got
+
+
+def _loose(m, table):
+    return FinDimAlgebra(m, table, validate=False, autodetect_unit=False)
+
+
+def _shifted(m, table, at, by):
+    """table with by added to the constant at (i, j, a), or to every
+    constant when at is None."""
+    big = CycNum.rational(m, by)
+    return tuple(tuple(tuple(
+        x + big if at is None or (i, j, a) == at else x
+        for a, x in enumerate(cell)) for j, cell in enumerate(row))
+        for i, row in enumerate(table))
+
+
+@st.composite
+def _radical_tables(draw):
+    """Tables, associative or not: rational ones (one-column entries) as
+    _random_tables draws them, or over Q(zeta_m) with test_law_checks'
+    entries, of dim 0 to 4; some with one constant or all of them moved
+    by 2^70, past int64, so that the sum runs on Python ints."""
+    if draw(st.booleans()):
+        m, table = draw(_random_tables())
+    else:
+        m = draw(st.sampled_from([2, 3, 4, 5, 8]))
+        n = draw(st.integers(0, 4))
+        cell = st.lists(_cyclotomic_entries(m), min_size=n,
+                        max_size=n).map(tuple)
+        table = tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n))
+    n = len(table)
+    where = draw(st.sampled_from(["none", "one", "all"])) if n else "none"
+    if where != "none":
+        at = None if where == "all" else tuple(
+            draw(st.integers(0, n - 1)) for _ in range(3))
+        table = _shifted(m, table, at, 1 << 70)
+    return m, table
+
+
+@given(_radical_tables())
+@settings(max_examples=150, deadline=None)
+def test_radical_matches_the_hull_loop_on_random_tables(drawn):
+    _assert_radical_matches(_loose(*drawn))
+
+
+def test_radical_matches_the_hull_loop_on_edge_tables():
+    zero = CycNum.zero(3)
+    empty = _loose(3, ())
+    assert _assert_radical_matches(empty).basis == ()
+    for n in (1, 2, 4):
+        nothing = _loose(3, tuple(tuple((zero,) * n for _ in range(n))
+                                  for _ in range(n)))
+        assert _assert_radical_matches(nothing).dim == n
+    assert _assert_radical_matches(strictly_upper_21(4)).dim == 1
+    # not associative: the rows trace(L_j L_i) alone have a kernel, and
+    # the row trace(L_i) of the adjoined unit rules it out
+    mult = tuple(tuple(tuple(CycNum.rational(2, x) for x in cell)
+                       for cell in row)
+                 for row in (((-1, -1), (1, -1)), ((1, 0), (0, -1))))
+    assert _assert_radical_matches(_loose(2, mult)).dim == 0
+    for m in (2, 3, 5):
+        for d in range(4):
+            jets = jet_algebra(m, d)
+            assert _assert_radical_matches(jets).dim == d
+            # every constant past 2^62: the sum runs on Python ints
+            big = _loose(m, _shifted(m, jets.mult, None, 1 << 62))
+            assert big._entries()[2].dtype == object
+            _assert_radical_matches(big)
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS_ALGEBRAS)))
+def test_radical_matches_the_hull_loop_on_the_corpus(index):
+    _assert_radical_matches(CORPUS_ALGEBRAS[index])
+
+
+@given(st.sampled_from(range(len(CORPUS_ALGEBRAS))), st.data())
+@settings(max_examples=30, deadline=None)
+def test_radical_matches_the_hull_loop_on_perturbed_corpus(index, data):
+    alg = CORPUS_ALGEBRAS[index]
+    m, dim = alg.m, alg.dim
+    at = tuple(data.draw(st.integers(0, dim - 1)) for _ in range(3))
+    delta = data.draw(st.sampled_from([1, -1, 2])) * \
+        zeta_power(m, data.draw(st.integers(0, m - 1)))
+    table = [list(map(list, row)) for row in alg.mult]
+    table[at[0]][at[1]][at[2]] = table[at[0]][at[1]][at[2]] + delta
+    _assert_radical_matches(_loose(m, tuple(tuple(map(tuple, row))
+                                            for row in table)))
+
+
+@pytest.mark.parametrize("name", sorted(ss_specs()))
+def test_semisimple_corpus_has_zero_radical(name):
+    assert jacobson_radical(build_semisimple(ss_specs()[name]).algebra).dim == 0
+
+
+@pytest.mark.parametrize("name,kind", sorted(
+    DENSE_COPIES + [key for _, key in SEED_COPIES]))
+def test_radical_matches_the_hull_loop_on_dense_copies(name, kind):
+    _assert_radical_matches(_dense_copy(name, kind).algebra)

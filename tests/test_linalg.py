@@ -16,8 +16,8 @@ from taftlab.cyclotomic import CycNum, zeta_power
 from taftlab.errors import InputError
 from taftlab.fixtures import ss_specs
 from taftlab.linalg import (EchelonBasis, Matrix, Subspace, combination,
-                            echelon, intertwiner_space, rank,
-                            small_coefficients, solve)
+                            echelon, intertwiner_space, kernel, rank,
+                            small_coefficients, solve, vec_is_zero)
 
 M = 3
 WIDTH = 6
@@ -236,6 +236,17 @@ def test_inverse_on_the_echelon_basis_matches_gauss_jordan(a):
 @settings(max_examples=150, deadline=None)
 def test_full_rank_is_nonzero_determinant(a):
     assert (rank(a) == a.nrows) == (not gauss_det(a).is_zero())
+
+
+@given(st.one_of(square_matrices(), st.lists(vectors, min_size=1, max_size=7)
+                 .map(lambda rows: Matrix(M, tuple(rows)))))
+@settings(max_examples=150, deadline=None)
+def test_kernel_rows_are_their_canonical_basis(a):
+    # so callers wrap them as a Subspace without a second echelon
+    ker = kernel(a)
+    assert Subspace.from_vectors(a.m, a.ncols, ker).basis == ker
+    assert len(ker) == a.ncols - rank(a)
+    assert all(vec_is_zero(a.apply(x)) for x in ker)
 
 
 def test_inverse_keeps_its_messages():
